@@ -22,6 +22,7 @@ from .spectral import (
     SpectralDecomposition,
     char_poly_exact,
     decompose,
+    deleted_char_polys,
     eigenvalue_gap,
     eigenvalue_support,
     trace_identity_check,

@@ -6,6 +6,7 @@ non-existence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .spectral import (
     eigenvalue_support,
     transition_matrix,
 )
-from .polys import poly_divmod, poly_gcd, poly_degree
+from .polys import poly_degree, poly_divmod, poly_gcd, poly_squarefree
 
 THRESHOLD_DEFAULT = 1 - 1e-9
 T_MAX_DEFAULT = 50.0
@@ -336,15 +337,41 @@ def _is_exact_root(poly, x):
     return poly(Fraction(x)) == 0
 
 
+# Dyadic precision of the root guard: a support value passes only when a root
+# of phi provably lies within 2**(1 - _GUARD_BITS) of it.
+_GUARD_BITS = 30
+
+
+@functools.lru_cache(maxsize=256)
+def _squarefree(coeffs):
+    return tuple(poly_squarefree(coeffs))
+
+
+def _scaled_sign(coeffs, m):
+    """Sign of 2**(B*d) * p(m / 2**B), B = _GUARD_BITS, in integers."""
+    acc, scale = 0, 1
+    for c in coeffs:
+        acc = acc * m + c * scale
+        scale <<= _GUARD_BITS
+    return (acc > 0) - (acc < 0)
+
+
+def _near_root(coeffs, v):
+    """True iff the squarefree polynomial ``coeffs`` is zero at an end of, or
+    changes sign across, the dyadic interval [m - 1, m + 1] / 2**B that holds
+    v (m the nearest integer to v * 2**B); either proves a root in it."""
+    m = round(v * 2**_GUARD_BITS)
+    lo, hi = _scaled_sign(coeffs, m - 1), _scaled_sign(coeffs, m + 1)
+    return lo * hi <= 0
+
+
 def classify_support(support_values, exact_poly, tol=1e-8):
     """Classify a support as Integer / Quadratic / Neither, with exact
     verification of every fitted value against the characteristic polynomial."""
     vals = [float(v) for v in support_values]
-    roots = np.roots([float(c) for c in exact_poly.coeffs])
+    squarefree = _squarefree(exact_poly.coeffs)
     for v in vals:
-        # loose: np.roots loses accuracy at repeated roots; this only guards
-        # against values unrelated to the polynomial
-        if np.min(np.abs(roots - v)) > 1e-3:
+        if not _near_root(squarefree, v):
             raise ValueError(f"value {v} is not a root of the polynomial")
 
     if all(abs(v - round(v)) < tol for v in vals):

@@ -24,6 +24,7 @@ from .spectral import (
     SUPPORT_TOL_DEFAULT,
     char_poly_exact,
     decompose,
+    deleted_char_polys,
     eigenvalue_gap,
     eigenvalue_support,
 )
@@ -119,9 +120,17 @@ def read_graph(path):
     stripped = text.strip()
     if not stripped:
         raise Graph6Error("empty input", offset=0)
-    if stripped.startswith("{"):
+    # graph6 of a 60-vertex graph also starts with "{" (chr(63 + 60))
+    if stripped.startswith("{") and _is_json_object(stripped):
         return Graph.from_json(stripped)
     return parse_graph6(stripped.splitlines()[0])
+
+
+def _is_json_object(text):
+    try:
+        return isinstance(json.loads(text), dict)
+    except json.JSONDecodeError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +232,7 @@ def scan_graph(g, config):
         return doc
     sd = decompose(g, config.grouping_tolerance)
     phi = char_poly_exact(g, cap=config.exact_cap)
-    deleted = [
-        char_poly_exact(walkalg.delete_vertex(g, u), cap=config.exact_cap).coeffs
-        for u in range(g.n)
-    ]
+    deleted = [p.coeffs for p in deleted_char_polys(g, cap=config.exact_cap)]
     supports = [
         sorted(eigenvalue_support(sd, u, config.support_tolerance))
         for u in range(g.n)

@@ -6,6 +6,7 @@ Polynomials are sequences of coefficients in descending powers,
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 
@@ -50,18 +51,132 @@ def poly_divmod(num, den):
     return poly_trim(q), poly_trim(r)
 
 
+# The largest primes below 2**61, as literals so that import computes nothing.
+_PRIMES = (
+    2305843009213693951, 2305843009213693921, 2305843009213693907,
+    2305843009213693723, 2305843009213693693, 2305843009213693669,
+    2305843009213693613, 2305843009213693561, 2305843009213693549,
+    2305843009213693487, 2305843009213693421, 2305843009213693373,
+    2305843009213693277, 2305843009213693193, 2305843009213693153,
+    2305843009213693133,
+)
+
+# Miller-Rabin with these bases is deterministic below 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The literal primes, then the primes below them in descending order."""
+    yield from _PRIMES
+    c = _PRIMES[-1] - 2
+    while True:
+        if _is_prime(c):
+            yield c
+        c -= 2
+
+
+def _divmod_monic(num, den, p=0):
+    """Quotient and remainder of a polynomial by a monic ``den``: exact over
+    the integers, or over GF(p) when ``p`` is given."""
+    k = len(num) - len(den) + 1
+    if k <= 0:
+        return [0], list(num)
+    r = list(num)
+    tail = den[1:]
+    for i in range(k):
+        c = r[i]
+        if c:
+            seg = [x - c * y for x, y in zip(r[i + 1:i + len(den)], tail)]
+            r[i + 1:i + len(den)] = [x % p for x in seg] if p else seg
+    return r[:k], poly_trim(r[k:] or [0])
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd over GF(p) of two polynomials, not both zero."""
+    a, b = poly_trim([c % p for c in a]), poly_trim([c % p for c in b])
+    while b != [0]:
+        inv = pow(b[0], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _divmod_monic(a, b, p)[1]
+    inv = pow(a[0], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _integer_poly(coeffs):
+    out = poly_trim(list(coeffs) or [0])
+    if not all(isinstance(c, numbers.Integral) for c in out):
+        raise ValueError("integer coefficients needed")
+    return [int(c) for c in out]
+
+
 def poly_gcd(p, q):
-    """Monic gcd over the rationals via the Euclidean algorithm."""
-    a = [Fraction(c) for c in poly_trim(p)]
-    b = [Fraction(c) for c in poly_trim(q)]
-    while poly_degree(b) >= 0:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if poly_degree(a) < 0:
-        return a
-    lead = a[0]
-    return [c / lead for c in a]
+    """Monic gcd of integer polynomials, at least one of them monic.
+
+    The gcd is taken modulo 61-bit primes.  Primes whose gcd has the smallest
+    degree seen are combined by the Chinese remainder theorem into a monic
+    integer candidate H with coefficients in the symmetric residue range, and
+    H is accepted only when it divides both inputs exactly over the integers.
+    That is a proof: H then divides the true gcd h (monic, since it divides a
+    monic input), while deg H >= deg h because h mod p divides every modular
+    gcd; so H = h.  Any other input raises ValueError.
+    """
+    a, b = _integer_poly(p), _integer_poly(q)
+    if a[0] != 1 and b[0] != 1:
+        raise ValueError("poly_gcd needs at least one monic polynomial")
+    if a == [0] or b == [0]:
+        return b if a == [0] else a
+    deg, modulus, residues = None, 1, None
+    for prime in _primes():
+        g = _gcd_mod(a, b, prime)
+        if len(g) == 1:
+            return [1]
+        if deg is not None and len(g) - 1 > deg:
+            continue  # unlucky prime: h mod p is a proper divisor of g
+        if deg is None or len(g) - 1 < deg:
+            deg, modulus, residues = len(g) - 1, prime, g
+        else:
+            # Garner step: residues mod modulus and g mod prime -> mod modulus*prime
+            inv = pow(modulus, -1, prime)
+            residues = [x + modulus * ((y - x) * inv % prime)
+                        for x, y in zip(residues, g)]
+            modulus *= prime
+        half = modulus // 2
+        cand = [x - modulus if x > half else x for x in residues]
+        if _divmod_monic(a, cand)[1] == [0] and _divmod_monic(b, cand)[1] == [0]:
+            return cand
 
 
 def poly_coprime(p, q):
     return poly_degree(poly_gcd(p, q)) == 0
+
+
+def poly_derivative(coeffs):
+    d = len(coeffs) - 1
+    return [c * (d - i) for i, c in enumerate(coeffs[:-1])] or [0]
+
+
+def poly_squarefree(coeffs):
+    """p / gcd(p, p') for a monic integer polynomial p: monic, integral, with
+    the roots of p each once."""
+    p = _integer_poly(coeffs)
+    return _divmod_monic(p, poly_gcd(p, poly_derivative(p)))[0]

@@ -3,6 +3,7 @@ polynomials, and eigenvalue-gap diagnostics."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,27 +117,61 @@ class ExactPoly:
         return " ".join(str(c) for c in self.coeffs)
 
 
-def char_poly_exact(g, cap=EXACT_CAP_DEFAULT):
-    """Exact characteristic polynomial det(tI - A) by the Faddeev-LeVerrier
-    recurrence over arbitrary-precision integers."""
-    n = g.n
-    if n < 1:
+def _check_cap(g, cap):
+    if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    if n > cap:
-        raise ValueError(f"exact characteristic polynomial cap exceeded: {n} > {cap}")
-    a = np.array(g.adjacency, dtype=object)
-    ident = np.eye(n, dtype=object)
+    if g.n > cap:
+        raise ValueError(f"exact characteristic polynomial cap exceeded: {g.n} > {cap}")
+
+
+@functools.lru_cache(maxsize=32)
+def _faddeev_leverrier(g):
+    """phi(G) and phi(G - u) for every u from one Faddeev-LeVerrier run over
+    arbitrary-precision integers.
+
+    With B_0 = I, c_k = -tr(A B_{k-1}) / k and B_k = A B_{k-1} + c_k I, the
+    coefficients of det(tI - A) are c_0 = 1, c_1, ..., c_n and
+    adj(tI - A) = sum_k B_k t^(n-1-k).  The u-th diagonal entry of the
+    adjugate is det(tI - A_{G-u}), so the diagonals of B_0 .. B_{n-1} give
+    every vertex-deleted characteristic polynomial.  ``Graph`` is immutable
+    and hashable, so the result is cached per graph.
+    """
+    n = g.n
+    neighbours = [np.flatnonzero(row) for row in g.adjacency]
+    idx = np.arange(n)
+    b = np.eye(n, dtype=object)
     coeffs = [1]
-    m = np.zeros((n, n), dtype=object)
-    c = 1
+    diagonals = [b.diagonal().tolist()]
     for k in range(1, n + 1):
-        m = a @ (m + c * ident)
+        # A B for a 0/1 matrix A: row i sums the rows of B at i's neighbours
+        m = np.stack([b[js].sum(axis=0) for js in neighbours])
         tr = int(np.trace(m))
         # exact by construction: k divides the trace at step k
         assert tr % k == 0
         c = -tr // k
         coeffs.append(c)
-    return ExactPoly(tuple(int(x) for x in coeffs))
+        if k < n:
+            m[idx, idx] += c
+            b = m
+            diagonals.append(b.diagonal().tolist())
+    phi = ExactPoly(tuple(int(x) for x in coeffs))
+    deleted = tuple(ExactPoly(tuple(int(d[u]) for d in diagonals)) for u in range(n))
+    return phi, deleted
+
+
+def char_poly_exact(g, cap=EXACT_CAP_DEFAULT):
+    """Exact characteristic polynomial det(tI - A) by the Faddeev-LeVerrier
+    recurrence over arbitrary-precision integers."""
+    _check_cap(g, cap)
+    return _faddeev_leverrier(g)[0]
+
+
+def deleted_char_polys(g, cap=EXACT_CAP_DEFAULT):
+    """Exact phi(G - u) for every vertex u, indexed by u, read off the
+    adjugate of the same Faddeev-LeVerrier run as ``char_poly_exact``
+    (phi of the empty graph is 1)."""
+    _check_cap(g, cap)
+    return _faddeev_leverrier(g)[1]
 
 
 @dataclass(frozen=True)

@@ -8,20 +8,29 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import delete_vertex
 from .polys import poly_coprime, poly_degree, poly_gcd
-from .spectral import EXACT_CAP_DEFAULT, char_poly_exact, decompose, eigenvalue_support
+from .spectral import (
+    EXACT_CAP_DEFAULT,
+    char_poly_exact,
+    decompose,
+    deleted_char_polys,
+    eigenvalue_support,
+)
 
 
 class InternalCheckError(RuntimeError):
     """Two independent exact routes disagreed; signals a bug, not a verdict."""
 
 
+def _check_vertex(g, u):
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} out of range")
+
+
 def walk_matrix(g, u, cap=EXACT_CAP_DEFAULT):
     """Integer matrix with columns e_u, A e_u, ..., A^{n-1} e_u."""
     n = g.n
-    if not 0 <= u < n:
-        raise ValueError(f"vertex {u} out of range")
+    _check_vertex(g, u)
     if n > cap:
         raise ValueError(f"exact-arithmetic cap exceeded: {n} > {cap}")
     a = np.array(g.adjacency, dtype=object)
@@ -71,7 +80,7 @@ def is_controllable(g, u, cap=EXACT_CAP_DEFAULT):
     if g.n == 1:
         return by_rank
     phi = char_poly_exact(g, cap=cap).coeffs
-    phi_del = char_poly_exact(delete_vertex(g, u), cap=cap).coeffs
+    phi_del = deleted_char_polys(g, cap=cap)[u].coeffs
     by_gcd = poly_coprime(phi, phi_del)
     if by_rank != by_gcd:
         raise InternalCheckError(
@@ -85,9 +94,10 @@ def cospectral_via_charpoly(g, u, v, cap=EXACT_CAP_DEFAULT):
     """phi(X - u) = phi(X - v), coefficient-wise over exact integers."""
     if u == v:
         raise ValueError("vertices must be distinct")
-    pu = char_poly_exact(delete_vertex(g, u), cap=cap)
-    pv = char_poly_exact(delete_vertex(g, v), cap=cap)
-    return pu.coeffs == pv.coeffs
+    _check_vertex(g, u)
+    _check_vertex(g, v)
+    deleted = deleted_char_polys(g, cap=cap)
+    return deleted[u].coeffs == deleted[v].coeffs
 
 
 def cospectral_via_gram(g, u, v, cap=EXACT_CAP_DEFAULT):
@@ -106,7 +116,7 @@ def support_size_crosscheck(g, u, cap=EXACT_CAP_DEFAULT, support_tolerance=1e-10
     if g.n == 1:
         pole_count = 1
     else:
-        phi_del = char_poly_exact(delete_vertex(g, u), cap=cap).coeffs
+        phi_del = deleted_char_polys(g, cap=cap)[u].coeffs
         pole_count = g.n - poly_degree(poly_gcd(phi, phi_del))
     return rank, support_size, pole_count
 

@@ -173,6 +173,17 @@ class TestClassifySupport:
         with pytest.raises(ValueError):
             q.classify_support([0.77], q.char_poly_exact(q.path(3)))
 
+    def test_near_root_rejected(self):
+        # the guard is exact: a value 1e-6 off sqrt(2) is not a root
+        with pytest.raises(ValueError):
+            q.classify_support([SQRT2 + 1e-6], q.char_poly_exact(q.path(3)))
+
+    def test_repeated_roots_accepted(self):
+        # K6 has -1 five times; float root finding scatters it by ~1e-3
+        g = q.complete(6)
+        assert q.classify_support([5.0, -1.0000000000000002], q.char_poly_exact(g)).kind \
+            == "Integer"
+
     def test_two_integers_plus_ratio_forces_integer(self):
         # whenever a support holds >= 2 integers and satisfies the ratio
         # condition, the whole support must classify as Integer
@@ -267,3 +278,49 @@ class TestFinitenessBound:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             q.finiteness_bound(0)
+
+
+def _random_connected(n, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        a = np.triu((rng.random((n, n)) < 0.45).astype(int), 1)
+        g = q.Graph(a + a.T)
+        if g.is_connected():
+            return g
+
+
+LARGE = {
+    "Q5": q.hypercube(5),
+    "Q6": q.hypercube(6),
+    "P64": q.path(64),
+    "C40": q.cycle(40),
+    "random60": _random_connected(60, seed=60),
+}
+
+
+class TestLargeGraphs:
+    """Graphs inside the exact cap that used to trip the float root guard."""
+
+    @pytest.mark.parametrize("name", sorted(LARGE))
+    def test_every_support_passes_the_guard(self, name):
+        g = LARGE[name]
+        sd = q.decompose(g)
+        phi = q.char_poly_exact(g)
+        for u in range(g.n):
+            vals = [float(sd.eigenvalues[r]) for r in sorted(q.eigenvalue_support(sd, u))]
+            q.classify_support(vals, phi)
+
+    @pytest.mark.parametrize("name", ["Q5", "Q6"])
+    def test_hypercube_antipodal_pst(self, name):
+        g = LARGE[name]
+        report = q.analyze_pair(g, 0, g.n - 1)
+        assert report.all_pass
+        assert report.support_class.kind == "Integer"
+        assert report.pst_found.tau == pytest.approx(math.pi / 2, abs=1e-6)
+        assert report.verification.passed
+
+    @pytest.mark.parametrize("name,v", [("P64", 63), ("C40", 20), ("random60", 59)])
+    def test_pair_completes(self, name, v):
+        report = q.analyze_pair(LARGE[name], 0, v)
+        assert not report.all_pass
+        assert report.pst_found is None

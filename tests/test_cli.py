@@ -117,6 +117,23 @@ class TestPair:
         assert not doc["v_singleton_in_delta_u"]
         assert doc["pst_found"] is None
 
+    def test_graph6_at_n60_is_not_json(self, tmp_path, capsys):
+        # the graph6 size byte of a 60-vertex graph is chr(63 + 60) == "{"
+        g6 = q.encode_graph6(q.path(60))
+        assert g6.startswith("{")
+        f = tmp_path / "p60.g6"
+        f.write_text(g6 + "\n")
+        assert cli.read_graph(str(f)) == q.path(60)
+        code, out, err = run_cli(["pair", str(f), "0", "59"], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["graph6"] == g6 and doc["n"] == 60
+
+    def test_malformed_json_is_not_accepted(self, tmp_path, capsys):
+        f = tmp_path / "g.json"
+        f.write_text('{"n": 2, "edges": [[0, 1]]')
+        assert run_cli(["analyze", str(f)], capsys)[0] == 2
+
     def test_bad_vertices_exit_2(self, p3_file, capsys):
         assert run_cli(["pair", p3_file, "0", "9"], capsys)[0] == 2
         assert run_cli(["pair", p3_file, "1", "1"], capsys)[0] == 2

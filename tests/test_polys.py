@@ -1,0 +1,170 @@
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qwalk as q
+from qwalk import polys
+from qwalk.polys import poly_degree, poly_divmod, poly_gcd, poly_squarefree, poly_trim
+
+from conftest import random_connected_graphs
+
+
+def euclid_gcd(p, r):
+    """Reference: monic gcd by the Euclidean algorithm over Fractions."""
+    a = [Fraction(c) for c in poly_trim(p)]
+    b = [Fraction(c) for c in poly_trim(r)]
+    while poly_degree(b) >= 0:
+        _, rem = poly_divmod(a, b)
+        a, b = b, rem
+    return [c / a[0] for c in a]
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def is_prime_mr(n, rounds=40, seed=0):
+    """Randomised Miller-Rabin, independent of the library's own test."""
+    if n < 4:
+        return n in (2, 3)
+    if n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        a = 2 + int(rng.integers(0, 2**62)) % (n - 3)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def pairs_of(g):
+    phi = q.char_poly_exact(g).coeffs
+    return [(phi, p.coeffs) for p in q.deleted_char_polys(g)]
+
+
+class TestPrimes:
+    def test_literals_are_distinct_61_bit_primes(self):
+        assert len(set(polys._PRIMES)) == len(polys._PRIMES)
+        for p in polys._PRIMES:
+            assert p.bit_length() == 61
+            assert is_prime_mr(p)
+
+    def test_extension_continues_below_the_literals(self):
+        gen = polys._primes()
+        listed = [next(gen) for _ in range(len(polys._PRIMES))]
+        extra = [next(gen) for _ in range(3)]
+        assert listed == list(polys._PRIMES)
+        assert extra == sorted(extra, reverse=True) and extra[0] < polys._PRIMES[-1]
+        assert all(is_prime_mr(p) for p in extra)
+        assert not polys._is_prime(polys._PRIMES[0] - 2)  # between two literals
+
+
+class TestPolyGcd:
+    @pytest.mark.parametrize("g,degrees", [
+        (q.cartesian_product(q.path(5), q.path(6)), {0, 6, 12}),
+        (q.hypercube(6), {57}),
+        (q.path(64), {0, 4, 12}),
+    ], ids=["P5xP6", "Q6", "P64"])
+    def test_nontrivial_gcd_degrees(self, g, degrees):
+        seen = set()
+        for phi, phi_del in pairs_of(g):
+            h = poly_gcd(phi, phi_del)
+            assert h[0] == 1 and all(isinstance(c, int) for c in h)
+            seen.add(poly_degree(h))
+        assert seen == degrees
+
+    def test_matches_fraction_euclid(self):
+        graphs = [q.cartesian_product(q.path(5), q.path(6)), q.hypercube(4)]
+        graphs += random_connected_graphs(15, 14, seed=59, n_min=4)
+        for g in graphs:
+            for phi, phi_del in pairs_of(g):
+                assert poly_gcd(phi, phi_del) == euclid_gcd(phi, phi_del)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for g in (q.cartesian_product(q.path(5), q.path(6)), q.hypercube(6), q.path(64)):
+            for phi, phi_del in pairs_of(g)[:8]:
+                ref = sympy.Poly(sympy.gcd(sympy.Poly(phi, t), sympy.Poly(phi_del, t)), t)
+                ref = ref.monic().all_coeffs()
+                assert poly_gcd(phi, phi_del) == [int(c) for c in ref]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-10**30, 10**30), min_size=0, max_size=5),
+        st.lists(st.integers(-9, 9), min_size=0, max_size=6),
+        st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=6),
+    )
+    def test_products_with_a_common_factor(self, h, f, r):
+        # monic h * f and arbitrary h * r share at least the factor h
+        h, f = [1] + h, [1] + f
+        a, b = poly_mul(h, f), poly_mul(h, r)
+        g = poly_gcd(a, b)
+        assert g == euclid_gcd(a, b)
+        assert polys._divmod_monic(g, h)[1] == [0]
+
+    def test_beyond_the_literal_primes(self, monkeypatch):
+        # coefficients far wider than one prime force the extension
+        monkeypatch.setattr(polys, "_PRIMES", polys._PRIMES[:1])
+        h = [1, 3**200, -(5**150)]
+        a, b = poly_mul(h, [1, 7]), poly_mul(h, [2, 0, -11])
+        assert poly_gcd(a, b) == h
+
+    def test_unlucky_prime_is_discarded(self):
+        # modulo the first prime t (t - P) = t^2, so that prime sees degree 2
+        big = polys._PRIMES[0]
+        assert poly_gcd([1, -big, 0], [1, 0, 0]) == [1, 0]
+
+    def test_zero_and_constant(self):
+        assert poly_gcd([1, 0, -2], [0]) == [1, 0, -2]
+        assert poly_gcd([0, 0], [1, 5]) == [1, 5]
+        assert poly_gcd([1], [6, 4]) == [1]
+        assert polys.poly_coprime([1, 0, -1], [1, 2])
+
+    def test_numpy_integers_accepted(self):
+        assert poly_gcd(np.array([1, 0, -1]), [np.int64(1), np.int64(1)]) == [1, 1]
+
+    @pytest.mark.parametrize("p,r", [
+        ([1, Fraction(1, 2)], [1, 1]),
+        ([1, 0.5], [1, 1]),
+        ([1.0, 1], [1, 1]),
+        ([Fraction(1), 1], [1, 1]),
+        ([2, 1], [3, 1]),
+        ([-1, 1], [0, 2, 1]),
+        ([0], [2, 1]),
+    ])
+    def test_rejected_inputs(self, p, r):
+        with pytest.raises(ValueError):
+            poly_gcd(p, r)
+
+
+class TestSquarefree:
+    def test_repeated_roots(self):
+        # (t - 1)^3 (t + 2)^2 t -> (t - 1)(t + 2) t
+        p = poly_mul(poly_mul(poly_mul([1, -1], [1, -1]), poly_mul([1, -1], [1, 2])),
+                     poly_mul([1, 2], [1, 0]))
+        assert poly_squarefree(p) == poly_mul(poly_mul([1, -1], [1, 2]), [1, 0])
+
+    def test_hypercube_distinct_eigenvalues(self):
+        # Q6 has the seven distinct eigenvalues 6, 4, ..., -6
+        expected = [1]
+        for k in range(-6, 7, 2):
+            expected = poly_mul(expected, [1, -k])
+        assert poly_squarefree(q.char_poly_exact(q.hypercube(6)).coeffs) == expected

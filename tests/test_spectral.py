@@ -116,6 +116,62 @@ class TestCharPolyExact:
             assert np.max(np.abs(vals)) < 1e-8 * max(1.0, g.n ** 3)
 
 
+def charpoly_reference(g):
+    """Faddeev-LeVerrier with a plain object-array product A @ B."""
+    a = np.array(g.adjacency, dtype=object)
+    ident = np.eye(g.n, dtype=object)
+    coeffs, m, c = [1], np.zeros((g.n, g.n), dtype=object), 1
+    for k in range(1, g.n + 1):
+        m = a @ (m + c * ident)
+        c = -int(np.trace(m)) // k
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
+NAMED_FAMILIES = [
+    q.Graph.from_edges(1, []), q.path(2), q.path(7), q.cycle(9), q.complete(5),
+    q.star(6), q.hypercube(3), q.hypercube(4), q.petersen(),
+    q.cartesian_product(q.path(5), q.path(6)),
+]
+
+
+class TestDeletedCharPolys:
+    """Each adjugate diagonal of one Faddeev-LeVerrier run is phi(G - u)."""
+
+    @pytest.mark.parametrize("g", NAMED_FAMILIES, ids=repr)
+    def test_named_families(self, g):
+        deleted = q.deleted_char_polys(g)
+        assert len(deleted) == g.n
+        for u in range(g.n):
+            if g.n == 1:
+                assert deleted[u].coeffs == (1,)
+            else:
+                assert deleted[u] == q.char_poly_exact(q.delete_vertex(g, u))
+
+    @pytest.mark.parametrize("g", NAMED_FAMILIES, ids=repr)
+    def test_char_poly_matches_reference(self, g):
+        assert q.char_poly_exact(g).coeffs == charpoly_reference(g)
+
+    def test_random_corpus(self):
+        for g in random_graphs(40, 12, seed=47, n_min=2):
+            assert q.char_poly_exact(g).coeffs == charpoly_reference(g)
+            deleted = q.deleted_char_polys(g)
+            for u in range(g.n):
+                assert deleted[u] == q.char_poly_exact(q.delete_vertex(g, u))
+
+    def test_same_run_as_char_poly(self):
+        # phi'(t) = sum_u phi(G - u)(t)
+        g = q.petersen()
+        phi = q.char_poly_exact(g).coeffs
+        deriv = [c * (g.n - i) for i, c in enumerate(phi[:-1])]
+        total = [sum(p.coeffs[k] for p in q.deleted_char_polys(g)) for k in range(g.n)]
+        assert total == deriv
+
+    def test_cap(self):
+        with pytest.raises(ValueError):
+            q.deleted_char_polys(q.path(5), cap=4)
+
+
 class TestGapReport:
     def test_p4(self):
         rep = q.eigenvalue_gap(q.path(4))

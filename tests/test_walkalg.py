@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qwalk as q
+from qwalk.polys import poly_coprime
 from qwalk.walkalg import invert_exact, walk_matrix
 
 from conftest import random_connected_graphs
@@ -74,6 +75,21 @@ class TestControllability:
                     assert sd.num_distinct == g.n
 
 
+    @pytest.mark.parametrize("g", [
+        q.hypercube(6),
+        random_connected_graphs(1, 64, seed=64, n_min=64)[0],
+    ], ids=["Q6", "random64"])
+    def test_rank_and_gcd_routes_agree_at_n64(self, g):
+        # no timing assertion: is_controllable raises InternalCheckError when
+        # the Bareiss rank and the gcd route disagree; both are restated here
+        phi = q.char_poly_exact(g).coeffs
+        deleted = q.deleted_char_polys(g)
+        for u in (0, 1, 31, 63):
+            by_rank = q.rank_exact(walk_matrix(g, u)) == g.n
+            by_gcd = poly_coprime(phi, deleted[u].coeffs)
+            assert q.is_controllable(g, u) == by_rank == by_gcd
+
+
 class TestCospectrality:
     def test_p3_ends(self):
         assert q.cospectral_via_charpoly(q.path(3), 0, 2)
@@ -86,6 +102,12 @@ class TestCospectrality:
 
     def test_complete_any_pair(self):
         assert q.cospectral_via_charpoly(q.complete(5), 1, 3)
+
+    def test_vertex_out_of_range(self):
+        with pytest.raises(ValueError):
+            q.cospectral_via_charpoly(q.path(3), 0, 3)
+        with pytest.raises(ValueError):
+            q.cospectral_via_charpoly(q.path(3), -1, 2)
 
     def test_gram_entries_are_walk_numbers(self):
         g = q.petersen()
