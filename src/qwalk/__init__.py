@@ -46,6 +46,7 @@ from .walkalg import (
     support_size_crosscheck,
     transfer_similarity,
     walk_matrix,
+    walk_rank,
 )
 from .analysis import (
     PstEvent,

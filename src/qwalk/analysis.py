@@ -18,8 +18,8 @@ from .spectral import (
     SUPPORT_TOL_DEFAULT,
     char_poly_exact,
     decompose,
-    eigenvalue_gap,
     eigenvalue_support,
+    gap_report,
     transition_matrix,
 )
 from .polys import poly_degree, poly_divmod, poly_gcd, poly_squarefree
@@ -388,14 +388,17 @@ def classify_support(support_values, exact_poly, tol=1e-8):
                     sf = squarefree_part(round(d2))
                     if sf > 1:
                         deltas.add(sf)
-        a_cands = set()
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                s = vals[i] + vals[j]
-                a_cands.add(Fraction(round(2 * s), 2))
+        if not deltas:
+            return SupportClass(kind="Neither")
+        # a = v_i + v_j for a conjugate pair, as an integer 2a
+        twice_a = sorted({
+            round(2 * (vals[i] + vals[j]))
+            for i in range(len(vals)) for j in range(i + 1, len(vals))
+        })
         for delta in sorted(deltas):
             sq = math.sqrt(delta)
-            for a in sorted(a_cands):
+            for m in twice_a:
+                a = Fraction(m, 2)
                 fit = _fit_quadratic(vals, exact_poly, a, delta, sq, tol)
                 if fit is not None:
                     return fit
@@ -498,6 +501,18 @@ def necessary_conditions(g, u, v, grouping_tolerance=None,
                          exact_cap=64, brute_force_cap=10,
                          run_stabilizer_check=True):
     """Evaluate every necessary condition for PST between u and v."""
+    _check_pair(g, u, v)
+    return _necessary_conditions(
+        g, u, v, decompose(g, grouping_tolerance),
+        support_tolerance=support_tolerance,
+        denominator_bound=denominator_bound,
+        exact_cap=exact_cap,
+        brute_force_cap=brute_force_cap,
+        run_stabilizer_check=run_stabilizer_check,
+    )
+
+
+def _check_pair(g, u, v):
     if u == v:
         raise ValueError("vertices must be distinct")
     if not (0 <= u < g.n and 0 <= v < g.n):
@@ -505,7 +520,11 @@ def necessary_conditions(g, u, v, grouping_tolerance=None,
     if not g.is_connected():
         raise ValueError("necessary-condition pipeline requires a connected graph")
 
-    sd = decompose(g, grouping_tolerance)
+
+def _necessary_conditions(g, u, v, sd, support_tolerance=SUPPORT_TOL_DEFAULT,
+                          denominator_bound=DEN_BOUND_DEFAULT, exact_cap=64,
+                          brute_force_cap=10, run_stabilizer_check=True):
+    """``necessary_conditions`` on a checked pair with its decomposition."""
     phi = char_poly_exact(g, cap=exact_cap)
 
     cosp_poly = walkalg.cospectral_via_charpoly(g, u, v, cap=exact_cap)
@@ -566,16 +585,17 @@ def necessary_conditions(g, u, v, grouping_tolerance=None,
         controllable_u=ctrl_u,
         controllable_v=ctrl_v,
         stabilizer_equal=stab_equal,
-        gap=eigenvalue_gap(g, grouping_tolerance) if g.n >= 2 else None,
+        gap=gap_report(sd) if g.n >= 2 else None,
     )
 
 
 def analyze_pair(g, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT,
-                 **kwargs):
+                 grouping_tolerance=None, **kwargs):
     """necessary_conditions plus the numeric time search and, when a PST event
     is found, its structural verification."""
-    report = necessary_conditions(g, u, v, **kwargs)
-    sd = decompose(g, kwargs.get("grouping_tolerance"))
+    _check_pair(g, u, v)
+    sd = decompose(g, grouping_tolerance)
+    report = _necessary_conditions(g, u, v, sd, **kwargs)
     event = search_pst(sd, u, v, t_max=t_max, threshold=threshold)
     verification = None
     if event is not None:

@@ -25,8 +25,8 @@ from .spectral import (
     char_poly_exact,
     decompose,
     deleted_char_polys,
-    eigenvalue_gap,
     eigenvalue_support,
+    gap_report,
 )
 from .walkalg import InternalCheckError
 
@@ -155,7 +155,7 @@ def analyze_graph(g, config):
     if not connected:
         doc["warning"] = "graph is disconnected; spectral facts only"
     if g.n >= 2:
-        doc["gap"] = jsonify(eigenvalue_gap(g, config.grouping_tolerance))
+        doc["gap"] = jsonify(gap_report(sd))
     exact_ok = g.n <= config.exact_cap
     phi = char_poly_exact(g, cap=config.exact_cap) if exact_ok else None
     if phi is not None:
@@ -219,56 +219,61 @@ def scan_graph(g, config):
     """Per-graph scan summary: gap report plus per-pair condition summaries for
     cospectral pairs (cospectrality makes the pre-filter lossless).
 
-    The brute-force automorphism check is skipped here; the ``pair`` command
-    runs the full pipeline.
+    Per-vertex facts are computed only for vertices in a cospectral pair, and
+    once per vertex however many pairs it is in.  The brute-force
+    automorphism check is skipped here; the ``pair`` command runs the full
+    pipeline.
     """
     doc = {"id": encode_graph6(g), "n": g.n}
     if g.n >= 2:
-        doc["gap"] = jsonify(eigenvalue_gap(g, config.grouping_tolerance))
+        sd = decompose(g, config.grouping_tolerance)
+        doc["gap"] = jsonify(gap_report(sd))
     connected = g.is_connected()
     doc["connected"] = connected
     if not connected or g.n < 2 or g.n > config.exact_cap:
         doc["pairs"] = []
         return doc
-    sd = decompose(g, config.grouping_tolerance)
     phi = char_poly_exact(g, cap=config.exact_cap)
     deleted = [p.coeffs for p in deleted_char_polys(g, cap=config.exact_cap)]
+    cospectral = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                  if deleted[u] == deleted[v]]
     supports = [
         sorted(eigenvalue_support(sd, u, config.support_tolerance))
         for u in range(g.n)
     ]
-    ranks = [walkalg.rank_exact(walkalg.walk_matrix(g, u, cap=config.exact_cap))
-             for u in range(g.n)]
-    deltas = [partitions.delta_u(g, u) for u in range(g.n)]
+    rho_ok = analysis.rho_squared_integer(sd, phi) if cospectral else None
+    classes, controllable, deltas = {}, {}, {}
     pairs = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if deleted[u] != deleted[v]:
-                continue
+    for u, v in cospectral:
+        if u not in classes:
             sup_vals = [float(sd.eigenvalues[r]) for r in supports[u]]
             sclass = analysis.classify_support(sup_vals, phi)
             if len(sup_vals) >= 2:
                 ratio = analysis.ratio_condition(sup_vals, config.denominator_bound)
             else:
                 ratio = analysis.RatioResult(holds=True)
-            ctrl_u = ranks[u] == g.n
-            ctrl_v = ranks[v] == g.n
-            verdicts = {
-                "cospectral": True,
-                "equal_supports": supports[u] == supports[v],
-                "ratio_condition": ratio.holds,
-                "support_class_not_neither": sclass.kind != "Neither",
-                "rho_squared_integer": analysis.rho_squared_integer(sd, phi),
-                "delta_partition_equal": deltas[u] == deltas[v],
-                "controllability": g.n < 4 or not (ctrl_u or ctrl_v),
-            }
-            entry = {"u": u, "v": v, "verdicts": verdicts}
-            if all(verdicts.values()):
-                event = analysis.search_pst(
-                    sd, u, v, t_max=config.t_max, threshold=config.threshold
-                )
-                entry["pst"] = _event_json(event)
-            pairs.append(entry)
+            classes[u] = sclass, ratio
+        for w in (u, v):
+            if w not in controllable:
+                controllable[w] = walkalg.walk_rank(g, w, cap=config.exact_cap) == g.n
+                deltas[w] = partitions.delta_u(g, w)
+        sclass, ratio = classes[u]
+        verdicts = {
+            "cospectral": True,
+            "equal_supports": supports[u] == supports[v],
+            "ratio_condition": ratio.holds,
+            "support_class_not_neither": sclass.kind != "Neither",
+            "rho_squared_integer": rho_ok,
+            "delta_partition_equal": deltas[u] == deltas[v],
+            "controllability": g.n < 4 or not (controllable[u] or controllable[v]),
+        }
+        entry = {"u": u, "v": v, "verdicts": verdicts}
+        if all(verdicts.values()):
+            event = analysis.search_pst(
+                sd, u, v, t_max=config.t_max, threshold=config.threshold
+            )
+            entry["pst"] = _event_json(event)
+        pairs.append(entry)
     doc["pairs"] = pairs
     return doc
 

@@ -190,12 +190,16 @@ def eigenvalue_gap(g, grouping_tolerance=None):
     """Minimum distance between eigenvalues of the multiset (0 on repeats)."""
     if g.n < 2:
         raise ValueError("eigenvalue gap needs at least two vertices")
-    sd = decompose(g, grouping_tolerance)
+    return gap_report(decompose(g, grouping_tolerance))
+
+
+def gap_report(sd):
+    """``eigenvalue_gap`` of the graph that ``sd`` decomposes (n >= 2)."""
     if np.any(sd.multiplicities > 1):
         sigma = 0.0
     else:
         sigma = float(np.min(sd.eigenvalues[:-1] - sd.eigenvalues[1:]))
-    return GapReport(sigma=sigma, bound=12.0 / (g.n + 1))
+    return GapReport(sigma=sigma, bound=12.0 / (sd.n + 1))
 
 
 def trace_identity_check(g):

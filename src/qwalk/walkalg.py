@@ -3,12 +3,14 @@ transfer-similarity matrix W_v W_u^{-1}, all in exact arithmetic."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .polys import poly_coprime, poly_degree, poly_gcd
+from .polys import _is_prime, poly_coprime, poly_degree, poly_gcd
 from .spectral import (
     EXACT_CAP_DEFAULT,
     char_poly_exact,
@@ -27,17 +29,25 @@ def _check_vertex(g, u):
         raise ValueError(f"vertex {u} out of range")
 
 
+def _check_cap(g, cap):
+    if g.n > cap:
+        raise ValueError(f"exact-arithmetic cap exceeded: {g.n} > {cap}")
+
+
 def walk_matrix(g, u, cap=EXACT_CAP_DEFAULT):
     """Integer matrix with columns e_u, A e_u, ..., A^{n-1} e_u."""
-    n = g.n
     _check_vertex(g, u)
-    if n > cap:
-        raise ValueError(f"exact-arithmetic cap exceeded: {n} > {cap}")
+    _check_cap(g, cap)
+    return _walk_columns(g, u, g.n)
+
+
+def _walk_columns(g, u, count):
+    """The first ``count`` columns of the walk matrix of ``u``, exact."""
     a = np.array(g.adjacency, dtype=object)
-    col = np.zeros(n, dtype=object)
+    col = np.zeros(g.n, dtype=object)
     col[u] = 1
     cols = [col]
-    for _ in range(n - 1):
+    for _ in range(count - 1):
         col = a @ col
         cols.append(col)
     return np.stack(cols, axis=1)
@@ -69,6 +79,62 @@ def rank_exact(m):
     return rank
 
 
+# Sums of n products of residues below p stay in int64 while n (p - 1)**2 does.
+_INT64_LIMIT = 2**63
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_prime(n):
+    """The largest prime p with n * (p - 1)**2 < 2**63."""
+    p = math.isqrt((_INT64_LIMIT - 1) // n) + 1
+    while not _is_prime(p):
+        p -= 1
+    return p
+
+
+def walk_rank(g, u, cap=EXACT_CAP_DEFAULT):
+    """Exact rank of the walk matrix W_u, proved without eliminating it whole.
+
+    The Krylov vectors A^k e_u are reduced modulo a prime p, in int64 against
+    a fully reduced basis, up to the first one that depends on the earlier
+    ones, at k.  Over any field the first dependency of a Krylov sequence is
+    its rank, because the span of the earlier vectors is then A-invariant.
+    Since rank_p(W_u) <= rank_Q(W_u), k = n proves full rank.  For k < n the
+    exact prefix [e_u, ..., A^k e_u] must have rank k: its first k columns
+    are independent modulo p, hence over Q, so A^k e_u lies in their span
+    and the rank is k.  A prefix of rank k + 1 means p divided a minor; then
+    the whole walk matrix is eliminated exactly.
+    """
+    n = g.n
+    _check_vertex(g, u)
+    _check_cap(g, cap)
+    p = _walk_prime(n)
+    if n * (p - 1) ** 2 >= _INT64_LIMIT:
+        raise InternalCheckError(f"prime {p} overflows int64 reduction at n={n}")
+    a = g.adjacency.astype(np.int64)
+    x = np.zeros(n, dtype=np.int64)
+    x[u] = 1
+    basis = np.zeros((n, n), dtype=np.int64)  # row j is 1 at pivots[j], 0 at the others
+    pivots = []
+    for k in range(n):
+        r = (x - x[pivots] @ basis[:k] % p) % p
+        nonzero = np.flatnonzero(r)
+        if nonzero.size == 0:
+            break
+        i = int(nonzero[0])
+        r = r * pow(int(r[i]), -1, p) % p
+        basis[:k] = (basis[:k] - np.outer(basis[:k, i], r) % p) % p
+        basis[k] = r
+        pivots.append(i)
+        x = a @ x % p
+    else:
+        return n
+    k = len(pivots)
+    if rank_exact(_walk_columns(g, u, k + 1)) == k:
+        return k
+    return rank_exact(walk_matrix(g, u, cap=cap))
+
+
 def is_controllable(g, u, cap=EXACT_CAP_DEFAULT):
     """True iff the walk matrix of ``u`` is invertible.
 
@@ -76,7 +142,7 @@ def is_controllable(g, u, cap=EXACT_CAP_DEFAULT):
     polynomials of the graph and the vertex-deleted subgraph; the two routes
     must agree.
     """
-    by_rank = rank_exact(walk_matrix(g, u, cap=cap)) == g.n
+    by_rank = walk_rank(g, u, cap=cap) == g.n
     if g.n == 1:
         return by_rank
     phi = char_poly_exact(g, cap=cap).coeffs
@@ -109,7 +175,7 @@ def cospectral_via_gram(g, u, v, cap=EXACT_CAP_DEFAULT):
 
 def support_size_crosscheck(g, u, cap=EXACT_CAP_DEFAULT, support_tolerance=1e-10):
     """(walk-matrix rank, numeric support size, pole count); all must agree."""
-    rank = rank_exact(walk_matrix(g, u, cap=cap))
+    rank = walk_rank(g, u, cap=cap)
     sd = decompose(g)
     support_size = len(eigenvalue_support(sd, u, support_tolerance))
     phi = char_poly_exact(g, cap=cap).coeffs

@@ -1,5 +1,6 @@
 """End-to-end acceptance checks. Each test prints one pass/fail line."""
 
+import hashlib
 import io
 import itertools
 import math
@@ -223,3 +224,14 @@ def test_criterion_10_scan_determinism(catalog_lines):
     report(10, identical and in_budget,
            "1000 graphs; jobs 1/4/8 byte-identical=%s; times %.1f/%.1f/%.1fs"
            % (identical, *times))
+
+
+# SHA-256 of run_scan's output over catalog_lines, captured from the scan
+# that computed every vertex's walk-matrix rank and delta_u eagerly.
+SCAN_GOLDEN_SHA256 = "89458569f97dabf11cc034599f86edef28987ca2568e5f55f69b0400eba4d546"
+
+
+def test_scan_output_matches_golden(catalog_lines):
+    buf = io.StringIO()
+    run_scan(catalog_lines, AnalysisConfig(jobs=1), out=buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SCAN_GOLDEN_SHA256

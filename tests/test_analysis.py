@@ -266,6 +266,33 @@ class TestNecessaryConditions:
                 assert not rep.controllable_u and not rep.controllable_v
 
 
+def _count_decompose(monkeypatch, *modules):
+    calls = []
+    real = q.spectral.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "decompose", counting)
+    return calls
+
+
+class TestOneDecomposition:
+    def test_analyze_pair(self, monkeypatch):
+        calls = _count_decompose(monkeypatch, q.spectral, q.analysis)
+        q.analyze_pair(q.hypercube(3), 0, 7)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["analyze_graph", "scan_graph"])
+    def test_cli_graph_commands(self, monkeypatch, command):
+        from qwalk import cli
+        calls = _count_decompose(monkeypatch, q.spectral, q.analysis, cli)
+        getattr(cli, command)(q.hypercube(3), cli.AnalysisConfig())
+        assert len(calls) == 1
+
+
 class TestFinitenessBound:
     @pytest.mark.parametrize("k,expected", [
         (1, (5, 5, 2)),

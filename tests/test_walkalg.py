@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import qwalk as q
-from qwalk.polys import poly_coprime
+import qwalk.walkalg as walkalg
+from qwalk.polys import _is_prime, poly_coprime
 from qwalk.walkalg import invert_exact, walk_matrix
 
 from conftest import random_connected_graphs
@@ -55,6 +56,71 @@ class TestRankExact:
             assert q.rank_exact(m) == np.linalg.matrix_rank(m.astype(float))
 
 
+class TestWalkRank:
+    """walk_rank must equal the Bareiss rank of the whole walk matrix."""
+
+    def test_matches_bareiss_on_atlas(self, atlas_connected):
+        for graphs in atlas_connected.values():
+            for g in graphs:
+                for u in range(g.n):
+                    assert q.walk_rank(g, u) == q.rank_exact(walk_matrix(g, u))
+
+    def test_matches_bareiss_on_random_corpus(self):
+        for g in random_connected_graphs(300, 10, seed=20240901):
+            for u in range(g.n):
+                assert q.walk_rank(g, u) == q.rank_exact(walk_matrix(g, u))
+
+    @pytest.mark.parametrize("g", [
+        q.cartesian_product(q.path(5), q.path(6)),
+        q.hypercube(5),
+        q.hypercube(6),
+        q.path(64),
+        q.cycle(40),
+    ], ids=["P5xP6", "Q5", "Q6", "P64", "C40"])
+    def test_matches_bareiss_on_large_graphs(self, g):
+        # all five have rank-deficient vertices, so the exact prefix
+        # certificate decides them
+        ranks = [q.walk_rank(g, u) for u in range(g.n)]
+        assert min(ranks) < g.n
+        for u in range(g.n):
+            assert ranks[u] == q.rank_exact(walk_matrix(g, u))
+
+    def test_unlucky_prime_falls_back_to_bareiss(self, monkeypatch, atlas_connected):
+        # modulo 2 many walk matrices lose rank, so the exact prefix has rank
+        # k + 1 and the whole matrix is eliminated
+        whole = []
+        real_walk_matrix = walkalg.walk_matrix
+
+        def spy(g, u, cap=64):
+            whole.append((g, u))
+            return real_walk_matrix(g, u, cap)
+
+        monkeypatch.setattr(walkalg, "_walk_prime", lambda n: 2)
+        monkeypatch.setattr(walkalg, "walk_matrix", spy)
+        for n in range(2, 6):
+            for g in atlas_connected[n]:
+                for u in range(g.n):
+                    assert q.walk_rank(g, u) == q.rank_exact(real_walk_matrix(g, u))
+        assert whole
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    def test_prime_keeps_int64_sums_exact(self, n):
+        p = walkalg._walk_prime(n)
+        assert _is_prime(p)
+        assert n * (p - 1) ** 2 < 2**63
+
+    def test_oversized_prime_rejected(self, monkeypatch):
+        monkeypatch.setattr(walkalg, "_walk_prime", lambda n: 2**61 - 1)
+        with pytest.raises(q.InternalCheckError):
+            q.walk_rank(q.path(4), 0)
+
+    def test_bad_vertex_and_cap(self):
+        with pytest.raises(ValueError):
+            q.walk_rank(q.path(3), 3)
+        with pytest.raises(ValueError):
+            q.walk_rank(q.path(5), 0, cap=4)
+
+
 class TestControllability:
     def test_p4_end_controllable(self):
         assert q.is_controllable(q.path(4), 0)
@@ -88,6 +154,20 @@ class TestControllability:
             by_rank = q.rank_exact(walk_matrix(g, u)) == g.n
             by_gcd = poly_coprime(phi, deleted[u].coeffs)
             assert q.is_controllable(g, u) == by_rank == by_gcd
+
+    def test_every_vertex_of_random64_agrees(self):
+        # no timing assertion; is_controllable raises on a disagreement
+        g = random_connected_graphs(1, 64, seed=64, n_min=64)[0]
+        phi = q.char_poly_exact(g).coeffs
+        deleted = q.deleted_char_polys(g)
+        for u in range(g.n):
+            by_gcd = poly_coprime(phi, deleted[u].coeffs)
+            assert q.is_controllable(g, u) == (q.walk_rank(g, u) == g.n) == by_gcd
+
+    def test_route_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(walkalg, "poly_coprime", lambda p, r: not poly_coprime(p, r))
+        with pytest.raises(q.InternalCheckError):
+            q.is_controllable(q.path(4), 0)
 
 
 class TestCospectrality:
