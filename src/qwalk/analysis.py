@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +18,7 @@ from .spectral import (
     SUPPORT_TOL_DEFAULT,
     char_poly_exact,
     decompose,
+    deleted_char_polys,
     eigenvalue_support,
     gap_report,
     transition_matrix,
@@ -32,6 +33,25 @@ _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 @dataclass(frozen=True)
+class AnalysisConfig:
+    t_max: float = T_MAX_DEFAULT
+    threshold: float = THRESHOLD_DEFAULT
+    grouping_tolerance: float = None  # None = auto
+    support_tolerance: float = SUPPORT_TOL_DEFAULT
+    denominator_bound: int = DEN_BOUND_DEFAULT
+    exact_cap: int = 64
+    brute_force_cap: int = 10
+    jobs: int = 1
+
+    def __post_init__(self):
+        if not 0 < self.threshold < 1:
+            raise ValueError("threshold must lie in (0, 1)")
+        for name in ("support_tolerance", "t_max"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
 class PstEvent:
     u: int
     v: int
@@ -42,11 +62,8 @@ class PstEvent:
 
 def fidelity(sd, u, v, t):
     """|H(t)_{u,v}|, clamped to [0, 1]."""
-    amp = sum(
-        np.exp(1j * theta * t) * e[u, v]
-        for theta, e in zip(sd.eigenvalues, sd.idempotents)
-    )
-    return min(abs(amp), 1.0)
+    coeffs = np.array([e[u, v] for e in sd.idempotents])
+    return min(abs(_amplitude(sd.eigenvalues, coeffs, t)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +176,16 @@ def check_periodicity(sd, u, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT,
                       support_class=None):
     """Earliest time with |H(t)_{u,u}| >= threshold, or None.
 
-    When the support class is known, the closed-form period candidates
-    (2*pi for integer supports, 2*pi/sqrt(delta) for quadratic ones with
-    a = 0) are tested before the scan.
+    When the support class is known, its closed-form ``period_candidate``
+    is tested before the scan.
     """
     thetas = np.asarray(sd.eigenvalues)
     coeffs = np.array([e[u, u] for e in sd.idempotents], dtype=complex)
 
-    candidates = []
-    if support_class is not None:
-        if support_class.kind == "Integer":
-            candidates.append(2 * math.pi)
-        elif support_class.kind == "Quadratic" and support_class.a == 0:
-            candidates.append(2 * math.pi / math.sqrt(support_class.delta))
     hits = []
-    for cand in candidates:
-        if abs(_amplitude(thetas, coeffs, cand)) >= threshold:
-            hits.append(cand)
+    cand = None if support_class is None else period_candidate(support_class)
+    if cand is not None and abs(_amplitude(thetas, coeffs, cand)) >= threshold:
+        hits.append(cand)
     found = _search_amplitude(thetas, coeffs, t_max, threshold, sd.spectral_radius)
     if found is not None:
         hits.append(found[0])
@@ -269,20 +279,18 @@ def reconstruct_rational(x, denominator_bound=DEN_BOUND_DEFAULT,
     immediately, while a genuinely irrational x runs its denominator past
     the bound first. Returns a Fraction or None.
     """
-    frac = Fraction(x)
-    a = math.floor(frac)
+    num, den = Fraction(x).as_integer_ratio()
+    a, rem = divmod(num, den)  # x = a + rem / den, 0 <= rem < den
     h0, k0 = 1, 0
     h1, k1 = a, 1
-    rem = frac - a
     while True:
-        if rem == 0 or Fraction(1, 1) / rem > denominator_bound:
+        # the next partial quotient is floor(den / rem)
+        if rem == 0 or den > denominator_bound * rem:
             cand = Fraction(h1, k1)
             if k1 <= denominator_bound and abs(x - float(cand)) < residual_tol:
                 return cand
             return None
-        rem = 1 / rem
-        a = math.floor(rem)
-        rem -= a
+        a, rem, den = den // rem, den % rem, rem
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
         if k1 > denominator_bound:
@@ -315,6 +323,17 @@ class SupportClass:
     a: Fraction = None
     delta: int = None
     b_values: tuple = None
+
+
+def period_candidate(support_class):
+    """Closed-form period of a vertex with this support class: 2*pi for an
+    integer support, 2*pi/sqrt(delta) for a quadratic one with a = 0, else
+    None."""
+    if support_class.kind == "Integer":
+        return 2 * math.pi
+    if support_class.kind == "Quadratic" and support_class.a == 0:
+        return 2 * math.pi / math.sqrt(support_class.delta)
+    return None
 
 
 def squarefree_part(m):
@@ -495,21 +514,140 @@ class TransferReport:
         return all(self.verdicts().values())
 
 
-def necessary_conditions(g, u, v, grouping_tolerance=None,
-                         support_tolerance=SUPPORT_TOL_DEFAULT,
-                         denominator_bound=DEN_BOUND_DEFAULT,
-                         exact_cap=64, brute_force_cap=10,
-                         run_stabilizer_check=True):
-    """Evaluate every necessary condition for PST between u and v."""
-    _check_pair(g, u, v)
-    return _necessary_conditions(
-        g, u, v, decompose(g, grouping_tolerance),
-        support_tolerance=support_tolerance,
-        denominator_bound=denominator_bound,
-        exact_cap=exact_cap,
-        brute_force_cap=brute_force_cap,
-        run_stabilizer_check=run_stabilizer_check,
-    )
+def _memo(method):
+    """Cache a one-argument method of ``GraphData`` per instance and argument."""
+
+    @functools.wraps(method)
+    def cached(self, key):
+        memo = self._cache.setdefault(method.__name__, {})
+        if key not in memo:
+            memo[key] = method(self, key)
+        return memo[key]
+
+    return cached
+
+
+class GraphData:
+    """Every fact the commands derive from one graph, each computed once, on
+    first use: the decomposition, phi, every phi(G - u), the gap and
+    rho^2-integrality; per vertex the support, Delta_u and controllability;
+    per distinct support its class and ratio condition.
+
+    ``report`` is the one place where the necessary conditions for a vertex
+    pair become verdicts; ``pair`` adds the checks that only a single-pair
+    report runs.
+    """
+
+    def __init__(self, g, config):
+        self.g = g
+        self.config = config
+        self._cache = {}
+
+    @functools.cached_property
+    def sd(self):
+        return decompose(self.g, self.config.grouping_tolerance)
+
+    @functools.cached_property
+    def phi(self):
+        return char_poly_exact(self.g, cap=self.config.exact_cap)
+
+    @functools.cached_property
+    def idempotents(self):
+        """The eigenspace projections stacked into one array, index r first."""
+        return np.stack(self.sd.idempotents)
+
+    @functools.cached_property
+    def gap(self):
+        return gap_report(self.sd) if self.g.n >= 2 else None
+
+    @functools.cached_property
+    def rho_squared_is_integer(self):
+        return rho_squared_integer(self.sd, self.phi)
+
+    @functools.cached_property
+    def deleted(self):
+        return [p.coeffs for p in deleted_char_polys(self.g, cap=self.config.exact_cap)]
+
+    def cospectral(self, u, v):
+        """phi(G - u) = phi(G - v), coefficient-wise."""
+        return self.deleted[u] == self.deleted[v]
+
+    @_memo
+    def support(self, u):
+        """Sorted indices of the eigenvalues in the support of ``u``."""
+        return tuple(sorted(eigenvalue_support(self.sd, u, self.config.support_tolerance)))
+
+    def values(self, support):
+        return [float(self.sd.eigenvalues[r]) for r in support]
+
+    @_memo
+    def delta(self, u):
+        return partitions.delta_u(self.g, u)
+
+    @_memo
+    def controllable(self, u):
+        return walkalg.is_controllable(self.g, u, cap=self.config.exact_cap)
+
+    def support_class(self, u):
+        return self._classify(self.support(u))
+
+    @_memo
+    def _classify(self, support):
+        return classify_support(self.values(support), self.phi)
+
+    @_memo
+    def _ratio(self, support):
+        if len(support) < 2:
+            return RatioResult(holds=True)
+        return ratio_condition(self.values(support), self.config.denominator_bound)
+
+    def report(self, u, v):
+        """Every necessary-condition verdict for PST from u to v, except the
+        brute-force stabilizer check, which ``pair`` adds."""
+        sup_u, sup_v = self.support(u), self.support(v)
+        # strong cospectrality: E_r e_u = +-E_r e_v on every support eigenvalue
+        support = sorted(set(sup_u) | set(sup_v))
+        x, y = self.idempotents[support, :, u], self.idempotents[support, :, v]
+        sign_ok = bool(np.all(np.minimum(abs(x - y).max(axis=1), abs(x + y).max(axis=1)) < 1e-7))
+        du = self.delta(u)
+        return TransferReport(
+            u=u, v=v, n=self.g.n,
+            cospectral=self.cospectral(u, v),
+            equal_supports=sup_u == sup_v,
+            sign_condition=sign_ok,
+            ratio=self._ratio(tuple(sorted(set(sup_u) & set(sup_v)))),
+            support_class=self.support_class(u),
+            rho_squared_is_integer=self.rho_squared_is_integer,
+            delta_partition_equal=du == self.delta(v),
+            v_singleton_in_delta_u=(v,) in du.cells,
+            controllable_u=self.controllable(u),
+            controllable_v=self.controllable(v),
+            stabilizer_equal=None,
+            gap=self.gap,
+        )
+
+    def pair(self, u, v, search=True):
+        """``report`` on a checked pair, plus the Gram cross-check of
+        cospectrality, the brute-force stabilizer check within its cap and,
+        with ``search``, the numeric time search and the verification of any
+        event it finds."""
+        g, config = self.g, self.config
+        _check_pair(g, u, v)
+        report = self.report(u, v)
+        if walkalg.cospectral_via_gram(g, u, v, cap=config.exact_cap) != report.cospectral:
+            raise walkalg.InternalCheckError(
+                f"cospectrality routes disagree on pair ({u}, {v})"
+            )
+        stab_equal = None
+        if g.n <= config.brute_force_cap:
+            stab_equal = partitions.stabilizers_equal(g, u, v, n_cap=config.brute_force_cap)
+        event = verification = None
+        if search:
+            event = search_pst(self.sd, u, v, t_max=config.t_max, threshold=config.threshold)
+            if event is not None:
+                verification = verify_pst_event(self.sd, event, config.support_tolerance)
+        return replace(report, stabilizer_equal=stab_equal,
+                                   pst_found=event, verification=verification)
 
 
 def _check_pair(g, u, v):
@@ -521,90 +659,25 @@ def _check_pair(g, u, v):
         raise ValueError("necessary-condition pipeline requires a connected graph")
 
 
-def _necessary_conditions(g, u, v, sd, support_tolerance=SUPPORT_TOL_DEFAULT,
-                          denominator_bound=DEN_BOUND_DEFAULT, exact_cap=64,
-                          brute_force_cap=10, run_stabilizer_check=True):
-    """``necessary_conditions`` on a checked pair with its decomposition."""
-    phi = char_poly_exact(g, cap=exact_cap)
-
-    cosp_poly = walkalg.cospectral_via_charpoly(g, u, v, cap=exact_cap)
-    cosp_gram = walkalg.cospectral_via_gram(g, u, v, cap=exact_cap)
-    if cosp_poly != cosp_gram:
-        raise walkalg.InternalCheckError(
-            f"cospectrality routes disagree on pair ({u}, {v})"
-        )
-
-    sup_u = eigenvalue_support(sd, u, support_tolerance)
-    sup_v = eigenvalue_support(sd, v, support_tolerance)
-    equal_supports = sup_u == sup_v
-
-    sign_ok = True
-    for r in sorted(sup_u | sup_v):
-        x = sd.idempotents[r][:, u]
-        y = sd.idempotents[r][:, v]
-        if min(np.max(np.abs(x - y)), np.max(np.abs(x + y))) >= 1e-7:
-            sign_ok = False
-            break
-
-    common = sorted(sup_u & sup_v)
-    common_values = [float(sd.eigenvalues[r]) for r in common]
-    if len(common_values) >= 2:
-        ratio = ratio_condition(common_values, denominator_bound)
-    else:
-        ratio = RatioResult(holds=True)
-
-    sup_values = [float(sd.eigenvalues[r]) for r in sorted(sup_u)]
-    sclass = classify_support(sup_values, phi)
-    rho_ok = rho_squared_integer(sd, phi)
-
-    du = partitions.delta_u(g, u)
-    dv = partitions.delta_u(g, v)
-    delta_equal = du == dv
-    v_singleton = (v,) in du.cells
-
-    if g.n >= 2:
-        ctrl_u = walkalg.is_controllable(g, u, cap=exact_cap)
-        ctrl_v = walkalg.is_controllable(g, v, cap=exact_cap)
-    else:
-        ctrl_u = ctrl_v = False
-
-    stab_equal = None
-    if run_stabilizer_check and g.n <= brute_force_cap:
-        stab_equal = partitions.stabilizers_equal(g, u, v, n_cap=brute_force_cap)
-
-    return TransferReport(
-        u=u, v=v, n=g.n,
-        cospectral=cosp_poly,
-        equal_supports=equal_supports,
-        sign_condition=sign_ok,
-        ratio=ratio,
-        support_class=sclass,
-        rho_squared_is_integer=rho_ok,
-        delta_partition_equal=delta_equal,
-        v_singleton_in_delta_u=v_singleton,
-        controllable_u=ctrl_u,
-        controllable_v=ctrl_v,
-        stabilizer_equal=stab_equal,
-        gap=gap_report(sd) if g.n >= 2 else None,
-    )
+def necessary_conditions(g, u, v, grouping_tolerance=None,
+                         support_tolerance=SUPPORT_TOL_DEFAULT,
+                         denominator_bound=DEN_BOUND_DEFAULT,
+                         exact_cap=64, brute_force_cap=10):
+    """Evaluate every necessary condition for PST between u and v."""
+    config = AnalysisConfig(grouping_tolerance=grouping_tolerance,
+                            support_tolerance=support_tolerance,
+                            denominator_bound=denominator_bound,
+                            exact_cap=exact_cap, brute_force_cap=brute_force_cap)
+    return GraphData(g, config).pair(u, v, search=False)
 
 
 def analyze_pair(g, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT,
                  grouping_tolerance=None, **kwargs):
     """necessary_conditions plus the numeric time search and, when a PST event
     is found, its structural verification."""
-    _check_pair(g, u, v)
-    sd = decompose(g, grouping_tolerance)
-    report = _necessary_conditions(g, u, v, sd, **kwargs)
-    event = search_pst(sd, u, v, t_max=t_max, threshold=threshold)
-    verification = None
-    if event is not None:
-        verification = verify_pst_event(
-            sd, event, kwargs.get("support_tolerance", SUPPORT_TOL_DEFAULT)
-        )
-    return TransferReport(
-        **{**report.__dict__, "pst_found": event, "verification": verification}
-    )
+    config = AnalysisConfig(t_max=t_max, threshold=threshold,
+                            grouping_tolerance=grouping_tolerance, **kwargs)
+    return GraphData(g, config).pair(u, v)
 
 
 def finiteness_bound(k):

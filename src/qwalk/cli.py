@@ -7,49 +7,23 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import math
 import multiprocessing
 import os
 import sys
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, partitions, walkalg
-from .analysis import DEN_BOUND_DEFAULT, T_MAX_DEFAULT, THRESHOLD_DEFAULT
+from . import analysis, partitions
+from .analysis import DEN_BOUND_DEFAULT, T_MAX_DEFAULT, THRESHOLD_DEFAULT, AnalysisConfig
 from .graphs import Graph, Graph6Error, encode_graph6, parse_graph6
-from .spectral import (
-    SUPPORT_TOL_DEFAULT,
-    char_poly_exact,
-    decompose,
-    deleted_char_polys,
-    eigenvalue_support,
-    gap_report,
-)
+from .spectral import SUPPORT_TOL_DEFAULT
 from .walkalg import InternalCheckError
 
-SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    t_max: float = T_MAX_DEFAULT
-    threshold: float = THRESHOLD_DEFAULT
-    grouping_tolerance: float = None  # None = auto
-    support_tolerance: float = SUPPORT_TOL_DEFAULT
-    denominator_bound: int = DEN_BOUND_DEFAULT
-    exact_cap: int = 64
-    brute_force_cap: int = 10
-    jobs: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.threshold < 1:
-            raise ValueError("threshold must lie in (0, 1)")
-        for name in ("support_tolerance", "t_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +112,8 @@ def _is_json_object(text):
 
 def analyze_graph(g, config):
     connected = g.is_connected()
-    sd = decompose(g, config.grouping_tolerance)
+    data = analysis.GraphData(g, config)
+    sd = data.sd
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
@@ -155,30 +130,28 @@ def analyze_graph(g, config):
     if not connected:
         doc["warning"] = "graph is disconnected; spectral facts only"
     if g.n >= 2:
-        doc["gap"] = jsonify(gap_report(sd))
+        doc["gap"] = jsonify(data.gap)
     exact_ok = g.n <= config.exact_cap
-    phi = char_poly_exact(g, cap=config.exact_cap) if exact_ok else None
-    if phi is not None:
-        doc["char_poly"] = _exact_poly_json(phi)
-        doc["rho_squared_integer"] = analysis.rho_squared_integer(sd, phi)
+    if exact_ok:
+        doc["char_poly"] = _exact_poly_json(data.phi)
+        doc["rho_squared_integer"] = data.rho_squared_is_integer
     vertices = []
     for u in range(g.n):
-        sup = sorted(eigenvalue_support(sd, u, config.support_tolerance))
+        sup = data.support(u)
         entry = {
             "vertex": u,
-            "support": sup,
-            "support_values": [float(sd.eigenvalues[r]) for r in sup],
-            "delta_partition": partitions.delta_u(g, u).as_lists(),
+            "support": list(sup),
+            "support_values": data.values(sup),
+            "delta_partition": data.delta(u).as_lists(),
         }
-        if phi is not None:
-            sc = analysis.classify_support(entry["support_values"], phi)
+        if exact_ok:
+            sc = data.support_class(u)
             entry["support_class"] = _support_class_json(sc)
-            if sc.kind == "Integer":
-                entry["period_candidate"] = 2 * math.pi
-            elif sc.kind == "Quadratic" and sc.a == 0:
-                entry["period_candidate"] = 2 * math.pi / math.sqrt(sc.delta)
+            period = analysis.period_candidate(sc)
+            if period is not None:
+                entry["period_candidate"] = period
             if connected:
-                entry["controllable"] = walkalg.is_controllable(g, u, cap=config.exact_cap)
+                entry["controllable"] = data.controllable(u)
         vertices.append(entry)
     doc["vertices"] = vertices
     return doc
@@ -216,64 +189,31 @@ def pair_report_json(g, report):
 # scan
 
 def scan_graph(g, config):
-    """Per-graph scan summary: gap report plus per-pair condition summaries for
-    cospectral pairs (cospectrality makes the pre-filter lossless).
+    """Per-graph scan summary: gap report plus the verdicts of every
+    cospectral pair (cospectrality is a verdict, so the pre-filter is
+    lossless) and a time search for each pair that passes them all.
 
-    Per-vertex facts are computed only for vertices in a cospectral pair, and
-    once per vertex however many pairs it is in.  The brute-force
-    automorphism check is skipped here; the ``pair`` command runs the full
-    pipeline.
+    Per-vertex facts are computed only for vertices in a cospectral pair.
+    The brute-force automorphism check is left to the ``pair`` command.
     """
     doc = {"id": encode_graph6(g), "n": g.n}
+    data = analysis.GraphData(g, config)
     if g.n >= 2:
-        sd = decompose(g, config.grouping_tolerance)
-        doc["gap"] = jsonify(gap_report(sd))
+        doc["gap"] = jsonify(data.gap)
     connected = g.is_connected()
     doc["connected"] = connected
-    if not connected or g.n < 2 or g.n > config.exact_cap:
-        doc["pairs"] = []
-        return doc
-    phi = char_poly_exact(g, cap=config.exact_cap)
-    deleted = [p.coeffs for p in deleted_char_polys(g, cap=config.exact_cap)]
-    cospectral = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                  if deleted[u] == deleted[v]]
-    supports = [
-        sorted(eigenvalue_support(sd, u, config.support_tolerance))
-        for u in range(g.n)
-    ]
-    rho_ok = analysis.rho_squared_integer(sd, phi) if cospectral else None
-    classes, controllable, deltas = {}, {}, {}
     pairs = []
-    for u, v in cospectral:
-        if u not in classes:
-            sup_vals = [float(sd.eigenvalues[r]) for r in supports[u]]
-            sclass = analysis.classify_support(sup_vals, phi)
-            if len(sup_vals) >= 2:
-                ratio = analysis.ratio_condition(sup_vals, config.denominator_bound)
-            else:
-                ratio = analysis.RatioResult(holds=True)
-            classes[u] = sclass, ratio
-        for w in (u, v):
-            if w not in controllable:
-                controllable[w] = walkalg.walk_rank(g, w, cap=config.exact_cap) == g.n
-                deltas[w] = partitions.delta_u(g, w)
-        sclass, ratio = classes[u]
-        verdicts = {
-            "cospectral": True,
-            "equal_supports": supports[u] == supports[v],
-            "ratio_condition": ratio.holds,
-            "support_class_not_neither": sclass.kind != "Neither",
-            "rho_squared_integer": rho_ok,
-            "delta_partition_equal": deltas[u] == deltas[v],
-            "controllability": g.n < 4 or not (controllable[u] or controllable[v]),
-        }
-        entry = {"u": u, "v": v, "verdicts": verdicts}
-        if all(verdicts.values()):
-            event = analysis.search_pst(
-                sd, u, v, t_max=config.t_max, threshold=config.threshold
-            )
-            entry["pst"] = _event_json(event)
-        pairs.append(entry)
+    if connected and 2 <= g.n <= config.exact_cap:
+        for u, v in itertools.combinations(range(g.n), 2):
+            if not data.cospectral(u, v):
+                continue
+            report = data.report(u, v)
+            entry = {"u": u, "v": v, "verdicts": report.verdicts()}
+            if report.all_pass:
+                entry["pst"] = _event_json(analysis.search_pst(
+                    data.sd, u, v, t_max=config.t_max, threshold=config.threshold
+                ))
+            pairs.append(entry)
     doc["pairs"] = pairs
     return doc
 
@@ -288,6 +228,7 @@ def _scan_line(item):
         doc = scan_graph(g, config)
     except (Graph6Error, ValueError) as exc:
         doc = {"id": line, "error": str(exc)}
+    doc["schema_version"] = SCHEMA_VERSION
     return index, json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
@@ -394,16 +335,7 @@ def main(argv=None):
                 print(f"error: invalid vertex pair ({args.u}, {args.v}) for n={g.n}",
                       file=sys.stderr)
                 return 2
-            report = analysis.analyze_pair(
-                g, args.u, args.v,
-                t_max=config.t_max,
-                threshold=config.threshold,
-                grouping_tolerance=config.grouping_tolerance,
-                support_tolerance=config.support_tolerance,
-                denominator_bound=config.denominator_bound,
-                exact_cap=config.exact_cap,
-                brute_force_cap=config.brute_force_cap,
-            )
+            report = analysis.GraphData(g, config).pair(args.u, args.v)
             _emit(pair_report_json(g, report), args.json_out)
             return 0
         if args.command == "scan":

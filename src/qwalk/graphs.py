@@ -26,9 +26,9 @@ class Graph6Error(ValueError):
 class Graph:
     """Immutable simple undirected graph backed by a dense 0/1 adjacency matrix."""
 
-    __slots__ = ("_adj", "labels")
+    __slots__ = ("_adj",)
 
-    def __init__(self, adjacency, labels=None):
+    def __init__(self, adjacency):
         a = np.asarray(adjacency, dtype=np.int8)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
@@ -43,10 +43,9 @@ class Graph:
             raise ValueError("adjacency entries must be 0 or 1")
         a.setflags(write=False)
         self._adj = a
-        self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
-    def from_edges(cls, n, edges, labels=None):
+    def from_edges(cls, n, edges):
         a = np.zeros((n, n), dtype=np.int8)
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
@@ -54,7 +53,7 @@ class Graph:
             if i == j:
                 raise ValueError(f"loop ({i}, {i}) not allowed")
             a[i, j] = a[j, i] = 1
-        return cls(a, labels)
+        return cls(a)
 
     @classmethod
     def from_json(cls, text):

@@ -73,18 +73,13 @@ def coarsest_equitable_refinement(g, pi0):
     """
     if pi0.n != g.n:
         raise ValueError("partition does not match the graph")
-    adj = g.adjacency
     cells = [list(c) for c in pi0.cells]
+    cell_of = np.empty(g.n, dtype=int)
     while True:
-        cell_of = np.empty(g.n, dtype=int)
         for i, cell in enumerate(cells):
-            for v in cell:
-                cell_of[v] = i
+            cell_of[cell] = i
         # signature of v: neighbor counts into each current cell
-        counts = np.zeros((g.n, len(cells)), dtype=int)
-        for v in range(g.n):
-            for w in np.flatnonzero(adj[v]):
-                counts[v, cell_of[w]] += 1
+        counts = g.adjacency @ np.eye(len(cells), dtype=np.int64)[cell_of]
         new_cells = []
         changed = False
         for cell in cells:

@@ -106,8 +106,9 @@ def _divmod_monic(num, den, p=0):
     for i in range(k):
         c = r[i]
         if c:
-            seg = [x - c * y for x, y in zip(r[i + 1:i + len(den)], tail)]
-            r[i + 1:i + len(den)] = [x % p for x in seg] if p else seg
+            seg = zip(r[i + 1:i + len(den)], tail)
+            r[i + 1:i + len(den)] = ([(x - c * y) % p for x, y in seg] if p
+                                     else [x - c * y for x, y in seg])
     return r[:k], poly_trim(r[k:] or [0])
 
 
@@ -124,7 +125,8 @@ def _gcd_mod(a, b, p):
 
 def _integer_poly(coeffs):
     out = poly_trim(list(coeffs) or [0])
-    if not all(isinstance(c, numbers.Integral) for c in out):
+    # the type test is a fast path: the ABC check is slow on plain ints
+    if not all(type(c) is int or isinstance(c, numbers.Integral) for c in out):
         raise ValueError("integer coefficients needed")
     return [int(c) for c in out]
 

@@ -42,9 +42,6 @@ class SpectralDecomposition:
     def spectral_radius(self):
         return float(max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1])))
 
-    def eigenvalue_multiset(self):
-        return np.repeat(self.eigenvalues, self.multiplicities)
-
 
 def decompose(g, grouping_tolerance=None):
     """Spectral decomposition of the adjacency matrix of ``g``.

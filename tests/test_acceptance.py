@@ -3,6 +3,7 @@
 import hashlib
 import io
 import itertools
+import json
 import math
 import time
 
@@ -226,12 +227,60 @@ def test_criterion_10_scan_determinism(catalog_lines):
            % (identical, *times))
 
 
-# SHA-256 of run_scan's output over catalog_lines, captured from the scan
-# that computed every vertex's walk-matrix rank and delta_u eagerly.
-SCAN_GOLDEN_SHA256 = "89458569f97dabf11cc034599f86edef28987ca2568e5f55f69b0400eba4d546"
-
-
-def test_scan_output_matches_golden(catalog_lines):
+@pytest.fixture(scope="module")
+def scan_text(catalog_lines):
     buf = io.StringIO()
     run_scan(catalog_lines, AnalysisConfig(jobs=1), out=buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SCAN_GOLDEN_SHA256
+    return buf.getvalue()
+
+
+# SHA-256 of run_scan's output over catalog_lines, schema version 2: every
+# pair's verdicts include sign_condition, and only pairs passing all of them
+# are searched.
+SCAN_GOLDEN_SHA256 = "0453958928c03f872d03da071b34ade9d3e94ac6cca828893016ea6f72e6136a"
+
+# The same digest for schema version 1, whose scan verdicts left out
+# sign_condition and which searched every pair passing the rest.
+SCAN_V1_SHA256 = "89458569f97dabf11cc034599f86edef28987ca2568e5f55f69b0400eba4d546"
+
+
+def test_scan_output_matches_golden(scan_text):
+    assert hashlib.sha256(scan_text.encode()).hexdigest() == SCAN_GOLDEN_SHA256
+
+
+def _as_schema_v1(text):
+    """Rebuild schema-version-1 scan output from version-2 output."""
+    rows = []
+    for line in text.splitlines():
+        doc = json.loads(line)
+        del doc["schema_version"]
+        for pair in doc.get("pairs", []):
+            del pair["verdicts"]["sign_condition"]
+            if all(pair["verdicts"].values()):
+                pair.setdefault("pst", None)
+        rows.append(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
+    return "".join(rows)
+
+
+def test_scan_output_maps_back_to_schema_v1(scan_text):
+    v1 = _as_schema_v1(scan_text)
+    assert hashlib.sha256(v1.encode()).hexdigest() == SCAN_V1_SHA256
+
+
+def test_scan_verdicts_are_the_pair_verdicts(catalog_lines, scan_text):
+    """Pairs passing every schema-1 verdict get the verdicts of the full
+    pipeline, less the brute-force stabilizer check that scan skips."""
+    checked = sign_failures = 0
+    for line, row in zip(catalog_lines, scan_text.splitlines()):
+        for pair in json.loads(row)["pairs"]:
+            verdicts = pair["verdicts"]
+            if not all(v for k, v in verdicts.items() if k != "sign_condition"):
+                continue
+            full = q.necessary_conditions(q.parse_graph6(line), pair["u"], pair["v"])
+            expected = full.verdicts()
+            del expected["automorphism_stabilizer_equal"]
+            assert verdicts == expected, (line, pair)
+            assert ("pst" in pair) == all(expected.values())
+            checked += 1
+            sign_failures += not verdicts["sign_condition"]
+    assert (checked, sign_failures) == (42, 10)

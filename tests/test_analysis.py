@@ -266,31 +266,62 @@ class TestNecessaryConditions:
                 assert not rep.controllable_u and not rep.controllable_v
 
 
-def _count_decompose(monkeypatch, *modules):
+def _count_calls(monkeypatch, name, *modules):
+    """Patch ``name`` in every module with a wrapper recording its args."""
     calls = []
-    real = q.spectral.decompose
+    real = getattr(modules[0], name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     for module in modules:
-        monkeypatch.setattr(module, "decompose", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
 class TestOneDecomposition:
     def test_analyze_pair(self, monkeypatch):
-        calls = _count_decompose(monkeypatch, q.spectral, q.analysis)
+        calls = _count_calls(monkeypatch, "decompose", q.spectral, q.analysis)
         q.analyze_pair(q.hypercube(3), 0, 7)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["analyze_graph", "scan_graph"])
     def test_cli_graph_commands(self, monkeypatch, command):
         from qwalk import cli
-        calls = _count_decompose(monkeypatch, q.spectral, q.analysis, cli)
+        calls = _count_calls(monkeypatch, "decompose", q.spectral, q.analysis)
         getattr(cli, command)(q.hypercube(3), cli.AnalysisConfig())
         assert len(calls) == 1
+
+
+class TestComputeOnce:
+    """GraphData computes each per-vertex fact once per vertex and each
+    support classification once per distinct support."""
+
+    @pytest.mark.parametrize("name,distinct", [("random32", 2), ("P5xP6", 3)])
+    def test_analyze_graph(self, monkeypatch, name, distinct):
+        from qwalk import cli
+        g = {"random32": _random_connected(32, seed=32),
+             "P5xP6": q.cartesian_product(q.path(5), q.path(6))}[name]
+        sd = q.decompose(g)
+        supports = {frozenset(q.eigenvalue_support(sd, u)) for u in range(g.n)}
+        assert len(supports) == distinct
+        classify = _count_calls(monkeypatch, "classify_support", q.analysis)
+        control = _count_calls(monkeypatch, "is_controllable", q.walkalg)
+        delta = _count_calls(monkeypatch, "delta_u", q.partitions)
+        cli.analyze_graph(g, cli.AnalysisConfig())
+        assert len(classify) == distinct
+        assert sorted(args[1] for args in control) == list(range(g.n))
+        assert sorted(args[1] for args in delta) == list(range(g.n))
+
+    def test_scan_graph(self, monkeypatch):
+        from qwalk import cli
+        control = _count_calls(monkeypatch, "is_controllable", q.walkalg)
+        delta = _count_calls(monkeypatch, "delta_u", q.partitions)
+        doc = cli.scan_graph(q.hypercube(3), cli.AnalysisConfig())
+        assert len(doc["pairs"]) == 28  # Q3 is vertex-transitive
+        assert sorted(args[1] for args in control) == list(range(8))
+        assert sorted(args[1] for args in delta) == list(range(8))
 
 
 class TestFinitenessBound:

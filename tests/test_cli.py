@@ -40,7 +40,7 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", str(f)], capsys)
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == cli.SCHEMA_VERSION
         assert doc["gap"]["sigma"] == pytest.approx(1.0)
         assert all(v["controllable"] for v in doc["vertices"])
         assert doc["vertices"][0]["support_class"]["kind"] == "Neither"
@@ -166,6 +166,21 @@ class TestScan:
         assert len(lines) == 3
         assert "error" in lines[1]
         assert lines[0]["n"] == 2 and lines[2]["n"] == 3
+
+    def test_lines_carry_schema_version(self):
+        buf = io.StringIO()
+        run_scan(["Bw", "\x7fbad"], AnalysisConfig(), out=buf)
+        docs = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [d["schema_version"] for d in docs] == [cli.SCHEMA_VERSION] * 2
+
+    def test_pairs_failing_sign_condition_are_not_searched(self):
+        # 4 and 5 are twins, both adjacent to exactly 2 and 3: cospectral, but
+        # e_4 - e_5 is an eigenvector, so they are not strongly cospectral
+        g = q.Graph.from_edges(6, [(0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
+        doc = cli.scan_graph(g, AnalysisConfig())
+        pair = next(p for p in doc["pairs"] if (p["u"], p["v"]) == (4, 5))
+        assert not pair["verdicts"]["sign_condition"] and "pst" not in pair
+        assert all(v for k, v in pair["verdicts"].items() if k != "sign_condition")
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         graphs = [q.path(n) for n in range(2, 7)] + [q.hypercube(2), q.complete(4)]
