@@ -23,7 +23,7 @@ from .spectral import (
     gap_report,
     transition_matrix,
 )
-from .polys import poly_degree, poly_divmod, poly_gcd, poly_squarefree
+from .polys import poly_divides, poly_squarefree
 
 THRESHOLD_DEFAULT = 1 - 1e-9
 T_MAX_DEFAULT = 50.0
@@ -352,10 +352,6 @@ def squarefree_part(m):
     return out * m
 
 
-def _is_exact_root(poly, x):
-    return poly(Fraction(x)) == 0
-
-
 # Dyadic precision of the root guard: a support value passes only when a root
 # of phi provably lies within 2**(1 - _GUARD_BITS) of it.
 _GUARD_BITS = 30
@@ -394,7 +390,7 @@ def classify_support(support_values, exact_poly, tol=1e-8):
             raise ValueError(f"value {v} is not a root of the polynomial")
 
     if all(abs(v - round(v)) < tol for v in vals):
-        if all(_is_exact_root(exact_poly, round(v)) for v in set(vals)):
+        if all(exact_poly(round(v)) == 0 for v in set(vals)):
             return SupportClass(kind="Integer")
 
     irrational = [v for v in vals if abs(v - round(v)) >= tol]
@@ -435,15 +431,12 @@ def _fit_quadratic(vals, exact_poly, a, delta, sq, tol):
             return None
         bs.append(b)
     for b in set(bs):
-        if b == 0:
-            if not _is_exact_root(exact_poly, a / 2):
-                return None
-        else:
-            # minimal polynomial of (a + b sqrt(delta))/2 must divide phi
-            quad = [Fraction(1), -a, (a * a - b * b * delta) / 4]
-            _, rem = poly_divmod([Fraction(c) for c in exact_poly.coeffs], quad)
-            if poly_degree(rem) >= 0:
-                return None
+        # a root of the monic integer phi is an algebraic integer, so its
+        # minimal polynomial has integer coefficients or it is no root
+        minimal = [1, -a / 2] if b == 0 else [1, -a, (a * a - b * b * delta) / 4]
+        if any(Fraction(c).denominator != 1 for c in minimal) or not poly_divides(
+                [int(c) for c in minimal], exact_poly.coeffs):
+            return None
     return SupportClass(kind="Quadratic", a=a, delta=delta, b_values=tuple(bs))
 
 
@@ -455,10 +448,10 @@ def rho_squared_integer(sd, exact_poly, tol=1e-8):
     if abs(r2 - m) > tol:
         return False
     if abs(rho - round(rho)) < tol:
-        return _is_exact_root(exact_poly, round(rho))
-    # rho = sqrt(m): check gcd(phi, t^2 - m) is nontrivial
-    g = poly_gcd(exact_poly.coeffs, [1, 0, -m])
-    return poly_degree(g) > 0
+        return exact_poly(round(rho)) == 0
+    # rho = sqrt(m) with m no square (an integer rho would be within tol), so
+    # t^2 - m is irreducible and shares a root with phi only when it divides it
+    return poly_divides([1, 0, -m], exact_poly.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +622,8 @@ class GraphData:
     def pair(self, u, v, search=True):
         """``report`` on a checked pair, plus the Gram cross-check of
         cospectrality, the brute-force stabilizer check within its cap and,
-        with ``search``, the numeric time search and the verification of any
-        event it finds."""
+        with ``search``, when every verdict passes (as in ``scan``), the
+        numeric time search and the verification of any event it finds."""
         g, config = self.g, self.config
         _check_pair(g, u, v)
         report = self.report(u, v)
@@ -641,13 +634,14 @@ class GraphData:
         stab_equal = None
         if g.n <= config.brute_force_cap:
             stab_equal = partitions.stabilizers_equal(g, u, v, n_cap=config.brute_force_cap)
-        event = verification = None
-        if search:
+        report = replace(report, stabilizer_equal=stab_equal)
+        event = None
+        if search and report.all_pass:
             event = search_pst(self.sd, u, v, t_max=config.t_max, threshold=config.threshold)
-            if event is not None:
-                verification = verify_pst_event(self.sd, event, config.support_tolerance)
-        return replace(report, stabilizer_equal=stab_equal,
-                                   pst_found=event, verification=verification)
+        if event is None:
+            return report
+        return replace(report, pst_found=event,
+                       verification=verify_pst_event(self.sd, event, config.support_tolerance))
 
 
 def _check_pair(g, u, v):
@@ -673,8 +667,8 @@ def necessary_conditions(g, u, v, grouping_tolerance=None,
 
 def analyze_pair(g, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT,
                  grouping_tolerance=None, **kwargs):
-    """necessary_conditions plus the numeric time search and, when a PST event
-    is found, its structural verification."""
+    """necessary_conditions plus, when every verdict passes, the numeric time
+    search and, when it finds a PST event, its structural verification."""
     config = AnalysisConfig(t_max=t_max, threshold=threshold,
                             grouping_tolerance=grouping_tolerance, **kwargs)
     return GraphData(g, config).pair(u, v)

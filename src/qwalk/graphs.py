@@ -57,9 +57,15 @@ class Graph:
 
     @classmethod
     def from_json(cls, text):
-        """Parse the {"n": int, "edges": [[i, j], ...]} edge-list format."""
+        """Parse the {"n": int, "edges": [[i, j], ...]} edge-list format;
+        ValueError on any other shape."""
         doc = json.loads(text)
-        return cls.from_edges(int(doc["n"]), doc.get("edges", []))
+        edges = doc.get("edges", []) if isinstance(doc, dict) else None
+        if not (isinstance(edges, list) and type(doc.get("n")) is int and all(
+                isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+                for e in edges)):
+            raise ValueError('JSON input must be {"n": int, "edges": [[int, int], ...]}')
+        return cls.from_edges(doc["n"], edges)
 
     @property
     def n(self):

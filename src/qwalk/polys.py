@@ -112,6 +112,11 @@ def _divmod_monic(num, den, p=0):
     return r[:k], poly_trim(r[k:] or [0])
 
 
+def poly_divides(den, num):
+    """True iff the monic ``den`` divides ``num``, both integer polynomials."""
+    return _divmod_monic(num, den)[1] == [0]
+
+
 def _gcd_mod(a, b, p):
     """Monic gcd over GF(p) of two polynomials, not both zero."""
     a, b = poly_trim([c % p for c in a]), poly_trim([c % p for c in b])
@@ -164,7 +169,7 @@ def poly_gcd(p, q):
             modulus *= prime
         half = modulus // 2
         cand = [x - modulus if x > half else x for x in residues]
-        if _divmod_monic(a, cand)[1] == [0] and _divmod_monic(b, cand)[1] == [0]:
+        if poly_divides(cand, a) and poly_divides(cand, b):
             return cand
 
 

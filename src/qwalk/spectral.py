@@ -14,6 +14,10 @@ EXACT_CAP_DEFAULT = 64
 SUPPORT_TOL_DEFAULT = 1e-10
 
 
+class InternalCheckError(RuntimeError):
+    """Two independent exact routes disagreed; signals a bug, not a verdict."""
+
+
 def default_grouping_tolerance(n, rho):
     # Adjacency matrices are integral, so true distinct eigenvalues of small
     # graphs separate far above this.
@@ -143,8 +147,8 @@ def _faddeev_leverrier(g):
         # A B for a 0/1 matrix A: row i sums the rows of B at i's neighbours
         m = np.stack([b[js].sum(axis=0) for js in neighbours])
         tr = int(np.trace(m))
-        # exact by construction: k divides the trace at step k
-        assert tr % k == 0
+        if tr % k:  # k divides the trace at step k in exact arithmetic
+            raise InternalCheckError(f"Faddeev-LeVerrier step {k} does not divide {tr}")
         c = -tr // k
         coeffs.append(c)
         if k < n:

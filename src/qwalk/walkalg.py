@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,15 +14,12 @@ import numpy as np
 from .polys import _is_prime, poly_coprime, poly_degree, poly_gcd
 from .spectral import (
     EXACT_CAP_DEFAULT,
+    InternalCheckError,
     char_poly_exact,
     decompose,
     deleted_char_polys,
     eigenvalue_support,
 )
-
-
-class InternalCheckError(RuntimeError):
-    """Two independent exact routes disagreed; signals a bug, not a verdict."""
 
 
 def _check_vertex(g, u):
@@ -53,30 +51,41 @@ def _walk_columns(g, u, count):
     return np.stack(cols, axis=1)
 
 
-def rank_exact(m):
-    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [[int(x) for x in row] for row in np.asarray(m, dtype=object)]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
+def _eliminate(m, jordan=False):
+    """Fraction-free (Bareiss, Math. Comp. 22, 1968) elimination of the
+    integer rows ``m`` in place; returns the pivot columns.  Right of a pivot
+    p in column c, an updated row's entry x becomes (p x - f y) / prev, f its
+    entry in column c, y the pivot row's in x's column, prev the previous
+    pivot: exact, as every entry is then a minor of the input.  Plain mode
+    updates the rows below the pivot; ``jordan`` mode every other row, so
+    [M | I] ends with d M^-1 on the right, d the last pivot."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots = []
     prev = 1
-    r = 0
     for c in range(cols):
-        if r == rows:
-            break
+        r = len(pivots)
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
+        top = m[r]
+        p = top[c]
+        for i in range(rows) if jordan else range(r + 1, rows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
             for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-    return rank
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = p
+        pivots.append(c)
+    return pivots
+
+
+def rank_exact(m):
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    return len(_eliminate([[operator.index(x) for x in row] for row in m]))
 
 
 # Sums of n products of residues below p stay in int64 while n (p - 1)**2 does.
@@ -187,30 +196,16 @@ def support_size_crosscheck(g, u, cap=EXACT_CAP_DEFAULT, support_tolerance=1e-10
     return rank, support_size, pole_count
 
 
-# ---------------------------------------------------------------------------
-# Exact rational linear algebra
-
 def invert_exact(m):
-    """Inverse of an integer/rational matrix over Fractions (Gauss-Jordan,
-    first-nonzero pivot)."""
+    """Inverse of an integer matrix as Fractions, by fraction-free
+    Gauss-Jordan on [M | I]; a pivot right of M means M is singular."""
     n = len(m)
-    aug = [
-        [Fraction(m[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        lead = aug[c][c]
-        aug[c] = [x / lead for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return np.array([row[n:] for row in aug], dtype=object)
+    aug = [[operator.index(x) for x in row] + [int(i == j) for j in range(n)]
+           for i, row in enumerate(m)]
+    if _eliminate(aug, jordan=True)[-1] >= n:
+        raise ValueError("matrix is singular")
+    d = aug[-1][n - 1]
+    return np.array([[Fraction(x, d) for x in row[n:]] for row in aug], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -235,14 +230,8 @@ def transfer_similarity(g, u, v, cap=EXACT_CAP_DEFAULT):
     q = wv @ invert_exact(wu)
     a = np.array(g.adjacency, dtype=object)
     commutes = np.array_equal(q @ a, a @ q)
-    eu = np.zeros(g.n, dtype=object)
-    eu[u] = 1
-    image = q @ eu
-    maps = all(image[i] == (1 if i == v else 0) for i in range(g.n))
-    ident = np.array(
-        [[Fraction(1 if i == j else 0) for j in range(g.n)] for i in range(g.n)],
-        dtype=object,
-    )
+    ident = np.eye(g.n, dtype=int)
+    maps = np.array_equal(q[:, u], ident[v])  # Q e_u = e_v
     orthogonal = np.array_equal(q.T @ q, ident)
     if u != v and orthogonal != cospectral_via_gram(g, u, v, cap=cap):
         raise InternalCheckError(

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from qwalk.analysis import (
     reconstruct_rational,
     squarefree_part,
 )
+from qwalk.polys import poly_degree, poly_divmod, poly_gcd
+
+from conftest import random_connected_graphs
 
 SQRT2 = math.sqrt(2)
 SQRT5 = math.sqrt(5)
@@ -218,6 +222,107 @@ class TestRhoSquared:
         assert not q.rho_squared_integer(q.decompose(g), q.char_poly_exact(g))
 
 
+def _fraction_root(phi, x):
+    return phi(Fraction(x)) == 0
+
+
+def _fraction_fit_quadratic(vals, phi, a, delta, tol):
+    bs = []
+    for v in vals:
+        b2 = (2 * v - float(a)) / math.sqrt(delta) * 2
+        if abs(b2 - round(b2)) >= tol:
+            return None
+        b = Fraction(round(b2), 2)
+        if abs(v - (float(a) + float(b) * math.sqrt(delta)) / 2) >= tol:
+            return None
+        bs.append(b)
+    for b in set(bs):
+        if b == 0:
+            if not _fraction_root(phi, a / 2):
+                return None
+        else:
+            quad = [Fraction(1), -a, (a * a - b * b * delta) / 4]
+            if poly_degree(poly_divmod(phi.coeffs, quad)[1]) >= 0:
+                return None
+    return q.SupportClass(kind="Quadratic", a=a, delta=delta, b_values=tuple(bs))
+
+
+def reference_classify(vals, phi, tol=1e-8):
+    """classify_support without its root guard, every exact check over
+    Fractions: evaluation at Fraction(x) and poly_divmod remainders."""
+    if all(abs(v - round(v)) < tol for v in vals):
+        if all(_fraction_root(phi, round(v)) for v in set(vals)):
+            return q.SupportClass(kind="Integer")
+    irrational = [v for v in vals if abs(v - round(v)) >= tol]
+    squares = [(x - y) ** 2 for i, x in enumerate(irrational) for y in irrational[i + 1:]]
+    deltas = {squarefree_part(round(d2)) for d2 in squares
+              if d2 > tol and abs(d2 - round(d2)) < tol} - {1}
+    twice_a = sorted({round(2 * (x + y)) for i, x in enumerate(vals) for y in vals[i + 1:]})
+    for delta in sorted(deltas):
+        for m in twice_a:
+            fit = _fraction_fit_quadratic(vals, phi, Fraction(m, 2), delta, tol)
+            if fit is not None:
+                return fit
+    return q.SupportClass(kind="Neither")
+
+
+def reference_rho_squared_integer(sd, phi, tol=1e-8):
+    """rho_squared_integer with a gcd in place of division by t^2 - m."""
+    rho = sd.spectral_radius
+    m = round(rho * rho)
+    if abs(rho * rho - m) > tol:
+        return False
+    if abs(rho - round(rho)) < tol:
+        return _fraction_root(phi, round(rho))
+    return poly_degree(poly_gcd(phi.coeffs, [1, 0, -m])) > 0
+
+
+class TestExactChecksMatchFractionReference:
+    """The integer divisibility tests of classify_support and
+    rho_squared_integer decide as the Fraction references do."""
+
+    def _check(self, graphs):
+        kinds, rho_verdicts = set(), set()
+        for g in graphs:
+            sd, phi = q.decompose(g), q.char_poly_exact(g)
+            rho = q.rho_squared_integer(sd, phi)
+            assert rho == reference_rho_squared_integer(sd, phi)
+            rho_verdicts.add(rho)
+            for support in {tuple(sorted(q.eigenvalue_support(sd, u))) for u in range(g.n)}:
+                vals = [float(sd.eigenvalues[r]) for r in support]
+                sc = q.classify_support(vals, phi)
+                assert sc == reference_classify(vals, phi)
+                kinds.add(sc.kind)
+        assert kinds == {"Integer", "Quadratic", "Neither"}
+        assert rho_verdicts == {True, False}
+
+    def test_atlas(self, atlas_connected):
+        self._check(g for graphs in atlas_connected.values() for g in graphs)
+
+    def test_random_corpus(self):
+        self._check(random_connected_graphs(80, 16, seed=20261018))
+
+    @pytest.mark.parametrize("m,expected", [(2, True), (3, False), (5, False)])
+    def test_radius_near_a_square_root(self, m, expected):
+        # graphs whose rho^2 is within tol of an integer have rho = sqrt(m)
+        # exactly, so a stub radius exercises the rejecting side
+        sd = SimpleNamespace(spectral_radius=math.sqrt(m))
+        phi = q.char_poly_exact(q.path(3))  # t (t^2 - 2)
+        assert q.rho_squared_integer(sd, phi) == expected
+        assert reference_rho_squared_integer(sd, phi) == expected
+
+    @pytest.mark.parametrize("g,vals", [
+        (q.path(3), [0.25]),  # t - 1/4 truncates to t
+        (q.path(2), [(0.5 + 2 * SQRT2) / 2, (0.5 - 2 * SQRT2) / 2]),  # to t^2 - 1
+    ])
+    def test_non_integral_minimal_polynomial_rejected(self, g, vals):
+        # each a = 1/2 candidate truncates to a divisor of phi, but a root of
+        # a monic integer polynomial is an algebraic integer, so it is no root
+        phi, a, delta = q.char_poly_exact(g), Fraction(1, 2), 2
+        assert _fraction_fit_quadratic(vals, phi, a, delta, 1e-8) is None
+        assert q.analysis._fit_quadratic(vals, phi, a, delta, math.sqrt(delta), 1e-8) is None
+
+
 class TestNecessaryConditions:
     def test_hypercube_antipodal_all_pass(self):
         rep = q.analyze_pair(q.hypercube(3), 0, 7)
@@ -278,6 +383,15 @@ def _count_calls(monkeypatch, name, *modules):
     for module in modules:
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+class TestSearchPolicy:
+    def test_pair_searches_only_when_every_verdict_passes(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "search_pst", q.analysis)
+        rep = q.analyze_pair(q.path(4), 0, 1)
+        assert not rep.cospectral and rep.pst_found is None and not calls
+        rep = q.analyze_pair(q.hypercube(4), 0, 15)
+        assert rep.all_pass and rep.pst_found is not None and len(calls) == 1
 
 
 class TestOneDecomposition:

@@ -67,6 +67,22 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", str(f)], capsys)
         assert code == 0 and json.loads(out)["graph6"] == "A_"
 
+    @pytest.mark.parametrize("text", [
+        '{"edges": []}',
+        '{"n": 3, "edges": [[0, "a"]]}',
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [[0, 1.5]]}',
+        '{"n": 3, "edges": [[true, 1]]}',
+        '{"n": 2.5}',
+        '{"n": true}',
+        '{"n": "3"}',
+    ])
+    def test_bad_json_edge_list_exit_2(self, tmp_path, capsys, text):
+        f = tmp_path / "g.json"
+        f.write_text(text)
+        code, out, err = run_cli(["analyze", str(f)], capsys)
+        assert code == 2 and not out and err.startswith("error: JSON")
+
     def test_json_out_flag(self, tmp_path, capsys):
         f = tmp_path / "p3.g6"
         f.write_text("Bg")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qwalk as q
+from qwalk import cli, spectral, walkalg
 from qwalk.spectral import trace_identity_check
 
 from conftest import random_graphs
@@ -170,6 +171,14 @@ class TestDeletedCharPolys:
     def test_cap(self):
         with pytest.raises(ValueError):
             q.deleted_char_polys(q.path(5), cap=4)
+
+    def test_indivisible_trace_raises(self, monkeypatch):
+        # checked by a raise, not an assert, so python -O keeps the check
+        assert q.InternalCheckError is walkalg.InternalCheckError \
+            is spectral.InternalCheckError is cli.InternalCheckError
+        monkeypatch.setattr(spectral.np, "trace", lambda m: 1)  # odd at step 2
+        with pytest.raises(q.InternalCheckError):
+            spectral._faddeev_leverrier.__wrapped__(q.path(3))
 
 
 class TestGapReport:

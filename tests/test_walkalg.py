@@ -262,3 +262,55 @@ class TestTransferSimilarity:
         assert inv.tolist() == [[Fraction(4), Fraction(-1)], [Fraction(-7), Fraction(2)]]
         with pytest.raises(ValueError):
             invert_exact([[1, 2], [2, 4]])
+
+
+def gauss_jordan_reference(m):
+    """Inverse over Fractions by Gauss-Jordan with first-nonzero pivots."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        lead = aug[c][c]
+        aug[c] = [x / lead for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+class TestInvertExact:
+    """invert_exact's fraction-free Gauss-Jordan against Gauss-Jordan over
+    Fractions."""
+
+    def test_matches_fraction_reference(self):
+        rng = np.random.default_rng(211)
+        checked = 0
+        while checked < 300:
+            n = int(rng.integers(1, 9))
+            m = rng.integers(-4, 5, size=(n, n)).tolist()
+            if checked % 3 == 0:
+                m[0][0] = 0  # the first pivot needs a row swap
+            try:
+                ref = gauss_jordan_reference(m)
+            except ValueError:
+                continue
+            assert invert_exact(m).tolist() == ref
+            checked += 1
+
+    def test_rejects_singular(self):
+        rng = np.random.default_rng(223)
+        singular = [walk_matrix(q.path(3), 1), np.zeros((3, 3), dtype=int)]
+        for n in range(2, 9):
+            m = rng.integers(-4, 5, size=(n, n))
+            m[-1] = m[:-1].sum(axis=0)
+            singular.append(m)
+        for m in singular:
+            with pytest.raises(ValueError):
+                gauss_jordan_reference(m.tolist())
+            with pytest.raises(ValueError):
+                invert_exact(m)
