@@ -46,9 +46,11 @@ class AnalysisConfig:
     def __post_init__(self):
         if not 0 < self.threshold < 1:
             raise ValueError("threshold must lie in (0, 1)")
-        for name in ("support_tolerance", "t_max"):
+        for name in ("support_tolerance", "t_max", "denominator_bound", "exact_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.brute_force_cap < 0:
+            raise ValueError("brute_force_cap must be non-negative")
 
 
 @dataclass(frozen=True)

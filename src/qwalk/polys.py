@@ -61,6 +61,13 @@ _PRIMES = (
     2305843009213693133,
 )
 
+# The largest primes below 2**31, for residue arithmetic in floats and int64.
+_PRIMES31 = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249,
+)
+
 # Miller-Rabin with these bases is deterministic below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -85,10 +92,11 @@ def _is_prime(n):
     return True
 
 
-def _primes():
-    """The literal primes, then the primes below them in descending order."""
-    yield from _PRIMES
-    c = _PRIMES[-1] - 2
+def _primes(table=_PRIMES):
+    """The literal primes of ``table``, then the primes below them in
+    descending order."""
+    yield from table
+    c = table[-1] - 2
     while True:
         if _is_prime(c):
             yield c

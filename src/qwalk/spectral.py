@@ -4,11 +4,12 @@ polynomials, and eigenvalue-gap diagnostics."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polys import poly_eval
+from .polys import _PRIMES31, _primes, poly_eval
 
 EXACT_CAP_DEFAULT = 64
 SUPPORT_TOL_DEFAULT = 1e-10
@@ -125,52 +126,123 @@ def _check_cap(g, cap):
         raise ValueError(f"exact characteristic polynomial cap exceeded: {g.n} > {cap}")
 
 
+# A float64 product of a 0/1 matrix with residues below a prime p is exact
+# while every partial sum, at most n (p - 1), stays below 2**53.
+_FLOAT64_EXACT = 2**53
+
+
+def _coefficient_bound(n, m):
+    """An integer at least |c| for every coefficient c of phi(G) and of each
+    phi(G - u), G with n vertices and m edges.
+
+    A coefficient of det(tI - A) is an elementary symmetric function of the
+    eigenvalues, so |c| <= prod(1 + |lambda_i|).  By AM-GM and Cauchy-Schwarz
+    that is at most (1 + sqrt(sum lambda_i^2 / n))^n, and sum lambda_i^2 = 2m.
+    G - u has n - 1 vertices and at most m edges, and
+    s = isqrt(2m // (n - 1)) + 1 > sqrt(2m / (n - 1)) covers both."""
+    s = math.isqrt(2 * m // max(n - 1, 1)) + 1
+    return (1 + s) ** n
+
+
+def _residue_primes(n, m):
+    """Primes below 2**31: all but the last have a product above twice
+    ``_coefficient_bound(n, m)``, and the last is a check prime."""
+    limit = 2 * _coefficient_bound(n, m)
+    primes, product = [], 1
+    for p in _primes(_PRIMES31):
+        primes.append(p)
+        if product > limit:
+            return tuple(primes)
+        product *= p
+
+
+def _combine(residues, primes):
+    """Integers in the symmetric range from their residues, one row each,
+    modulo all ``primes`` but the last: Garner's mixed-radix digits in int64,
+    then one object dot with the radices.  Each integer must match its
+    residue modulo the last prime, the check prime."""
+    *main, check = primes
+    digits = residues[:, :-1].copy()
+    for i, p in enumerate(main):
+        for j in range(i):
+            digits[:, i] = (digits[:, i] - digits[:, j]) % p * pow(main[j], -1, p) % p
+    radices = np.array([math.prod(main[:i]) for i in range(len(main))], dtype=object)
+    modulus = math.prod(main)
+    values = digits.astype(object) @ radices
+    values = np.where(values > modulus // 2, values - modulus, values)
+    if not np.array_equal(values % check, residues[:, -1]):
+        raise InternalCheckError(f"reconstructed integers disagree with the check prime {check}")
+    return values
+
+
 @functools.lru_cache(maxsize=32)
 def _faddeev_leverrier(g):
-    """phi(G) and phi(G - u) for every u from one Faddeev-LeVerrier run over
-    arbitrary-precision integers.
+    """phi(G) and phi(G - u) for every u from one Faddeev-LeVerrier run, in
+    the residue arithmetic that ``char_poly_exact`` describes.
 
     With B_0 = I, c_k = -tr(A B_{k-1}) / k and B_k = A B_{k-1} + c_k I, the
     coefficients of det(tI - A) are c_0 = 1, c_1, ..., c_n and
     adj(tI - A) = sum_k B_k t^(n-1-k).  The u-th diagonal entry of the
     adjugate is det(tI - A_{G-u}), so the diagonals of B_0 .. B_{n-1} give
-    every vertex-deleted characteristic polynomial.  ``Graph`` is immutable
-    and hashable, so the result is cached per graph.
+    every vertex-deleted characteristic polynomial.  Only the c_k and the
+    diagonals are combined into integers.  ``Graph`` is immutable and
+    hashable, so the result is cached per graph.
     """
     n = g.n
-    neighbours = [np.flatnonzero(row) for row in g.adjacency]
+    primes = _residue_primes(n, g.num_edges)
+    p = np.array(primes, dtype=np.int64)
+    if n * (max(primes) - 1) >= _FLOAT64_EXACT:
+        raise InternalCheckError(f"float64 products are not exact at n={n}")
+    inverses = np.array([[pow(k, -1, q) for q in primes] for k in range(1, n + 1)],
+                        dtype=np.int64)
+    a = g.adjacency.astype(float)
     idx = np.arange(n)
-    b = np.eye(n, dtype=object)
-    coeffs = [1]
-    diagonals = [b.diagonal().tolist()]
+    b = np.zeros((n, n, len(primes)), dtype=np.int64)
+    b[idx, idx] = 1
+    coeffs = [np.ones_like(p)]
+    diagonals = [b[idx, idx]]
     for k in range(1, n + 1):
-        # A B for a 0/1 matrix A: row i sums the rows of B at i's neighbours
-        m = np.stack([b[js].sum(axis=0) for js in neighbours])
-        tr = int(np.trace(m))
-        if tr % k:  # k divides the trace at step k in exact arithmetic
-            raise InternalCheckError(f"Faddeev-LeVerrier step {k} does not divide {tr}")
-        c = -tr // k
+        m = (a @ b.reshape(n, -1).astype(float)).astype(np.int64).reshape(b.shape) % p
+        c = -(np.trace(m) % p) * inverses[k - 1] % p
         coeffs.append(c)
         if k < n:
-            m[idx, idx] += c
+            m[idx, idx] = (m[idx, idx] + c) % p
             b = m
-            diagonals.append(b.diagonal().tolist())
-    phi = ExactPoly(tuple(int(x) for x in coeffs))
-    deleted = tuple(ExactPoly(tuple(int(d[u]) for d in diagonals)) for u in range(n))
-    return phi, deleted
+            diagonals.append(b[idx, idx])
+    # rows: the coefficients of phi, then those of phi(G - u) for u = 0, 1, ...
+    residues = np.concatenate([np.stack(coeffs),
+                               np.stack(diagonals, axis=1).reshape(n * n, -1)])
+    values = _combine(residues, primes)
+    phi = values[:n + 1].tolist()
+    deleted = values[n + 1:].reshape(n, n)
+    if deleted.sum(axis=0).tolist() != [c * (n - i) for i, c in enumerate(phi[:-1])]:
+        raise InternalCheckError("phi' differs from the sum of the phi(G - u)")
+    return ExactPoly(tuple(phi)), tuple(ExactPoly(tuple(row)) for row in deleted.tolist())
 
 
 def char_poly_exact(g, cap=EXACT_CAP_DEFAULT):
-    """Exact characteristic polynomial det(tI - A) by the Faddeev-LeVerrier
-    recurrence over arbitrary-precision integers."""
+    """Exact characteristic polynomial det(tI - A), from the Faddeev-LeVerrier
+    recurrence run modulo a few primes below 2**31 at once.
+
+    The residues are one int64 array of shape (n, n, primes), and each step
+    A B_{k-1} is one float64 matrix product with it.  That product is exact:
+    A is 0/1 and every residue is below 2**31, so every partial sum is an
+    integer below n 2**31 < 2**53, which is checked on every call.  The
+    primes' product exceeds twice a proved bound on every coefficient,
+    (1 + s)^n with s = isqrt(2m // (n - 1)) + 1, so the residues determine
+    the integers in the symmetric range.  One more prime checks them, and
+    phi' must equal the sum of the phi(G - u) in exact integers; either
+    failing raises ``InternalCheckError``."""
     _check_cap(g, cap)
     return _faddeev_leverrier(g)[0]
 
 
 def deleted_char_polys(g, cap=EXACT_CAP_DEFAULT):
-    """Exact phi(G - u) for every vertex u, indexed by u, read off the
-    adjugate of the same Faddeev-LeVerrier run as ``char_poly_exact``
-    (phi of the empty graph is 1)."""
+    """Exact phi(G - u) for every vertex u, indexed by u (phi of the empty
+    graph is 1): the diagonals of the adjugate adj(tI - A) from the same
+    residue-arithmetic run as ``char_poly_exact``.  The bound there covers
+    these coefficients too (n - 1 vertices, at most m edges), and the same
+    check prime and phi' = sum_u phi(G - u) check them."""
     _check_cap(g, cap)
     return _faddeev_leverrier(g)[1]
 

@@ -175,11 +175,18 @@ def cospectral_via_charpoly(g, u, v, cap=EXACT_CAP_DEFAULT):
     return deleted[u].coeffs == deleted[v].coeffs
 
 
+def _closed_walks(g, u, cap):
+    """The closed-walk counts h_k = (A^k)_uu for k = 0 .. 2n - 2, exact:
+    h_k = x_i . x_j with x_i = A^i e_u and i + j = k."""
+    w = walk_matrix(g, u, cap=cap)
+    return [w[:, k // 2] @ w[:, (k + 1) // 2] for k in range(2 * g.n - 1)]
+
+
 def cospectral_via_gram(g, u, v, cap=EXACT_CAP_DEFAULT):
-    """W_u^T W_u = W_v^T W_v, exact."""
-    wu = walk_matrix(g, u, cap=cap)
-    wv = walk_matrix(g, v, cap=cap)
-    return np.array_equal(wu.T @ wu, wv.T @ wv)
+    """W_u^T W_u = W_v^T W_v, exact.  Entry (i, j) of W_u^T W_u is the
+    closed-walk count (A^(i+j))_uu, so the Gram matrices are equal iff the
+    2n - 1 counts are."""
+    return _closed_walks(g, u, cap) == _closed_walks(g, v, cap)
 
 
 def support_size_crosscheck(g, u, cap=EXACT_CAP_DEFAULT, support_tolerance=1e-10):

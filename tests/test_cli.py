@@ -32,6 +32,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             AnalysisConfig(t_max=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("denominator_bound", 0), ("denominator_bound", -5),
+        ("exact_cap", 0), ("brute_force_cap", -1),
+    ])
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AnalysisConfig(**{field: value})
+
+    def test_zero_brute_force_cap_accepted(self):
+        assert AnalysisConfig(brute_force_cap=0).brute_force_cap == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--den-bound", "0"], ["--den-bound", "-1"], ["--exact-cap", "0"], ["--bf-cap", "-1"],
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
+    def test_out_of_range_flags_exit_2(self, tmp_path, capsys, command, flags):
+        # K2 has PST; --den-bound 0 used to report ratio_condition false on it
+        f = tmp_path / "k2.g6"
+        f.write_text(q.encode_graph6(q.complete(2)) + "\n")
+        argv = [command, str(f)] + (["0", "1"] if command == "pair" else []) + flags
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and "must be" in err
+
 
 class TestAnalyze:
     def test_p4_report(self, tmp_path, capsys):

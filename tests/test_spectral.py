@@ -5,6 +5,7 @@ import pytest
 
 import qwalk as q
 from qwalk import cli, spectral, walkalg
+from qwalk.polys import _PRIMES31, _is_prime
 from qwalk.spectral import trace_identity_check
 
 from conftest import random_graphs
@@ -172,6 +173,7 @@ class TestDeletedCharPolys:
         with pytest.raises(ValueError):
             q.deleted_char_polys(q.path(5), cap=4)
 
+    @pytest.mark.internal_check
     def test_indivisible_trace_raises(self, monkeypatch):
         # checked by a raise, not an assert, so python -O keeps the check
         assert q.InternalCheckError is walkalg.InternalCheckError \
@@ -179,6 +181,112 @@ class TestDeletedCharPolys:
         monkeypatch.setattr(spectral.np, "trace", lambda m: 1)  # odd at step 2
         with pytest.raises(q.InternalCheckError):
             spectral._faddeev_leverrier.__wrapped__(q.path(3))
+
+
+def faddeev_leverrier_reference(g):
+    """phi(G) and every phi(G - u), by the recurrence over Python integers:
+    each A B is a sum of neighbour rows of an object array."""
+    n = g.n
+    neighbours = [np.flatnonzero(row) for row in g.adjacency]
+    idx = np.arange(n)
+    b = np.eye(n, dtype=object)
+    coeffs, diagonals = [1], [b.diagonal().tolist()]
+    for k in range(1, n + 1):
+        m = np.stack([b[js].sum(axis=0) for js in neighbours])
+        c = -int(np.trace(m)) // k
+        coeffs.append(c)
+        if k < n:
+            m[idx, idx] += c
+            b = m
+            diagonals.append(b.diagonal().tolist())
+    return tuple(coeffs), [tuple(int(d[u]) for d in diagonals) for u in range(n)]
+
+
+def random_density_graph(n, density, seed):
+    rng = np.random.default_rng(seed)
+    a = np.triu((rng.random((n, n)) < density).astype(int), 1)
+    return q.Graph(a + a.T)
+
+
+CAP_GRAPHS = [q.complete(64), q.star(63), q.hypercube(6), q.path(64), q.cycle(64)] + [
+    random_density_graph(64, d, seed) for seed, d in enumerate((0.1, 0.5, 0.9))]
+CAP_IDS = ["K64", "star63", "Q6", "P64", "C64", "random64-0.1", "random64-0.5", "random64-0.9"]
+
+
+def fewest_primes(g):
+    """The fewest leading 31-bit primes whose product exceeds twice every
+    |coefficient| of phi(G) and the phi(G - u)."""
+    top = max(abs(c) for p in (q.char_poly_exact(g), *q.deleted_char_polys(g))
+              for c in p.coeffs)
+    count, product = 0, 1
+    while product <= 2 * top:
+        product *= _PRIMES31[count]
+        count += 1
+    return count, top
+
+
+class TestResidueArithmetic:
+    """phi and every phi(G - u) at the cap, combined from residues modulo
+    31-bit primes under a proved bound and checked twice."""
+
+    @pytest.mark.parametrize("g", CAP_GRAPHS, ids=CAP_IDS)
+    def test_matches_references(self, g):
+        phi, deleted = faddeev_leverrier_reference(g)
+        assert q.char_poly_exact(g).coeffs == charpoly_reference(g) == phi
+        assert [p.coeffs for p in q.deleted_char_polys(g)] == deleted
+        for u in (0, 1, g.n // 2, g.n - 1):
+            assert q.deleted_char_polys(g)[u] == q.char_poly_exact(q.delete_vertex(g, u))
+
+    @pytest.mark.parametrize("g", CAP_GRAPHS, ids=CAP_IDS)
+    def test_bound_covers_every_coefficient(self, g):
+        bound = spectral._coefficient_bound(g.n, g.num_edges)
+        count, top = fewest_primes(g)
+        assert top <= bound
+        *main, check = spectral._residue_primes(g.n, g.num_edges)
+        assert math.prod(main) > 2 * bound and len(main) >= count
+        assert check not in main
+
+    def test_primes_past_the_literals(self, monkeypatch):
+        # with two literal primes the rest come from the Miller-Rabin search
+        g = q.hypercube(4)
+        monkeypatch.setattr(spectral, "_PRIMES31", _PRIMES31[:2])
+        primes = spectral._residue_primes(g.n, g.num_edges)
+        assert len(primes) > 2 and primes[:2] == _PRIMES31[:2]
+        assert list(primes) == sorted(set(primes), reverse=True)
+        assert all(_is_prime(p) and p < 2**31 for p in primes)
+        phi, deleted = spectral._faddeev_leverrier.__wrapped__(g)
+        assert (phi.coeffs, [p.coeffs for p in deleted]) == faddeev_leverrier_reference(g)
+
+    @pytest.mark.internal_check
+    def test_one_prime_too_few_fails_the_check_prime(self, monkeypatch):
+        g = random_density_graph(64, 0.5, 1)
+        count, _ = fewest_primes(g)
+        assert count >= 2
+        # count - 1 primes to combine, and the next one as the check prime
+        monkeypatch.setattr(spectral, "_residue_primes", lambda n, m: _PRIMES31[:count])
+        with pytest.raises(q.InternalCheckError, match="check prime"):
+            spectral._faddeev_leverrier.__wrapped__(g)
+
+    @pytest.mark.internal_check
+    def test_corrupt_deleted_residue_fails_the_derivative_identity(self, monkeypatch):
+        real = spectral._combine
+
+        def corrupt(residues, primes):
+            # rows n + 1 .. are the phi(G - u); corrupt the last coefficient of
+            # phi(G - (n - 1)) modulo every prime, so the check prime agrees
+            residues = residues.copy()
+            residues[-1] = (residues[-1] + 1) % np.array(primes)
+            return real(residues, primes)
+
+        monkeypatch.setattr(spectral, "_combine", corrupt)
+        with pytest.raises(q.InternalCheckError, match="phi'"):
+            spectral._faddeev_leverrier.__wrapped__(q.petersen())
+
+    @pytest.mark.internal_check
+    def test_inexact_float_products_rejected(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_FLOAT64_EXACT", 2**32)
+        with pytest.raises(q.InternalCheckError):
+            spectral._faddeev_leverrier.__wrapped__(q.path(4))
 
 
 class TestGapReport:

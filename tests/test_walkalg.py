@@ -109,6 +109,7 @@ class TestWalkRank:
         assert _is_prime(p)
         assert n * (p - 1) ** 2 < 2**63
 
+    @pytest.mark.internal_check
     def test_oversized_prime_rejected(self, monkeypatch):
         monkeypatch.setattr(walkalg, "_walk_prime", lambda n: 2**61 - 1)
         with pytest.raises(q.InternalCheckError):
@@ -164,6 +165,7 @@ class TestControllability:
             by_gcd = poly_coprime(phi, deleted[u].coeffs)
             assert q.is_controllable(g, u) == (q.walk_rank(g, u) == g.n) == by_gcd
 
+    @pytest.mark.internal_check
     def test_route_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(walkalg, "poly_coprime", lambda p, r: not poly_coprime(p, r))
         with pytest.raises(q.InternalCheckError):
@@ -202,6 +204,21 @@ class TestCospectrality:
         for r in range(10):
             for s in range(10):
                 assert gram[r, s] == diag[r + s]
+
+    def test_closed_walks_match_explicit_gram(self, atlas_connected):
+        # reference: the explicit W^T W comparison the closed-walk counts replace
+        def grams(g, vertices):
+            return {u: (walk_matrix(g, u).T @ walk_matrix(g, u)).tolist() for u in vertices}
+
+        graphs = [g for n in range(2, 8) for g in atlas_connected[n]]
+        graphs += random_connected_graphs(60, 12, seed=107)
+        cases = [(g, range(g.n)) for g in graphs] + [(q.hypercube(6), (0, 1, 21, 63))]
+        for g, vertices in cases:
+            gram = grams(g, vertices)
+            for u in vertices:
+                for v in vertices:
+                    if u < v:
+                        assert q.cospectral_via_gram(g, u, v) == (gram[u] == gram[v])
 
     def test_gram_charpoly_agreement_random(self):
         # the Gram and deleted-charpoly definitions of cospectrality coincide
