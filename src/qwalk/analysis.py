@@ -522,11 +522,31 @@ def _memo(method):
     return cached
 
 
+def _per_vertex(method):
+    """Cache a per-vertex fact of ``GraphData`` per instance and vertex.
+    ``method`` maps a list of vertices to a dict of their facts and runs
+    once per call, on the vertices not yet cached; the result is the cache,
+    a dict that holds at least every vertex asked for."""
+
+    @functools.wraps(method)
+    def cached(self, roots):
+        memo = self._cache.setdefault(method.__name__, {})
+        missing = sorted(set(roots) - memo.keys())
+        if missing:
+            memo.update(method(self, missing))
+        return memo
+
+    return cached
+
+
 class GraphData:
     """Every fact the commands derive from one graph, each computed once, on
     first use: the decomposition, phi, every phi(G - u), the gap and
     rho^2-integrality; per vertex the support, Delta_u and controllability;
-    per distinct support its class and ratio condition.
+    per distinct support its class and ratio condition.  Delta_u and
+    controllability come from batched kernels over a set of vertices: a view
+    asks for all the vertices it needs at once (``deltas``,
+    ``controllable``), and only those not yet computed are run.
 
     ``report`` is the one place where the necessary conditions for a vertex
     pair become verdicts; ``pair`` adds the checks that only a single-pair
@@ -575,13 +595,13 @@ class GraphData:
     def values(self, support):
         return [float(self.sd.eigenvalues[r]) for r in support]
 
-    @_memo
-    def delta(self, u):
-        return partitions.delta_u(self.g, u)
+    @_per_vertex
+    def deltas(self, roots):
+        return partitions.delta_partitions(self.g, roots)
 
-    @_memo
-    def controllable(self, u):
-        return walkalg.is_controllable(self.g, u, cap=self.config.exact_cap)
+    @_per_vertex
+    def controllable(self, roots):
+        return walkalg.controllability(self.g, roots, cap=self.config.exact_cap)
 
     def support_class(self, u):
         return self._classify(self.support(u))
@@ -604,7 +624,8 @@ class GraphData:
         support = sorted(set(sup_u) | set(sup_v))
         x, y = self.idempotents[support, :, u], self.idempotents[support, :, v]
         sign_ok = bool(np.all(np.minimum(abs(x - y).max(axis=1), abs(x + y).max(axis=1)) < 1e-7))
-        du = self.delta(u)
+        deltas, controllable = self.deltas((u, v)), self.controllable((u, v))
+        du = deltas[u]
         return TransferReport(
             u=u, v=v, n=self.g.n,
             cospectral=self.cospectral(u, v),
@@ -613,10 +634,10 @@ class GraphData:
             ratio=self._ratio(tuple(sorted(set(sup_u) & set(sup_v)))),
             support_class=self.support_class(u),
             rho_squared_is_integer=self.rho_squared_is_integer,
-            delta_partition_equal=du == self.delta(v),
+            delta_partition_equal=du == deltas[v],
             v_singleton_in_delta_u=(v,) in du.cells,
-            controllable_u=self.controllable(u),
-            controllable_v=self.controllable(v),
+            controllable_u=controllable[u],
+            controllable_v=controllable[v],
             stabilizer_equal=None,
             gap=self.gap,
         )

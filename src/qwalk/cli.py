@@ -135,6 +135,9 @@ def analyze_graph(g, config):
     if exact_ok:
         doc["char_poly"] = _exact_poly_json(data.phi)
         doc["rho_squared_integer"] = data.rho_squared_is_integer
+    deltas = data.deltas(range(g.n))
+    if exact_ok and connected:
+        controllable = data.controllable(range(g.n))
     vertices = []
     for u in range(g.n):
         sup = data.support(u)
@@ -142,7 +145,7 @@ def analyze_graph(g, config):
             "vertex": u,
             "support": list(sup),
             "support_values": data.values(sup),
-            "delta_partition": data.delta(u).as_lists(),
+            "delta_partition": deltas[u].as_lists(),
         }
         if exact_ok:
             sc = data.support_class(u)
@@ -151,7 +154,7 @@ def analyze_graph(g, config):
             if period is not None:
                 entry["period_candidate"] = period
             if connected:
-                entry["controllable"] = data.controllable(u)
+                entry["controllable"] = controllable[u]
         vertices.append(entry)
     doc["vertices"] = vertices
     return doc
@@ -193,20 +196,26 @@ def scan_graph(g, config):
     cospectral pair (cospectrality is a verdict, so the pre-filter is
     lossless) and a time search for each pair that passes them all.
 
-    Per-vertex facts are computed only for vertices in a cospectral pair.
-    The brute-force automorphism check is left to the ``pair`` command.
+    Per-vertex facts are computed only for vertices in a cospectral pair,
+    by one run of each batched kernel over all of them.  A connected graph
+    above the exact cap is an error, as in ``pair``.  The brute-force
+    automorphism check is left to the ``pair`` command.
     """
-    doc = {"id": encode_graph6(g), "n": g.n}
+    connected = g.is_connected()
+    if connected and g.n > config.exact_cap:
+        raise ValueError(f"exact-arithmetic cap exceeded: {g.n} > {config.exact_cap}")
+    doc = {"id": encode_graph6(g), "n": g.n, "connected": connected}
     data = analysis.GraphData(g, config)
     if g.n >= 2:
         doc["gap"] = jsonify(data.gap)
-    connected = g.is_connected()
-    doc["connected"] = connected
     pairs = []
-    if connected and 2 <= g.n <= config.exact_cap:
-        for u, v in itertools.combinations(range(g.n), 2):
-            if not data.cospectral(u, v):
-                continue
+    if connected and g.n >= 2:
+        cospectral = [(u, v) for u, v in itertools.combinations(range(g.n), 2)
+                      if data.cospectral(u, v)]
+        roots = {w for pair in cospectral for w in pair}
+        data.deltas(roots)
+        data.controllable(roots)
+        for u, v in cospectral:
             report = data.report(u, v)
             entry = {"u": u, "v": v, "verdicts": report.verdicts()}
             if report.all_pass:

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .spectral import _FLOAT64_EXACT
+
 BRUTE_FORCE_CAP_DEFAULT = 10
 
 
@@ -65,45 +67,102 @@ class Partition:
         return [list(c) for c in self.cells]
 
 
-def coarsest_equitable_refinement(g, pi0):
-    """Unique coarsest equitable partition refining ``pi0``.
+# Roots per batch: at most this many entries in the (roots * n, n) arrays of
+# neighbor counts.
+_BATCH_ENTRIES = 2**22
 
-    Iteratively splits cells by the vector of neighbor counts into every
-    current cell until stable.
+
+def _relabel(keys):
+    """Class numbers 0, 1, ... of the distinct rows of ``keys``, numbered in
+    the lexicographic order of the rows, and the number of classes."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=np.int64)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    labels = np.empty(len(keys), dtype=np.int64)
+    labels[order] = np.cumsum(new) - 1
+    return labels, int(labels[order[-1]]) + 1
+
+
+def _refine(g, colors):
+    """The coarsest equitable refinement of each row of the (roots, n) int
+    array ``colors`` (vertex v of row r has color colors[r, v]), as
+    colors numbered from 0 within each row.
+
+    Every round gives each (row, vertex) its neighbor counts into every
+    color of its row, for all rows at once as one float64 product A @ W.
+    The counts come packed as base-b digits, b - 1 the largest degree: W is
+    b**(c % d) at (v, c // d) for v of color c, so a vertex's entry in
+    column j holds its counts into the colors jd .. jd + d - 1.  It is
+    exact while b**d <= 2**53, which fixes d.  One ``np.lexsort`` over the
+    (row, color, packed counts) rows then numbers the new classes.  A class
+    keeps its color as a key, so each round refines the last; the run stops
+    when the number of (row, color) classes stops growing.
     """
+    rows, n = colors.shape
+    a = g.adjacency.astype(float)
+    base = int(g.adjacency.sum(axis=1).max()) + 1
+    digits = 1
+    while digits < n and base ** (digits + 1) <= _FLOAT64_EXACT:
+        digits += 1
+    weights = np.array([base**j for j in range(digits)], dtype=float)  # exact: < 2**53
+    row_of = np.repeat(np.arange(rows), n)
+    vertex = np.tile(np.arange(n), rows)
+    # a class number leads with its row, so each row's classes are contiguous
+    labels, classes = _relabel(np.column_stack([row_of, colors.reshape(-1)]))
+    while True:
+        local = labels - labels.reshape(rows, n).min(axis=1)[row_of]
+        group = local // digits
+        width = int(group.max()) + 1
+        w = np.zeros((n, rows * width))
+        w[vertex, row_of * width + group] = weights[local % digits]
+        counts = (a @ w).reshape(n, rows, width).transpose(1, 0, 2).reshape(-1, width)
+        labels, grown = _relabel(np.column_stack([labels, counts.astype(np.int64)]))
+        if grown == classes:
+            return local.reshape(rows, n)
+        classes = grown
+
+
+def _partitions(g, colors):
+    """``_refine`` of the rows of ``colors``, a batch of rows at a time, as
+    Partitions."""
+    n = g.n
+    step = max(1, _BATCH_ENTRIES // max(n, 1) ** 2)
+    out = []
+    for start in range(0, len(colors), step):
+        for row in _refine(g, colors[start:start + step]).tolist():
+            cells = {}  # color -> vertices; first seen at the cell's minimum
+            for v, c in enumerate(row):
+                cells.setdefault(c, []).append(v)
+            out.append(Partition(cells=tuple(map(tuple, cells.values())), n=n))
+    return out
+
+
+def coarsest_equitable_refinement(g, pi0):
+    """Unique coarsest equitable partition refining ``pi0``: ``_refine`` of
+    one row."""
     if pi0.n != g.n:
         raise ValueError("partition does not match the graph")
-    cells = [list(c) for c in pi0.cells]
-    cell_of = np.empty(g.n, dtype=int)
-    while True:
-        for i, cell in enumerate(cells):
-            cell_of[cell] = i
-        # signature of v: neighbor counts into each current cell
-        counts = g.adjacency @ np.eye(len(cells), dtype=np.int64)[cell_of]
-        new_cells = []
-        changed = False
-        for cell in cells:
-            groups = {}
-            for v in cell:
-                groups.setdefault(tuple(counts[v]), []).append(v)
-            if len(groups) > 1:
-                changed = True
-            for key in sorted(groups):
-                new_cells.append(groups[key])
-        cells = new_cells
-        if not changed:
-            break
-    return Partition.from_cells(cells, g.n)
+    if g.n == 0:
+        return pi0
+    return _partitions(g, pi0.cell_of()[None])[0]
+
+
+def delta_partitions(g, roots):
+    """Delta_u, the coarsest equitable refinement of {{u}, V \\ {u}}, of
+    every u in ``roots``, as a dict, from one batched refinement."""
+    roots = list(dict.fromkeys(roots))
+    for u in roots:
+        if not 0 <= u < g.n:
+            raise ValueError(f"vertex {u} out of range")
+    colors = np.zeros((len(roots), g.n), dtype=np.int64)
+    colors[np.arange(len(roots)), roots] = 1
+    return dict(zip(roots, _partitions(g, colors)))
 
 
 def delta_u(g, u):
-    """Coarsest equitable refinement of {{u}, V \\ {u}}."""
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range")
-    if g.n == 1:
-        return Partition.discrete(1)
-    rest = [v for v in range(g.n) if v != u]
-    return coarsest_equitable_refinement(g, Partition.from_cells([[u], rest], g.n))
+    """Delta_u: ``delta_partitions`` of one root."""
+    return delta_partitions(g, [u])[u]
 
 
 def quotient_matrix(g, pi):
@@ -186,7 +245,8 @@ def check_delta_equality(g, u, v):
     """True iff Delta_u and Delta_v are identical as partitions."""
     if u == v:
         raise ValueError("vertices must be distinct")
-    return delta_u(g, u) == delta_u(g, v)
+    deltas = delta_partitions(g, (u, v))
+    return deltas[u] == deltas[v]
 
 
 # ---------------------------------------------------------------------------

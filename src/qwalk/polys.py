@@ -7,7 +7,8 @@ Polynomials are sequences of coefficients in descending powers,
 from __future__ import annotations
 
 import numbers
-from fractions import Fraction
+
+import numpy as np
 
 
 def poly_eval(coeffs, x):
@@ -30,25 +31,6 @@ def poly_degree(coeffs):
     if len(t) == 1 and t[0] == 0:
         return -1
     return len(t) - 1
-
-
-def poly_divmod(num, den):
-    """Exact quotient and remainder over Fractions."""
-    num = [Fraction(c) for c in poly_trim(num)]
-    den = [Fraction(c) for c in poly_trim(den)]
-    if poly_degree(den) < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if poly_degree(num) < poly_degree(den):
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    r = num[:]
-    lead = den[0]
-    for i in range(len(q)):
-        q[i] = r[i] / lead
-        if q[i]:
-            for j, d in enumerate(den):
-                r[i + j] -= q[i] * d
-    return poly_trim(q), poly_trim(r)
 
 
 # The largest primes below 2**61, as literals so that import computes nothing.
@@ -181,8 +163,69 @@ def poly_gcd(p, q):
             return cand
 
 
+# The Euclidean remainder sequences of ``poly_coprime`` run modulo this prime:
+# products of two residues stay below 2**62, inside int64.
+_EUCLID_PRIME = _PRIMES31[0]
+
+
+def _coprime_mod(a, b, prime):
+    """The indices i of the rows of two int64 residue arrays whose Euclidean
+    remainder sequence of (a_i, b_i) modulo ``prime`` ends in a nonzero
+    constant, every divisor's leading coefficient being nonzero.
+
+    All rows run in lockstep: each divisor b is one coefficient longer than
+    the remainder it leaves, by pseudo-division (a scaled by b's leading
+    coefficient, a unit mod ``prime``, which leaves the gcd unchanged).  A
+    row whose next divisor has leading coefficient 0 mod ``prime``, a zero
+    remainder included, leaves the run undecided.
+    """
+    live = np.arange(len(b))
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    while len(live):
+        nonzero = b[:, 0] != 0
+        if not nonzero.all():
+            a, b, live = a[nonzero], b[nonzero], live[nonzero]
+        if b.shape[1] == 1:
+            break
+        width = b.shape[1]
+        lead = b[:, :1]
+        for i in range(a.shape[1] - width + 1):
+            c = a[:, i:i + 1].copy()
+            a[:, i:] *= lead
+            a[:, i:i + width] -= c * b
+            a[:, i:] %= prime
+        a, b = b, a[:, a.shape[1] - width + 1:]
+    return live
+
+
 def poly_coprime(p, q):
-    return poly_degree(poly_gcd(p, q)) == 0
+    """True iff the integer polynomials ``p`` and ``q``, at least one of them
+    monic, are coprime.  ``q`` may also be a sequence of polynomials, each
+    of that kind; then the verdicts come as one bool array.
+
+    The rows first run one vectorised Euclid modulo ``_EUCLID_PRIME``
+    (``_coprime_mod``).  A remainder sequence that ends in a nonzero constant
+    proves coprimality over Q: a common factor over Q is, by Gauss's lemma,
+    an integer polynomial dividing the monic input, so its leading
+    coefficient is a unit and it keeps its degree mod p.  The other rows,
+    those whose sequence degenerates or ends non-trivially, go to the
+    certified ``poly_gcd``.
+    """
+    single = not len(q) or np.ndim(q[0]) == 0
+    a = _integer_poly(p)
+    rows = [_integer_poly(r) for r in ([q] if single else q)]
+    if a[0] != 1 and any(r[0] != 1 for r in rows):
+        raise ValueError("poly_coprime needs at least one monic polynomial")
+    width = max(map(len, rows))
+    b = np.array([[0] * (width - len(r)) + [c % _EUCLID_PRIME for c in r] for r in rows],
+                 dtype=np.int64)
+    a_res = np.array([[c % _EUCLID_PRIME for c in a]] * len(rows), dtype=np.int64)
+    verdicts = np.zeros(len(rows), dtype=bool)
+    verdicts[_coprime_mod(a_res, b, _EUCLID_PRIME)] = True
+    for i in np.flatnonzero(~verdicts):
+        verdicts[i] = poly_degree(poly_gcd(a, rows[i])) == 0
+    return bool(verdicts[0]) if single else verdicts
 
 
 def poly_derivative(coeffs):

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import networkx as nx
 import numpy as np
 import pytest
 
 import qwalk as q
+from qwalk.polys import poly_degree, poly_trim
 
 
 def random_connected_graphs(count, n_max, seed, n_min=2):
@@ -39,3 +42,23 @@ def atlas_connected():
         if 1 <= n <= 7 and nx.is_connected(G):
             by_n[n].append(q.Graph(nx.to_numpy_array(G, dtype=int)))
     return by_n
+
+
+def poly_divmod(num, den):
+    """Exact quotient and remainder over Fractions (a test reference; the
+    package divides only by monic polynomials, in integers)."""
+    num = [Fraction(c) for c in poly_trim(num)]
+    den = [Fraction(c) for c in poly_trim(den)]
+    if poly_degree(den) < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if poly_degree(num) < poly_degree(den):
+        return [Fraction(0)], num
+    q = [Fraction(0)] * (len(num) - len(den) + 1)
+    r = num[:]
+    lead = den[0]
+    for i in range(len(q)):
+        q[i] = r[i] / lead
+        if q[i]:
+            for j, d in enumerate(den):
+                r[i + j] -= q[i] * d
+    return poly_trim(q), poly_trim(r)

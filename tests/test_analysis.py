@@ -13,9 +13,9 @@ from qwalk.analysis import (
     reconstruct_rational,
     squarefree_part,
 )
-from qwalk.polys import poly_degree, poly_divmod, poly_gcd
+from qwalk.polys import poly_degree, poly_gcd
 
-from conftest import random_connected_graphs
+from conftest import poly_divmod, random_connected_graphs
 
 SQRT2 = math.sqrt(2)
 SQRT5 = math.sqrt(5)
@@ -409,8 +409,22 @@ class TestOneDecomposition:
 
 
 class TestComputeOnce:
-    """GraphData computes each per-vertex fact once per vertex and each
-    support classification once per distinct support."""
+    """GraphData computes each per-vertex fact once per vertex, by one run
+    of each batched kernel over the vertices a view needs, and each support
+    classification once per distinct support."""
+
+    KERNELS = (("walk_ranks", q.walkalg), ("controllability", q.walkalg),
+               ("delta_partitions", q.partitions))
+
+    def _spy_kernels(self, monkeypatch):
+        return {name: _count_calls(monkeypatch, name, module)
+                for name, module in self.KERNELS}
+
+    @staticmethod
+    def _assert_once(calls, roots):
+        for name, made in calls.items():
+            assert len(made) == 1, name
+            assert sorted(made[0][1]) == sorted(roots), name
 
     @pytest.mark.parametrize("name,distinct", [("random32", 2), ("P5xP6", 3)])
     def test_analyze_graph(self, monkeypatch, name, distinct):
@@ -421,21 +435,23 @@ class TestComputeOnce:
         supports = {frozenset(q.eigenvalue_support(sd, u)) for u in range(g.n)}
         assert len(supports) == distinct
         classify = _count_calls(monkeypatch, "classify_support", q.analysis)
-        control = _count_calls(monkeypatch, "is_controllable", q.walkalg)
-        delta = _count_calls(monkeypatch, "delta_u", q.partitions)
+        calls = self._spy_kernels(monkeypatch)
         cli.analyze_graph(g, cli.AnalysisConfig())
         assert len(classify) == distinct
-        assert sorted(args[1] for args in control) == list(range(g.n))
-        assert sorted(args[1] for args in delta) == list(range(g.n))
+        self._assert_once(calls, range(g.n))
 
     def test_scan_graph(self, monkeypatch):
         from qwalk import cli
-        control = _count_calls(monkeypatch, "is_controllable", q.walkalg)
-        delta = _count_calls(monkeypatch, "delta_u", q.partitions)
+        calls = self._spy_kernels(monkeypatch)
         doc = cli.scan_graph(q.hypercube(3), cli.AnalysisConfig())
         assert len(doc["pairs"]) == 28  # Q3 is vertex-transitive
-        assert sorted(args[1] for args in control) == list(range(8))
-        assert sorted(args[1] for args in delta) == list(range(8))
+        self._assert_once(calls, range(8))
+
+    @pytest.mark.parametrize("u,v", [(0, 7), (5, 2)])
+    def test_pair(self, monkeypatch, u, v):
+        calls = self._spy_kernels(monkeypatch)
+        q.analyze_pair(q.hypercube(3), u, v)
+        self._assert_once(calls, (u, v))
 
 
 class TestFinitenessBound:

@@ -206,6 +206,21 @@ class TestScan:
         assert "error" in lines[1]
         assert lines[0]["n"] == 2 and lines[2]["n"] == 3
 
+    def test_graph_above_exact_cap_is_an_error_line(self, monkeypatch, capsys):
+        # K2 has PST; above the cap scan must say so, as pair does, and not
+        # print an empty pair list
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\nA?\n@\n"))
+        code, out, _ = run_cli(["scan", "-", "--exact-cap", "1"], capsys)
+        assert code == 0
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert docs[0] == {"id": "A_", "error": "exact-arithmetic cap exceeded: 2 > 1",
+                           "schema_version": cli.SCHEMA_VERSION}
+        # a disconnected graph needs no exact arithmetic, nor does K1
+        assert docs[1]["pairs"] == [] and not docs[1]["connected"]
+        assert docs[2]["n"] == 1 and docs[2]["pairs"] == []
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
+        assert run_cli(["pair", "-", "0", "1", "--exact-cap", "1"], capsys)[0] == 2
+
     def test_lines_carry_schema_version(self):
         buf = io.StringIO()
         run_scan(["Bw", "\x7fbad"], AnalysisConfig(), out=buf)

@@ -11,7 +11,39 @@ from qwalk.partitions import (
     stabilizers_equal,
 )
 
-from conftest import random_graphs
+from qwalk import partitions
+
+from conftest import random_connected_graphs, random_graphs
+
+
+def refine_reference(g, pi0):
+    """Colour refinement one cell at a time: split every cell by its
+    vertices' neighbor counts into the current cells until stable."""
+    cells = [list(c) for c in pi0.cells]
+    cell_of = np.empty(g.n, dtype=int)
+    while True:
+        for i, cell in enumerate(cells):
+            cell_of[cell] = i
+        counts = g.adjacency @ np.eye(len(cells), dtype=np.int64)[cell_of]
+        new_cells = []
+        changed = False
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                groups.setdefault(tuple(counts[v]), []).append(v)
+            if len(groups) > 1:
+                changed = True
+            for key in sorted(groups):
+                new_cells.append(groups[key])
+        cells = new_cells
+        if not changed:
+            break
+    return Partition.from_cells(cells, g.n)
+
+
+def delta_reference(g, u):
+    rest = [v for v in range(g.n) if v != u]
+    return refine_reference(g, Partition.from_cells([[u], rest] if rest else [[u]], g.n))
 
 
 class TestPartitionType:
@@ -79,6 +111,71 @@ class TestDeltaU:
 
     def test_k1(self):
         assert q.delta_u(q.Graph.from_edges(1, []), 0) == Partition.discrete(1)
+
+
+LARGE = {
+    "P5xP6": q.cartesian_product(q.path(5), q.path(6)),
+    "Q5": q.hypercube(5),
+    "Q6": q.hypercube(6),
+    "P64": q.path(64),
+    "C40": q.cycle(40),
+}
+
+
+class TestBatchedRefinement:
+    """delta_partitions and coarsest_equitable_refinement against the
+    refinement loop that refines one cell at a time."""
+
+    @staticmethod
+    def _check(g):
+        deltas = partitions.delta_partitions(g, range(g.n))
+        assert sorted(deltas) == list(range(g.n))
+        for u in range(g.n):
+            assert deltas[u] == delta_reference(g, u)
+            cells = deltas[u].cells
+            assert [c[0] for c in cells] == sorted(c[0] for c in cells)
+        trivial = Partition.trivial(g.n)
+        assert q.coarsest_equitable_refinement(g, trivial) == refine_reference(g, trivial)
+
+    def test_atlas(self, atlas_connected):
+        for graphs in atlas_connected.values():
+            for g in graphs:
+                self._check(g)
+
+    def test_random_corpus(self):
+        for g in random_connected_graphs(100, 14, seed=601) + random_graphs(60, 12, seed=607):
+            self._check(g)
+
+    @pytest.mark.parametrize("name", sorted(LARGE))
+    def test_large_graphs(self, name):
+        self._check(LARGE[name])
+
+    def test_roots_subset_and_order(self):
+        g = q.cartesian_product(q.path(3), q.path(4))
+        deltas = partitions.delta_partitions(g, [9, 2, 5])
+        assert list(deltas) == [9, 2, 5]
+        assert all(deltas[u] == delta_reference(g, u) for u in deltas)
+        assert partitions.delta_partitions(g, []) == {}
+
+    def test_batches_of_roots(self, monkeypatch):
+        # a small entry budget splits the roots into several batches
+        g = q.hypercube(4)
+        whole = partitions.delta_partitions(g, range(g.n))
+        monkeypatch.setattr(partitions, "_BATCH_ENTRIES", 3 * g.n**2)
+        assert partitions.delta_partitions(g, range(g.n)) == whole
+
+    def test_refines_any_start(self):
+        rng = np.random.default_rng(613)
+        for g in random_graphs(40, 10, seed=617, n_min=2):
+            cells = {}
+            for v, c in enumerate(rng.integers(0, 3, size=g.n).tolist()):
+                cells.setdefault(c, []).append(v)
+            pi0 = Partition.from_cells(cells.values(), g.n)
+            assert q.coarsest_equitable_refinement(g, pi0) == refine_reference(g, pi0)
+
+    def test_bad_root(self):
+        with pytest.raises(ValueError):
+            partitions.delta_partitions(q.path(3), [0, 3])
 
 
 class TestIsEquitable:

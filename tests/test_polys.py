@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import qwalk as q
 from qwalk import polys
-from qwalk.polys import poly_degree, poly_divmod, poly_gcd, poly_squarefree, poly_trim
+from qwalk.polys import poly_degree, poly_gcd, poly_squarefree, poly_trim
 
-from conftest import random_connected_graphs
+from conftest import poly_divmod, random_connected_graphs
 
 
 def euclid_gcd(p, r):

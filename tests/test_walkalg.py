@@ -3,12 +3,42 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import math
+
 import qwalk as q
+import qwalk.polys as polys
 import qwalk.walkalg as walkalg
-from qwalk.polys import _is_prime, poly_coprime
+from qwalk.polys import _is_prime, poly_coprime, poly_degree, poly_gcd
 from qwalk.walkalg import invert_exact, walk_matrix
 
 from conftest import random_connected_graphs
+
+LARGE = {
+    "P5xP6": q.cartesian_product(q.path(5), q.path(6)),
+    "Q5": q.hypercube(5),
+    "Q6": q.hypercube(6),
+    "P64": q.path(64),
+    "C40": q.cycle(40),
+}
+
+
+def bareiss_ranks(g):
+    """Reference: the Bareiss rank of every whole walk matrix."""
+    return {u: q.rank_exact(walk_matrix(g, u)) for u in range(g.n)}
+
+
+def coprime_reference(g):
+    """Reference: gcd(phi, phi(G - u)) = 1 by the certified modular gcd."""
+    phi = q.char_poly_exact(g).coeffs
+    return {u: poly_degree(poly_gcd(phi, p.coeffs)) == 0
+            for u, p in enumerate(q.deleted_char_polys(g))}
+
+
+def closed_walks_reference(g, u):
+    """Reference: the closed-walk counts h_k = x_i . x_j, i + j = k, from the
+    exact object-dtype walk columns x_i = A^i e_u."""
+    w = walk_matrix(g, u)
+    return [w[:, k // 2] @ w[:, (k + 1) // 2] for k in range(2 * g.n - 1)]
 
 
 class TestWalkMatrix:
@@ -122,6 +152,141 @@ class TestWalkRank:
             q.walk_rank(q.path(5), 0, cap=4)
 
 
+class TestWalkRanks:
+    """walk_ranks over a whole root set against the Bareiss rank of each
+    whole walk matrix."""
+
+    def test_atlas(self, atlas_connected):
+        for graphs in atlas_connected.values():
+            for g in graphs:
+                assert walkalg.walk_ranks(g, range(g.n)) == bareiss_ranks(g)
+
+    def test_random_corpus(self):
+        for g in random_connected_graphs(300, 10, seed=20240901):
+            assert walkalg.walk_ranks(g, range(g.n)) == bareiss_ranks(g)
+
+    @pytest.mark.parametrize("name", sorted(LARGE))
+    def test_large_graphs(self, name):
+        g = LARGE[name]
+        ranks = walkalg.walk_ranks(g, range(g.n))
+        assert min(ranks.values()) < g.n  # deficient roots take the certificate
+        assert ranks == bareiss_ranks(g)
+
+    def test_unlucky_prime_falls_back_to_bareiss(self, monkeypatch, atlas_connected):
+        # modulo 2 many batched roots stop early; their exact prefixes have
+        # rank k + 1, so their whole walk matrices are eliminated
+        whole = []
+        real_walk_matrix = walkalg.walk_matrix
+
+        def spy(g, u, cap=64):
+            whole.append((g, u))
+            return real_walk_matrix(g, u, cap)
+
+        monkeypatch.setattr(walkalg, "_walk_prime", lambda n: 2)
+        monkeypatch.setattr(walkalg, "walk_matrix", spy)
+        for n in range(2, 7):
+            for g in atlas_connected[n]:
+                reference = {u: q.rank_exact(real_walk_matrix(g, u)) for u in range(n)}
+                assert walkalg.walk_ranks(g, range(n)) == reference
+        assert whole
+
+    def test_roots_subset_and_batches(self, monkeypatch):
+        g = LARGE["P5xP6"]
+        reference = bareiss_ranks(g)
+        ranks = walkalg.walk_ranks(g, [17, 3, 29])
+        assert list(ranks) == [17, 3, 29]
+        assert all(ranks[u] == reference[u] for u in ranks)
+        assert walkalg.walk_ranks(g, []) == {}
+        # a small entry budget splits the roots into several batches
+        monkeypatch.setattr(walkalg, "_BATCH_ENTRIES", 4 * g.n**2)
+        assert walkalg.walk_ranks(g, range(g.n)) == reference
+
+    def test_bad_vertex_and_cap(self):
+        with pytest.raises(ValueError):
+            walkalg.walk_ranks(q.path(3), [0, 3])
+        with pytest.raises(ValueError):
+            walkalg.walk_ranks(q.path(5), [0], cap=4)
+
+
+class TestBatchedControllability:
+    """controllability over a root set: the rank route from walk_ranks and
+    the gcd route from one vectorised Euclid, each against a reference."""
+
+    def test_matches_references(self, atlas_connected):
+        graphs = [g for n in range(2, 7) for g in atlas_connected[n]]
+        graphs += random_connected_graphs(60, 12, seed=709) + [LARGE["P5xP6"], LARGE["Q5"]]
+        for g in graphs:
+            expected = {u: r == g.n for u, r in bareiss_ranks(g).items()}
+            assert walkalg.controllability(g, range(g.n)) == expected
+            assert coprime_reference(g) == expected
+
+    def test_random64_every_vertex(self, monkeypatch):
+        g = random_connected_graphs(1, 64, seed=64, n_min=64)[0]
+        reference = coprime_reference(g)
+        assert all(reference.values())
+        # every root has full rank, and the vectorised Euclid proves them all
+        sent = []
+        monkeypatch.setattr(polys, "poly_gcd", lambda p, r: sent.append(r))
+        monkeypatch.setattr(walkalg, "poly_gcd", lambda p, r: sent.append(r))
+        assert walkalg.controllability(g, range(g.n)) == reference
+        assert not sent
+
+    def test_tiny_euclid_prime_rows_reach_poly_gcd(self, monkeypatch):
+        # modulo 3 many remainder sequences hit a leading coefficient 0; those
+        # rows, and only those, must be decided by the certified poly_gcd
+        sent = []
+        real_gcd = polys.poly_gcd
+
+        def spy(p, r):
+            sent.append(tuple(r))
+            return real_gcd(p, r)
+
+        monkeypatch.setattr(polys, "_EUCLID_PRIME", 3)
+        monkeypatch.setattr(polys, "poly_gcd", spy)
+        degenerate = 0
+        for g in random_connected_graphs(40, 12, seed=719):
+            phi = q.char_poly_exact(g).coeffs
+            rows = [p.coeffs for p in q.deleted_char_polys(g)]
+            residues = np.array([[c % 3 for c in r] for r in rows], dtype=np.int64)
+            proved = polys._coprime_mod(
+                np.array([[c % 3 for c in phi]] * g.n, dtype=np.int64), residues, 3)
+            undecided = sorted(tuple(rows[i]) for i in set(range(g.n)) - set(proved.tolist()))
+            sent.clear()
+            verdicts = poly_coprime(phi, rows)
+            assert sorted(sent) == undecided
+            assert verdicts.tolist() == list(coprime_reference(g).values())
+            assert walkalg.controllability(g, range(g.n)) == coprime_reference(g)
+            degenerate += len(undecided)
+        assert degenerate
+
+    def test_single_polynomial_and_stack_agree(self):
+        g = LARGE["Q5"]
+        phi = q.char_poly_exact(g).coeffs
+        rows = [p.coeffs for p in q.deleted_char_polys(g)]
+        stack = poly_coprime(phi, rows)
+        assert stack.dtype == bool and stack.shape == (g.n,)
+        assert [poly_coprime(phi, r) for r in rows] == stack.tolist()
+        assert poly_coprime([1, 0, -1], [[1, 2], [1, 1], [0], [3, 7, 2]]).tolist() == \
+            [True, False, False, True]
+        with pytest.raises(ValueError):
+            poly_coprime([2, 1], [[1, 1], [3, 1]])
+
+    @pytest.mark.internal_check
+    def test_injected_rank_disagreement_raises(self, monkeypatch):
+        # the rank route claims full rank on Q3, where no vertex is controllable
+        monkeypatch.setattr(walkalg, "walk_ranks",
+                            lambda g, roots, cap=64: {u: g.n for u in roots})
+        with pytest.raises(q.InternalCheckError):
+            walkalg.controllability(q.hypercube(3), range(8))
+
+    @pytest.mark.internal_check
+    def test_injected_gcd_disagreement_raises(self, monkeypatch):
+        # the certified gcd of a rank-deficient root claims coprimality
+        monkeypatch.setattr(walkalg, "poly_gcd", lambda p, r: [1])
+        with pytest.raises(q.InternalCheckError):
+            walkalg.controllability(LARGE["P5xP6"], range(30))
+
+
 class TestControllability:
     def test_p4_end_controllable(self):
         assert q.is_controllable(q.path(4), 0)
@@ -227,6 +392,45 @@ class TestCospectrality:
                 for v in range(u + 1, g.n):
                     assert q.cospectral_via_gram(g, u, v) == \
                         q.cospectral_via_charpoly(g, u, v)
+
+
+class TestClosedWalkResidues:
+    """The residues of the closed-walk counts against the object-dtype
+    reference, and cospectral_via_gram against comparing its counts."""
+
+    @staticmethod
+    def _check(g, pairs):
+        n = g.n
+        counts = walkalg._closed_walks(g, range(n), 64)
+        top = max(int(np.asarray(g.adjacency).sum(axis=1).max()), 1)
+        primes = walkalg._walk_count_primes((2 * top ** (2 * n - 2)).bit_length())
+        assert math.prod(primes) > 2 * top ** (2 * n - 2)
+        assert counts.shape == (n, 2 * n - 1, len(primes))
+        reference = [closed_walks_reference(g, u) for u in range(n)]
+        for u in range(n):
+            assert counts[u].tolist() == [[h % p for p in primes] for h in reference[u]]
+        for u, v in pairs:
+            assert q.cospectral_via_gram(g, u, v) == (reference[u] == reference[v])
+
+    def test_atlas_every_pair(self, atlas_connected):
+        for n in range(2, 8):
+            for g in atlas_connected[n]:
+                self._check(g, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+    def test_random_corpus(self):
+        for g in random_connected_graphs(60, 14, seed=727):
+            self._check(g, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)])
+
+    @pytest.mark.parametrize("name", ["Q6", "P64"])
+    def test_large_graphs(self, name):
+        g = LARGE[name]
+        self._check(g, [(0, v) for v in range(1, g.n)] + [(5, 58), (21, 42)])
+
+    @pytest.mark.internal_check
+    def test_inexact_float_products_raise(self, monkeypatch):
+        monkeypatch.setattr(walkalg, "_FLOAT64_EXACT", 2**20)
+        with pytest.raises(q.InternalCheckError):
+            q.cospectral_via_gram(q.path(4), 0, 3)
 
 
 class TestSupportCrosscheck:
