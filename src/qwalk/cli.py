@@ -243,19 +243,21 @@ def _scan_line(item):
 
 def run_scan(lines, config, out=None):
     """Scan newline-delimited graph6 input; one JSON line per graph, emitted in
-    input order regardless of worker count. Returns the number processed."""
+    input order regardless of worker count, at most one per line. Returns the
+    number processed."""
     if out is None:
         out = sys.stdout
     items = [(i, line, config) for i, line in enumerate(lines)]
     processed = 0
-    if config.jobs <= 1:
+    jobs = min(config.jobs, len(items))
+    if jobs <= 1:
         results = map(_scan_line, items)
         for _, doc in results:
             if doc is not None:
                 out.write(doc + "\n")
                 processed += 1
     else:
-        with multiprocessing.Pool(config.jobs) as pool:
+        with multiprocessing.Pool(jobs) as pool:
             for _, doc in pool.imap(_scan_line, items, chunksize=16):
                 if doc is not None:
                     out.write(doc + "\n")

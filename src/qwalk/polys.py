@@ -79,7 +79,7 @@ def _primes(table=_PRIMES):
     descending order."""
     yield from table
     c = table[-1] - 2
-    while True:
+    while c > 1:
         if _is_prime(c):
             yield c
         c -= 2

@@ -156,20 +156,25 @@ def _residue_primes(n, m):
         product *= p
 
 
-def _combine(residues, primes):
-    """Integers in the symmetric range from their residues, one row each,
-    modulo all ``primes`` but the last: Garner's mixed-radix digits in int64,
-    then one object dot with the radices.  Each integer must match its
-    residue modulo the last prime, the check prime."""
-    *main, check = primes
-    digits = residues[:, :-1].copy()
-    for i, p in enumerate(main):
+def _crt(residues, primes):
+    """Integers in the symmetric range from their residues modulo ``primes``,
+    one row each: Garner's mixed-radix digits in int64, then one object dot
+    with the radices."""
+    digits = residues.copy()
+    for i, p in enumerate(primes):
         for j in range(i):
-            digits[:, i] = (digits[:, i] - digits[:, j]) % p * pow(main[j], -1, p) % p
-    radices = np.array([math.prod(main[:i]) for i in range(len(main))], dtype=object)
-    modulus = math.prod(main)
+            digits[:, i] = (digits[:, i] - digits[:, j]) % p * pow(primes[j], -1, p) % p
+    radices = np.array([math.prod(primes[:i]) for i in range(len(primes))], dtype=object)
+    modulus = math.prod(primes)
     values = digits.astype(object) @ radices
-    values = np.where(values > modulus // 2, values - modulus, values)
+    return np.where(values > modulus // 2, values - modulus, values)
+
+
+def _combine(residues, primes):
+    """``_crt`` modulo all ``primes`` but the last.  Each integer must match
+    its residue modulo the last prime, the check prime."""
+    *main, check = primes
+    values = _crt(residues[:, :-1], main)
     if not np.array_equal(values % check, residues[:, -1]):
         raise InternalCheckError(f"reconstructed integers disagree with the check prime {check}")
     return values

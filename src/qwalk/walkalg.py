@@ -11,10 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polys import _PRIMES31, _is_prime, _primes, poly_coprime, poly_degree, poly_gcd
+from .polys import (_PRIMES31, _divmod_monic, _is_prime, _primes, poly_coprime, poly_degree,
+                    poly_divides, poly_gcd)
 from .spectral import (
     _FLOAT64_EXACT,
     EXACT_CAP_DEFAULT,
+    _coefficient_bound,
+    _crt,
     InternalCheckError,
     char_poly_exact,
     decompose,
@@ -37,16 +40,11 @@ def walk_matrix(g, u, cap=EXACT_CAP_DEFAULT):
     """Integer matrix with columns e_u, A e_u, ..., A^{n-1} e_u."""
     _check_vertex(g, u)
     _check_cap(g, cap)
-    return _walk_columns(g, u, g.n)
-
-
-def _walk_columns(g, u, count):
-    """The first ``count`` columns of the walk matrix of ``u``, exact."""
     a = np.array(g.adjacency, dtype=object)
     col = np.zeros(g.n, dtype=object)
     col[u] = 1
     cols = [col]
-    for _ in range(count - 1):
+    for _ in range(g.n - 1):
         col = a @ col
         cols.append(col)
     return np.stack(cols, axis=1)
@@ -102,27 +100,116 @@ def _walk_prime(n):
     return p
 
 
-# Roots per batch: at most this many entries in a (roots, n, n) array, so
+# Roots per batch: at most this many entries in a (roots, n, width) array, so
 # that a large ``cap`` bounds the memory of the batched kernels.
 _BATCH_ENTRIES = 2**22
 
 
-def walk_ranks(g, roots, cap=EXACT_CAP_DEFAULT):
-    """Exact rank of the walk matrix W_u of every u in ``roots``, as a dict,
-    proved without eliminating the matrices whole.
+def _krylov(g, roots, p, track=0):
+    """Per u in ``roots``, the first k at which A^k e_u depends on the earlier
+    Krylov vectors modulo p, or n: one vectorised step per k, each vector
+    reduced in int64 against its root's fully reduced basis.  With ``track``
+    = t > 0 only k < t are tried, and each vector carries its coordinates
+    over the Krylov vectors, so that the second array returned holds each
+    dependency c_0, ..., c_k = 1, sum c_i A^i e_u = 0 mod p, zero-padded."""
+    n = g.n
+    width = n + track
+    # one float64 product steps the vector by A and its coordinates by one;
+    # exact, as A x sums at most n residues, n (p - 1) < sqrt(n) 2**31.5 < 2**53
+    step_by = np.eye(width, k=1)
+    step_by[:n] = 0
+    step_by[:n, :n] = g.adjacency
+    roots = np.asarray(roots, dtype=np.int64)
+    stops = np.full(len(roots), n)
+    found = np.zeros((len(roots), track), dtype=np.int64)
+    batch = max(1, _BATCH_ENTRIES // (n * width))
+    for chunk in range(0, len(roots), batch):
+        active = np.arange(chunk, min(chunk + batch, len(roots)))
+        x = np.zeros((len(active), width), dtype=np.int64)
+        x[np.arange(len(active)), roots[active]] = 1
+        x[:, n:n + 1] = 1  # the coordinates e_0, when tracked
+        # row j of a basis is 1 at its root's pivots[j], 0 at the other pivots
+        basis = np.zeros((len(active), n, width), dtype=np.int64)
+        pivots = np.zeros((len(active), n), dtype=np.int64)
+        rows = np.arange(len(active))
+        for k in range(track or n):
+            coef = x[rows[:, None], pivots[:, :k]]
+            r = (x - np.matmul(coef[:, None], basis[:, :k])[:, 0]) % p
+            # any nonzero entry can pivot; a vector's largest residue is 0
+            # only when the vector is zero
+            i = r[:, :n].argmax(axis=1)
+            lead = r[rows, i]
+            if not lead.all():
+                dependent = lead == 0
+                stops[active[dependent]] = k
+                found[active[dependent]] = r[dependent, n:]
+                keep = ~dependent
+                active, x, r, basis, pivots, i, lead = (
+                    active[keep], x[keep], r[keep], basis[keep], pivots[keep], i[keep],
+                    lead[keep])
+                if not len(active):
+                    break
+                rows = np.arange(len(active))
+            r = r * np.array([pow(c, -1, p) for c in lead.tolist()])[:, None] % p
+            reduced = basis[:, :k]  # a view: updated in place
+            reduced -= basis[rows, :k, i][:, :, None] * r[:, None]
+            reduced %= p
+            basis[:, k] = r
+            pivots[:, k] = i
+            x = (x.astype(float) @ step_by).astype(np.int64) % p
+    return stops, found
 
-    The Krylov vectors A^k e_u are reduced modulo a prime p, in int64 against
-    a fully reduced basis, up to the first one that depends on the earlier
-    ones, at k.  All roots run together: their vectors are the rows of one
-    (roots, n) array and their bases one (roots, n, n) array, and each k is
-    one vectorised step for the roots still active.  Over any field the
-    first dependency of a Krylov sequence is its rank, because the span of
-    the earlier vectors is then A-invariant.  Since rank_p(W_u) <=
-    rank_Q(W_u), k = n proves full rank.  For k < n the exact prefix
-    [e_u, ..., A^k e_u] must have rank k: its first k columns are independent
-    modulo p, hence over Q, so A^k e_u lies in their span and the rank is k.
-    A prefix of rank k + 1 means p divided a minor; then the whole walk
-    matrix is eliminated exactly.
+
+def _minimal_polys(g, ranks):
+    """psi_u as a monic descending tuple, for each u of ``ranks`` (u -> k < n)
+    whose candidate has psi(A) e_u = 0 exactly.  The dependency at k is
+    tracked modulo one walk prime after another and lifted to integers after
+    each (``_crt``), until the primes' product exceeds twice
+    ``_coefficient_bound``, which bounds psi_u as it divides phi.  As the
+    entries of A^i e_u are at most D^i, D the largest degree, those of
+    psi(A) e_u are at most sum |c_i| D^i, so residues modulo primes whose
+    product exceeds twice that decide psi(A) e_u = 0 (``_walk_residues``)."""
+    roots, k = np.array(list(ranks)), np.array(list(ranks.values()))
+    depth = int(k.max())
+    steps = np.arange(depth + 1)
+    powers = max(int(g.adjacency.sum(axis=1).max()), 1) ** steps.astype(object)  # D^i
+    limit = 2 * _coefficient_bound(g.n, g.num_edges)
+    todo = np.ones(len(roots), dtype=bool)
+    primes, columns, psi = [], [], {}
+    for q in _primes((_walk_prime(g.n),)):  # below p, so in p's int64 bound
+        live = np.flatnonzero(todo)
+        primes.append(q)
+        columns.append(np.zeros((len(roots), depth + 1), dtype=np.int64))
+        columns[-1][live] = _krylov(g, roots[live], q, track=depth + 1)[1]
+        lifted = _crt(np.stack(columns, axis=-1)[live].reshape(-1, len(primes)), primes)
+        # each candidate monic of degree k: c_k = 1, and 0 above
+        cands = np.where(steps < k[live, None], lifted.reshape(len(live), -1),
+                         (steps == k[live, None]).astype(int))
+        check = _walk_count_primes((2 * (abs(cands) @ powers).max()).bit_length())
+        residues = np.stack([cands % s for s in check], axis=-1).astype(np.int64)
+        total, modulus = 0, np.array(check, dtype=np.int64)
+        for j, x in enumerate(_walk_residues(g, roots[live], check, depth)):
+            total = (total + residues[:, j] * x) % modulus
+        zero = ~np.any(total, axis=(0, 2))
+        psi.update((int(roots[i]), tuple(cs[k[i]::-1]))
+                   for i, cs in zip(live[zero], cands[zero].tolist()))
+        todo[live[zero]] = False
+        if not todo.any() or math.prod(primes) > limit:
+            break
+    return psi
+
+
+def _walk_krylov(g, roots, cap):
+    """(ranks, psi): the exact walk rank of every u in ``roots``, and the
+    minimal polynomial psi_u of e_u of those of rank below n, as dicts.
+
+    Modulo the walk prime p, the first k at which A^k e_u depends on the
+    earlier Krylov vectors (``_krylov``) is rank_p(W_u) <= rank_Q(W_u), as
+    their span is then A-invariant, so k = n proves full rank.  For k < n,
+    a monic psi_u of degree k with psi_u(A) e_u = 0 (``_minimal_polys``)
+    proves rank <= k, and the first k vectors, independent modulo p, hence
+    over Q, prove rank >= k; so psi_u is the minimal polynomial.  A root left
+    without psi_u (an unlucky prime) has its walk matrix eliminated exactly.
     """
     n = g.n
     roots = list(dict.fromkeys(roots))
@@ -132,50 +219,17 @@ def walk_ranks(g, roots, cap=EXACT_CAP_DEFAULT):
     p = _walk_prime(n)
     if n * (p - 1) ** 2 >= _INT64_LIMIT:
         raise InternalCheckError(f"prime {p} overflows int64 reduction at n={n}")
-    # A x sums at most n residues below p, and by the bound above
-    # n (p - 1) < sqrt(n) 2**31.5 < 2**53, so the float64 product is exact
-    a = g.adjacency.astype(float)
-    stopped = {}
-    step = max(1, _BATCH_ENTRIES // n**2)
-    for chunk in range(0, len(roots), step):
-        active = np.array(roots[chunk:chunk + step])
-        x = np.eye(n, dtype=np.int64)[active]
-        # row j of a basis is 1 at its root's pivots[j], 0 at the other pivots
-        basis = np.zeros((len(active), n, n), dtype=np.int64)
-        pivots = np.zeros((len(active), n), dtype=np.int64)
-        rows = np.arange(len(active))
-        for k in range(n):
-            coef = x[rows[:, None], pivots[:, :k]]
-            r = (x - np.matmul(coef[:, None], basis[:, :k])[:, 0]) % p
-            # any nonzero entry can pivot; a row's largest residue is 0 only
-            # when the row is zero
-            i = r.argmax(axis=1)
-            lead = r[rows, i]
-            dependent = lead == 0
-            if dependent.any():
-                stopped.update(dict.fromkeys(active[dependent].tolist(), k))
-                keep = ~dependent
-                active, x, r, basis, pivots, i, lead = (
-                    active[keep], x[keep], r[keep], basis[keep], pivots[keep], i[keep],
-                    lead[keep])
-                if not len(active):
-                    break
-                rows = np.arange(len(active))
-            r = r * np.array([[pow(c, -1, p)] for c in lead.tolist()]) % p
-            reduced = basis[:, :k]  # a view: updated in place
-            reduced -= basis[rows, :k, i][:, :, None] * r[:, None]
-            reduced %= p
-            basis[:, k] = r
-            pivots[:, k] = i
-            x = (x.astype(float) @ a).astype(np.int64) % p
-        stopped.update(dict.fromkeys(active.tolist(), n))
-    ranks = {}
-    for u in roots:
-        k = stopped[u]
-        if k < n and rank_exact(_walk_columns(g, u, k + 1)) != k:
-            k = rank_exact(walk_matrix(g, u, cap=cap))
-        ranks[u] = k
-    return ranks
+    ranks = dict(zip(roots, _krylov(g, roots, p)[0].tolist()))
+    deficient = {u: k for u, k in ranks.items() if k < n}
+    psi = _minimal_polys(g, deficient) if deficient else {}
+    for u in deficient.keys() - psi.keys():
+        ranks[u] = rank_exact(walk_matrix(g, u, cap=cap))
+    return ranks, psi
+
+
+def walk_ranks(g, roots, cap=EXACT_CAP_DEFAULT):
+    """Exact rank of the walk matrix W_u of every u in ``roots``, as a dict."""
+    return _walk_krylov(g, roots, cap)[0]
 
 
 def walk_rank(g, u, cap=EXACT_CAP_DEFAULT):
@@ -187,13 +241,15 @@ def controllability(g, roots, cap=EXACT_CAP_DEFAULT):
     """For every u in ``roots``, True iff its walk matrix is invertible, as a
     dict.
 
-    Computed both as rank(W_u) = n, by ``walk_ranks``, and as coprimality of
-    the characteristic polynomials of the graph and each vertex-deleted
-    subgraph: one vectorised ``poly_coprime`` over the full-rank roots, and
-    the certified ``poly_gcd`` for the others.  The two routes must agree.
+    Computed both as rank(W_u) = n, by ``_walk_krylov``, and as coprimality
+    of the characteristic polynomials of the graph and each vertex-deleted
+    subgraph: one vectorised ``poly_coprime`` over the full-rank roots; for
+    rank k < n, H = phi / psi_u dividing phi(G - u) proves a common factor
+    of degree n - k, else the certified ``poly_gcd`` decides.  The two
+    routes must agree.
     """
     roots = list(dict.fromkeys(roots))
-    ranks = walk_ranks(g, roots, cap=cap)
+    ranks, psi = _walk_krylov(g, roots, cap)
     by_rank = np.array([ranks[u] == g.n for u in roots], dtype=bool)
     if g.n > 1:
         phi = char_poly_exact(g, cap=cap).coeffs
@@ -203,8 +259,13 @@ def controllability(g, roots, cap=EXACT_CAP_DEFAULT):
         full = np.flatnonzero(by_rank)
         if full.size:
             by_gcd[full] = poly_coprime(phi, [rows[i] for i in full])
+        shared = {}  # (psi_u, phi(G - u)) -> whether H = phi / psi_u divides both
         for i in np.flatnonzero(~by_rank):
-            by_gcd[i] = poly_degree(poly_gcd(phi, rows[i])) == 0
+            key = (psi.get(roots[i]), rows[i])
+            if key[0] and key not in shared:
+                h, rest = _divmod_monic(phi, key[0])
+                shared[key] = rest == [0] and poly_divides(h, rows[i])
+            by_gcd[i] = not shared.get(key) and poly_degree(poly_gcd(phi, rows[i])) == 0
         disagree = np.flatnonzero(by_rank != by_gcd)
         if disagree.size:
             i = int(disagree[0])
@@ -242,17 +303,29 @@ def _walk_count_primes(bits):
         product *= p
 
 
+def _walk_residues(g, roots, primes, steps):
+    """Yield A^k e_u of every u in ``roots`` modulo every one of ``primes``
+    (below 2**31), for k = 0 .. ``steps``, as int64 arrays (n, roots, primes).
+    Each step is one float64 product with the 0/1 matrix A, exact while every
+    partial sum, below n 2**31, is below 2**53, which is checked."""
+    n = g.n
+    if n * (max(primes) - 1) >= _FLOAT64_EXACT:
+        raise InternalCheckError(f"float64 products are not exact at n={n}")
+    p = np.array(primes, dtype=np.int64)
+    a = g.adjacency.astype(float)
+    x = np.zeros((n, len(roots), len(primes)), dtype=np.int64)
+    x[list(roots), np.arange(len(roots))] = 1
+    yield x
+    for _ in range(steps):
+        x = (a @ x.reshape(n, -1).astype(float)).astype(np.int64).reshape(x.shape) % p
+        yield x
+
+
 def _closed_walks(g, roots, cap):
     """The closed-walk counts h_k = (A^k)_uu for k = 0 .. 2n - 2 of every u
-    in ``roots``, as residues: an int64 array (roots, 2n - 1, primes).
-
-    Every h_k is at most rho^k <= D^k, D the largest degree, and the
-    primes' product exceeds 2 D^(2n - 2), so two counts are equal iff their
-    residues are.  The walks x = A^k e_u of all roots modulo all primes are
-    one (n, roots * primes) array, and each step is one float64 product
-    with A: exact, because A is 0/1 and every residue is below 2**31, so
-    every partial sum is an integer below n 2**31 < 2**53, which is checked
-    on every call.
+    in ``roots``, as residues (``_walk_residues``): an int64 array (roots,
+    2n - 1, primes).  Every h_k is at most D^k, D the largest degree, and the
+    primes' product exceeds 2 D^(2n - 2), so counts are equal iff residues are.
     """
     n = g.n
     for u in roots:
@@ -260,18 +333,8 @@ def _closed_walks(g, roots, cap):
     _check_cap(g, cap)
     top = max(int(g.adjacency.sum(axis=1).max(initial=0)), 1)
     primes = _walk_count_primes(((2 * top ** (2 * n - 2)).bit_length()))
-    if n * (max(primes) - 1) >= _FLOAT64_EXACT:
-        raise InternalCheckError(f"float64 products are not exact at n={n}")
-    p = np.array(primes, dtype=np.int64)
-    a = g.adjacency.astype(float)
     at_root = (list(roots), np.arange(len(roots)))
-    x = np.zeros((n, len(roots), len(primes)), dtype=np.int64)
-    x[at_root] = 1
-    counts = [x[at_root]]
-    for _ in range(2 * n - 2):
-        x = (a @ x.reshape(n, -1).astype(float)).astype(np.int64).reshape(x.shape) % p
-        counts.append(x[at_root])
-    return np.stack(counts, axis=1)
+    return np.stack([x[at_root] for x in _walk_residues(g, roots, primes, 2 * n - 2)], axis=1)
 
 
 def cospectral_via_gram(g, u, v, cap=EXACT_CAP_DEFAULT):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qwalk as q
-from qwalk.cli import AnalysisConfig, run_scan
+from qwalk.cli import AnalysisConfig, analyze_graph, pair_report_json, run_scan
 from qwalk.partitions import Partition, automorphisms, equitable_quotient_checks
 
 from conftest import random_connected_graphs, random_graphs
@@ -284,3 +284,31 @@ def test_scan_verdicts_are_the_pair_verdicts(catalog_lines, scan_text):
             checked += 1
             sign_failures += not verdicts["sign_condition"]
     assert (checked, sign_failures) == (42, 10)
+
+
+# The graphs whose ``analyze`` and ``pair (0, n - 1)`` reports are pinned by
+# REPORTS_GOLDEN_SHA256: fixtures with PST, products, and the exact cap.
+REPORT_GRAPHS = {
+    "P3": q.path(3),
+    "Q4": q.hypercube(4),
+    "Petersen": q.petersen(),
+    "P3xP3": q.cartesian_product(q.path(3), q.path(3)),
+    "P5xP6": q.cartesian_product(q.path(5), q.path(6)),
+    "Q6": q.hypercube(6),
+    "C40": q.cycle(40),
+    "random32": random_connected_graphs(1, 32, seed=32, n_min=32)[0],
+}
+
+# SHA-256 of the ``analyze`` then ``pair (0, n - 1)`` JSON of every graph in
+# REPORT_GRAPHS, in order, as the CLI prints them.
+REPORTS_GOLDEN_SHA256 = "604796819e4fe12cece74b34768d9cb00144fade797eb4fdec5fa1e995e9552b"
+
+
+def test_analyze_and_pair_reports_match_golden():
+    config = AnalysisConfig()
+    digest = hashlib.sha256()
+    for g in REPORT_GRAPHS.values():
+        pair = q.analysis.GraphData(g, config).pair(0, g.n - 1)
+        for doc in (analyze_graph(g, config), pair_report_json(g, pair)):
+            digest.update(json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == REPORTS_GOLDEN_SHA256

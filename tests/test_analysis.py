@@ -413,7 +413,7 @@ class TestComputeOnce:
     of each batched kernel over the vertices a view needs, and each support
     classification once per distinct support."""
 
-    KERNELS = (("walk_ranks", q.walkalg), ("controllability", q.walkalg),
+    KERNELS = (("_walk_krylov", q.walkalg), ("controllability", q.walkalg),
                ("delta_partitions", q.partitions))
 
     def _spy_kernels(self, monkeypatch):

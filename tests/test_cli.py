@@ -247,6 +247,35 @@ class TestScan:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
+    def test_at_most_one_worker_per_line(self, monkeypatch, tmp_path, capsys):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and maps in this process: starts nothing."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, items, chunksize=1):
+                return map(func, items)
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        f = tmp_path / "cat.g6"
+        f.write_text("A_\nBw\n")
+        code, out, _ = run_cli(["scan", str(f), "--jobs", "10000"], capsys)
+        assert code == 0 and len(out.splitlines()) == 2
+        assert sizes == [2]
+        # one line needs no pool at all, and neither does an empty input
+        assert run_scan(["A_"], AnalysisConfig(jobs=8), out=io.StringIO()) == 1
+        assert run_scan([], AnalysisConfig(jobs=8), out=io.StringIO()) == 0
+        assert sizes == [2]
+
     def test_jobs_env_default(self, monkeypatch):
         monkeypatch.setenv("QWALK_JOBS", "3")
         args = cli.build_parser().parse_args(["scan", "x"])

@@ -11,7 +11,7 @@ import qwalk.walkalg as walkalg
 from qwalk.polys import _is_prime, poly_coprime, poly_degree, poly_gcd
 from qwalk.walkalg import invert_exact, walk_matrix
 
-from conftest import random_connected_graphs
+from conftest import poly_divmod, random_connected_graphs
 
 LARGE = {
     "P5xP6": q.cartesian_product(q.path(5), q.path(6)),
@@ -108,16 +108,16 @@ class TestWalkRank:
         q.cycle(40),
     ], ids=["P5xP6", "Q5", "Q6", "P64", "C40"])
     def test_matches_bareiss_on_large_graphs(self, g):
-        # all five have rank-deficient vertices, so the exact prefix
-        # certificate decides them
+        # all five have rank-deficient vertices, so the certified minimal
+        # polynomial decides them
         ranks = [q.walk_rank(g, u) for u in range(g.n)]
         assert min(ranks) < g.n
         for u in range(g.n):
             assert ranks[u] == q.rank_exact(walk_matrix(g, u))
 
     def test_unlucky_prime_falls_back_to_bareiss(self, monkeypatch, atlas_connected):
-        # modulo 2 many walk matrices lose rank, so the exact prefix has rank
-        # k + 1 and the whole matrix is eliminated
+        # modulo 2 many walk matrices lose rank, and no walk prime is left to
+        # lift a minimal polynomial, so the whole matrix is eliminated
         whole = []
         real_walk_matrix = walkalg.walk_matrix
 
@@ -173,8 +173,9 @@ class TestWalkRanks:
         assert ranks == bareiss_ranks(g)
 
     def test_unlucky_prime_falls_back_to_bareiss(self, monkeypatch, atlas_connected):
-        # modulo 2 many batched roots stop early; their exact prefixes have
-        # rank k + 1, so their whole walk matrices are eliminated
+        # modulo 2 many batched roots stop early, and no walk prime is left to
+        # lift their minimal polynomials, so their whole walk matrices are
+        # eliminated
         whole = []
         real_walk_matrix = walkalg.walk_matrix
 
@@ -187,7 +188,10 @@ class TestWalkRanks:
         for n in range(2, 7):
             for g in atlas_connected[n]:
                 reference = {u: q.rank_exact(real_walk_matrix(g, u)) for u in range(n)}
-                assert walkalg.walk_ranks(g, range(n)) == reference
+                ranks, psi = walkalg._walk_krylov(g, range(n), 64)
+                assert ranks == reference and psi == {}
+                assert walkalg.controllability(g, range(n)) == \
+                    {u: k == n for u, k in reference.items()}
         assert whole
 
     def test_roots_subset_and_batches(self, monkeypatch):
@@ -208,9 +212,75 @@ class TestWalkRanks:
             walkalg.walk_ranks(q.path(5), [0], cap=4)
 
 
+class TestMinimalPolys:
+    """The certified minimal polynomial psi_u of every rank-deficient root:
+    psi_u = phi / gcd(phi, phi(G - u)), of degree the Bareiss rank."""
+
+    @staticmethod
+    def _check(g):
+        ranks, psi = walkalg._walk_krylov(g, range(g.n), 64)
+        reference = bareiss_ranks(g)
+        assert ranks == reference
+        assert sorted(psi) == [u for u in range(g.n) if reference[u] < g.n]
+        phi = q.char_poly_exact(g).coeffs
+        deleted = q.deleted_char_polys(g)
+        for u, p in psi.items():
+            quotient, rest = poly_divmod(phi, poly_gcd(phi, deleted[u].coeffs))
+            assert rest == [0] and list(p) == quotient
+            assert len(p) - 1 == reference[u]
+
+    def test_atlas(self, atlas_connected):
+        for graphs in atlas_connected.values():
+            for g in graphs:
+                self._check(g)
+
+    def test_random_corpus(self):
+        for g in random_connected_graphs(300, 10, seed=20240901):
+            self._check(g)
+
+    @pytest.mark.parametrize("name", sorted(LARGE))
+    def test_large_graphs(self, name):
+        self._check(LARGE[name])
+
+    def test_corrupt_lifted_coefficient_reaches_bareiss(self, monkeypatch, atlas_connected):
+        # the constant coefficient of the first root's candidate is off by one
+        # after every prime, so psi(A) e_u = 0 fails each time and only that
+        # root has its whole walk matrix eliminated
+        real_crt, real_walk_matrix = walkalg._crt, walkalg.walk_matrix
+        whole = []
+
+        def corrupt(residues, primes):
+            values = real_crt(residues, primes)
+            values[0] += 1
+            return values
+
+        def spy(g, u, cap=64):
+            whole.append(u)
+            return real_walk_matrix(g, u, cap)
+
+        graphs = [g for n in range(3, 7) for g in atlas_connected[n]]
+        graphs += [LARGE["P5xP6"], LARGE["Q5"]]
+        for g in graphs:
+            reference = bareiss_ranks(g)
+            deficient = [u for u in range(g.n) if reference[u] < g.n]
+            if not deficient:
+                continue
+            monkeypatch.setattr(walkalg, "_crt", corrupt)
+            monkeypatch.setattr(walkalg, "walk_matrix", spy)
+            whole.clear()
+            ranks, psi = walkalg._walk_krylov(g, range(g.n), 64)
+            assert ranks == reference
+            assert whole == [deficient[0]]
+            assert sorted(psi) == deficient[1:]
+            controllable = walkalg.controllability(g, range(g.n))
+            assert controllable == {u: k == g.n for u, k in reference.items()}
+            monkeypatch.undo()
+
+
 class TestBatchedControllability:
-    """controllability over a root set: the rank route from walk_ranks and
-    the gcd route from one vectorised Euclid, each against a reference."""
+    """controllability over a root set: the rank route from _walk_krylov and
+    the gcd route from one vectorised Euclid and the psi_u divisions, each
+    against a reference."""
 
     def test_matches_references(self, atlas_connected):
         graphs = [g for n in range(2, 7) for g in atlas_connected[n]]
@@ -274,14 +344,16 @@ class TestBatchedControllability:
     @pytest.mark.internal_check
     def test_injected_rank_disagreement_raises(self, monkeypatch):
         # the rank route claims full rank on Q3, where no vertex is controllable
-        monkeypatch.setattr(walkalg, "walk_ranks",
-                            lambda g, roots, cap=64: {u: g.n for u in roots})
+        monkeypatch.setattr(walkalg, "_walk_krylov",
+                            lambda g, roots, cap=64: ({u: g.n for u in roots}, {}))
         with pytest.raises(q.InternalCheckError):
             walkalg.controllability(q.hypercube(3), range(8))
 
     @pytest.mark.internal_check
     def test_injected_gcd_disagreement_raises(self, monkeypatch):
-        # the certified gcd of a rank-deficient root claims coprimality
+        # phi / psi_u fails to divide phi(G - u), so the certified gcd decides
+        # each rank-deficient root, and it claims coprimality
+        monkeypatch.setattr(walkalg, "poly_divides", lambda den, num: False)
         monkeypatch.setattr(walkalg, "poly_gcd", lambda p, r: [1])
         with pytest.raises(q.InternalCheckError):
             walkalg.controllability(LARGE["P5xP6"], range(30))
