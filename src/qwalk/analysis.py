@@ -7,6 +7,7 @@ non-existence.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -14,15 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import partitions, walkalg
-from .spectral import (
-    SUPPORT_TOL_DEFAULT,
-    char_poly_exact,
-    decompose,
-    deleted_char_polys,
-    eigenvalue_support,
-    gap_report,
-    transition_matrix,
-)
+from .spectral import (SUPPORT_TOL_DEFAULT, char_poly_exact, char_polys, decompose,
+                       deleted_char_polys, eigenvalue_support, gap_report, transition_matrix)
 from .polys import poly_divides, poly_squarefree
 
 THRESHOLD_DEFAULT = 1 - 1e-9
@@ -522,21 +516,31 @@ def _memo(method):
     return cached
 
 
-def _per_vertex(method):
-    """Cache a per-vertex fact of ``GraphData`` per instance and vertex.
-    ``method`` maps a list of vertices to a dict of their facts and runs
-    once per call, on the vertices not yet cached; the result is the cache,
-    a dict that holds at least every vertex asked for."""
+def _fill(name, datas, roots):
+    """Cache ``name``, "deltas" or "controllable", of the vertices roots[i]
+    of every ``GraphData`` datas[i], all of one vertex count, from one
+    stacked kernel run over those not cached yet; returns the caches."""
+    memos = [d._cache.setdefault(name, {}) for d in datas]
+    todo = [(m, sorted(set(r) - m.keys()), d.g) for d, m, r in zip(datas, memos, roots)]
+    todo = [t for t in todo if t[1]]
+    if todo:
+        memos_, missing, graphs = zip(*todo)
+        facts = (partitions.delta_stack(graphs, missing) if name == "deltas" else
+                 walkalg.controllability_stack(graphs, missing, cap=datas[0].config.exact_cap))
+        for memo, found in zip(memos_, facts):
+            memo.update(found)
+    return memos
 
-    @functools.wraps(method)
-    def cached(self, roots):
-        memo = self._cache.setdefault(method.__name__, {})
-        missing = sorted(set(roots) - memo.keys())
-        if missing:
-            memo.update(method(self, missing))
-        return memo
 
-    return cached
+def fill_stacked(datas, roots):
+    """phi, every phi(G - u), and Delta_u and controllability of ``roots(d)``
+    for every ``GraphData`` d of ``datas`` (connected, within the cap), by one
+    run of each stacked kernel per vertex count, ``roots`` after phi(G - u)."""
+    for _, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
+        group = list(group)
+        char_polys([d.g for d in group], cap=group[0].config.exact_cap)
+        for name in ("deltas", "controllable"):
+            _fill(name, group, [roots(d) for d in group])
 
 
 class GraphData:
@@ -546,7 +550,8 @@ class GraphData:
     per distinct support its class and ratio condition.  Delta_u and
     controllability come from batched kernels over a set of vertices: a view
     asks for all the vertices it needs at once (``deltas``,
-    ``controllable``), and only those not yet computed are run.
+    ``controllable``), and only those not yet computed are run, in stacked
+    runs over many graphs (``fill_stacked``) or over a stack of one.
 
     ``report`` is the one place where the necessary conditions for a vertex
     pair become verdicts; ``pair`` adds the checks that only a single-pair
@@ -583,9 +588,18 @@ class GraphData:
     def deleted(self):
         return [p.coeffs for p in deleted_char_polys(self.g, cap=self.config.exact_cap)]
 
+    @functools.cached_property
+    def connected(self):
+        return self.g.is_connected()
+
     def cospectral(self, u, v):
         """phi(G - u) = phi(G - v), coefficient-wise."""
         return self.deleted[u] == self.deleted[v]
+
+    @functools.cached_property
+    def cospectral_pairs(self):
+        return [(u, v) for u, v in itertools.combinations(range(self.g.n), 2)
+                if self.cospectral(u, v)]
 
     @_memo
     def support(self, u):
@@ -595,13 +609,11 @@ class GraphData:
     def values(self, support):
         return [float(self.sd.eigenvalues[r]) for r in support]
 
-    @_per_vertex
     def deltas(self, roots):
-        return partitions.delta_partitions(self.g, roots)
+        return _fill("deltas", [self], [roots])[0]
 
-    @_per_vertex
     def controllable(self, roots):
-        return walkalg.controllability(self.g, roots, cap=self.config.exact_cap)
+        return _fill("controllable", [self], [roots])[0]
 
     def support_class(self, u):
         return self._classify(self.support(u))

@@ -7,8 +7,9 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -191,31 +192,28 @@ def pair_report_json(g, report):
 # ---------------------------------------------------------------------------
 # scan
 
-def scan_graph(g, config):
+def scan_graph(g, config, data=None):
     """Per-graph scan summary: gap report plus the verdicts of every
     cospectral pair (cospectrality is a verdict, so the pre-filter is
     lossless) and a time search for each pair that passes them all.
 
-    Per-vertex facts are computed only for vertices in a cospectral pair,
-    by one run of each batched kernel over all of them.  A connected graph
-    above the exact cap is an error, as in ``pair``.  The brute-force
-    automorphism check is left to the ``pair`` command.
+    Per-vertex facts come from ``analysis.fill_stacked`` of ``data``, over
+    the vertices of the cospectral pairs, unless done already.  A graph with
+    no vertex, or a connected one above the exact cap, is an error, as in
+    ``pair``; the brute-force automorphism check is left to ``pair``.
     """
-    connected = g.is_connected()
-    if connected and g.n > config.exact_cap:
+    data = data or analysis.GraphData(g, config)
+    if g.n < 1:
+        raise ValueError("graph must have at least one vertex")
+    if data.connected and g.n > config.exact_cap:
         raise ValueError(f"exact-arithmetic cap exceeded: {g.n} > {config.exact_cap}")
-    doc = {"id": encode_graph6(g), "n": g.n, "connected": connected}
-    data = analysis.GraphData(g, config)
+    doc = {"id": encode_graph6(g), "n": g.n, "connected": data.connected}
     if g.n >= 2:
         doc["gap"] = jsonify(data.gap)
     pairs = []
-    if connected and g.n >= 2:
-        cospectral = [(u, v) for u, v in itertools.combinations(range(g.n), 2)
-                      if data.cospectral(u, v)]
-        roots = {w for pair in cospectral for w in pair}
-        data.deltas(roots)
-        data.controllable(roots)
-        for u, v in cospectral:
+    if data.connected and g.n >= 2:
+        analysis.fill_stacked([data], _pair_vertices)
+        for u, v in data.cospectral_pairs:
             report = data.report(u, v)
             entry = {"u": u, "v": v, "verdicts": report.verdicts()}
             if report.all_pass:
@@ -227,41 +225,50 @@ def scan_graph(g, config):
     return doc
 
 
-def _scan_line(item):
-    index, line, config = item
-    line = line.strip()
-    if not line:
-        return index, None
-    try:
-        g = parse_graph6(line)
-        doc = scan_graph(g, config)
-    except (Graph6Error, ValueError) as exc:
-        doc = {"id": line, "error": str(exc)}
-    doc["schema_version"] = SCHEMA_VERSION
-    return index, json.dumps(doc, separators=(",", ":"), sort_keys=True)
+def _pair_vertices(data):
+    return {w for pair in data.cospectral_pairs for w in pair}
+
+
+# Most lines per scan chunk; a chunk runs each stacked kernel once per n.
+SCAN_CHUNK = 64
+
+
+def _scan_chunk(item):
+    """A JSON line per non-blank line of a chunk, the exact facts stacked."""
+    lines, config = item
+    lines, docs, datas = [line.strip() for line in lines], {}, {}
+    for i, line in enumerate(lines):
+        try:
+            if line:
+                datas[i] = analysis.GraphData(parse_graph6(line), config)
+        except (Graph6Error, ValueError) as exc:
+            docs[i] = {"id": line, "error": str(exc)}
+    analysis.fill_stacked([d for d in datas.values()
+                           if d.connected and 2 <= d.g.n <= config.exact_cap], _pair_vertices)
+    for i, data in datas.items():
+        try:
+            docs[i] = scan_graph(data.g, config, data)
+        except ValueError as exc:
+            docs[i] = {"id": lines[i], "error": str(exc)}
+    return [json.dumps({**docs[i], "schema_version": SCHEMA_VERSION},
+                       separators=(",", ":"), sort_keys=True) for i in sorted(docs)]
 
 
 def run_scan(lines, config, out=None):
     """Scan newline-delimited graph6 input; one JSON line per graph, emitted in
-    input order regardless of worker count, at most one per line. Returns the
-    number processed."""
+    input order regardless of worker count, at most one per line, a chunk
+    of at most ``SCAN_CHUNK`` lines at a time.  Returns the number processed."""
     if out is None:
         out = sys.stdout
-    items = [(i, line, config) for i, line in enumerate(lines)]
+    size = max(1, min(SCAN_CHUNK, math.ceil(len(lines) / max(1, config.jobs))))
+    chunks = [(lines[i:i + size], config) for i in range(0, len(lines), size)]
+    jobs = min(config.jobs, len(chunks))
     processed = 0
-    jobs = min(config.jobs, len(items))
-    if jobs <= 1:
-        results = map(_scan_line, items)
-        for _, doc in results:
-            if doc is not None:
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        for docs in (pool.imap if pool else map)(_scan_chunk, chunks):
+            for doc in docs:
                 out.write(doc + "\n")
-                processed += 1
-    else:
-        with multiprocessing.Pool(jobs) as pool:
-            for _, doc in pool.imap(_scan_line, items, chunksize=16):
-                if doc is not None:
-                    out.write(doc + "\n")
-                    processed += 1
+            processed += len(docs)
     return processed
 
 
@@ -292,6 +299,14 @@ def _config_from_args(args, jobs=1):
     )
 
 
+def _env_jobs():
+    """QWALK_JOBS, 1 when unset, None when no integer (an error for scan)."""
+    try:
+        return int(os.environ.get("QWALK_JOBS", "1"))
+    except ValueError:
+        return None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qwalk",
@@ -315,8 +330,7 @@ def build_parser():
 
     p_scan = sub.add_parser("scan", help="bulk scan of a graph6 catalog")
     p_scan.add_argument("input", help="newline-delimited graph6 file or '-'")
-    p_scan.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("QWALK_JOBS", "1")))
+    p_scan.add_argument("--jobs", type=int, default=_env_jobs())
     _add_shared_flags(p_scan)
     return parser
 
@@ -350,6 +364,8 @@ def main(argv=None):
             _emit(pair_report_json(g, report), args.json_out)
             return 0
         if args.command == "scan":
+            if args.jobs is None:
+                raise ValueError("QWALK_JOBS must be an integer")
             config = _config_from_args(args, jobs=max(1, args.jobs))
             if args.input == "-":
                 lines = sys.stdin.read().splitlines()

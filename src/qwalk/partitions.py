@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import _FLOAT64_EXACT
+from .spectral import _FLOAT64_EXACT, _by_graph, _stack_rows
 
 BRUTE_FORCE_CAP_DEFAULT = 10
 
@@ -84,24 +84,24 @@ def _relabel(keys):
     return labels, int(labels[order[-1]]) + 1
 
 
-def _refine(g, colors):
-    """The coarsest equitable refinement of each row of the (roots, n) int
-    array ``colors`` (vertex v of row r has color colors[r, v]), as
-    colors numbered from 0 within each row.
+def _refine(a, gi, colors):
+    """The coarsest equitable refinement of each row r of the (rows, n) int
+    array ``colors`` under the adjacency matrix a[gi[r]] (vertex v of row r
+    has color colors[r, v]), as colors numbered from 0 within each row.
 
     Every round gives each (row, vertex) its neighbor counts into every
-    color of its row, for all rows at once as one float64 product A @ W.
-    The counts come packed as base-b digits, b - 1 the largest degree: W is
-    b**(c % d) at (v, c // d) for v of color c, so a vertex's entry in
-    column j holds its counts into the colors jd .. jd + d - 1.  It is
-    exact while b**d <= 2**53, which fixes d.  One ``np.lexsort`` over the
-    (row, color, packed counts) rows then numbers the new classes.  A class
-    keeps its color as a key, so each round refines the last; the run stops
-    when the number of (row, color) classes stops growing.
+    color of its row, for all rows at once as one float64 product A @ W
+    (``_by_graph``).  The counts come packed as base-b digits, b - 1 the
+    largest degree: W is b**(c % d) at (v, c // d) for v of color c, so a
+    vertex's entry in column j holds its counts into the colors jd .. jd +
+    d - 1.  It is exact while b**d <= 2**53, which fixes d.  One
+    ``np.lexsort`` over the (row, color, packed counts) rows then numbers
+    the new classes.  A class keeps its color as a key, so each round
+    refines the last; the run stops when the (row, color) classes stop
+    growing in number.
     """
     rows, n = colors.shape
-    a = g.adjacency.astype(float)
-    base = int(g.adjacency.sum(axis=1).max()) + 1
+    base = int(a.sum(axis=2).max()) + 1
     digits = 1
     while digits < n and base ** (digits + 1) <= _FLOAT64_EXACT:
         digits += 1
@@ -113,24 +113,23 @@ def _refine(g, colors):
     while True:
         local = labels - labels.reshape(rows, n).min(axis=1)[row_of]
         group = local // digits
-        width = int(group.max()) + 1
-        w = np.zeros((n, rows * width))
-        w[vertex, row_of * width + group] = weights[local % digits]
-        counts = (a @ w).reshape(n, rows, width).transpose(1, 0, 2).reshape(-1, width)
+        w = np.zeros((rows, int(group.max()) + 1, n))
+        w[row_of, group, vertex] = weights[local % digits]
+        counts = _by_graph(w, gi, a).transpose(0, 2, 1).reshape(rows * n, -1)
         labels, grown = _relabel(np.column_stack([labels, counts.astype(np.int64)]))
         if grown == classes:
             return local.reshape(rows, n)
         classes = grown
 
 
-def _partitions(g, colors):
-    """``_refine`` of the rows of ``colors``, a batch of rows at a time, as
-    Partitions."""
-    n = g.n
+def _partitions(graphs, gi, colors):
+    """``_refine`` of the rows of ``colors``, row r under graphs[gi[r]], as Partitions."""
+    n = graphs[0].n
+    a = np.stack([g.adjacency for g in graphs]).astype(float)
     step = max(1, _BATCH_ENTRIES // max(n, 1) ** 2)
     out = []
     for start in range(0, len(colors), step):
-        for row in _refine(g, colors[start:start + step]).tolist():
+        for row in _refine(a, gi[start:start + step], colors[start:start + step]).tolist():
             cells = {}  # color -> vertices; first seen at the cell's minimum
             for v, c in enumerate(row):
                 cells.setdefault(c, []).append(v)
@@ -145,19 +144,26 @@ def coarsest_equitable_refinement(g, pi0):
         raise ValueError("partition does not match the graph")
     if g.n == 0:
         return pi0
-    return _partitions(g, pi0.cell_of()[None])[0]
+    return _partitions([g], np.zeros(1, dtype=np.int64), pi0.cell_of()[None])[0]
+
+
+def delta_stack(graphs, roots):
+    """``delta_partitions`` of every graph, all of one vertex count, over its
+    ``roots`` list, from one batched refinement."""
+    roots = [list(dict.fromkeys(r)) for r in roots]
+    gi, flat = _stack_rows(roots)
+    for u in flat[(flat < 0) | (flat >= graphs[0].n)][:1]:
+        raise ValueError(f"vertex {u} out of range")
+    colors = np.zeros((len(flat), graphs[0].n), dtype=np.int64)
+    colors[np.arange(len(flat)), flat] = 1
+    found = iter(_partitions(graphs, gi, colors))
+    return [{u: next(found) for u in vertices} for vertices in roots]
 
 
 def delta_partitions(g, roots):
     """Delta_u, the coarsest equitable refinement of {{u}, V \\ {u}}, of
-    every u in ``roots``, as a dict, from one batched refinement."""
-    roots = list(dict.fromkeys(roots))
-    for u in roots:
-        if not 0 <= u < g.n:
-            raise ValueError(f"vertex {u} out of range")
-    colors = np.zeros((len(roots), g.n), dtype=np.int64)
-    colors[np.arange(len(roots)), roots] = 1
-    return dict(zip(roots, _partitions(g, colors)))
+    every u in ``roots``, as a dict: ``delta_stack`` of one graph."""
+    return delta_stack([g], [roots])[0]
 
 
 def delta_u(g, u):

@@ -202,7 +202,8 @@ def _coprime_mod(a, b, prime):
 def poly_coprime(p, q):
     """True iff the integer polynomials ``p`` and ``q``, at least one of them
     monic, are coprime.  ``q`` may also be a sequence of polynomials, each
-    of that kind; then the verdicts come as one bool array.
+    of that kind, and ``p`` then one polynomial or one for each; the
+    verdicts come as one bool array.
 
     The rows first run one vectorised Euclid modulo ``_EUCLID_PRIME``
     (``_coprime_mod``).  A remainder sequence that ends in a nonzero constant
@@ -213,18 +214,18 @@ def poly_coprime(p, q):
     certified ``poly_gcd``.
     """
     single = not len(q) or np.ndim(q[0]) == 0
-    a = _integer_poly(p)
     rows = [_integer_poly(r) for r in ([q] if single else q)]
-    if a[0] != 1 and any(r[0] != 1 for r in rows):
+    heads = [tuple(a) for a in p] if len(p) and np.ndim(p[0]) else [tuple(p)] * len(rows)
+    known = {a: _integer_poly(a) for a in dict.fromkeys(heads)}  # each converted once
+    heads = [known[a] for a in heads]
+    if any(a[0] != 1 and r[0] != 1 for a, r in zip(heads, rows)):
         raise ValueError("poly_coprime needs at least one monic polynomial")
-    width = max(map(len, rows))
-    b = np.array([[0] * (width - len(r)) + [c % _EUCLID_PRIME for c in r] for r in rows],
-                 dtype=np.int64)
-    a_res = np.array([[c % _EUCLID_PRIME for c in a]] * len(rows), dtype=np.int64)
+    a, b = (np.array([[0] * (max(map(len, side)) - len(r)) + [c % _EUCLID_PRIME for c in r]
+                      for r in side], dtype=np.int64) for side in (heads, rows))
     verdicts = np.zeros(len(rows), dtype=bool)
-    verdicts[_coprime_mod(a_res, b, _EUCLID_PRIME)] = True
+    verdicts[_coprime_mod(a, b, _EUCLID_PRIME)] = True
     for i in np.flatnonzero(~verdicts):
-        verdicts[i] = poly_degree(poly_gcd(a, rows[i])) == 0
+        verdicts[i] = poly_degree(poly_gcd(heads[i], rows[i])) == 0
     return bool(verdicts[0]) if single else verdicts
 
 

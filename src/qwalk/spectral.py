@@ -3,12 +3,12 @@ polynomials, and eigenvalue-gap diagnostics."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphs import encode_graph6
 from .polys import _PRIMES31, _primes, poly_eval
 
 EXACT_CAP_DEFAULT = 64
@@ -171,18 +171,34 @@ def _crt(residues, primes):
 
 
 def _combine(residues, primes):
-    """``_crt`` modulo all ``primes`` but the last.  Each integer must match
-    its residue modulo the last prime, the check prime."""
+    """``_crt`` modulo all ``primes`` but the last, and per row whether the
+    integer matches its residue modulo the last prime, the check prime."""
     *main, check = primes
     values = _crt(residues[:, :-1], main)
-    if not np.array_equal(values % check, residues[:, -1]):
-        raise InternalCheckError(f"reconstructed integers disagree with the check prime {check}")
-    return values
+    return values, values % check == residues[:, -1]
 
 
-@functools.lru_cache(maxsize=32)
-def _faddeev_leverrier(g):
-    """phi(G) and phi(G - u) for every u from one Faddeev-LeVerrier run, in
+def _stack_rows(roots):
+    """The graph index and the root of every row; roots[i] lists graph i's."""
+    return (np.repeat(np.arange(len(roots)), [len(r) for r in roots]),
+            np.array([u for r in roots for u in r], dtype=np.int64))
+
+
+def _by_graph(x, gi, mats):
+    """x[r] @ mats[gi[r]] for every row r of ``x`` (rows, ..., k), gi sorted:
+    the rows scattered into a zero (graphs, slots, ..., k) array, one batched
+    product, and the rows gathered back."""
+    if len(mats) == 1:
+        return (x.reshape(-1, x.shape[-1]) @ mats[0]).reshape(x.shape)
+    slot = np.arange(len(gi)) - np.searchsorted(gi, gi)
+    buf = np.zeros((len(mats), int(slot.max(initial=-1)) + 1) + x.shape[1:])
+    buf[gi, slot] = x
+    return (buf.reshape(len(mats), -1, x.shape[-1]) @ mats).reshape(buf.shape)[gi, slot]
+
+
+def _faddeev_leverrier(graphs):
+    """(phi(G), (phi(G - u) for every u)) of every graph G of ``graphs``, all
+    of one vertex count, from one Faddeev-LeVerrier run over the stack, in
     the residue arithmetic that ``char_poly_exact`` describes.
 
     With B_0 = I, c_k = -tr(A B_{k-1}) / k and B_k = A B_{k-1} + c_k I, the
@@ -190,47 +206,69 @@ def _faddeev_leverrier(g):
     adj(tI - A) = sum_k B_k t^(n-1-k).  The u-th diagonal entry of the
     adjugate is det(tI - A_{G-u}), so the diagonals of B_0 .. B_{n-1} give
     every vertex-deleted characteristic polynomial.  Only the c_k and the
-    diagonals are combined into integers.  ``Graph`` is immutable and
-    hashable, so the result is cached per graph.
+    diagonals are combined into integers.  The residues are (graphs, n, n,
+    primes), with primes for the largest edge count; each graph is checked
+    on its own, and an error names it.
     """
-    n = g.n
-    primes = _residue_primes(n, g.num_edges)
+    n = graphs[0].n
+    primes = _residue_primes(n, max(g.num_edges for g in graphs))
     p = np.array(primes, dtype=np.int64)
     if n * (max(primes) - 1) >= _FLOAT64_EXACT:
-        raise InternalCheckError(f"float64 products are not exact at n={n}")
+        raise InternalCheckError(f"{encode_graph6(graphs[0])}: float64 products are not exact")
     inverses = np.array([[pow(k, -1, q) for q in primes] for k in range(1, n + 1)],
                         dtype=np.int64)
-    a = g.adjacency.astype(float)
+    a = np.stack([g.adjacency for g in graphs]).astype(float)
     idx = np.arange(n)
-    b = np.zeros((n, n, len(primes)), dtype=np.int64)
-    b[idx, idx] = 1
-    coeffs = [np.ones_like(p)]
-    diagonals = [b[idx, idx]]
+    b = np.zeros((len(graphs), n, n, len(primes)), dtype=np.int64)
+    b[:, idx, idx] = 1
+    coeffs = [np.ones_like(b[:, 0, 0])]
+    diagonals = [b[:, idx, idx]]
     for k in range(1, n + 1):
-        m = (a @ b.reshape(n, -1).astype(float)).astype(np.int64).reshape(b.shape) % p
-        c = -(np.trace(m) % p) * inverses[k - 1] % p
+        m = (a @ b.reshape(len(a), n, -1).astype(float)).astype(np.int64).reshape(b.shape) % p
+        c = -(np.trace(m.transpose(1, 2, 0, 3)) % p) * inverses[k - 1] % p
         coeffs.append(c)
         if k < n:
-            m[idx, idx] = (m[idx, idx] + c) % p
+            m[:, idx, idx] = (m[:, idx, idx] + c[:, None]) % p
             b = m
-            diagonals.append(b[idx, idx])
-    # rows: the coefficients of phi, then those of phi(G - u) for u = 0, 1, ...
-    residues = np.concatenate([np.stack(coeffs),
-                               np.stack(diagonals, axis=1).reshape(n * n, -1)])
-    values = _combine(residues, primes)
-    phi = values[:n + 1].tolist()
-    deleted = values[n + 1:].reshape(n, n)
-    if deleted.sum(axis=0).tolist() != [c * (n - i) for i, c in enumerate(phi[:-1])]:
-        raise InternalCheckError("phi' differs from the sum of the phi(G - u)")
-    return ExactPoly(tuple(phi)), tuple(ExactPoly(tuple(row)) for row in deleted.tolist())
+            diagonals.append(b[:, idx, idx])
+    # rows of each graph: the coefficients of phi, then those of phi(G - u)
+    # for u = 0, 1, ...
+    residues = np.concatenate([np.stack(coeffs, axis=1),
+                               np.stack(diagonals, axis=2).reshape(len(a), n * n, -1)], axis=1)
+    values, agree = _combine(residues.reshape(-1, len(primes)), primes)
+    out = []
+    for g, row, ok in zip(graphs, values.reshape(len(a), -1), agree.reshape(len(a), -1)):
+        phi, deleted = row[:n + 1].tolist(), row[n + 1:].reshape(n, n)
+        if not ok.all():
+            raise InternalCheckError(f"{encode_graph6(g)}: reconstructed integers disagree "
+                                     f"with the check prime {primes[-1]}")
+        if deleted.sum(axis=0).tolist() != [c * (n - i) for i, c in enumerate(phi[:-1])]:
+            raise InternalCheckError(f"{encode_graph6(g)}: phi' differs from sum phi(G - u)")
+        out.append((ExactPoly(tuple(phi)), tuple(ExactPoly(tuple(r)) for r in deleted.tolist())))
+    return out
+
+
+_CHAR_POLYS = {}  # graph -> its ``_faddeev_leverrier`` result, oldest first
+
+
+def char_polys(graphs, cap=EXACT_CAP_DEFAULT):
+    """``_faddeev_leverrier`` of ``graphs``, all of one vertex count, from one
+    run over those not among the 64 latest results (``Graph`` is hashable)."""
+    _check_cap(graphs[0], cap)
+    new = [g for g in dict.fromkeys(graphs) if g not in _CHAR_POLYS]
+    _CHAR_POLYS.update(zip(new, _faddeev_leverrier(new)) if new else ())
+    found = [_CHAR_POLYS[g] for g in graphs]
+    for g in list(_CHAR_POLYS)[:-64]:
+        del _CHAR_POLYS[g]
+    return found
 
 
 def char_poly_exact(g, cap=EXACT_CAP_DEFAULT):
     """Exact characteristic polynomial det(tI - A), from the Faddeev-LeVerrier
     recurrence run modulo a few primes below 2**31 at once.
 
-    The residues are one int64 array of shape (n, n, primes), and each step
-    A B_{k-1} is one float64 matrix product with it.  That product is exact:
+    The residues are an int64 array (n, n, primes) per graph of a stack, and
+    each step A B_{k-1} is one float64 matrix product with it.  It is exact:
     A is 0/1 and every residue is below 2**31, so every partial sum is an
     integer below n 2**31 < 2**53, which is checked on every call.  The
     primes' product exceeds twice a proved bound on every coefficient,
@@ -238,8 +276,7 @@ def char_poly_exact(g, cap=EXACT_CAP_DEFAULT):
     the integers in the symmetric range.  One more prime checks them, and
     phi' must equal the sum of the phi(G - u) in exact integers; either
     failing raises ``InternalCheckError``."""
-    _check_cap(g, cap)
-    return _faddeev_leverrier(g)[0]
+    return char_polys([g], cap)[0][0]
 
 
 def deleted_char_polys(g, cap=EXACT_CAP_DEFAULT):
@@ -248,8 +285,7 @@ def deleted_char_polys(g, cap=EXACT_CAP_DEFAULT):
     residue-arithmetic run as ``char_poly_exact``.  The bound there covers
     these coefficients too (n - 1 vertices, at most m edges), and the same
     check prime and phi' = sum_u phi(G - u) check them."""
-    _check_cap(g, cap)
-    return _faddeev_leverrier(g)[1]
+    return char_polys([g], cap)[0][1]
 
 
 @dataclass(frozen=True)

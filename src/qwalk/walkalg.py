@@ -11,19 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graphs import encode_graph6
 from .polys import (_PRIMES31, _divmod_monic, _is_prime, _primes, poly_coprime, poly_degree,
                     poly_divides, poly_gcd)
-from .spectral import (
-    _FLOAT64_EXACT,
-    EXACT_CAP_DEFAULT,
-    _coefficient_bound,
-    _crt,
-    InternalCheckError,
-    char_poly_exact,
-    decompose,
-    deleted_char_polys,
-    eigenvalue_support,
-)
+from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, _by_graph, _coefficient_bound, _crt,
+                       _stack_rows, InternalCheckError, char_poly_exact, char_polys, decompose,
+                       deleted_char_polys, eigenvalue_support)
 
 
 def _check_vertex(g, u):
@@ -105,21 +98,21 @@ def _walk_prime(n):
 _BATCH_ENTRIES = 2**22
 
 
-def _krylov(g, roots, p, track=0):
-    """Per u in ``roots``, the first k at which A^k e_u depends on the earlier
-    Krylov vectors modulo p, or n: one vectorised step per k, each vector
-    reduced in int64 against its root's fully reduced basis.  With ``track``
-    = t > 0 only k < t are tried, and each vector carries its coordinates
-    over the Krylov vectors, so that the second array returned holds each
-    dependency c_0, ..., c_k = 1, sum c_i A^i e_u = 0 mod p, zero-padded."""
-    n = g.n
+def _krylov(a, gi, roots, p, track=0):
+    """Per row r, the first k at which A^k e_u, A = a[gi[r]] and u = roots[r],
+    depends on the earlier Krylov vectors modulo p, or n: one vectorised step
+    per k, each vector reduced in int64 against its row's fully reduced
+    basis.  With ``track`` = t > 0 only k < t are tried, and each vector
+    carries its coordinates over the Krylov vectors, so that the second array
+    returned holds each dependency c_0, ..., c_k = 1, sum c_i A^i e_u = 0
+    mod p, zero-padded."""
+    n = a.shape[1]
     width = n + track
     # one float64 product steps the vector by A and its coordinates by one;
     # exact, as A x sums at most n residues, n (p - 1) < sqrt(n) 2**31.5 < 2**53
-    step_by = np.eye(width, k=1)
-    step_by[:n] = 0
-    step_by[:n, :n] = g.adjacency
-    roots = np.asarray(roots, dtype=np.int64)
+    step_by = np.tile(np.eye(width, k=1), (len(a), 1, 1))
+    step_by[:, :n] = 0
+    step_by[:, :n, :n] = a
     stops = np.full(len(roots), n)
     found = np.zeros((len(roots), track), dtype=np.int64)
     batch = max(1, _BATCH_ENTRIES // (n * width))
@@ -156,52 +149,55 @@ def _krylov(g, roots, p, track=0):
             reduced %= p
             basis[:, k] = r
             pivots[:, k] = i
-            x = (x.astype(float) @ step_by).astype(np.int64) % p
+            x = _by_graph(x, gi[active], step_by).astype(np.int64) % p
     return stops, found
 
 
-def _minimal_polys(g, ranks):
-    """psi_u as a monic descending tuple, for each u of ``ranks`` (u -> k < n)
-    whose candidate has psi(A) e_u = 0 exactly.  The dependency at k is
-    tracked modulo one walk prime after another and lifted to integers after
-    each (``_crt``), until the primes' product exceeds twice
-    ``_coefficient_bound``, which bounds psi_u as it divides phi.  As the
-    entries of A^i e_u are at most D^i, D the largest degree, those of
-    psi(A) e_u are at most sum |c_i| D^i, so residues modulo primes whose
-    product exceeds twice that decide psi(A) e_u = 0 (``_walk_residues``)."""
-    roots, k = np.array(list(ranks)), np.array(list(ranks.values()))
-    depth = int(k.max())
+def _minimal_polys(a, gi, roots, k):
+    """psi_u as a monic descending tuple, keyed by row, for each row (u =
+    roots[r] of graph gi[r], k[r] < n) whose candidate has psi(A) e_u = 0
+    exactly.  The dependency at k is tracked modulo one walk prime after
+    another and lifted to integers after each (``_crt``), until the primes'
+    product exceeds twice ``_coefficient_bound`` of the graph, which bounds
+    psi_u as it divides phi.  As the entries of A^i e_u are at most D^i, D
+    the graph's largest degree, those of psi(A) e_u are at most
+    sum |c_i| D^i, so residues modulo primes whose product exceeds twice
+    that decide psi(A) e_u = 0 (``_walk_residues``)."""
+    n, depth = a.shape[1], int(k.max())
     steps = np.arange(depth + 1)
-    powers = max(int(g.adjacency.sum(axis=1).max()), 1) ** steps.astype(object)  # D^i
-    limit = 2 * _coefficient_bound(g.n, g.num_edges)
+    degree = np.maximum(a.sum(axis=2).max(axis=1).astype(np.int64), 1).astype(object)
+    powers = (degree[:, None] ** steps.astype(object))[gi]  # D^i
+    limits = np.array([2 * _coefficient_bound(n, int(m)) for m in a.sum(axis=(1, 2)) // 2],
+                      dtype=object)[gi]
     todo = np.ones(len(roots), dtype=bool)
     primes, columns, psi = [], [], {}
-    for q in _primes((_walk_prime(g.n),)):  # below p, so in p's int64 bound
+    for q in _primes((_walk_prime(n),)):  # below p, so in p's int64 bound
         live = np.flatnonzero(todo)
         primes.append(q)
         columns.append(np.zeros((len(roots), depth + 1), dtype=np.int64))
-        columns[-1][live] = _krylov(g, roots[live], q, track=depth + 1)[1]
+        columns[-1][live] = _krylov(a, gi[live], roots[live], q, track=depth + 1)[1]
         lifted = _crt(np.stack(columns, axis=-1)[live].reshape(-1, len(primes)), primes)
         # each candidate monic of degree k: c_k = 1, and 0 above
         cands = np.where(steps < k[live, None], lifted.reshape(len(live), -1),
                          (steps == k[live, None]).astype(int))
-        check = _walk_count_primes((2 * (abs(cands) @ powers).max()).bit_length())
+        check = _walk_count_primes((2 * (abs(cands) * powers[live]).sum(1).max()).bit_length())
         residues = np.stack([cands % s for s in check], axis=-1).astype(np.int64)
-        total, modulus = 0, np.array(check, dtype=np.int64)
-        for j, x in enumerate(_walk_residues(g, roots[live], check, depth)):
-            total = (total + residues[:, j] * x) % modulus
-        zero = ~np.any(total, axis=(0, 2))
-        psi.update((int(roots[i]), tuple(cs[k[i]::-1]))
+        total, modulus = 0, np.array(check, dtype=np.int64)[:, None]
+        for j, x in enumerate(_walk_residues(a, gi[live], roots[live], check, depth)):
+            total = (total + residues[:, j, :, None] * x) % modulus
+        zero = ~np.any(total, axis=(1, 2))
+        psi.update((int(i), tuple(cs[k[i]::-1]))
                    for i, cs in zip(live[zero], cands[zero].tolist()))
         todo[live[zero]] = False
-        if not todo.any() or math.prod(primes) > limit:
+        todo &= limits >= math.prod(primes)
+        if not todo.any():
             break
     return psi
 
 
-def _walk_krylov(g, roots, cap):
-    """(ranks, psi): the exact walk rank of every u in ``roots``, and the
-    minimal polynomial psi_u of e_u of those of rank below n, as dicts.
+def _walk_krylov(graphs, roots, cap):
+    """(ranks, psi) of each graph, all of one vertex count: the exact walk
+    rank of each u of its ``roots``, and psi_u of those below n, as dicts.
 
     Modulo the walk prime p, the first k at which A^k e_u depends on the
     earlier Krylov vectors (``_krylov``) is rank_p(W_u) <= rank_Q(W_u), as
@@ -211,25 +207,31 @@ def _walk_krylov(g, roots, cap):
     over Q, prove rank >= k; so psi_u is the minimal polynomial.  A root left
     without psi_u (an unlucky prime) has its walk matrix eliminated exactly.
     """
-    n = g.n
-    roots = list(dict.fromkeys(roots))
-    for u in roots:
-        _check_vertex(g, u)
-    _check_cap(g, cap)
-    p = _walk_prime(n)
+    n, p = graphs[0].n, _walk_prime(graphs[0].n)
+    gi, flat = _stack_rows(roots)
+    for i, u in zip(gi.tolist(), flat.tolist()):
+        _check_vertex(graphs[i], u)
+    _check_cap(graphs[0], cap)
     if n * (p - 1) ** 2 >= _INT64_LIMIT:
-        raise InternalCheckError(f"prime {p} overflows int64 reduction at n={n}")
-    ranks = dict(zip(roots, _krylov(g, roots, p)[0].tolist()))
-    deficient = {u: k for u, k in ranks.items() if k < n}
-    psi = _minimal_polys(g, deficient) if deficient else {}
-    for u in deficient.keys() - psi.keys():
-        ranks[u] = rank_exact(walk_matrix(g, u, cap=cap))
-    return ranks, psi
+        raise InternalCheckError(f"{encode_graph6(graphs[0])}: prime {p} overflows int64")
+    a = np.stack([g.adjacency for g in graphs]).astype(float)
+    k = _krylov(a, gi, flat, p)[0]
+    low = np.flatnonzero(k < n)
+    psi = _minimal_polys(a, gi[low], flat[low], k[low]) if low.size else {}
+    psi = {int(low[j]): c for j, c in psi.items()}
+    out = [({}, {}) for _ in graphs]
+    for row, (i, u, rank) in enumerate(zip(gi.tolist(), flat.tolist(), k.tolist())):
+        if row in psi:
+            out[i][1][u] = psi[row]
+        elif rank < n:
+            rank = rank_exact(walk_matrix(graphs[i], u, cap=cap))
+        out[i][0][u] = rank
+    return out
 
 
 def walk_ranks(g, roots, cap=EXACT_CAP_DEFAULT):
     """Exact rank of the walk matrix W_u of every u in ``roots``, as a dict."""
-    return _walk_krylov(g, roots, cap)[0]
+    return _walk_krylov([g], [roots], cap)[0][0]
 
 
 def walk_rank(g, u, cap=EXACT_CAP_DEFAULT):
@@ -238,42 +240,47 @@ def walk_rank(g, u, cap=EXACT_CAP_DEFAULT):
 
 
 def controllability(g, roots, cap=EXACT_CAP_DEFAULT):
-    """For every u in ``roots``, True iff its walk matrix is invertible, as a
-    dict.
+    """``controllability_stack`` of one graph."""
+    return controllability_stack([g], [roots], cap=cap)[0]
+
+
+def controllability_stack(graphs, roots, cap=EXACT_CAP_DEFAULT):
+    """For each graph, all of one vertex count, and each u of its ``roots``,
+    True iff the walk matrix of u is invertible, as dicts.
 
     Computed both as rank(W_u) = n, by ``_walk_krylov``, and as coprimality
     of the characteristic polynomials of the graph and each vertex-deleted
-    subgraph: one vectorised ``poly_coprime`` over the full-rank roots; for
-    rank k < n, H = phi / psi_u dividing phi(G - u) proves a common factor
-    of degree n - k, else the certified ``poly_gcd`` decides.  The two
-    routes must agree.
+    subgraph: one ``poly_coprime`` over the full-rank roots of every graph,
+    each row with its own phi; for rank k < n, H = phi / psi_u dividing
+    phi(G - u) proves a common factor of degree n - k, else the certified
+    ``poly_gcd`` decides.  The two routes must agree.
     """
-    roots = list(dict.fromkeys(roots))
-    ranks, psi = _walk_krylov(g, roots, cap)
-    by_rank = np.array([ranks[u] == g.n for u in roots], dtype=bool)
-    if g.n > 1:
-        phi = char_poly_exact(g, cap=cap).coeffs
-        deleted = deleted_char_polys(g, cap=cap)
-        rows = [deleted[u].coeffs for u in roots]
-        by_gcd = np.zeros(len(roots), dtype=bool)
+    roots = [list(dict.fromkeys(r)) for r in roots]
+    krylov = _walk_krylov(graphs, roots, cap)
+    rows = [(i, u) for i, vertices in enumerate(roots) for u in vertices]
+    by_rank = np.array([krylov[i][0][u] == graphs[i].n for i, u in rows], dtype=bool)
+    if rows and graphs[0].n > 1:
+        polys = char_polys(graphs, cap)
+        pairs = [(polys[i][0].coeffs, polys[i][1][u].coeffs) for i, u in rows]
+        by_gcd = np.zeros(len(rows), dtype=bool)
         full = np.flatnonzero(by_rank)
         if full.size:
-            by_gcd[full] = poly_coprime(phi, [rows[i] for i in full])
-        shared = {}  # (psi_u, phi(G - u)) -> whether H = phi / psi_u divides both
-        for i in np.flatnonzero(~by_rank):
-            key = (psi.get(roots[i]), rows[i])
-            if key[0] and key not in shared:
-                h, rest = _divmod_monic(phi, key[0])
-                shared[key] = rest == [0] and poly_divides(h, rows[i])
-            by_gcd[i] = not shared.get(key) and poly_degree(poly_gcd(phi, rows[i])) == 0
-        disagree = np.flatnonzero(by_rank != by_gcd)
-        if disagree.size:
-            i = int(disagree[0])
+            by_gcd[full] = poly_coprime(*zip(*[pairs[j] for j in full]))
+        shared = {}  # (phi, psi_u, phi(G - u)) -> whether H = phi / psi_u divides both
+        for j in np.flatnonzero(~by_rank):
+            (i, u), (phi, row) = rows[j], pairs[j]
+            key = (phi, krylov[i][1].get(u), row)
+            if key[1] and key not in shared:
+                h, rest = _divmod_monic(phi, key[1])
+                shared[key] = rest == [0] and poly_divides(h, row)
+            by_gcd[j] = not shared.get(key) and poly_degree(poly_gcd(phi, row)) == 0
+        for j in np.flatnonzero(by_rank != by_gcd)[:1]:
+            i, u = rows[j]
             raise InternalCheckError(
-                f"controllability disagreement at vertex {roots[i]}: rank says "
-                f"{bool(by_rank[i])}, gcd says {bool(by_gcd[i])}"
-            )
-    return dict(zip(roots, by_rank.tolist()))
+                f"{encode_graph6(graphs[i])}: controllability disagreement at vertex {u}: "
+                f"rank says {bool(by_rank[j])}, gcd says {bool(by_gcd[j])}")
+    verdicts = iter(by_rank.tolist())
+    return [{u: next(verdicts) for u in vertices} for vertices in roots]
 
 
 def is_controllable(g, u, cap=EXACT_CAP_DEFAULT):
@@ -303,21 +310,20 @@ def _walk_count_primes(bits):
         product *= p
 
 
-def _walk_residues(g, roots, primes, steps):
-    """Yield A^k e_u of every u in ``roots`` modulo every one of ``primes``
-    (below 2**31), for k = 0 .. ``steps``, as int64 arrays (n, roots, primes).
-    Each step is one float64 product with the 0/1 matrix A, exact while every
-    partial sum, below n 2**31, is below 2**53, which is checked."""
-    n = g.n
+def _walk_residues(a, gi, roots, primes, steps):
+    """Yield A^k e_u of every row (A = a[gi[r]], u = roots[r]) modulo every
+    one of ``primes`` (below 2**31), for k = 0 .. ``steps``, as int64 arrays
+    (rows, primes, n).  Each step is one float64 product (``_by_graph``),
+    exact while every partial sum, below n 2**31, is below 2**53: checked."""
+    n = a.shape[1]
     if n * (max(primes) - 1) >= _FLOAT64_EXACT:
         raise InternalCheckError(f"float64 products are not exact at n={n}")
-    p = np.array(primes, dtype=np.int64)
-    a = g.adjacency.astype(float)
-    x = np.zeros((n, len(roots), len(primes)), dtype=np.int64)
-    x[list(roots), np.arange(len(roots))] = 1
+    p = np.array(primes, dtype=np.int64)[:, None]
+    x = np.zeros((len(roots), len(primes), n), dtype=np.int64)
+    x[np.arange(len(roots)), :, roots] = 1
     yield x
     for _ in range(steps):
-        x = (a @ x.reshape(n, -1).astype(float)).astype(np.int64).reshape(x.shape) % p
+        x = _by_graph(x, gi, a).astype(np.int64) % p
         yield x
 
 
@@ -333,8 +339,9 @@ def _closed_walks(g, roots, cap):
     _check_cap(g, cap)
     top = max(int(g.adjacency.sum(axis=1).max(initial=0)), 1)
     primes = _walk_count_primes(((2 * top ** (2 * n - 2)).bit_length()))
-    at_root = (list(roots), np.arange(len(roots)))
-    return np.stack([x[at_root] for x in _walk_residues(g, roots, primes, 2 * n - 2)], axis=1)
+    roots = np.array(list(roots), dtype=np.int64)
+    walks = _walk_residues(g.adjacency[None].astype(float), 0 * roots, roots, primes, 2 * n - 2)
+    return np.stack([x[np.arange(len(roots)), :, roots] for x in walks], axis=1)
 
 
 def cospectral_via_gram(g, u, v, cap=EXACT_CAP_DEFAULT):

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -246,6 +247,21 @@ SCAN_V1_SHA256 = "89458569f97dabf11cc034599f86edef28987ca2568e5f55f69b0400eba4d5
 
 def test_scan_output_matches_golden(scan_text):
     assert hashlib.sha256(scan_text.encode()).hexdigest() == SCAN_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("order", ["shuffled", "reversed"])
+def test_scan_lines_do_not_depend_on_chunks(catalog_lines, scan_text, order):
+    # the golden catalog is sorted by n, so its chunks hold one or two vertex
+    # counts; in another order every chunk stacks graphs of mixed sizes
+    index = list(range(len(catalog_lines)))
+    if order == "shuffled":
+        random.Random(20261018).shuffle(index)
+    else:
+        index.reverse()
+    buf = io.StringIO()
+    assert run_scan([catalog_lines[i] for i in index], AnalysisConfig(jobs=1), out=buf) == 1000
+    golden = scan_text.splitlines()
+    assert buf.getvalue().splitlines() == [golden[i] for i in index]
 
 
 def _as_schema_v1(text):

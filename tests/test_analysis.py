@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -413,8 +414,8 @@ class TestComputeOnce:
     of each batched kernel over the vertices a view needs, and each support
     classification once per distinct support."""
 
-    KERNELS = (("_walk_krylov", q.walkalg), ("controllability", q.walkalg),
-               ("delta_partitions", q.partitions))
+    KERNELS = (("_walk_krylov", q.walkalg), ("controllability_stack", q.walkalg),
+               ("delta_stack", q.partitions))
 
     def _spy_kernels(self, monkeypatch):
         return {name: _count_calls(monkeypatch, name, module)
@@ -424,7 +425,8 @@ class TestComputeOnce:
     def _assert_once(calls, roots):
         for name, made in calls.items():
             assert len(made) == 1, name
-            assert sorted(made[0][1]) == sorted(roots), name
+            # a stack of one graph
+            assert [sorted(r) for r in made[0][1]] == [sorted(roots)], name
 
     @pytest.mark.parametrize("name,distinct", [("random32", 2), ("P5xP6", 3)])
     def test_analyze_graph(self, monkeypatch, name, distinct):
@@ -452,6 +454,25 @@ class TestComputeOnce:
         calls = self._spy_kernels(monkeypatch)
         q.analyze_pair(q.hypercube(3), u, v)
         self._assert_once(calls, (u, v))
+
+    def test_scan_chunk_runs_each_kernel_once_per_vertex_count(self, monkeypatch):
+        # every graph has a cospectral pair, so every kernel runs for every n;
+        # the lines mix three vertex counts and fit in one chunk
+        from qwalk import cli
+        graphs = [q.cycle(5), q.complete(4), q.hypercube(3), q.cycle(4), q.complete(5),
+                  q.cycle(8), q.star(4), q.petersen(), q.path(4), q.cycle(7)]
+        lines = [q.encode_graph6(g) for g in graphs]
+        assert len(lines) <= cli.SCAN_CHUNK
+        monkeypatch.setattr(q.spectral, "_CHAR_POLYS", {})  # nothing cached
+        calls = self._spy_kernels(monkeypatch)
+        calls["_faddeev_leverrier"] = _count_calls(monkeypatch, "_faddeev_leverrier", q.spectral)
+        assert cli.run_scan(lines, cli.AnalysisConfig(), out=io.StringIO()) == len(lines)
+        by_n = {}
+        for g in graphs:
+            by_n.setdefault(g.n, set()).add(g)
+        for name, made in calls.items():
+            stacked = sorted((set(args[0]) for args in made), key=lambda s: next(iter(s)).n)
+            assert stacked == [by_n[n] for n in sorted(by_n)], name
 
 
 class TestFinitenessBound:

@@ -281,6 +281,55 @@ class TestScan:
         args = cli.build_parser().parse_args(["scan", "x"])
         assert args.jobs == 3
 
+    @pytest.mark.parametrize("value", ["abc", "", "2.5"])
+    def test_bad_jobs_env_fails_scan_alone(self, monkeypatch, p3_file, capsys, value):
+        monkeypatch.setenv("QWALK_JOBS", value)
+        code, out, err = run_cli(["scan", p3_file], capsys)
+        assert (code, out) == (2, "") and err == "error: QWALK_JOBS must be an integer\n"
+        # --jobs overrides it, and the other commands never read it
+        assert run_cli(["scan", p3_file, "--jobs", "1"], capsys)[0] == 0
+        code, out, _ = run_cli(["analyze", p3_file], capsys)
+        assert code == 0 and json.loads(out)["n"] == 3
+        assert run_cli(["pair", p3_file, "0", "2"], capsys)[0] == 0
+
+    def test_empty_graph_is_an_error_line(self, monkeypatch, capsys):
+        # "?" is the graph6 of the graph with no vertex, which analyze and
+        # pair reject too
+        monkeypatch.setattr("sys.stdin", io.StringIO("?\nA_\n"))
+        code, out, _ = run_cli(["scan", "-"], capsys)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2
+        assert lines[0] == ('{"error":"graph must have at least one vertex","id":"?",'
+                            f'"schema_version":{cli.SCHEMA_VERSION}}}')
+        assert json.loads(lines[1])["n"] == 2
+        monkeypatch.setattr("sys.stdin", io.StringIO("?\n"))
+        assert run_cli(["analyze", "-"], capsys)[0] == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_chunk_matches_line_by_line(self, jobs):
+        # blank lines, bad graph6, a connected graph above the cap, a
+        # disconnected one above it, K1 and "?" among graphs of several
+        # sizes: the stacked chunk writes what each line gives alone
+        two_c4 = q.Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
+                                    + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
+        lines = ["", q.encode_graph6(q.path(4)), "\x7fbad", "  ", q.encode_graph6(q.cycle(7)),
+                 q.encode_graph6(two_c4), "@", "?", q.encode_graph6(q.cycle(4)), "",
+                 q.encode_graph6(q.hypercube(3)), "D", q.encode_graph6(q.star(5))]
+        config = AnalysisConfig(exact_cap=6, jobs=jobs)
+        buf = io.StringIO()
+        assert run_scan(lines, config, out=buf) == len([line for line in lines if line.strip()])
+        alone = io.StringIO()
+        for line in lines:
+            run_scan([line], AnalysisConfig(exact_cap=6), out=alone)
+        assert buf.getvalue() == alone.getvalue()
+        docs = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [d.get("error", "") for d in docs] == [
+            "", "character '\\x7f' outside graph6 alphabet (byte offset 0)",
+            "exact-arithmetic cap exceeded: 7 > 6", "", "",
+            "graph must have at least one vertex", "", "exact-arithmetic cap exceeded: 8 > 6",
+            docs[8]["error"], ""]
+        assert "truncated" in docs[8]["error"] and not docs[3]["connected"]
+
 
 def test_stdin_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))

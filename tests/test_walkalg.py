@@ -188,7 +188,7 @@ class TestWalkRanks:
         for n in range(2, 7):
             for g in atlas_connected[n]:
                 reference = {u: q.rank_exact(real_walk_matrix(g, u)) for u in range(n)}
-                ranks, psi = walkalg._walk_krylov(g, range(n), 64)
+                ranks, psi = walkalg._walk_krylov([g], [range(n)], 64)[0]
                 assert ranks == reference and psi == {}
                 assert walkalg.controllability(g, range(n)) == \
                     {u: k == n for u, k in reference.items()}
@@ -218,7 +218,7 @@ class TestMinimalPolys:
 
     @staticmethod
     def _check(g):
-        ranks, psi = walkalg._walk_krylov(g, range(g.n), 64)
+        ranks, psi = walkalg._walk_krylov([g], [range(g.n)], 64)[0]
         reference = bareiss_ranks(g)
         assert ranks == reference
         assert sorted(psi) == [u for u in range(g.n) if reference[u] < g.n]
@@ -268,7 +268,7 @@ class TestMinimalPolys:
             monkeypatch.setattr(walkalg, "_crt", corrupt)
             monkeypatch.setattr(walkalg, "walk_matrix", spy)
             whole.clear()
-            ranks, psi = walkalg._walk_krylov(g, range(g.n), 64)
+            ranks, psi = walkalg._walk_krylov([g], [range(g.n)], 64)[0]
             assert ranks == reference
             assert whole == [deficient[0]]
             assert sorted(psi) == deficient[1:]
@@ -344,8 +344,8 @@ class TestBatchedControllability:
     @pytest.mark.internal_check
     def test_injected_rank_disagreement_raises(self, monkeypatch):
         # the rank route claims full rank on Q3, where no vertex is controllable
-        monkeypatch.setattr(walkalg, "_walk_krylov",
-                            lambda g, roots, cap=64: ({u: g.n for u in roots}, {}))
+        monkeypatch.setattr(walkalg, "_walk_krylov", lambda graphs, roots, cap=64: [
+            ({u: g.n for u in r}, {}) for g, r in zip(graphs, roots)])
         with pytest.raises(q.InternalCheckError):
             walkalg.controllability(q.hypercube(3), range(8))
 
