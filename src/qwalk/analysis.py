@@ -15,8 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import partitions, walkalg
+from .graphs import connected_stack
 from .spectral import (SUPPORT_TOL_DEFAULT, char_poly_exact, char_polys, decompose,
-                       deleted_char_polys, eigenvalue_support, gap_report, transition_matrix)
+                       decompose_stack, deleted_char_polys, eigenvalue_support, gap_report,
+                       transition_matrix)
 from .polys import poly_divides, poly_squarefree
 
 THRESHOLD_DEFAULT = 1 - 1e-9
@@ -40,9 +42,12 @@ class AnalysisConfig:
     def __post_init__(self):
         if not 0 < self.threshold < 1:
             raise ValueError("threshold must lie in (0, 1)")
-        for name in ("support_tolerance", "t_max", "denominator_bound", "exact_cap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        positive = ["support_tolerance", "t_max", "denominator_bound", "exact_cap"]
+        if self.grouping_tolerance is not None:
+            positive.append("grouping_tolerance")
+        for name in positive:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.brute_force_cap < 0:
             raise ValueError("brute_force_cap must be non-negative")
 
@@ -115,6 +120,18 @@ def _polish_peak(thetas, coeffs, tau, halfwidth):
     return (lo + hi) / 2
 
 
+def _grid_peaks(vals, floor):
+    """Indices of the local maxima of ``vals`` (ties included) at or above
+    ``floor``.  Only the flat |amplitude| == 1 case (single support
+    eigenvalue) peaks at the first grid point; a merely decreasing start is
+    the trivial t -> 0 plateau of a diagonal entry."""
+    peaks = vals >= floor
+    peaks[1:] &= vals[1:] >= vals[:-1]
+    peaks[1:-1] &= vals[1:-1] >= vals[2:]
+    peaks[0] &= len(vals) == 1 or abs(vals[0] - vals[1]) < 1e-12
+    return np.flatnonzero(peaks)
+
+
 def _search_amplitude(thetas, coeffs, t_max, threshold, rho):
     """Earliest t in (0, t_max] with |sum_r c_r exp(i theta_r t)| >= threshold."""
     if t_max <= 0:
@@ -127,21 +144,8 @@ def _search_amplitude(thetas, coeffs, t_max, threshold, rho):
 
     # a true peak can drop by at most (step/2) * rho * sum|c_r| <= pi/200
     # between grid samples; 0.02 leaves slack
-    floor = threshold - 0.02
-    peaks = []
-    for i in range(len(ts)):
-        if i == 0:
-            # only the flat |amplitude| == 1 case (single support eigenvalue)
-            # peaks at the first grid point; a merely decreasing start is the
-            # trivial t -> 0 plateau of a diagonal entry
-            ok = len(ts) == 1 or abs(vals[0] - vals[1]) < 1e-12
-        else:
-            ok = vals[i] >= vals[i - 1] and (i == len(ts) - 1 or vals[i] >= vals[i + 1])
-        if ok and vals[i] >= floor:
-            peaks.append(i)
-
     f = lambda t: abs(_amplitude(thetas, coeffs, t))
-    for i in peaks:
+    for i in _grid_peaks(vals, threshold - 0.02):
         lo = max(ts[i] - step, step * 1e-9)
         hi = min(ts[i] + step, t_max)
         tau, fid = _golden_max(f, lo, hi)
@@ -532,15 +536,33 @@ def _fill(name, datas, roots):
     return memos
 
 
+def _set(datas, name, stack):
+    """Set the cached property ``name`` of the ``datas`` that lack it, from
+    one run of ``stack`` over their graphs."""
+    todo = [d for d in datas if name not in vars(d)]
+    for d, value in zip(todo, stack([d.g for d in todo]) if todo else ()):
+        vars(d)[name] = value
+
+
 def fill_stacked(datas, roots):
-    """phi, every phi(G - u), and Delta_u and controllability of ``roots(d)``
-    for every ``GraphData`` d of ``datas`` (connected, within the cap), by one
-    run of each stacked kernel per vertex count, ``roots`` after phi(G - u)."""
-    for _, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
-        group = list(group)
-        char_polys([d.g for d in group], cap=group[0].config.exact_cap)
-        for name in ("deltas", "controllable"):
-            _fill(name, group, [roots(d) for d in group])
+    """The facts ``scan`` needs of every ``GraphData`` d of ``datas`` (one
+    config), by one run of each stacked kernel per vertex count, facts
+    already known left out: connectivity and the decomposition of d with a
+    vertex (unless connected above the cap, an error), then, for d connected
+    within the cap with n >= 2, phi, every phi(G - u), and Delta_u and
+    controllability of ``roots(d)``, ``roots`` after phi(G - u)."""
+    for n, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
+        group, config = list(group), datas[0].config
+        if n < 1:
+            continue
+        _set(group, "connected", connected_stack)
+        group = [d for d in group if not (d.connected and n > config.exact_cap)]
+        _set(group, "sd", lambda graphs: decompose_stack(graphs, config.grouping_tolerance))
+        group = [d for d in group if d.connected and n >= 2]
+        if group:
+            char_polys([d.g for d in group], cap=config.exact_cap)
+            for name in ("deltas", "controllable"):
+                _fill(name, group, [roots(d) for d in group])
 
 
 class GraphData:
@@ -660,7 +682,7 @@ class GraphData:
         with ``search``, when every verdict passes (as in ``scan``), the
         numeric time search and the verification of any event it finds."""
         g, config = self.g, self.config
-        _check_pair(g, u, v)
+        _check_pair(self, u, v)
         report = self.report(u, v)
         if walkalg.cospectral_via_gram(g, u, v, cap=config.exact_cap) != report.cospectral:
             raise walkalg.InternalCheckError(
@@ -679,12 +701,12 @@ class GraphData:
                        verification=verify_pst_event(self.sd, event, config.support_tolerance))
 
 
-def _check_pair(g, u, v):
+def _check_pair(data, u, v):
     if u == v:
         raise ValueError("vertices must be distinct")
-    if not (0 <= u < g.n and 0 <= v < g.n):
+    if not (0 <= u < data.g.n and 0 <= v < data.g.n):
         raise ValueError("vertex out of range")
-    if not g.is_connected():
+    if not data.connected:
         raise ValueError("necessary-condition pipeline requires a connected graph")
 
 

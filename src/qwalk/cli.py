@@ -112,9 +112,8 @@ def _is_json_object(text):
 # analyze
 
 def analyze_graph(g, config):
-    connected = g.is_connected()
     data = analysis.GraphData(g, config)
-    sd = data.sd
+    connected, sd = data.connected, data.sd
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
@@ -234,7 +233,7 @@ SCAN_CHUNK = 64
 
 
 def _scan_chunk(item):
-    """A JSON line per non-blank line of a chunk, the exact facts stacked."""
+    """A JSON line per non-blank line of a chunk, the facts stacked."""
     lines, config = item
     lines, docs, datas = [line.strip() for line in lines], {}, {}
     for i, line in enumerate(lines):
@@ -243,8 +242,7 @@ def _scan_chunk(item):
                 datas[i] = analysis.GraphData(parse_graph6(line), config)
         except (Graph6Error, ValueError) as exc:
             docs[i] = {"id": line, "error": str(exc)}
-    analysis.fill_stacked([d for d in datas.values()
-                           if d.connected and 2 <= d.g.n <= config.exact_cap], _pair_vertices)
+    analysis.fill_stacked(list(datas.values()), _pair_vertices)
     for i, data in datas.items():
         try:
             docs[i] = scan_graph(data.g, config, data)

@@ -89,18 +89,7 @@ class Graph:
         return [(int(i), int(j)) for i, j in zip(*np.triu(self._adj).nonzero())]
 
     def is_connected(self):
-        if self.n == 0:
-            return True
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(self._adj[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
+        return connected_stack([self])[0]
 
     def __eq__(self, other):
         return isinstance(other, Graph) and np.array_equal(self._adj, other._adj)
@@ -110,6 +99,20 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def connected_stack(graphs):
+    """Whether each graph of ``graphs``, all of one vertex count n, is
+    connected: vertex 0 reaches every vertex within n - 1 steps in
+    (A + I)^hops, squared for the whole stack until hops >= n - 1 or every
+    vertex 0 reaches all.  Products are clipped to 0/1, so they stay exact."""
+    n = graphs[0].n if graphs else 0
+    if n < 2:
+        return [True] * len(graphs)
+    reach, hops = np.stack([g.adjacency for g in graphs]) + np.eye(n), 1
+    while hops < n - 1 and not reach[:, 0].all():
+        reach, hops = np.minimum(reach @ reach, 1), 2 * hops
+    return reach[:, 0].all(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -49,43 +49,59 @@ class SpectralDecomposition:
 
 
 def decompose(g, grouping_tolerance=None):
-    """Spectral decomposition of the adjacency matrix of ``g``.
+    """Spectral decomposition of the adjacency matrix of ``g``: a stack of
+    one for ``decompose_stack``."""
+    return decompose_stack([g], grouping_tolerance)[0]
 
-    Numeric eigenvalues are clustered wherever consecutive sorted gaps fall
-    below the grouping tolerance; each cluster yields one idempotent.
+
+def decompose_stack(graphs, grouping_tolerance=None):
+    """``decompose`` of every graph of ``graphs``, by one ``np.linalg.eigh``
+    per vertex count.
+
+    Numeric eigenvalues, sorted descending, are clustered wherever a gap
+    falls below the grouping tolerance (the graph's default when None), by
+    one gap test per stack; each cluster yields its mean and one idempotent,
+    for all clusters of k values of a stack by one row-wise mean and one
+    batched product.  Each cluster is a run of eigh's ascending output read
+    backwards, (k,) values and (n, k) vectors as per-graph slices were, so
+    numpy takes the same route and the results are the same to the bit
+    (cumulative sums, ``np.add.reduceat`` or contiguous blocks are not).
     """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    a = g.adjacency.astype(float)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed: {exc}") from exc
-    w, v = w[::-1], v[:, ::-1]  # descending
-    rho = float(max(abs(w[0]), abs(w[-1])))
-    if grouping_tolerance is None:
-        grouping_tolerance = default_grouping_tolerance(g.n, rho)
-    if grouping_tolerance <= 0:
-        raise ValueError("grouping_tolerance must be positive")
-
-    bounds = [0]
-    for i in range(1, len(w)):
-        if w[i - 1] - w[i] >= grouping_tolerance:
-            bounds.append(i)
-    bounds.append(len(w))
-
-    eigs, mults, idems = [], [], []
-    for lo, hi in zip(bounds, bounds[1:]):
-        eigs.append(float(w[lo:hi].mean()))
-        mults.append(hi - lo)
-        block = v[:, lo:hi]
-        idems.append(block @ block.T)
-    return SpectralDecomposition(
-        eigenvalues=np.array(eigs),
-        multiplicities=np.array(mults, dtype=int),
-        idempotents=tuple(idems),
-        grouping_tolerance=float(grouping_tolerance),
-    )
+    if grouping_tolerance is not None and not 0 < grouping_tolerance < math.inf:
+        raise ValueError("grouping_tolerance must be positive and finite")
+    by_n, out = {}, [None] * len(graphs)
+    for i, g in enumerate(graphs):
+        by_n.setdefault(g.n, []).append(i)
+    for n, idx in by_n.items():
+        if n < 1:
+            raise ValueError("graph must have at least one vertex")
+        try:
+            w, v = np.linalg.eigh(np.stack([graphs[i].adjacency for i in idx]).astype(float))
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigensolver failed: {exc}") from exc
+        tols = [default_grouping_tolerance(n, rho) if grouping_tolerance is None
+                else float(grouping_tolerance)
+                for rho in np.maximum(abs(w[:, -1]), abs(w[:, 0])).tolist()]
+        start = np.ones(w.shape, dtype=bool)  # in descending order
+        start[:, 1:] = w[:, :0:-1] - w[:, -2::-1] >= np.array(tols)[:, None]
+        starts = np.flatnonzero(start)
+        sizes = np.diff(starts, append=start.size)
+        # each cluster's graph, and the ascending index of its lowest value
+        graph, lo = starts // n, n - starts % n - sizes
+        means, idems = np.empty(len(starts)), np.empty((len(starts), n, n))
+        for k in sorted(set(sizes.tolist())):
+            of_k = sizes == k
+            gi, cols = graph[of_k][:, None], lo[of_k][:, None] + np.arange(k)
+            means[of_k] = w[gi, cols][:, ::-1].mean(axis=1)
+            block = v[gi[:, None], np.arange(n)[:, None], cols[:, None]][..., ::-1]
+            idems[of_k] = block @ block.transpose(0, 2, 1)
+        bounds = np.searchsorted(graph, np.arange(len(idx) + 1)).tolist()
+        for t, i in enumerate(idx):
+            c = slice(bounds[t], bounds[t + 1])
+            out[i] = SpectralDecomposition(eigenvalues=means[c], multiplicities=sizes[c],
+                                           idempotents=tuple(idems[c]),
+                                           grouping_tolerance=tols[t])
+    return out
 
 
 def transition_matrix(sd, t):

@@ -412,7 +412,9 @@ class TestOneDecomposition:
 class TestComputeOnce:
     """GraphData computes each per-vertex fact once per vertex, by one run
     of each batched kernel over the vertices a view needs, and each support
-    classification once per distinct support."""
+    classification once per distinct support; the eigensolver and the
+    connectivity test run once per graph, or once per vertex count in a
+    scan chunk."""
 
     KERNELS = (("_walk_krylov", q.walkalg), ("controllability_stack", q.walkalg),
                ("delta_stack", q.partitions))
@@ -420,6 +422,12 @@ class TestComputeOnce:
     def _spy_kernels(self, monkeypatch):
         return {name: _count_calls(monkeypatch, name, module)
                 for name, module in self.KERNELS}
+
+    @staticmethod
+    def _spy_float_side(monkeypatch):
+        return {"eigh": _count_calls(monkeypatch, "eigh", np.linalg),
+                "connected_stack": _count_calls(monkeypatch, "connected_stack",
+                                                q.graphs, q.analysis)}
 
     @staticmethod
     def _assert_once(calls, roots):
@@ -438,9 +446,12 @@ class TestComputeOnce:
         assert len(supports) == distinct
         classify = _count_calls(monkeypatch, "classify_support", q.analysis)
         calls = self._spy_kernels(monkeypatch)
+        float_side = self._spy_float_side(monkeypatch)
         cli.analyze_graph(g, cli.AnalysisConfig())
         assert len(classify) == distinct
         self._assert_once(calls, range(g.n))
+        assert {name: len(made) for name, made in float_side.items()} == \
+            {"eigh": 1, "connected_stack": 1}
 
     def test_scan_graph(self, monkeypatch):
         from qwalk import cli
@@ -452,8 +463,11 @@ class TestComputeOnce:
     @pytest.mark.parametrize("u,v", [(0, 7), (5, 2)])
     def test_pair(self, monkeypatch, u, v):
         calls = self._spy_kernels(monkeypatch)
+        float_side = self._spy_float_side(monkeypatch)
         q.analyze_pair(q.hypercube(3), u, v)
         self._assert_once(calls, (u, v))
+        assert {name: len(made) for name, made in float_side.items()} == \
+            {"eigh": 1, "connected_stack": 1}
 
     def test_scan_chunk_runs_each_kernel_once_per_vertex_count(self, monkeypatch):
         # every graph has a cospectral pair, so every kernel runs for every n;
@@ -466,6 +480,8 @@ class TestComputeOnce:
         monkeypatch.setattr(q.spectral, "_CHAR_POLYS", {})  # nothing cached
         calls = self._spy_kernels(monkeypatch)
         calls["_faddeev_leverrier"] = _count_calls(monkeypatch, "_faddeev_leverrier", q.spectral)
+        float_side = self._spy_float_side(monkeypatch)
+        calls["connected_stack"] = float_side["connected_stack"]
         assert cli.run_scan(lines, cli.AnalysisConfig(), out=io.StringIO()) == len(lines)
         by_n = {}
         for g in graphs:
@@ -473,6 +489,9 @@ class TestComputeOnce:
         for name, made in calls.items():
             stacked = sorted((set(args[0]) for args in made), key=lambda s: next(iter(s)).n)
             assert stacked == [by_n[n] for n in sorted(by_n)], name
+        # one eigensolver call per vertex count, on the stack of its graphs
+        assert sorted((args[0].shape for args in float_side["eigh"]), key=lambda s: s[1]) == \
+            [(len(by_n[n]), n, n) for n in sorted(by_n)]
 
 
 class TestFinitenessBound:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -35,20 +36,32 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("denominator_bound", 0), ("denominator_bound", -5),
         ("exact_cap", 0), ("brute_force_cap", -1),
+        ("grouping_tolerance", 0.0), ("grouping_tolerance", -1.0),
+        ("grouping_tolerance", math.nan), ("grouping_tolerance", math.inf),
+        ("support_tolerance", math.nan), ("support_tolerance", math.inf),
+        ("t_max", math.nan), ("t_max", math.inf),
     ])
     def test_out_of_range_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             AnalysisConfig(**{field: value})
+
+    def test_grouping_tolerance_auto_or_positive(self):
+        assert AnalysisConfig().grouping_tolerance is None
+        assert AnalysisConfig(grouping_tolerance=1e-6).grouping_tolerance == 1e-6
 
     def test_zero_brute_force_cap_accepted(self):
         assert AnalysisConfig(brute_force_cap=0).brute_force_cap == 0
 
     @pytest.mark.parametrize("flags", [
         ["--den-bound", "0"], ["--den-bound", "-1"], ["--exact-cap", "0"], ["--bf-cap", "-1"],
+        ["--tol-group", "0"], ["--tol-group", "-1"], ["--tol-group", "nan"],
+        ["--tol-support", "nan"], ["--t-max", "nan"], ["--t-max", "inf"],
     ])
     @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
     def test_out_of_range_flags_exit_2(self, tmp_path, capsys, command, flags):
-        # K2 has PST; --den-bound 0 used to report ratio_condition false on it
+        # K2 has PST; --den-bound 0 used to report ratio_condition false on
+        # it, and --tol-support nan emptied every support; scan wrote an
+        # error line per graph and exited 0 for --tol-group 0 and --t-max inf
         f = tmp_path / "k2.g6"
         f.write_text(q.encode_graph6(q.complete(2)) + "\n")
         argv = [command, str(f)] + (["0", "1"] if command == "pair" else []) + flags

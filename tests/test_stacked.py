@@ -2,13 +2,15 @@
 each graph, what that graph gives alone, and the per-graph checks still name
 the graph that fails them."""
 
+import io
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import qwalk as q
-from qwalk import partitions, spectral, walkalg
+from qwalk import analysis, cli, graphs, partitions, spectral, walkalg
 
 from conftest import random_connected_graphs
 
@@ -162,3 +164,157 @@ def test_controllability_disagreement_in_a_stack_names_its_graph(monkeypatch):
     with pytest.raises(q.InternalCheckError) as err:
         walkalg.controllability_stack(stack, [range(4)] * 3)
     assert str(err.value).startswith(q.encode_graph6(stack[1]) + ":")
+
+
+# ---------------------------------------------------------------------------
+# The float side of scan: the stacked routes against the per-graph loops
+# they replaced, kept here as references.
+
+def decompose_reference(g, grouping_tolerance=None):
+    """The per-cluster loop that ``spectral.decompose_stack`` replaced."""
+    w, v = np.linalg.eigh(g.adjacency.astype(float))
+    w, v = w[::-1], v[:, ::-1]  # descending
+    rho = float(max(abs(w[0]), abs(w[-1])))
+    if grouping_tolerance is None:
+        grouping_tolerance = spectral.default_grouping_tolerance(g.n, rho)
+    bounds = [0]
+    for i in range(1, len(w)):
+        if w[i - 1] - w[i] >= grouping_tolerance:
+            bounds.append(i)
+    bounds.append(len(w))
+    eigs, mults, idems = [], [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        eigs.append(float(w[lo:hi].mean()))
+        mults.append(hi - lo)
+        block = v[:, lo:hi]
+        idems.append(block @ block.T)
+    return spectral.SpectralDecomposition(
+        eigenvalues=np.array(eigs), multiplicities=np.array(mults, dtype=int),
+        idempotents=tuple(idems), grouping_tolerance=float(grouping_tolerance))
+
+
+def peaks_reference(vals, floor):
+    """The per-grid-point loop that ``analysis._grid_peaks`` replaced."""
+    peaks = []
+    for i in range(len(vals)):
+        if i == 0:
+            ok = len(vals) == 1 or abs(vals[0] - vals[1]) < 1e-12
+        else:
+            ok = vals[i] >= vals[i - 1] and (i == len(vals) - 1 or vals[i] >= vals[i + 1])
+        if ok and vals[i] >= floor:
+            peaks.append(i)
+    return peaks
+
+
+def connected_reference(g):
+    """The per-vertex search that ``graphs.connected_stack`` replaced."""
+    if g.n == 0:
+        return True
+    seen, stack = {0}, [0]
+    while stack:
+        for v in g.neighbors(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
+
+
+def assert_bit_identical(sd, ref):
+    assert sd.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    assert sd.multiplicities.tolist() == ref.multiplicities.tolist()
+    assert sd.multiplicities.dtype == ref.multiplicities.dtype
+    assert len(sd.idempotents) == len(ref.idempotents)
+    assert all(e.tobytes() == r.tobytes() for e, r in zip(sd.idempotents, ref.idempotents))
+    assert sd.grouping_tolerance == ref.grouping_tolerance
+
+
+@pytest.fixture(scope="module")
+def atlas_all():
+    """Every graph of the networkx atlas, 0 to 7 vertices, connected or not."""
+    return [q.Graph(nx.to_numpy_array(G, dtype=int)) for G in nx.graph_atlas_g()]
+
+
+SPECIAL = {"Q5": q.hypercube(5), "Q6": q.hypercube(6), "P64": q.path(64),
+           "C40": q.cycle(40), "K10": q.complete(10), "star63": q.star(63),
+           "P5xP6": q.cartesian_product(q.path(5), q.path(6))}
+
+
+class TestFloatSideMatchesReference:
+    @pytest.mark.parametrize("tolerance", [None, 1e-6, 0.5, 2.0])
+    def test_decompose_stack(self, atlas_all, tolerance):
+        # chunks of 64 graphs of mixed order, as scan stacks them; 0.5 and
+        # 2.0 merge distinct eigenvalues into clusters
+        corpus = [g for g in atlas_all if g.n >= 1] + list(SPECIAL.values())
+        corpus += random_connected_graphs(300, 10, seed=20240901)
+        random.Random(11).shuffle(corpus)
+        merged = 0
+        for start in range(0, len(corpus), 64):
+            stack = corpus[start:start + 64]
+            for g, sd in zip(stack, spectral.decompose_stack(stack, tolerance)):
+                ref = decompose_reference(g, tolerance)
+                assert_bit_identical(sd, ref)
+                assert_bit_identical(q.decompose(g, tolerance), ref)
+                merged += len(ref.eigenvalues) < len(decompose_reference(g).eigenvalues)
+        assert (merged > 0) == (tolerance in (0.5, 2.0))
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="grouping_tolerance"):
+            spectral.decompose_stack([q.path(3), q.path(4)], tolerance)
+
+    @pytest.mark.parametrize("vals", [
+        [0.99], [0.5], [0.97], [0.99, 0.99], [0.99, 0.5], [0.5, 0.99],
+        [1.0, 1.0, 1.0, 0.5], [1.0, 1.0 - 1e-13, 0.9, 0.99],  # flat start
+        [0.5, 0.99, 0.99, 0.5, 0.99, 0.99],  # plateaus and ties
+        [0.1, 0.5, 0.995], [0.97, 0.96, 0.97, 0.97],  # last point, the floor
+        [0.96, 0.97, 0.96, 0.9700000000000001, 0.9699999999999999],
+    ])
+    def test_grid_peaks_hand_made(self, vals):
+        vals = np.array(vals)
+        assert analysis._grid_peaks(vals, 0.97).tolist() == peaks_reference(vals, 0.97)
+
+    def test_grid_peaks_ties(self):
+        # values on a coarse lattice tie often; floors on the lattice too
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 3, 7, 50):
+            for _ in range(200):
+                vals = rng.integers(0, 4, size) / 3
+                for floor in (0.0, 1 / 3, 2 / 3, 1.0):
+                    assert analysis._grid_peaks(vals, floor).tolist() == \
+                        peaks_reference(vals, floor)
+
+    def test_grid_peaks_of_every_catalog_search(self, monkeypatch, atlas_connected):
+        lines = [q.encode_graph6(g) for n in range(1, 8) for g in atlas_connected[n]]
+        lines += [q.encode_graph6(g) for g in (q.hypercube(3), q.petersen(), q.path(8),
+                                               q.cycle(8))]
+        calls = []
+        real = analysis._grid_peaks
+
+        def spy(vals, floor):
+            found = real(vals, floor)
+            calls.append(found.tolist() == peaks_reference(vals, floor))
+            return found
+
+        monkeypatch.setattr(analysis, "_grid_peaks", spy)
+        cli.run_scan(lines, cli.AnalysisConfig(), out=io.StringIO())
+        assert len(calls) >= 30 and all(calls)
+
+    def test_connected_stack(self, atlas_all):
+        by_n = {}
+        for g in atlas_all + list(SPECIAL.values()):
+            by_n.setdefault(g.n, []).append(g)
+        # a path needs walks of length n - 1, the most the squarings reach;
+        # without one edge it splits in two
+        for n in range(2, 71):
+            cut = q.Graph.from_edges(n, [(i, i + 1) for i in range(n - 1) if i != n // 2])
+            by_n.setdefault(n, []).extend([q.path(n), cut])
+        a = np.zeros((64, 64), dtype=int)
+        a[1:, 1:] = 1 - np.eye(63, dtype=int)  # K1 beside K63
+        by_n[64].append(q.Graph(a))
+        assert q.Graph(np.zeros((0, 0))).is_connected() and q.path(1).is_connected()
+        for n, stack in by_n.items():
+            expected = [connected_reference(g) for g in stack]
+            assert graphs.connected_stack(stack) == expected
+            assert [g.is_connected() for g in stack] == expected
+            if n >= 2:
+                assert True in expected and False in expected
