@@ -6,6 +6,7 @@ Polynomials are sequences of coefficients in descending powers,
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -163,30 +164,48 @@ def poly_gcd(p, q):
             return cand
 
 
-# The Euclidean remainder sequences of ``poly_coprime`` run modulo this prime:
-# products of two residues stay below 2**62, inside int64.
-_EUCLID_PRIME = _PRIMES31[0]
+def _crt(residues, primes):
+    """Integers in the symmetric range from their residues modulo ``primes``,
+    one row each: Garner's mixed-radix digits in int64, then one object dot
+    with the radices."""
+    digits = residues.copy()
+    for i, p in enumerate(primes):
+        for j in range(i):
+            digits[:, i] = (digits[:, i] - digits[:, j]) % p * pow(primes[j], -1, p) % p
+    radices = np.array([math.prod(primes[:i]) for i in range(len(primes))], dtype=object)
+    modulus = math.prod(primes)
+    values = digits.astype(object) @ radices
+    return np.where(values > modulus // 2, values - modulus, values)
 
 
-def _coprime_mod(a, b, prime):
-    """The indices i of the rows of two int64 residue arrays whose Euclidean
-    remainder sequence of (a_i, b_i) modulo ``prime`` ends in a nonzero
-    constant, every divisor's leading coefficient being nonzero.
+def _euclid_mod(a, b, p):
+    """The monic gcd modulo the prime ``p`` < 2**31 of each pair of rows of
+    two int64 residue arrays, zero-padded on the left: the gcds right-aligned
+    in an array as wide as the wider input, and their degrees, -1 for a row
+    that degenerates.
 
-    All rows run in lockstep: each divisor b is one coefficient longer than
-    the remainder it leaves, by pseudo-division (a scaled by b's leading
-    coefficient, a unit mod ``prime``, which leaves the gcd unchanged).  A
-    row whose next divisor has leading coefficient 0 mod ``prime``, a zero
-    remainder included, leaves the run undecided.
+    All rows run one Euclid in lockstep: each divisor is one coefficient
+    longer than the remainder it leaves, by pseudo-division (a scaled by b's
+    leading coefficient, a unit mod p, which leaves the gcd unchanged).  A
+    zero remainder leaves the last divisor as the gcd, a nonzero constant
+    leaves 1, and any other remainder with leading coefficient 0 mod p
+    degenerates the row.  Residue products stay below 2**62, in int64.
     """
-    live = np.arange(len(b))
     if a.shape[1] < b.shape[1]:
         a, b = b, a
+    gcds = np.zeros(a.shape, dtype=np.int64)
+    degrees = np.full(len(a), -1)
+    live = np.arange(len(a))
     while len(live):
-        nonzero = b[:, 0] != 0
-        if not nonzero.all():
-            a, b, live = a[nonzero], b[nonzero], live[nonzero]
+        ended = b[:, 0] == 0
+        if ended.any():
+            found = ended & (a[:, 0] != 0) & ~b.any(axis=1)
+            inverses = np.array([pow(c, -1, p) for c in a[found, 0].tolist()], dtype=np.int64)
+            gcds[live[found], -a.shape[1]:] = a[found] * inverses[:, None] % p
+            degrees[live[found]] = a.shape[1] - 1
+            a, b, live = a[~ended], b[~ended], live[~ended]
         if b.shape[1] == 1:
+            gcds[live, -1], degrees[live] = 1, 0
             break
         width = b.shape[1]
         lead = b[:, :1]
@@ -194,38 +213,84 @@ def _coprime_mod(a, b, prime):
             c = a[:, i:i + 1].copy()
             a[:, i:] *= lead
             a[:, i:i + width] -= c * b
-            a[:, i:] %= prime
+            a[:, i:] %= p
         a, b = b, a[:, a.shape[1] - width + 1:]
-    return live
+    return gcds, degrees
+
+
+def _padded(polys):
+    """The polynomials as one object array, zero-padded on the left."""
+    width = max(map(len, polys))
+    return np.array([[0] * (width - len(r)) + r for r in polys], dtype=object)
+
+
+def poly_gcds(p, q):
+    """``poly_gcd`` of each pair p[i], q[i] of integer polynomials, at least
+    one of each pair monic, from one vectorised run over the distinct pairs.
+
+    The pairs run one lockstep Euclid modulo each of the 31-bit primes in
+    turn (``_euclid_mod``).  Degree 0 at the first prime proves a pair
+    coprime: a common factor over Q is, by Gauss's lemma, an integer
+    polynomial dividing the monic input, so it keeps its degree mod p.  The
+    other pairs have their modular gcds lifted to integers in the symmetric
+    range (``_crt``) after each prime, and a lift is accepted when it divides
+    both inputs exactly, which is ``poly_gcd``'s proof.  A monic divisor h of
+    degree k of the monic input f, of degree d, has every coefficient at
+    most C(k, k // 2) M(h) <= 2**d ||f||_2 (Mignotte; M is the Mahler
+    measure, and M(h) <= M(f) <= ||f||_2 by Landau), so the lift stops once
+    the primes' product exceeds twice the largest such bound of the run.  A
+    pair that degenerates, changes degree between primes or is never accepted
+    goes to ``poly_gcd``.
+    """
+    pairs = list(zip(map(tuple, p), map(tuple, q)))
+    distinct = list(dict.fromkeys(pairs))
+    if not distinct:
+        return []
+    known = {x: _integer_poly(x) for x in dict.fromkeys(x for pair in distinct for x in pair)}
+    heads, rows = ([known[pair[side]] for pair in distinct] for side in (0, 1))
+    if any(a[0] != 1 and b[0] != 1 for a, b in zip(heads, rows)):
+        raise ValueError("poly_gcds needs at least one monic polynomial in each pair")
+    a_int, b_int = _padded(heads), _padded(rows)
+    limit = max(2 ** len(known[f]) * (math.isqrt(sum(c * c for c in known[f])) + 1)
+                for f in dict.fromkeys(a if known[a][0] == 1 else b for a, b in distinct))
+    found = [None] * len(distinct)
+    live, degree, primes, stack = np.arange(len(distinct)), None, [], []
+    for prime in _primes(_PRIMES31):
+        g, d = _euclid_mod((a_int[live] % prime).astype(np.int64),
+                           (b_int[live] % prime).astype(np.int64), prime)
+        if degree is None:  # the first prime
+            for i in live[d == 0].tolist():
+                found[i] = [1]
+            degree = d
+        keep = (d == degree) & (degree > 0)
+        live, degree, stack = live[keep], degree[keep], [s[keep] for s in stack] + [g[keep]]
+        if not len(live):
+            break
+        primes.append(prime)
+        lifted = _crt(np.stack(stack, axis=-1).reshape(-1, len(primes)), primes)
+        accepted = np.zeros(len(live), dtype=bool)
+        for j, (i, k, cand) in enumerate(zip(live.tolist(), degree.tolist(),
+                                             lifted.reshape(len(live), -1).tolist())):
+            cand = cand[-k - 1:]
+            if poly_divides(cand, heads[i]) and poly_divides(cand, rows[i]):
+                found[i], accepted[j] = cand, True
+        live, degree, stack = live[~accepted], degree[~accepted], [s[~accepted] for s in stack]
+        if not len(live) or math.prod(primes) > limit:
+            break
+    gcds = {key: h if h is not None else poly_gcd(a, b)
+            for key, a, b, h in zip(distinct, heads, rows, found)}
+    return [gcds[key] for key in pairs]
 
 
 def poly_coprime(p, q):
     """True iff the integer polynomials ``p`` and ``q``, at least one of them
-    monic, are coprime.  ``q`` may also be a sequence of polynomials, each
-    of that kind, and ``p`` then one polynomial or one for each; the
-    verdicts come as one bool array.
-
-    The rows first run one vectorised Euclid modulo ``_EUCLID_PRIME``
-    (``_coprime_mod``).  A remainder sequence that ends in a nonzero constant
-    proves coprimality over Q: a common factor over Q is, by Gauss's lemma,
-    an integer polynomial dividing the monic input, so its leading
-    coefficient is a unit and it keeps its degree mod p.  The other rows,
-    those whose sequence degenerates or ends non-trivially, go to the
-    certified ``poly_gcd``.
-    """
+    monic, are coprime: ``poly_gcds`` has degree 0.  ``q`` may also be a
+    sequence of polynomials, each of that kind, and ``p`` then one
+    polynomial or one for each; the verdicts come as one bool array."""
     single = not len(q) or np.ndim(q[0]) == 0
-    rows = [_integer_poly(r) for r in ([q] if single else q)]
-    heads = [tuple(a) for a in p] if len(p) and np.ndim(p[0]) else [tuple(p)] * len(rows)
-    known = {a: _integer_poly(a) for a in dict.fromkeys(heads)}  # each converted once
-    heads = [known[a] for a in heads]
-    if any(a[0] != 1 and r[0] != 1 for a, r in zip(heads, rows)):
-        raise ValueError("poly_coprime needs at least one monic polynomial")
-    a, b = (np.array([[0] * (max(map(len, side)) - len(r)) + [c % _EUCLID_PRIME for c in r]
-                      for r in side], dtype=np.int64) for side in (heads, rows))
-    verdicts = np.zeros(len(rows), dtype=bool)
-    verdicts[_coprime_mod(a, b, _EUCLID_PRIME)] = True
-    for i in np.flatnonzero(~verdicts):
-        verdicts[i] = poly_degree(poly_gcd(heads[i], rows[i])) == 0
+    rows = [q] if single else list(q)
+    heads = list(p) if len(p) and np.ndim(p[0]) else [p] * len(rows)
+    verdicts = np.array([len(h) == 1 for h in poly_gcds(heads, rows)], dtype=bool)
     return bool(verdicts[0]) if single else verdicts
 
 

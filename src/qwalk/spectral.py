@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import encode_graph6
-from .polys import _PRIMES31, _primes, poly_eval
+from .polys import _PRIMES31, _crt, _primes, poly_eval
 
 EXACT_CAP_DEFAULT = 64
 SUPPORT_TOL_DEFAULT = 1e-10
@@ -170,20 +170,6 @@ def _residue_primes(n, m):
         if product > limit:
             return tuple(primes)
         product *= p
-
-
-def _crt(residues, primes):
-    """Integers in the symmetric range from their residues modulo ``primes``,
-    one row each: Garner's mixed-radix digits in int64, then one object dot
-    with the radices."""
-    digits = residues.copy()
-    for i, p in enumerate(primes):
-        for j in range(i):
-            digits[:, i] = (digits[:, i] - digits[:, j]) % p * pow(primes[j], -1, p) % p
-    radices = np.array([math.prod(primes[:i]) for i in range(len(primes))], dtype=object)
-    modulus = math.prod(primes)
-    values = digits.astype(object) @ radices
-    return np.where(values > modulus // 2, values - modulus, values)
 
 
 def _combine(residues, primes):

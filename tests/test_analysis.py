@@ -416,7 +416,7 @@ class TestComputeOnce:
     connectivity test run once per graph, or once per vertex count in a
     scan chunk."""
 
-    KERNELS = (("_walk_krylov", q.walkalg), ("controllability_stack", q.walkalg),
+    KERNELS = (("walk_ranks_stack", q.walkalg), ("controllability_stack", q.walkalg),
                ("delta_stack", q.partitions))
 
     def _spy_kernels(self, monkeypatch):

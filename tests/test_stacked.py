@@ -66,10 +66,11 @@ class TestStackMatchesOneGraph:
                 [spectral._faddeev_leverrier([g])[0] for g in stack]
 
     def test_walk_ranks_and_minimal_polys(self, corpus):
+        # the corpus has stacks of n = 1 and n = 2
         for i, stack in enumerate(stacks(corpus, seed=2)):
             roots = roots_for(stack, seed=i)
-            assert walkalg._walk_krylov(stack, roots, 64) == \
-                [walkalg._walk_krylov([g], [r], 64)[0] for g, r in zip(stack, roots)]
+            assert walkalg.walk_ranks_stack(stack, roots) == \
+                [walkalg.walk_ranks(g, r) for g, r in zip(stack, roots)]
 
     def test_controllability(self, corpus):
         for i, stack in enumerate(stacks(corpus, seed=3)):
@@ -84,15 +85,12 @@ class TestStackMatchesOneGraph:
                 [partitions.delta_partitions(g, r) for g, r in zip(stack, roots)]
 
     def test_batches_split_across_graphs(self, monkeypatch, atlas_connected):
-        # small entry budgets cut the rows of a stack into batches that hold
+        # a small entry budget cuts the rows of a stack into batches that hold
         # a part of one graph's rows or several graphs'
         stack = atlas_connected[7][:40]
         roots = [range(7)] * len(stack)
-        alone_ranks = [walkalg._walk_krylov([g], [r], 64)[0] for g, r in zip(stack, roots)]
         alone_deltas = [partitions.delta_partitions(g, r) for g, r in zip(stack, roots)]
-        monkeypatch.setattr(walkalg, "_BATCH_ENTRIES", 5 * 7 * 7)
         monkeypatch.setattr(partitions, "_BATCH_ENTRIES", 11 * 7 * 7)
-        assert walkalg._walk_krylov(stack, roots, 64) == alone_ranks
         assert partitions.delta_stack(stack, roots) == alone_deltas
 
     def test_large_graphs(self):
@@ -145,25 +143,6 @@ def test_corrupt_residue_in_a_stack_names_its_graph(monkeypatch):
     with pytest.raises(q.InternalCheckError, match="check prime") as err:
         spectral._faddeev_leverrier(stack)
     assert str(err.value).startswith(q.encode_graph6(stack[3]) + ":")
-
-
-@pytest.mark.internal_check
-def test_controllability_disagreement_in_a_stack_names_its_graph(monkeypatch):
-    # the rank route claims full rank for every root of C4 alone, where no
-    # vertex is controllable
-    stack = [q.path(4), q.cycle(4), q.star(3)]
-    real = walkalg._walk_krylov
-
-    def lying(graphs, roots, cap):
-        out = real(graphs, roots, cap)
-        ranks, psi = out[1]
-        out[1] = ({u: 4 for u in ranks}, psi)
-        return out
-
-    monkeypatch.setattr(walkalg, "_walk_krylov", lying)
-    with pytest.raises(q.InternalCheckError) as err:
-        walkalg.controllability_stack(stack, [range(4)] * 3)
-    assert str(err.value).startswith(q.encode_graph6(stack[1]) + ":")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import math
 import qwalk as q
 import qwalk.polys as polys
 import qwalk.walkalg as walkalg
-from qwalk.polys import _is_prime, poly_coprime, poly_degree, poly_gcd
+from qwalk.polys import poly_coprime, poly_degree, poly_gcd
 from qwalk.walkalg import invert_exact, walk_matrix
 
 from conftest import poly_divmod, random_connected_graphs
@@ -32,6 +32,22 @@ def coprime_reference(g):
     phi = q.char_poly_exact(g).coeffs
     return {u: poly_degree(poly_gcd(phi, p.coeffs)) == 0
             for u, p in enumerate(q.deleted_char_polys(g))}
+
+
+def spy_poly_gcd(monkeypatch):
+    """Record the (phi, row) pairs that reach polys.poly_gcd."""
+    sent = []
+    real = polys.poly_gcd
+    monkeypatch.setattr(polys, "poly_gcd", lambda p, r: sent.append((p, r)) or real(p, r))
+    return sent
+
+
+def poly_mul_mod(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
 
 
 def closed_walks_reference(g, u):
@@ -108,42 +124,43 @@ class TestWalkRank:
         q.cycle(40),
     ], ids=["P5xP6", "Q5", "Q6", "P64", "C40"])
     def test_matches_bareiss_on_large_graphs(self, g):
-        # all five have rank-deficient vertices, so the certified minimal
-        # polynomial decides them
+        # all five have rank-deficient vertices, so a lifted gcd decides them
         ranks = [q.walk_rank(g, u) for u in range(g.n)]
         assert min(ranks) < g.n
         for u in range(g.n):
             assert ranks[u] == q.rank_exact(walk_matrix(g, u))
 
-    def test_unlucky_prime_falls_back_to_bareiss(self, monkeypatch, atlas_connected):
-        # modulo 2 many walk matrices lose rank, and no walk prime is left to
-        # lift a minimal polynomial, so the whole matrix is eliminated
-        whole = []
-        real_walk_matrix = walkalg.walk_matrix
-
-        def spy(g, u, cap=64):
-            whole.append((g, u))
-            return real_walk_matrix(g, u, cap)
-
-        monkeypatch.setattr(walkalg, "_walk_prime", lambda n: 2)
-        monkeypatch.setattr(walkalg, "walk_matrix", spy)
+    def test_unlucky_prime_falls_back_to_poly_gcd(self, monkeypatch, atlas_connected):
+        # modulo 2 many Euclids degenerate or find too large a gcd, which the
+        # next prime contradicts, so those roots are decided by poly_gcd
+        sent = spy_poly_gcd(monkeypatch)
+        monkeypatch.setattr(polys, "_PRIMES31", (2,) + polys._PRIMES31)
         for n in range(2, 6):
             for g in atlas_connected[n]:
                 for u in range(g.n):
-                    assert q.walk_rank(g, u) == q.rank_exact(real_walk_matrix(g, u))
-        assert whole
+                    assert q.walk_rank(g, u) == q.rank_exact(walk_matrix(g, u))
+        assert sent
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
     def test_prime_keeps_int64_sums_exact(self, n):
-        p = walkalg._walk_prime(n)
-        assert _is_prime(p)
-        assert n * (p - 1) ** 2 < 2**63
+        # residues next to the largest prime, at degree n: the int64 lockstep
+        # Euclid must give the gcd of the Python-int Euclid, with and without
+        # a common factor
+        p = polys._PRIMES31[0]
+        rng = np.random.default_rng(n)
 
-    @pytest.mark.internal_check
-    def test_oversized_prime_rejected(self, monkeypatch):
-        monkeypatch.setattr(walkalg, "_walk_prime", lambda n: 2**61 - 1)
-        with pytest.raises(q.InternalCheckError):
-            q.walk_rank(q.path(4), 0)
+        def monic(d):
+            return [1] + [p - 1 - int(c) for c in rng.integers(0, 2**20, size=d)]
+
+        h = monic(min(3, n - 1))
+        pairs = [(monic(n), monic(n - 1))]
+        pairs.append(tuple(poly_mul_mod(h, monic(n - len(h) + k), p) for k in (1, 0)))
+        a, b = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+        gcds, degrees = polys._euclid_mod(a, b, p)
+        for (x, y), got, d in zip(pairs, gcds.tolist(), degrees.tolist()):
+            expected = polys._gcd_mod(x, y, p)
+            assert d == len(expected) - 1 and got[-d - 1:] == expected
+        assert degrees.tolist() == [0, len(h) - 1]
 
     def test_bad_vertex_and_cap(self):
         with pytest.raises(ValueError):
@@ -172,37 +189,26 @@ class TestWalkRanks:
         assert min(ranks.values()) < g.n  # deficient roots take the certificate
         assert ranks == bareiss_ranks(g)
 
-    def test_unlucky_prime_falls_back_to_bareiss(self, monkeypatch, atlas_connected):
-        # modulo 2 many batched roots stop early, and no walk prime is left to
-        # lift their minimal polynomials, so their whole walk matrices are
-        # eliminated
-        whole = []
-        real_walk_matrix = walkalg.walk_matrix
-
-        def spy(g, u, cap=64):
-            whole.append((g, u))
-            return real_walk_matrix(g, u, cap)
-
-        monkeypatch.setattr(walkalg, "_walk_prime", lambda n: 2)
-        monkeypatch.setattr(walkalg, "walk_matrix", spy)
+    def test_unlucky_prime_falls_back_to_poly_gcd(self, monkeypatch, atlas_connected):
+        # modulo 2 many batched roots degenerate or find too large a gcd, which
+        # the next prime contradicts, so poly_gcd decides them
+        sent = spy_poly_gcd(monkeypatch)
+        monkeypatch.setattr(polys, "_PRIMES31", (2,) + polys._PRIMES31)
         for n in range(2, 7):
             for g in atlas_connected[n]:
-                reference = {u: q.rank_exact(real_walk_matrix(g, u)) for u in range(n)}
-                ranks, psi = walkalg._walk_krylov([g], [range(n)], 64)[0]
-                assert ranks == reference and psi == {}
+                reference = bareiss_ranks(g)
+                assert walkalg.walk_ranks(g, range(n)) == reference
                 assert walkalg.controllability(g, range(n)) == \
                     {u: k == n for u, k in reference.items()}
-        assert whole
+        assert sent
 
-    def test_roots_subset_and_batches(self, monkeypatch):
+    def test_roots_subset_and_batches(self):
         g = LARGE["P5xP6"]
         reference = bareiss_ranks(g)
         ranks = walkalg.walk_ranks(g, [17, 3, 29])
         assert list(ranks) == [17, 3, 29]
         assert all(ranks[u] == reference[u] for u in ranks)
         assert walkalg.walk_ranks(g, []) == {}
-        # a small entry budget splits the roots into several batches
-        monkeypatch.setattr(walkalg, "_BATCH_ENTRIES", 4 * g.n**2)
         assert walkalg.walk_ranks(g, range(g.n)) == reference
 
     def test_bad_vertex_and_cap(self):
@@ -213,21 +219,20 @@ class TestWalkRanks:
 
 
 class TestMinimalPolys:
-    """The certified minimal polynomial psi_u of every rank-deficient root:
-    psi_u = phi / gcd(phi, phi(G - u)), of degree the Bareiss rank."""
+    """The certified gcds of poly_gcds equal poly_gcd row by row, and the
+    minimal polynomial psi_u = phi / gcd(phi, phi(G - u)) of every root has
+    degree the Bareiss rank."""
 
     @staticmethod
     def _check(g):
-        ranks, psi = walkalg._walk_krylov([g], [range(g.n)], 64)[0]
-        reference = bareiss_ranks(g)
-        assert ranks == reference
-        assert sorted(psi) == [u for u in range(g.n) if reference[u] < g.n]
         phi = q.char_poly_exact(g).coeffs
-        deleted = q.deleted_char_polys(g)
-        for u, p in psi.items():
-            quotient, rest = poly_divmod(phi, poly_gcd(phi, deleted[u].coeffs))
-            assert rest == [0] and list(p) == quotient
-            assert len(p) - 1 == reference[u]
+        rows = [p.coeffs for p in q.deleted_char_polys(g)]
+        gcds = polys.poly_gcds([phi] * g.n, rows)
+        assert gcds == [poly_gcd(phi, r) for r in rows]
+        reference = bareiss_ranks(g)
+        for u, h in enumerate(gcds):
+            psi, rest = poly_divmod(phi, h)
+            assert rest == [0] and len(psi) - 1 == reference[u]
 
     def test_atlas(self, atlas_connected):
         for graphs in atlas_connected.values():
@@ -242,45 +247,38 @@ class TestMinimalPolys:
     def test_large_graphs(self, name):
         self._check(LARGE[name])
 
-    def test_corrupt_lifted_coefficient_reaches_bareiss(self, monkeypatch, atlas_connected):
-        # the constant coefficient of the first root's candidate is off by one
-        # after every prime, so psi(A) e_u = 0 fails each time and only that
-        # root has its whole walk matrix eliminated
-        real_crt, real_walk_matrix = walkalg._crt, walkalg.walk_matrix
-        whole = []
+    def test_corrupt_lifted_coefficient_reaches_poly_gcd(self, monkeypatch, atlas_connected):
+        # the constant coefficient of the last lifted row is off by one after
+        # every prime, so its exact divisions fail each time and only that
+        # distinct (phi, phi(G - u)) pair goes to poly_gcd
+        real_crt = polys._crt
 
         def corrupt(residues, primes):
             values = real_crt(residues, primes)
-            values[0] += 1
+            values[-1] += 1
             return values
-
-        def spy(g, u, cap=64):
-            whole.append(u)
-            return real_walk_matrix(g, u, cap)
 
         graphs = [g for n in range(3, 7) for g in atlas_connected[n]]
         graphs += [LARGE["P5xP6"], LARGE["Q5"]]
         for g in graphs:
             reference = bareiss_ranks(g)
-            deficient = [u for u in range(g.n) if reference[u] < g.n]
+            phi = q.char_poly_exact(g).coeffs
+            deleted = q.deleted_char_polys(g)
+            deficient = {deleted[u].coeffs for u in range(g.n) if reference[u] < g.n}
             if not deficient:
                 continue
-            monkeypatch.setattr(walkalg, "_crt", corrupt)
-            monkeypatch.setattr(walkalg, "walk_matrix", spy)
-            whole.clear()
-            ranks, psi = walkalg._walk_krylov([g], [range(g.n)], 64)[0]
-            assert ranks == reference
-            assert whole == [deficient[0]]
-            assert sorted(psi) == deficient[1:]
+            sent = spy_poly_gcd(monkeypatch)
+            monkeypatch.setattr(polys, "_crt", corrupt)
+            assert walkalg.walk_ranks(g, range(g.n)) == reference
+            assert len(sent) == 1 and tuple(sent[0][0]) == phi and tuple(sent[0][1]) in deficient
             controllable = walkalg.controllability(g, range(g.n))
             assert controllable == {u: k == g.n for u, k in reference.items()}
             monkeypatch.undo()
 
 
 class TestBatchedControllability:
-    """controllability over a root set: the rank route from _walk_krylov and
-    the gcd route from one vectorised Euclid and the psi_u divisions, each
-    against a reference."""
+    """controllability over a root set, from the gcds of one poly_gcds run,
+    against the Bareiss and coprimality references."""
 
     def test_matches_references(self, atlas_connected):
         graphs = [g for n in range(2, 7) for g in atlas_connected[n]]
@@ -302,32 +300,38 @@ class TestBatchedControllability:
         assert not sent
 
     def test_tiny_euclid_prime_rows_reach_poly_gcd(self, monkeypatch):
-        # modulo 3 many remainder sequences hit a leading coefficient 0; those
-        # rows, and only those, must be decided by the certified poly_gcd
-        sent = []
-        real_gcd = polys.poly_gcd
+        # modulo 3 many remainder sequences hit a leading coefficient 0, or
+        # end in too large a gcd, which the next prime contradicts; those
+        # distinct rows, and only those, must be decided by poly_gcd
+        def degrees(phi, rows, p):
+            residues = np.array([[c % p for c in r] for r in rows], dtype=np.int64)
+            return polys._euclid_mod(
+                np.array([[c % p for c in phi]] * len(rows), dtype=np.int64), residues, p)[1]
 
-        def spy(p, r):
-            sent.append(tuple(r))
-            return real_gcd(p, r)
-
-        monkeypatch.setattr(polys, "_EUCLID_PRIME", 3)
-        monkeypatch.setattr(polys, "poly_gcd", spy)
+        sent = spy_poly_gcd(monkeypatch)
+        monkeypatch.setattr(polys, "_PRIMES31", (3,) + polys._PRIMES31)
         degenerate = 0
         for g in random_connected_graphs(40, 12, seed=719):
             phi = q.char_poly_exact(g).coeffs
             rows = [p.coeffs for p in q.deleted_char_polys(g)]
-            residues = np.array([[c % 3 for c in r] for r in rows], dtype=np.int64)
-            proved = polys._coprime_mod(
-                np.array([[c % 3 for c in phi]] * g.n, dtype=np.int64), residues, 3)
-            undecided = sorted(tuple(rows[i]) for i in set(range(g.n)) - set(proved.tolist()))
+            mod3, true = degrees(phi, rows, 3), degrees(phi, rows, polys._PRIMES31[1])
+            undecided = sorted({r for r, d, e in zip(rows, mod3, true) if d < 0 or 0 < d != e})
             sent.clear()
             verdicts = poly_coprime(phi, rows)
-            assert sorted(sent) == undecided
+            assert sorted(tuple(r) for _, r in sent) == undecided
             assert verdicts.tolist() == list(coprime_reference(g).values())
             assert walkalg.controllability(g, range(g.n)) == coprime_reference(g)
             degenerate += len(undecided)
         assert degenerate
+
+    def test_equal_pairs_reach_the_euclid_once(self, monkeypatch):
+        # Q6 is vertex-transitive: its 64 roots share one (phi, phi(G - u))
+        calls = []
+        real = polys._euclid_mod
+        monkeypatch.setattr(polys, "_euclid_mod",
+                            lambda a, b, p: calls.append(len(a)) or real(a, b, p))
+        assert walkalg.walk_ranks(LARGE["Q6"], range(64)) == {u: 7 for u in range(64)}
+        assert calls and set(calls) == {1}
 
     def test_single_polynomial_and_stack_agree(self):
         g = LARGE["Q5"]
@@ -340,23 +344,6 @@ class TestBatchedControllability:
             [True, False, False, True]
         with pytest.raises(ValueError):
             poly_coprime([2, 1], [[1, 1], [3, 1]])
-
-    @pytest.mark.internal_check
-    def test_injected_rank_disagreement_raises(self, monkeypatch):
-        # the rank route claims full rank on Q3, where no vertex is controllable
-        monkeypatch.setattr(walkalg, "_walk_krylov", lambda graphs, roots, cap=64: [
-            ({u: g.n for u in r}, {}) for g, r in zip(graphs, roots)])
-        with pytest.raises(q.InternalCheckError):
-            walkalg.controllability(q.hypercube(3), range(8))
-
-    @pytest.mark.internal_check
-    def test_injected_gcd_disagreement_raises(self, monkeypatch):
-        # phi / psi_u fails to divide phi(G - u), so the certified gcd decides
-        # each rank-deficient root, and it claims coprimality
-        monkeypatch.setattr(walkalg, "poly_divides", lambda den, num: False)
-        monkeypatch.setattr(walkalg, "poly_gcd", lambda p, r: [1])
-        with pytest.raises(q.InternalCheckError):
-            walkalg.controllability(LARGE["P5xP6"], range(30))
 
 
 class TestControllability:
@@ -384,8 +371,8 @@ class TestControllability:
         random_connected_graphs(1, 64, seed=64, n_min=64)[0],
     ], ids=["Q6", "random64"])
     def test_rank_and_gcd_routes_agree_at_n64(self, g):
-        # no timing assertion: is_controllable raises InternalCheckError when
-        # the Bareiss rank and the gcd route disagree; both are restated here
+        # no timing assertion: the Bareiss rank and the coprimality
+        # reference must both give is_controllable's verdict
         phi = q.char_poly_exact(g).coeffs
         deleted = q.deleted_char_polys(g)
         for u in (0, 1, 31, 63):
@@ -394,19 +381,13 @@ class TestControllability:
             assert q.is_controllable(g, u) == by_rank == by_gcd
 
     def test_every_vertex_of_random64_agrees(self):
-        # no timing assertion; is_controllable raises on a disagreement
+        # no timing assertion
         g = random_connected_graphs(1, 64, seed=64, n_min=64)[0]
         phi = q.char_poly_exact(g).coeffs
         deleted = q.deleted_char_polys(g)
         for u in range(g.n):
             by_gcd = poly_coprime(phi, deleted[u].coeffs)
             assert q.is_controllable(g, u) == (q.walk_rank(g, u) == g.n) == by_gcd
-
-    @pytest.mark.internal_check
-    def test_route_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(walkalg, "poly_coprime", lambda p, r: not poly_coprime(p, r))
-        with pytest.raises(q.InternalCheckError):
-            q.is_controllable(q.path(4), 0)
 
 
 class TestCospectrality:
