@@ -19,7 +19,7 @@ from .graphs import connected_stack
 from .spectral import (SUPPORT_TOL_DEFAULT, char_poly_exact, char_polys, decompose,
                        decompose_stack, deleted_char_polys, eigenvalue_support, gap_report,
                        transition_matrix)
-from .polys import poly_divides, poly_squarefree
+from .polys import poly_divides
 
 THRESHOLD_DEFAULT = 1 - 1e-9
 T_MAX_DEFAULT = 50.0
@@ -353,13 +353,8 @@ def squarefree_part(m):
 
 
 # Dyadic precision of the root guard: a support value passes only when a root
-# of phi provably lies within 2**(1 - _GUARD_BITS) of it.
+# of psi provably lies within 2**(1 - _GUARD_BITS) of it.
 _GUARD_BITS = 30
-
-
-@functools.lru_cache(maxsize=256)
-def _squarefree(coeffs):
-    return tuple(poly_squarefree(coeffs))
 
 
 def _scaled_sign(coeffs, m):
@@ -380,17 +375,21 @@ def _near_root(coeffs, v):
     return lo * hi <= 0
 
 
-def classify_support(support_values, exact_poly, tol=1e-8):
-    """Classify a support as Integer / Quadratic / Neither, with exact
-    verification of every fitted value against the characteristic polynomial."""
+def classify_support(support_values, psi, tol=1e-8):
+    """Classify a support as Integer / Quadratic / Neither against ``psi``, a
+    squarefree monic integer ``ExactPoly`` whose roots include the support,
+    such as the minimal polynomial psi_u of e_u (``GraphData.minimal_polys``).
+    Each value must pass the dyadic root guard (``_near_root``), or
+    ValueError is raised; an integer value k is then tested as psi(k) = 0,
+    and a value (a + b sqrt(delta)) / 2 by dividing psi by its minimal
+    polynomial."""
     vals = [float(v) for v in support_values]
-    squarefree = _squarefree(exact_poly.coeffs)
     for v in vals:
-        if not _near_root(squarefree, v):
+        if not _near_root(psi.coeffs, v):
             raise ValueError(f"value {v} is not a root of the polynomial")
 
     if all(abs(v - round(v)) < tol for v in vals):
-        if all(exact_poly(round(v)) == 0 for v in set(vals)):
+        if all(psi(round(v)) == 0 for v in set(vals)):
             return SupportClass(kind="Integer")
 
     irrational = [v for v in vals if abs(v - round(v)) >= tol]
@@ -414,13 +413,13 @@ def classify_support(support_values, exact_poly, tol=1e-8):
             sq = math.sqrt(delta)
             for m in twice_a:
                 a = Fraction(m, 2)
-                fit = _fit_quadratic(vals, exact_poly, a, delta, sq, tol)
+                fit = _fit_quadratic(vals, psi, a, delta, sq, tol)
                 if fit is not None:
                     return fit
     return SupportClass(kind="Neither")
 
 
-def _fit_quadratic(vals, exact_poly, a, delta, sq, tol):
+def _fit_quadratic(vals, psi, a, delta, sq, tol):
     bs = []
     for v in vals:
         b2 = (2 * v - float(a)) / sq * 2  # 2*b_i must be an integer
@@ -431,11 +430,11 @@ def _fit_quadratic(vals, exact_poly, a, delta, sq, tol):
             return None
         bs.append(b)
     for b in set(bs):
-        # a root of the monic integer phi is an algebraic integer, so its
+        # a root of the monic integer psi is an algebraic integer, so its
         # minimal polynomial has integer coefficients or it is no root
         minimal = [1, -a / 2] if b == 0 else [1, -a, (a * a - b * b * delta) / 4]
         if any(Fraction(c).denominator != 1 for c in minimal) or not poly_divides(
-                [int(c) for c in minimal], exact_poly.coeffs):
+                [int(c) for c in minimal], psi.coeffs):
             return None
     return SupportClass(kind="Quadratic", a=a, delta=delta, b_values=tuple(bs))
 
@@ -521,7 +520,7 @@ def _memo(method):
 
 
 def _fill(name, datas, roots):
-    """Cache ``name``, "deltas" or "controllable", of the vertices roots[i]
+    """Cache ``name``, "deltas" or "psi", of the vertices roots[i]
     of every ``GraphData`` datas[i], all of one vertex count, from one
     stacked kernel run over those not cached yet; returns the caches."""
     memos = [d._cache.setdefault(name, {}) for d in datas]
@@ -530,7 +529,7 @@ def _fill(name, datas, roots):
     if todo:
         memos_, missing, graphs = zip(*todo)
         facts = (partitions.delta_stack(graphs, missing) if name == "deltas" else
-                 walkalg.controllability_stack(graphs, missing, cap=datas[0].config.exact_cap))
+                 walkalg.minimal_polys_stack(graphs, missing, cap=datas[0].config.exact_cap))
         for memo, found in zip(memos_, facts):
             memo.update(found)
     return memos
@@ -550,7 +549,7 @@ def fill_stacked(datas, roots):
     already known left out: connectivity and the decomposition of d with a
     vertex (unless connected above the cap, an error), then, for d connected
     within the cap with n >= 2, phi, every phi(G - u), and Delta_u and
-    controllability of ``roots(d)``, ``roots`` after phi(G - u)."""
+    psi_u of ``roots(d)``, ``roots`` after phi(G - u)."""
     for n, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
         group, config = list(group), datas[0].config
         if n < 1:
@@ -561,19 +560,20 @@ def fill_stacked(datas, roots):
         group = [d for d in group if d.connected and n >= 2]
         if group:
             char_polys([d.g for d in group], cap=config.exact_cap)
-            for name in ("deltas", "controllable"):
+            for name in ("deltas", "psi"):
                 _fill(name, group, [roots(d) for d in group])
 
 
 class GraphData:
     """Every fact the commands derive from one graph, each computed once, on
     first use: the decomposition, phi, every phi(G - u), the gap and
-    rho^2-integrality; per vertex the support, Delta_u and controllability;
-    per distinct support its class and ratio condition.  Delta_u and
-    controllability come from batched kernels over a set of vertices: a view
-    asks for all the vertices it needs at once (``deltas``,
-    ``controllable``), and only those not yet computed are run, in stacked
-    runs over many graphs (``fill_stacked``) or over a stack of one.
+    rho^2-integrality; per vertex the support, Delta_u and the minimal
+    polynomial psi_u of e_u, whose degree gives controllability; per
+    distinct support its ratio condition, and with psi its class.  Delta_u
+    and psi_u come from batched kernels over a set of vertices: a view asks
+    for all the vertices it needs at once (``deltas``, ``minimal_polys``),
+    and only those not yet computed are run, in stacked runs over many
+    graphs (``fill_stacked``) or over a stack of one.
 
     ``report`` is the one place where the necessary conditions for a vertex
     pair become verdicts; ``pair`` adds the checks that only a single-pair
@@ -634,15 +634,20 @@ class GraphData:
     def deltas(self, roots):
         return _fill("deltas", [self], [roots])[0]
 
+    def minimal_polys(self, roots):
+        return _fill("psi", [self], [roots])[0]
+
     def controllable(self, roots):
-        return _fill("controllable", [self], [roots])[0]
+        psi = self.minimal_polys(roots)
+        return {u: psi[u].degree == self.g.n for u in roots}
 
     def support_class(self, u):
-        return self._classify(self.support(u))
+        return self._classify((self.support(u), self.minimal_polys((u,))[u]))
 
     @_memo
-    def _classify(self, support):
-        return classify_support(self.values(support), self.phi)
+    def _classify(self, key):
+        support, psi = key
+        return classify_support(self.values(support), psi)
 
     @_memo
     def _ratio(self, support):

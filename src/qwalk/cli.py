@@ -136,7 +136,7 @@ def analyze_graph(g, config):
         doc["char_poly"] = _exact_poly_json(data.phi)
         doc["rho_squared_integer"] = data.rho_squared_is_integer
     deltas = data.deltas(range(g.n))
-    if exact_ok and connected:
+    if exact_ok:  # one psi_u run for every support class and controllability
         controllable = data.controllable(range(g.n))
     vertices = []
     for u in range(g.n):

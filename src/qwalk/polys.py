@@ -225,8 +225,9 @@ def _padded(polys):
 
 
 def poly_gcds(p, q):
-    """``poly_gcd`` of each pair p[i], q[i] of integer polynomials, at least
-    one of each pair monic, from one vectorised run over the distinct pairs.
+    """``poly_gcd`` h of each pair p[i], q[i] of integer polynomials, at
+    least one of each pair monic, and the cofactor p[i] / h, as pairs, from
+    one vectorised run over the distinct pairs.
 
     The pairs run one lockstep Euclid modulo each of the 31-bit primes in
     turn (``_euclid_mod``).  Degree 0 at the first prime proves a pair
@@ -234,12 +235,14 @@ def poly_gcds(p, q):
     polynomial dividing the monic input, so it keeps its degree mod p.  The
     other pairs have their modular gcds lifted to integers in the symmetric
     range (``_crt``) after each prime, and a lift is accepted when it divides
-    both inputs exactly, which is ``poly_gcd``'s proof.  A monic divisor h of
-    degree k of the monic input f, of degree d, has every coefficient at
-    most C(k, k // 2) M(h) <= 2**d ||f||_2 (Mignotte; M is the Mahler
-    measure, and M(h) <= M(f) <= ||f||_2 by Landau), so the lift stops once
-    the primes' product exceeds twice the largest such bound of the run.  A
-    pair that degenerates, changes degree between primes or is never accepted
+    both inputs exactly, which is ``poly_gcd``'s proof; the quotient of p[i]
+    is the cofactor.  Each distinct (input, lift) pair is divided once per
+    run, however many pairs share it.  A monic divisor h of degree k of the
+    monic input f, of degree d, has every coefficient at most
+    C(k, k // 2) M(h) <= 2**d ||f||_2 (Mignotte; M is the Mahler measure,
+    and M(h) <= M(f) <= ||f||_2 by Landau), so the lift stops once the
+    primes' product exceeds twice the largest such bound of the run.  A pair
+    that degenerates, changes degree between primes or is never accepted
     goes to ``poly_gcd``.
     """
     pairs = list(zip(map(tuple, p), map(tuple, q)))
@@ -250,6 +253,16 @@ def poly_gcds(p, q):
     heads, rows = ([known[pair[side]] for pair in distinct] for side in (0, 1))
     if any(a[0] != 1 and b[0] != 1 for a, b in zip(heads, rows)):
         raise ValueError("poly_gcds needs at least one monic polynomial in each pair")
+    quotients = {}
+
+    def divide(num, den):
+        """The quotient of ``num`` by the monic ``den``, None if inexact."""
+        key = (num, tuple(den))
+        if key not in quotients:
+            quotient, rest = _divmod_monic(known[num], den)
+            quotients[key] = quotient if rest == [0] else None
+        return quotients[key]
+
     a_int, b_int = _padded(heads), _padded(rows)
     limit = max(2 ** len(known[f]) * (math.isqrt(sum(c * c for c in known[f])) + 1)
                 for f in dict.fromkeys(a if known[a][0] == 1 else b for a, b in distinct))
@@ -272,35 +285,13 @@ def poly_gcds(p, q):
         for j, (i, k, cand) in enumerate(zip(live.tolist(), degree.tolist(),
                                              lifted.reshape(len(live), -1).tolist())):
             cand = cand[-k - 1:]
-            if poly_divides(cand, heads[i]) and poly_divides(cand, rows[i]):
+            if all(divide(x, cand) is not None for x in distinct[i]):
                 found[i], accepted[j] = cand, True
         live, degree, stack = live[~accepted], degree[~accepted], [s[~accepted] for s in stack]
         if not len(live) or math.prod(primes) > limit:
             break
-    gcds = {key: h if h is not None else poly_gcd(a, b)
-            for key, a, b, h in zip(distinct, heads, rows, found)}
-    return [gcds[key] for key in pairs]
-
-
-def poly_coprime(p, q):
-    """True iff the integer polynomials ``p`` and ``q``, at least one of them
-    monic, are coprime: ``poly_gcds`` has degree 0.  ``q`` may also be a
-    sequence of polynomials, each of that kind, and ``p`` then one
-    polynomial or one for each; the verdicts come as one bool array."""
-    single = not len(q) or np.ndim(q[0]) == 0
-    rows = [q] if single else list(q)
-    heads = list(p) if len(p) and np.ndim(p[0]) else [p] * len(rows)
-    verdicts = np.array([len(h) == 1 for h in poly_gcds(heads, rows)], dtype=bool)
-    return bool(verdicts[0]) if single else verdicts
-
-
-def poly_derivative(coeffs):
-    d = len(coeffs) - 1
-    return [c * (d - i) for i, c in enumerate(coeffs[:-1])] or [0]
-
-
-def poly_squarefree(coeffs):
-    """p / gcd(p, p') for a monic integer polynomial p: monic, integral, with
-    the roots of p each once."""
-    p = _integer_poly(coeffs)
-    return _divmod_monic(p, poly_gcd(p, poly_derivative(p)))[0]
+    results = {}
+    for key, h, a, b in zip(distinct, found, heads, rows):
+        h = h or poly_gcd(a, b)
+        results[key] = (h, a if h == [1] else divide(key[0], h))
+    return [results[key] for key in pairs]

@@ -1,5 +1,5 @@
-"""Walk matrices, exact rank, controllability, cospectrality, and the
-transfer-similarity matrix W_v W_u^{-1}, all in exact arithmetic."""
+"""Walk matrices, exact rank, vertex minimal polynomials, controllability,
+cospectrality, and the transfer similarity W_v W_u^{-1}, all exact."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 
 from .polys import _PRIMES31, _primes, poly_degree, poly_gcd, poly_gcds
-from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, InternalCheckError, char_poly_exact,
-                       char_polys, decompose, deleted_char_polys, eigenvalue_support)
+from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, ExactPoly, InternalCheckError,
+                       char_poly_exact, char_polys, decompose, deleted_char_polys,
+                       eigenvalue_support)
 
 
 def _check_vertex(g, u):
@@ -76,14 +77,16 @@ def rank_exact(m):
     return len(_eliminate([[operator.index(x) for x in row] for row in m]))
 
 
-def walk_ranks_stack(graphs, roots, cap=EXACT_CAP_DEFAULT):
-    """For each graph, all of one vertex count, the exact rank of the walk
-    matrix W_u of each u of its ``roots``, as dicts.
+def minimal_polys_stack(graphs, roots, cap=EXACT_CAP_DEFAULT):
+    """For each graph, all of one vertex count, the minimal polynomial psi_u
+    of e_u of each u of its ``roots``, as dicts of ``ExactPoly``.
 
     As e_u^T (tI - A)^-1 e_u = phi(G - u) / phi(G), whose reduced
-    denominator is the minimal polynomial of e_u, rank W_u is
-    n - deg gcd(phi(G), phi(G - u)); the gcds of every graph's roots come
-    from one certified ``poly_gcds`` run, equal pairs once.
+    denominator is the minimal polynomial of e_u, psi_u is
+    phi / gcd(phi, phi(G - u)): the cofactor that one certified
+    ``poly_gcds`` run over the roots of every graph divides out, equal pairs
+    once.  It is monic and squarefree, its roots are the eigenvalues in the
+    support of u, and its degree is the rank of the walk matrix W_u.
     """
     roots = [list(dict.fromkeys(r)) for r in roots]
     for g, vertices in zip(graphs, roots):
@@ -92,16 +95,20 @@ def walk_ranks_stack(graphs, roots, cap=EXACT_CAP_DEFAULT):
     _check_cap(graphs[0], cap)
     rows = [(i, u) for i, vertices in enumerate(roots) for u in vertices]
     polys = char_polys(graphs, cap) if rows else []
-    gcds = iter(poly_gcds([polys[i][0].coeffs for i, _ in rows],
-                          [polys[i][1][u].coeffs for i, u in rows]))
-    return [{u: g.n - poly_degree(next(gcds)) for u in vertices}
-            for g, vertices in zip(graphs, roots)]
+    found = iter(poly_gcds([polys[i][0].coeffs for i, _ in rows],
+                           [polys[i][1][u].coeffs for i, u in rows]))
+    return [{u: ExactPoly(tuple(next(found)[1])) for u in vertices} for vertices in roots]
+
+
+def minimal_polys(g, roots, cap=EXACT_CAP_DEFAULT):
+    """``minimal_polys_stack`` of one graph."""
+    return minimal_polys_stack([g], [roots], cap)[0]
 
 
 def walk_ranks(g, roots, cap=EXACT_CAP_DEFAULT):
     """Exact rank of the walk matrix W_u of every u in ``roots``, as a dict:
-    ``walk_ranks_stack`` of one graph."""
-    return walk_ranks_stack([g], [roots], cap)[0]
+    deg psi_u (``minimal_polys``)."""
+    return {u: psi.degree for u, psi in minimal_polys(g, roots, cap).items()}
 
 
 def walk_rank(g, u, cap=EXACT_CAP_DEFAULT):
@@ -110,16 +117,9 @@ def walk_rank(g, u, cap=EXACT_CAP_DEFAULT):
 
 
 def controllability(g, roots, cap=EXACT_CAP_DEFAULT):
-    """``controllability_stack`` of one graph."""
-    return controllability_stack([g], [roots], cap=cap)[0]
-
-
-def controllability_stack(graphs, roots, cap=EXACT_CAP_DEFAULT):
-    """For each graph, all of one vertex count, and each u of its ``roots``,
-    True iff the walk matrix of u is invertible (``walk_ranks_stack``), that
-    is, iff phi(G) and phi(G - u) are coprime, as dicts."""
-    return [{u: rank == g.n for u, rank in ranks.items()}
-            for g, ranks in zip(graphs, walk_ranks_stack(graphs, roots, cap))]
+    """For each u of ``roots``, True iff the walk matrix of u is invertible,
+    that is, iff deg psi_u = n (``walk_ranks``), as a dict."""
+    return {u: rank == g.n for u, rank in walk_ranks(g, roots, cap).items()}
 
 
 def is_controllable(g, u, cap=EXACT_CAP_DEFAULT):

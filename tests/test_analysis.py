@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,16 @@ from qwalk.analysis import (
 )
 from qwalk.polys import poly_degree, poly_gcd
 
-from conftest import poly_divmod, random_connected_graphs
+from conftest import poly_divmod, random_connected_graphs, random_graphs
 
 SQRT2 = math.sqrt(2)
 SQRT5 = math.sqrt(5)
 P4_EIGS = [(1 + SQRT5) / 2, (-1 + SQRT5) / 2, (1 - SQRT5) / 2, (-1 - SQRT5) / 2]
+
+
+def psi(g, u):
+    """The minimal polynomial psi_u of e_u, which classify_support takes."""
+    return q.walkalg.minimal_polys(g, [u])[u]
 
 
 class TestFidelity:
@@ -161,7 +167,7 @@ class TestRatioCondition:
 
 class TestClassifySupport:
     def test_hypercube_integer(self):
-        sc = q.classify_support([3.0, 1.0, -1.0, -3.0], q.char_poly_exact(q.hypercube(3)))
+        sc = q.classify_support([3.0, 1.0, -1.0, -3.0], psi(q.hypercube(3), 0))
         assert sc.kind == "Integer"
 
     def test_p3_quadratic(self):
@@ -184,23 +190,23 @@ class TestClassifySupport:
             q.classify_support([SQRT2 + 1e-6], q.char_poly_exact(q.path(3)))
 
     def test_repeated_roots_accepted(self):
-        # K6 has -1 five times; float root finding scatters it by ~1e-3
+        # K6 has -1 five times in phi, once in psi_0 = (t - 5)(t + 1); float
+        # root finding scatters it by ~1e-3
         g = q.complete(6)
-        assert q.classify_support([5.0, -1.0000000000000002], q.char_poly_exact(g)).kind \
-            == "Integer"
+        assert psi(g, 0).coeffs == (1, -4, -5)
+        assert q.classify_support([5.0, -1.0000000000000002], psi(g, 0)).kind == "Integer"
 
     def test_two_integers_plus_ratio_forces_integer(self):
         # whenever a support holds >= 2 integers and satisfies the ratio
         # condition, the whole support must classify as Integer
         for g in (q.hypercube(2), q.hypercube(3), q.complete(4), q.star(4)):
             sd = q.decompose(g)
-            phi = q.char_poly_exact(g)
             for u in range(g.n):
                 sup = sorted(q.eigenvalue_support(sd, u))
                 vals = [float(sd.eigenvalues[r]) for r in sup]
                 ints = [v for v in vals if abs(v - round(v)) < 1e-8]
                 if len(ints) >= 2 and len(vals) >= 2 and q.ratio_condition(vals).holds:
-                    assert q.classify_support(vals, phi).kind == "Integer"
+                    assert q.classify_support(vals, psi(g, u)).kind == "Integer"
 
     def test_squarefree_part(self):
         assert squarefree_part(8) == 2
@@ -279,8 +285,9 @@ def reference_rho_squared_integer(sd, phi, tol=1e-8):
 
 
 class TestExactChecksMatchFractionReference:
-    """The integer divisibility tests of classify_support and
-    rho_squared_integer decide as the Fraction references do."""
+    """The integer divisibility tests of classify_support against psi_u and
+    of rho_squared_integer decide as the Fraction references against phi
+    do."""
 
     def _check(self, graphs):
         kinds, rho_verdicts = set(), set()
@@ -289,9 +296,11 @@ class TestExactChecksMatchFractionReference:
             rho = q.rho_squared_integer(sd, phi)
             assert rho == reference_rho_squared_integer(sd, phi)
             rho_verdicts.add(rho)
-            for support in {tuple(sorted(q.eigenvalue_support(sd, u))) for u in range(g.n)}:
+            minimal = q.walkalg.minimal_polys(g, range(g.n))
+            for support, psi_u in {(tuple(sorted(q.eigenvalue_support(sd, u))), minimal[u])
+                                   for u in range(g.n)}:
                 vals = [float(sd.eigenvalues[r]) for r in support]
-                sc = q.classify_support(vals, phi)
+                sc = q.classify_support(vals, psi_u)
                 assert sc == reference_classify(vals, phi)
                 kinds.add(sc.kind)
         assert kinds == {"Integer", "Quadratic", "Neither"}
@@ -322,6 +331,48 @@ class TestExactChecksMatchFractionReference:
         phi, a, delta = q.char_poly_exact(g), Fraction(1, 2), 2
         assert _fraction_fit_quadratic(vals, phi, a, delta, 1e-8) is None
         assert q.analysis._fit_quadratic(vals, phi, a, delta, math.sqrt(delta), 1e-8) is None
+
+
+class TestSupportAgainstPsi:
+    """Each numeric support value must be a root of psi_u, not merely of
+    phi, and at the default tolerance the numeric support has deg psi_u
+    values."""
+
+    def test_eigenvalue_outside_the_support_rejected(self, monkeypatch):
+        # 0 is a root of phi(P3) = t (t^2 - 2) but not of psi_1 = t^2 - 2
+        data = q.analysis.GraphData(q.path(3), q.analysis.AnalysisConfig())
+        zero = next(r for r, x in enumerate(data.sd.eigenvalues) if abs(x) < 1e-9)
+        real = q.analysis.eigenvalue_support
+        monkeypatch.setattr(q.analysis, "eigenvalue_support",
+                            lambda sd, u, tol: real(sd, u, tol) | {zero})
+        assert data.minimal_polys((1,))[1].coeffs == (1, 0, -2)
+        assert zero in data.support(1)
+        with pytest.raises(ValueError, match="not a root"):
+            data.support_class(1)
+
+    def test_support_size_is_the_degree_of_psi(self):
+        graphs = [q.Graph(nx.to_numpy_array(G, dtype=int)) for G in nx.graph_atlas_g()
+                  if 1 <= G.number_of_nodes() <= 7]
+        for g in graphs + list(LARGE.values()):
+            sd = q.decompose(g)
+            minimal = q.walkalg.minimal_polys(g, range(g.n))
+            assert [len(q.eigenvalue_support(sd, u)) for u in range(g.n)] == \
+                [minimal[u].degree for u in range(g.n)]
+
+    def test_disconnected_graphs_match_the_reference(self):
+        # analyze classifies the supports of a disconnected graph too
+        from qwalk import cli
+        graphs = [g for g in random_graphs(300, 10, seed=1013) if not g.is_connected()]
+        assert len(graphs) > 50
+        kinds = set()
+        for g in graphs:
+            doc = cli.analyze_graph(g, cli.AnalysisConfig())
+            phi = q.char_poly_exact(g)
+            for entry in doc["vertices"]:
+                sc = reference_classify(entry["support_values"], phi)
+                assert entry["support_class"] == cli._support_class_json(sc)
+                kinds.add(sc.kind)
+        assert kinds == {"Integer", "Quadratic", "Neither"}
 
 
 class TestNecessaryConditions:
@@ -416,8 +467,7 @@ class TestComputeOnce:
     connectivity test run once per graph, or once per vertex count in a
     scan chunk."""
 
-    KERNELS = (("walk_ranks_stack", q.walkalg), ("controllability_stack", q.walkalg),
-               ("delta_stack", q.partitions))
+    KERNELS = (("minimal_polys_stack", q.walkalg), ("delta_stack", q.partitions))
 
     def _spy_kernels(self, monkeypatch):
         return {name: _count_calls(monkeypatch, name, module)
@@ -533,10 +583,10 @@ class TestLargeGraphs:
     def test_every_support_passes_the_guard(self, name):
         g = LARGE[name]
         sd = q.decompose(g)
-        phi = q.char_poly_exact(g)
+        minimal = q.walkalg.minimal_polys(g, range(g.n))
         for u in range(g.n):
             vals = [float(sd.eigenvalues[r]) for r in sorted(q.eigenvalue_support(sd, u))]
-            q.classify_support(vals, phi)
+            q.classify_support(vals, minimal[u])
 
     @pytest.mark.parametrize("name", ["Q5", "Q6"])
     def test_hypercube_antipodal_pst(self, name):

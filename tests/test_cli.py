@@ -348,3 +348,46 @@ def test_stdin_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
     assert main(["scan", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 2
+
+
+class TestSupportAgainstPsi:
+    """Each support value is checked against psi_u, the minimal polynomial of
+    e_u; a user tolerance that leaves support values out still classifies."""
+
+    @staticmethod
+    def _argv(command, g, tmp_path, pair):
+        f = tmp_path / "g.g6"
+        f.write_text(q.encode_graph6(g) + "\n")
+        return [command, str(f)] + ([str(w) for w in pair] if command == "pair" else [])
+
+    @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
+    def test_coarse_support_tolerance_still_integer(self, tmp_path, capsys, command):
+        # on K4 at 0.3 only -1 is in each numeric support (E_3 has diagonal
+        # 1/4), against deg psi_u = 2; -1 is a root of psi_u, so Integer
+        argv = self._argv(command, q.complete(4), tmp_path, (0, 1)) + ["--tol-support", "0.3"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        if command == "analyze":
+            vertices = json.loads(out)["vertices"]
+            assert [len(v["support"]) for v in vertices] == [1] * 4
+            assert {v["support_class"]["kind"] for v in vertices} == {"Integer"}
+        elif command == "pair":
+            assert json.loads(out)["support_class"] == {"kind": "Integer"}
+        else:
+            doc = json.loads(out)
+            assert "error" not in doc and len(doc["pairs"]) == 6
+            assert all(p["verdicts"]["support_class_not_neither"] for p in doc["pairs"])
+
+    @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
+    def test_value_outside_psi_is_an_error(self, monkeypatch, tmp_path, capsys, command):
+        # every eigenvalue put in every numeric support: 0 is an eigenvalue
+        # of P5 but not a root of psi_1 = (t^2 - 1)(t^2 - 3), and 1 and 3
+        # are a cospectral pair
+        monkeypatch.setattr(q.analysis, "eigenvalue_support",
+                            lambda sd, u, tol: set(range(sd.num_distinct)))
+        code, out, err = run_cli(self._argv(command, q.path(5), tmp_path, (1, 3)), capsys)
+        if command == "scan":
+            assert code == 0
+            assert json.loads(out)["error"].endswith("is not a root of the polynomial")
+        else:
+            assert code == 2 and out == "" and "is not a root of the polynomial" in err

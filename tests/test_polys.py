@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qwalk as q
 from qwalk import polys
-from qwalk.polys import poly_degree, poly_gcd, poly_squarefree, poly_trim
+from qwalk.polys import poly_degree, poly_gcd, poly_trim
 
 from conftest import poly_divmod, random_connected_graphs
 
@@ -136,7 +136,7 @@ class TestPolyGcd:
         assert poly_gcd([1, 0, -2], [0]) == [1, 0, -2]
         assert poly_gcd([0, 0], [1, 5]) == [1, 5]
         assert poly_gcd([1], [6, 4]) == [1]
-        assert polys.poly_coprime([1, 0, -1], [1, 2])
+        assert polys.poly_gcds([[1, 0, -1]], [[1, 2]]) == [([1], [1, 0, -1])]
 
     def test_numpy_integers_accepted(self):
         assert poly_gcd(np.array([1, 0, -1]), [np.int64(1), np.int64(1)]) == [1, 1]
@@ -156,15 +156,13 @@ class TestPolyGcd:
 
 
 class TestSquarefree:
-    def test_repeated_roots(self):
-        # (t - 1)^3 (t + 2)^2 t -> (t - 1)(t + 2) t
-        p = poly_mul(poly_mul(poly_mul([1, -1], [1, -1]), poly_mul([1, -1], [1, 2])),
-                     poly_mul([1, 2], [1, 0]))
-        assert poly_squarefree(p) == poly_mul(poly_mul([1, -1], [1, 2]), [1, 0])
+    """psi_u = phi / gcd(phi, phi(G - u)), the minimal polynomial of e_u, is
+    squarefree."""
 
     def test_hypercube_distinct_eigenvalues(self):
-        # Q6 has the seven distinct eigenvalues 6, 4, ..., -6
+        # Q6 has the seven distinct eigenvalues 6, 4, ..., -6, each in the
+        # support of every vertex
         expected = [1]
         for k in range(-6, 7, 2):
             expected = poly_mul(expected, [1, -k])
-        assert poly_squarefree(q.char_poly_exact(q.hypercube(6)).coeffs) == expected
+        assert q.walkalg.minimal_polys(q.hypercube(6), [0])[0].coeffs == tuple(expected)

@@ -69,13 +69,17 @@ class TestStackMatchesOneGraph:
         # the corpus has stacks of n = 1 and n = 2
         for i, stack in enumerate(stacks(corpus, seed=2)):
             roots = roots_for(stack, seed=i)
-            assert walkalg.walk_ranks_stack(stack, roots) == \
+            found = walkalg.minimal_polys_stack(stack, roots)
+            assert found == [walkalg.minimal_polys(g, r) for g, r in zip(stack, roots)]
+            assert [{u: psi.degree for u, psi in f.items()} for f in found] == \
                 [walkalg.walk_ranks(g, r) for g, r in zip(stack, roots)]
 
     def test_controllability(self, corpus):
         for i, stack in enumerate(stacks(corpus, seed=3)):
             roots = roots_for(stack, seed=i)
-            assert walkalg.controllability_stack(stack, roots) == \
+            found = walkalg.minimal_polys_stack(stack, roots)
+            assert [{u: psi.degree == g.n for u, psi in f.items()}
+                    for g, f in zip(stack, found)] == \
                 [walkalg.controllability(g, r) for g, r in zip(stack, roots)]
 
     def test_delta_partitions(self, corpus):
@@ -103,7 +107,10 @@ class TestStackMatchesOneGraph:
             roots = [range(n), [0, n - 1], range(0, n, 3), []]
             assert spectral._faddeev_leverrier(stack) == \
                 [spectral._faddeev_leverrier([g])[0] for g in stack]
-            assert walkalg.controllability_stack(stack, roots) == \
+            found = walkalg.minimal_polys_stack(stack, roots)
+            assert found == [walkalg.minimal_polys(g, r) for g, r in zip(stack, roots)]
+            assert [{u: psi.degree == g.n for u, psi in f.items()}
+                    for g, f in zip(stack, found)] == \
                 [walkalg.controllability(g, r) for g, r in zip(stack, roots)]
 
     def test_primes_cover_the_densest_graph(self, monkeypatch):

@@ -8,7 +8,7 @@ import math
 import qwalk as q
 import qwalk.polys as polys
 import qwalk.walkalg as walkalg
-from qwalk.polys import poly_coprime, poly_degree, poly_gcd
+from qwalk.polys import poly_degree, poly_gcd
 from qwalk.walkalg import invert_exact, walk_matrix
 
 from conftest import poly_divmod, random_connected_graphs
@@ -219,20 +219,22 @@ class TestWalkRanks:
 
 
 class TestMinimalPolys:
-    """The certified gcds of poly_gcds equal poly_gcd row by row, and the
-    minimal polynomial psi_u = phi / gcd(phi, phi(G - u)) of every root has
-    degree the Bareiss rank."""
+    """The certified gcds of poly_gcds equal poly_gcd row by row, their
+    cofactors are the minimal polynomials psi_u = phi / gcd(phi, phi(G - u))
+    that minimal_polys gives, and every psi_u has degree the Bareiss rank."""
 
     @staticmethod
     def _check(g):
         phi = q.char_poly_exact(g).coeffs
         rows = [p.coeffs for p in q.deleted_char_polys(g)]
-        gcds = polys.poly_gcds([phi] * g.n, rows)
-        assert gcds == [poly_gcd(phi, r) for r in rows]
+        found = polys.poly_gcds([phi] * g.n, rows)
+        assert [h for h, _ in found] == [poly_gcd(phi, r) for r in rows]
         reference = bareiss_ranks(g)
-        for u, h in enumerate(gcds):
+        minimal = walkalg.minimal_polys(g, range(g.n))
+        for u, (h, cofactor) in enumerate(found):
             psi, rest = poly_divmod(phi, h)
             assert rest == [0] and len(psi) - 1 == reference[u]
+            assert cofactor == psi and minimal[u].coeffs == tuple(psi)
 
     def test_atlas(self, atlas_connected):
         for graphs in atlas_connected.values():
@@ -317,9 +319,10 @@ class TestBatchedControllability:
             mod3, true = degrees(phi, rows, 3), degrees(phi, rows, polys._PRIMES31[1])
             undecided = sorted({r for r, d, e in zip(rows, mod3, true) if d < 0 or 0 < d != e})
             sent.clear()
-            verdicts = poly_coprime(phi, rows)
+            psi = walkalg.minimal_polys(g, range(g.n))
             assert sorted(tuple(r) for _, r in sent) == undecided
-            assert verdicts.tolist() == list(coprime_reference(g).values())
+            assert [psi[u].degree == g.n for u in range(g.n)] == \
+                list(coprime_reference(g).values())
             assert walkalg.controllability(g, range(g.n)) == coprime_reference(g)
             degenerate += len(undecided)
         assert degenerate
@@ -337,13 +340,30 @@ class TestBatchedControllability:
         g = LARGE["Q5"]
         phi = q.char_poly_exact(g).coeffs
         rows = [p.coeffs for p in q.deleted_char_polys(g)]
-        stack = poly_coprime(phi, rows)
-        assert stack.dtype == bool and stack.shape == (g.n,)
-        assert [poly_coprime(phi, r) for r in rows] == stack.tolist()
-        assert poly_coprime([1, 0, -1], [[1, 2], [1, 1], [0], [3, 7, 2]]).tolist() == \
-            [True, False, False, True]
+        stack = polys.poly_gcds([phi] * g.n, rows)
+        assert len(stack) == g.n
+        assert [polys.poly_gcds([phi], [r])[0] for r in rows] == stack
+        found = polys.poly_gcds([[1, 0, -1]] * 4, [[1, 2], [1, 1], [0], [3, 7, 2]])
+        assert [h == [1] for h, _ in found] == [True, False, False, True]
+        assert [cofactor for _, cofactor in found] == [[1, 0, -1], [1, -1], [1], [1, 0, -1]]
         with pytest.raises(ValueError):
-            poly_coprime([2, 1], [[1, 1], [3, 1]])
+            polys.poly_gcds([[2, 1]] * 2, [[1, 1], [3, 1]])
+
+    @pytest.mark.parametrize("name", ["Q6", "P64"])
+    def test_each_division_made_once(self, monkeypatch, name):
+        # every (input, lifted gcd) pair is divided at most once in a run,
+        # though rows of one graph that share a gcd divide the same phi
+        calls = []
+        real = polys._divmod_monic
+
+        def spy(num, den, p=0):
+            calls.append((tuple(num), tuple(den), p))
+            return real(num, den, p)
+
+        monkeypatch.setattr(polys, "_divmod_monic", spy)
+        g = LARGE[name]
+        assert min(walkalg.walk_ranks(g, range(g.n)).values()) < g.n  # lifted gcds
+        assert calls and len(calls) == len(set(calls))
 
 
 class TestControllability:
@@ -377,7 +397,7 @@ class TestControllability:
         deleted = q.deleted_char_polys(g)
         for u in (0, 1, 31, 63):
             by_rank = q.rank_exact(walk_matrix(g, u)) == g.n
-            by_gcd = poly_coprime(phi, deleted[u].coeffs)
+            by_gcd = poly_gcd(phi, deleted[u].coeffs) == [1]
             assert q.is_controllable(g, u) == by_rank == by_gcd
 
     def test_every_vertex_of_random64_agrees(self):
@@ -386,7 +406,7 @@ class TestControllability:
         phi = q.char_poly_exact(g).coeffs
         deleted = q.deleted_char_polys(g)
         for u in range(g.n):
-            by_gcd = poly_coprime(phi, deleted[u].coeffs)
+            by_gcd = poly_gcd(phi, deleted[u].coeffs) == [1]
             assert q.is_controllable(g, u) == (q.walk_rank(g, u) == g.n) == by_gcd
 
 
