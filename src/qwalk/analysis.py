@@ -16,9 +16,8 @@ import numpy as np
 
 from . import partitions, walkalg
 from .graphs import connected_stack
-from .spectral import (SUPPORT_TOL_DEFAULT, char_poly_exact, char_polys, decompose,
-                       decompose_stack, deleted_char_polys, eigenvalue_support, gap_report,
-                       transition_matrix)
+from .spectral import (SUPPORT_TOL_DEFAULT, char_polys, decompose, decompose_stack,
+                       eigenvalue_support, gap_report, transition_matrix)
 from .polys import poly_divides
 
 THRESHOLD_DEFAULT = 1 - 1e-9
@@ -63,7 +62,7 @@ class PstEvent:
 
 def fidelity(sd, u, v, t):
     """|H(t)_{u,v}|, clamped to [0, 1]."""
-    coeffs = np.array([e[u, v] for e in sd.idempotents])
+    coeffs = sd.idempotents[:, u, v]
     return min(abs(_amplitude(sd.eigenvalues, coeffs, t)), 1.0)
 
 
@@ -162,7 +161,7 @@ def search_pst(sd, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT):
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
     thetas = np.asarray(sd.eigenvalues)
-    coeffs = np.array([e[u, v] for e in sd.idempotents], dtype=complex)
+    coeffs = sd.idempotents[:, u, v].astype(complex)
     hit = _search_amplitude(thetas, coeffs, t_max, threshold, sd.spectral_radius)
     if hit is None:
         return None
@@ -180,7 +179,7 @@ def check_periodicity(sd, u, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT,
     is tested before the scan.
     """
     thetas = np.asarray(sd.eigenvalues)
-    coeffs = np.array([e[u, u] for e in sd.idempotents], dtype=complex)
+    coeffs = sd.idempotents[:, u, u].astype(complex)
 
     hits = []
     cand = None if support_class is None else period_candidate(support_class)
@@ -524,12 +523,12 @@ def _fill(name, datas, roots):
     of every ``GraphData`` datas[i], all of one vertex count, from one
     stacked kernel run over those not cached yet; returns the caches."""
     memos = [d._cache.setdefault(name, {}) for d in datas]
-    todo = [(m, sorted(set(r) - m.keys()), d.g) for d, m, r in zip(datas, memos, roots)]
+    todo = [(m, sorted(set(r) - m.keys()), d) for d, m, r in zip(datas, memos, roots)]
     todo = [t for t in todo if t[1]]
     if todo:
-        memos_, missing, graphs = zip(*todo)
-        facts = (partitions.delta_stack(graphs, missing) if name == "deltas" else
-                 walkalg.minimal_polys_stack(graphs, missing, cap=datas[0].config.exact_cap))
+        memos_, missing, owners = zip(*todo)
+        facts = (partitions.delta_stack([d.g for d in owners], missing) if name == "deltas" else
+                 walkalg.minimal_polys_stack([d.char_polys for d in owners], missing))
         for memo, found in zip(memos_, facts):
             memo.update(found)
     return memos
@@ -548,8 +547,9 @@ def fill_stacked(datas, roots):
     config), by one run of each stacked kernel per vertex count, facts
     already known left out: connectivity and the decomposition of d with a
     vertex (unless connected above the cap, an error), then, for d connected
-    within the cap with n >= 2, phi, every phi(G - u), and Delta_u and
-    psi_u of ``roots(d)``, ``roots`` after phi(G - u)."""
+    within the cap with n >= 2, phi and every phi(G - u), by one
+    Faddeev-LeVerrier run, and Delta_u and psi_u of ``roots(d)``, ``roots``
+    after phi(G - u)."""
     for n, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
         group, config = list(group), datas[0].config
         if n < 1:
@@ -559,7 +559,7 @@ def fill_stacked(datas, roots):
         _set(group, "sd", lambda graphs: decompose_stack(graphs, config.grouping_tolerance))
         group = [d for d in group if d.connected and n >= 2]
         if group:
-            char_polys([d.g for d in group], cap=config.exact_cap)
+            _set(group, "char_polys", lambda graphs: char_polys(graphs, config.exact_cap))
             for name in ("deltas", "psi"):
                 _fill(name, group, [roots(d) for d in group])
 
@@ -590,13 +590,13 @@ class GraphData:
         return decompose(self.g, self.config.grouping_tolerance)
 
     @functools.cached_property
-    def phi(self):
-        return char_poly_exact(self.g, cap=self.config.exact_cap)
+    def char_polys(self):
+        """(phi, (phi(G - u) for every u)), from one Faddeev-LeVerrier run."""
+        return char_polys([self.g], self.config.exact_cap)[0]
 
-    @functools.cached_property
-    def idempotents(self):
-        """The eigenspace projections stacked into one array, index r first."""
-        return np.stack(self.sd.idempotents)
+    @property
+    def phi(self):
+        return self.char_polys[0]
 
     @functools.cached_property
     def gap(self):
@@ -607,16 +607,13 @@ class GraphData:
         return rho_squared_integer(self.sd, self.phi)
 
     @functools.cached_property
-    def deleted(self):
-        return [p.coeffs for p in deleted_char_polys(self.g, cap=self.config.exact_cap)]
-
-    @functools.cached_property
     def connected(self):
         return self.g.is_connected()
 
     def cospectral(self, u, v):
         """phi(G - u) = phi(G - v), coefficient-wise."""
-        return self.deleted[u] == self.deleted[v]
+        deleted = self.char_polys[1]
+        return deleted[u] == deleted[v]
 
     @functools.cached_property
     def cospectral_pairs(self):
@@ -637,12 +634,17 @@ class GraphData:
     def minimal_polys(self, roots):
         return _fill("psi", [self], [roots])[0]
 
-    def controllable(self, roots):
-        psi = self.minimal_polys(roots)
-        return {u: psi[u].degree == self.g.n for u in roots}
-
-    def support_class(self, u):
-        return self._classify((self.support(u), self.minimal_polys((u,))[u]))
+    def support_class(self, u, psi=None):
+        """The class of u's support against ``psi``, u's minimal polynomial
+        (from ``minimal_polys`` when None); a value that fails the root
+        guard is a ValueError naming u and the support tolerance."""
+        if psi is None:
+            psi = self.minimal_polys((u,))[u]
+        try:
+            return self._classify((self.support(u), psi))
+        except ValueError as exc:
+            raise ValueError(f"vertex {u}, support tolerance "
+                             f"{self.config.support_tolerance}: {exc}") from None
 
     @_memo
     def _classify(self, key):
@@ -661,9 +663,10 @@ class GraphData:
         sup_u, sup_v = self.support(u), self.support(v)
         # strong cospectrality: E_r e_u = +-E_r e_v on every support eigenvalue
         support = sorted(set(sup_u) | set(sup_v))
-        x, y = self.idempotents[support, :, u], self.idempotents[support, :, v]
+        idempotents = self.sd.idempotents
+        x, y = idempotents[support, :, u], idempotents[support, :, v]
         sign_ok = bool(np.all(np.minimum(abs(x - y).max(axis=1), abs(x + y).max(axis=1)) < 1e-7))
-        deltas, controllable = self.deltas((u, v)), self.controllable((u, v))
+        deltas, psi = self.deltas((u, v)), self.minimal_polys((u, v))
         du = deltas[u]
         return TransferReport(
             u=u, v=v, n=self.g.n,
@@ -671,12 +674,12 @@ class GraphData:
             equal_supports=sup_u == sup_v,
             sign_condition=sign_ok,
             ratio=self._ratio(tuple(sorted(set(sup_u) & set(sup_v)))),
-            support_class=self.support_class(u),
+            support_class=self.support_class(u, psi[u]),
             rho_squared_is_integer=self.rho_squared_is_integer,
             delta_partition_equal=du == deltas[v],
             v_singleton_in_delta_u=(v,) in du.cells,
-            controllable_u=controllable[u],
-            controllable_v=controllable[v],
+            controllable_u=psi[u].degree == self.g.n,
+            controllable_v=psi[v].degree == self.g.n,
             stabilizer_equal=None,
             gap=self.gap,
         )

@@ -13,12 +13,9 @@ import math
 import multiprocessing
 import os
 import sys
-from dataclasses import asdict, is_dataclass
-from fractions import Fraction
+from dataclasses import asdict
 
-import numpy as np
-
-from . import analysis, partitions
+from . import analysis
 from .analysis import DEN_BOUND_DEFAULT, T_MAX_DEFAULT, THRESHOLD_DEFAULT, AnalysisConfig
 from .graphs import Graph, Graph6Error, encode_graph6, parse_graph6
 from .spectral import SUPPORT_TOL_DEFAULT
@@ -29,31 +26,6 @@ SCHEMA_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # JSON serialization: exact values as strings, floats as shortest round-trip
-
-def jsonify(obj):
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, partitions.Partition):
-        return obj.as_lists()
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: jsonify(v) for k, v in asdict(obj).items()}
-    if isinstance(obj, np.ndarray):
-        return [jsonify(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [jsonify(x) for x in items]
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
 
 def _exact_poly_json(poly):
     # big integers as strings to avoid precision loss downstream
@@ -130,14 +102,14 @@ def analyze_graph(g, config):
     if not connected:
         doc["warning"] = "graph is disconnected; spectral facts only"
     if g.n >= 2:
-        doc["gap"] = jsonify(data.gap)
+        doc["gap"] = asdict(data.gap)
     exact_ok = g.n <= config.exact_cap
     if exact_ok:
         doc["char_poly"] = _exact_poly_json(data.phi)
         doc["rho_squared_integer"] = data.rho_squared_is_integer
     deltas = data.deltas(range(g.n))
     if exact_ok:  # one psi_u run for every support class and controllability
-        controllable = data.controllable(range(g.n))
+        psi = data.minimal_polys(range(g.n))
     vertices = []
     for u in range(g.n):
         sup = data.support(u)
@@ -148,13 +120,13 @@ def analyze_graph(g, config):
             "delta_partition": deltas[u].as_lists(),
         }
         if exact_ok:
-            sc = data.support_class(u)
+            sc = data.support_class(u, psi[u])
             entry["support_class"] = _support_class_json(sc)
             period = analysis.period_candidate(sc)
             if period is not None:
                 entry["period_candidate"] = period
             if connected:
-                entry["controllable"] = controllable[u]
+                entry["controllable"] = psi[u].degree == g.n
         vertices.append(entry)
     doc["vertices"] = vertices
     return doc
@@ -175,7 +147,7 @@ def pair_report_json(g, report):
         "support_class": _support_class_json(report.support_class),
         "controllable": {"u": report.controllable_u, "v": report.controllable_v},
         "v_singleton_in_delta_u": report.v_singleton_in_delta_u,
-        "gap": jsonify(report.gap),
+        "gap": asdict(report.gap),
         "pst_found": _event_json(report.pst_found),
     }
     if report.ratio.witness is not None:
@@ -191,27 +163,32 @@ def pair_report_json(g, report):
 # ---------------------------------------------------------------------------
 # scan
 
-def scan_graph(g, config, data=None):
+def scan_graph(g, config):
     """Per-graph scan summary: gap report plus the verdicts of every
     cospectral pair (cospectrality is a verdict, so the pre-filter is
-    lossless) and a time search for each pair that passes them all.
+    lossless) and a time search for each pair that passes them all.  A scan
+    chunk writes the same document for each of its graphs, from one
+    ``analysis.fill_stacked`` of them all (``_scan_doc``)."""
+    data = analysis.GraphData(g, config)
+    analysis.fill_stacked([data], _pair_vertices)
+    return _scan_doc(data)
 
-    Per-vertex facts come from ``analysis.fill_stacked`` of ``data``, over
-    the vertices of the cospectral pairs, unless done already.  A graph with
-    no vertex, or a connected one above the exact cap, is an error, as in
-    ``pair``; the brute-force automorphism check is left to ``pair``.
-    """
-    data = data or analysis.GraphData(g, config)
+
+def _scan_doc(data):
+    """``scan_graph`` of ``data``, whose per-vertex facts ``fill_stacked``
+    gave over the vertices of its cospectral pairs.  A graph with no vertex,
+    or a connected one above the exact cap, is an error, as in ``pair``; the
+    brute-force automorphism check is left to ``pair``."""
+    g, config = data.g, data.config
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if data.connected and g.n > config.exact_cap:
         raise ValueError(f"exact-arithmetic cap exceeded: {g.n} > {config.exact_cap}")
     doc = {"id": encode_graph6(g), "n": g.n, "connected": data.connected}
     if g.n >= 2:
-        doc["gap"] = jsonify(data.gap)
+        doc["gap"] = asdict(data.gap)
     pairs = []
     if data.connected and g.n >= 2:
-        analysis.fill_stacked([data], _pair_vertices)
         for u, v in data.cospectral_pairs:
             report = data.report(u, v)
             entry = {"u": u, "v": v, "verdicts": report.verdicts()}
@@ -245,7 +222,7 @@ def _scan_chunk(item):
     analysis.fill_stacked(list(datas.values()), _pair_vertices)
     for i, data in datas.items():
         try:
-            docs[i] = scan_graph(data.g, config, data)
+            docs[i] = _scan_doc(data)
         except ValueError as exc:
             docs[i] = {"id": lines[i], "error": str(exc)}
     return [json.dumps({**docs[i], "schema_version": SCHEMA_VERSION},

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import _FLOAT64_EXACT, _by_graph, _stack_rows
+from .spectral import _FLOAT64_EXACT
 
 BRUTE_FORCE_CAP_DEFAULT = 10
 
@@ -70,6 +70,24 @@ class Partition:
 # Roots per batch: at most this many entries in the (roots * n, n) arrays of
 # neighbor counts.
 _BATCH_ENTRIES = 2**22
+
+
+def _stack_rows(roots):
+    """The graph index and the root of every row; roots[i] lists graph i's."""
+    return (np.repeat(np.arange(len(roots)), [len(r) for r in roots]),
+            np.array([u for r in roots for u in r], dtype=np.int64))
+
+
+def _by_graph(x, gi, mats):
+    """x[r] @ mats[gi[r]] for every row r of ``x`` (rows, ..., k), gi sorted:
+    the rows scattered into a zero (graphs, slots, ..., k) array, one batched
+    product, and the rows gathered back."""
+    if len(mats) == 1:
+        return (x.reshape(-1, x.shape[-1]) @ mats[0]).reshape(x.shape)
+    slot = np.arange(len(gi)) - np.searchsorted(gi, gi)
+    buf = np.zeros((len(mats), int(slot.max(initial=-1)) + 1) + x.shape[1:])
+    buf[gi, slot] = x
+    return (buf.reshape(len(mats), -1, x.shape[-1]) @ mats).reshape(buf.shape)[gi, slot]
 
 
 def _relabel(keys):

@@ -28,11 +28,11 @@ def default_grouping_tolerance(n, rho):
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Distinct eigenvalues (descending), multiplicities, and the orthogonal
-    projections onto the corresponding eigenspaces."""
+    projections onto the corresponding eigenspaces, an (r, n, n) array."""
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    idempotents: tuple
+    idempotents: np.ndarray
     grouping_tolerance: float
 
     @property
@@ -99,7 +99,7 @@ def decompose_stack(graphs, grouping_tolerance=None):
         for t, i in enumerate(idx):
             c = slice(bounds[t], bounds[t + 1])
             out[i] = SpectralDecomposition(eigenvalues=means[c], multiplicities=sizes[c],
-                                           idempotents=tuple(idems[c]),
+                                           idempotents=idems[c],
                                            grouping_tolerance=tols[t])
     return out
 
@@ -115,7 +115,7 @@ def transition_matrix(sd, t):
 def eigenvalue_support(sd, u, support_tolerance=SUPPORT_TOL_DEFAULT):
     """Indices r with (E_r)_{u,u} > tolerance; this diagonal entry equals
     ||E_r e_u||^2 and is non-negative."""
-    return {r for r, e in enumerate(sd.idempotents) if e[u, u] > support_tolerance}
+    return set(np.flatnonzero(sd.idempotents[:, u, u] > support_tolerance).tolist())
 
 
 @dataclass(frozen=True)
@@ -180,24 +180,6 @@ def _combine(residues, primes):
     return values, values % check == residues[:, -1]
 
 
-def _stack_rows(roots):
-    """The graph index and the root of every row; roots[i] lists graph i's."""
-    return (np.repeat(np.arange(len(roots)), [len(r) for r in roots]),
-            np.array([u for r in roots for u in r], dtype=np.int64))
-
-
-def _by_graph(x, gi, mats):
-    """x[r] @ mats[gi[r]] for every row r of ``x`` (rows, ..., k), gi sorted:
-    the rows scattered into a zero (graphs, slots, ..., k) array, one batched
-    product, and the rows gathered back."""
-    if len(mats) == 1:
-        return (x.reshape(-1, x.shape[-1]) @ mats[0]).reshape(x.shape)
-    slot = np.arange(len(gi)) - np.searchsorted(gi, gi)
-    buf = np.zeros((len(mats), int(slot.max(initial=-1)) + 1) + x.shape[1:])
-    buf[gi, slot] = x
-    return (buf.reshape(len(mats), -1, x.shape[-1]) @ mats).reshape(buf.shape)[gi, slot]
-
-
 def _faddeev_leverrier(graphs):
     """(phi(G), (phi(G - u) for every u)) of every graph G of ``graphs``, all
     of one vertex count, from one Faddeev-LeVerrier run over the stack, in
@@ -250,19 +232,11 @@ def _faddeev_leverrier(graphs):
     return out
 
 
-_CHAR_POLYS = {}  # graph -> its ``_faddeev_leverrier`` result, oldest first
-
-
 def char_polys(graphs, cap=EXACT_CAP_DEFAULT):
-    """``_faddeev_leverrier`` of ``graphs``, all of one vertex count, from one
-    run over those not among the 64 latest results (``Graph`` is hashable)."""
+    """``_faddeev_leverrier`` of ``graphs``, all of one vertex count, within
+    ``cap``: (phi, every phi(G - u)) of each graph, from one run."""
     _check_cap(graphs[0], cap)
-    new = [g for g in dict.fromkeys(graphs) if g not in _CHAR_POLYS]
-    _CHAR_POLYS.update(zip(new, _faddeev_leverrier(new)) if new else ())
-    found = [_CHAR_POLYS[g] for g in graphs]
-    for g in list(_CHAR_POLYS)[:-64]:
-        del _CHAR_POLYS[g]
-    return found
+    return _faddeev_leverrier(graphs)
 
 
 def char_poly_exact(g, cap=EXACT_CAP_DEFAULT):

@@ -12,8 +12,7 @@ import numpy as np
 
 from .polys import _PRIMES31, _primes, poly_degree, poly_gcd, poly_gcds
 from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, ExactPoly, InternalCheckError,
-                       char_poly_exact, char_polys, decompose, deleted_char_polys,
-                       eigenvalue_support)
+                       char_polys, decompose, deleted_char_polys, eigenvalue_support)
 
 
 def _check_vertex(g, u):
@@ -77,9 +76,10 @@ def rank_exact(m):
     return len(_eliminate([[operator.index(x) for x in row] for row in m]))
 
 
-def minimal_polys_stack(graphs, roots, cap=EXACT_CAP_DEFAULT):
-    """For each graph, all of one vertex count, the minimal polynomial psi_u
-    of e_u of each u of its ``roots``, as dicts of ``ExactPoly``.
+def minimal_polys_stack(polys, roots):
+    """For each (phi, (phi(G - u) for every u)) of ``polys``, as
+    ``char_polys`` gives them, the minimal polynomial psi_u of e_u of each u
+    of its ``roots``, as dicts of ``ExactPoly``.
 
     As e_u^T (tI - A)^-1 e_u = phi(G - u) / phi(G), whose reduced
     denominator is the minimal polynomial of e_u, psi_u is
@@ -89,20 +89,19 @@ def minimal_polys_stack(graphs, roots, cap=EXACT_CAP_DEFAULT):
     support of u, and its degree is the rank of the walk matrix W_u.
     """
     roots = [list(dict.fromkeys(r)) for r in roots]
-    for g, vertices in zip(graphs, roots):
+    for (phi, _), vertices in zip(polys, roots):
         for u in vertices:
-            _check_vertex(g, u)
-    _check_cap(graphs[0], cap)
-    rows = [(i, u) for i, vertices in enumerate(roots) for u in vertices]
-    polys = char_polys(graphs, cap) if rows else []
-    found = iter(poly_gcds([polys[i][0].coeffs for i, _ in rows],
-                           [polys[i][1][u].coeffs for i, u in rows]))
+            if not 0 <= u < phi.degree:
+                raise ValueError(f"vertex {u} out of range")
+    rows = [(phi, deleted[u]) for (phi, deleted), vertices in zip(polys, roots)
+            for u in vertices]
+    found = iter(poly_gcds([phi.coeffs for phi, _ in rows], [p.coeffs for _, p in rows]))
     return [{u: ExactPoly(tuple(next(found)[1])) for u in vertices} for vertices in roots]
 
 
 def minimal_polys(g, roots, cap=EXACT_CAP_DEFAULT):
     """``minimal_polys_stack`` of one graph."""
-    return minimal_polys_stack([g], [roots], cap)[0]
+    return minimal_polys_stack(char_polys([g], cap), [roots])[0]
 
 
 def walk_ranks(g, roots, cap=EXACT_CAP_DEFAULT):
@@ -186,20 +185,18 @@ def cospectral_via_gram(g, u, v, cap=EXACT_CAP_DEFAULT):
     return np.array_equal(counts[0], counts[1])
 
 
-def support_size_crosscheck(g, u, cap=EXACT_CAP_DEFAULT, support_tolerance=1e-10):
-    """(walk-matrix rank, numeric support size, pole count); all must agree.
-    The rank is the Bareiss rank of the whole walk matrix and the pole count
-    n - deg ``poly_gcd``(phi, phi(G - u)), so no route is used twice."""
-    rank = rank_exact(walk_matrix(g, u, cap=cap))
+def support_size_crosscheck(g, roots, cap=EXACT_CAP_DEFAULT, support_tolerance=1e-10):
+    """(walk-matrix rank, numeric support size, pole count) of every u in
+    ``roots``, as a dict; all three must agree.  The rank is the Bareiss rank
+    of the whole walk matrix and the pole count n - deg ``poly_gcd``(phi,
+    phi(G - u)), so no route is used twice.  One decomposition and one
+    recurrence run serve every root."""
     sd = decompose(g)
-    support_size = len(eigenvalue_support(sd, u, support_tolerance))
-    phi = char_poly_exact(g, cap=cap).coeffs
-    if g.n == 1:
-        pole_count = 1
-    else:
-        phi_del = deleted_char_polys(g, cap=cap)[u].coeffs
-        pole_count = g.n - poly_degree(poly_gcd(phi, phi_del))
-    return rank, support_size, pole_count
+    phi, deleted = char_polys([g], cap)[0]
+    return {u: (rank_exact(walk_matrix(g, u, cap=cap)),
+                len(eigenvalue_support(sd, u, support_tolerance)),
+                g.n - poly_degree(poly_gcd(phi.coeffs, deleted[u].coeffs)))
+            for u in roots}
 
 
 def invert_exact(m):

@@ -454,10 +454,18 @@ class TestOneDecomposition:
 
     @pytest.mark.parametrize("command", ["analyze_graph", "scan_graph"])
     def test_cli_graph_commands(self, monkeypatch, command):
+        # scan_graph decomposes through fill_stacked's decompose_stack, so
+        # count the eigensolver, which every route calls
         from qwalk import cli
-        calls = _count_calls(monkeypatch, "decompose", q.spectral, q.analysis)
+        calls = _count_calls(monkeypatch, "eigh", np.linalg)
         getattr(cli, command)(q.hypercube(3), cli.AnalysisConfig())
         assert len(calls) == 1
+
+
+def _stack_n(stack):
+    """The vertex count of a stack of graphs or of (phi, phi(G - u)) pairs."""
+    first = next(iter(stack))
+    return first.n if isinstance(first, q.Graph) else first[0].degree
 
 
 class TestComputeOnce:
@@ -465,13 +473,18 @@ class TestComputeOnce:
     of each batched kernel over the vertices a view needs, and each support
     classification once per distinct support; the eigensolver and the
     connectivity test run once per graph, or once per vertex count in a
-    scan chunk."""
+    scan chunk, as does the recurrence that gives phi and every phi(G - u),
+    with nothing cached across calls."""
 
     KERNELS = (("minimal_polys_stack", q.walkalg), ("delta_stack", q.partitions))
 
     def _spy_kernels(self, monkeypatch):
         return {name: _count_calls(monkeypatch, name, module)
                 for name, module in self.KERNELS}
+
+    @staticmethod
+    def _spy_recurrence(monkeypatch):
+        return _count_calls(monkeypatch, "_faddeev_leverrier", q.spectral)
 
     @staticmethod
     def _spy_float_side(monkeypatch):
@@ -486,6 +499,10 @@ class TestComputeOnce:
             # a stack of one graph
             assert [sorted(r) for r in made[0][1]] == [sorted(roots)], name
 
+    @staticmethod
+    def _assert_recurrence_once(made, g):
+        assert [list(args[0]) for args in made] == [[g]]
+
     @pytest.mark.parametrize("name,distinct", [("random32", 2), ("P5xP6", 3)])
     def test_analyze_graph(self, monkeypatch, name, distinct):
         from qwalk import cli
@@ -496,26 +513,32 @@ class TestComputeOnce:
         assert len(supports) == distinct
         classify = _count_calls(monkeypatch, "classify_support", q.analysis)
         calls = self._spy_kernels(monkeypatch)
+        recurrence = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
         cli.analyze_graph(g, cli.AnalysisConfig())
         assert len(classify) == distinct
         self._assert_once(calls, range(g.n))
+        self._assert_recurrence_once(recurrence, g)
         assert {name: len(made) for name, made in float_side.items()} == \
             {"eigh": 1, "connected_stack": 1}
 
     def test_scan_graph(self, monkeypatch):
         from qwalk import cli
         calls = self._spy_kernels(monkeypatch)
+        recurrence = self._spy_recurrence(monkeypatch)
         doc = cli.scan_graph(q.hypercube(3), cli.AnalysisConfig())
         assert len(doc["pairs"]) == 28  # Q3 is vertex-transitive
         self._assert_once(calls, range(8))
+        self._assert_recurrence_once(recurrence, q.hypercube(3))
 
     @pytest.mark.parametrize("u,v", [(0, 7), (5, 2)])
     def test_pair(self, monkeypatch, u, v):
         calls = self._spy_kernels(monkeypatch)
+        recurrence = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
         q.analyze_pair(q.hypercube(3), u, v)
         self._assert_once(calls, (u, v))
+        self._assert_recurrence_once(recurrence, q.hypercube(3))
         assert {name: len(made) for name, made in float_side.items()} == \
             {"eigh": 1, "connected_stack": 1}
 
@@ -527,9 +550,10 @@ class TestComputeOnce:
                   q.cycle(8), q.star(4), q.petersen(), q.path(4), q.cycle(7)]
         lines = [q.encode_graph6(g) for g in graphs]
         assert len(lines) <= cli.SCAN_CHUNK
-        monkeypatch.setattr(q.spectral, "_CHAR_POLYS", {})  # nothing cached
+        # minimal_polys_stack takes the (phi, every phi(G - u)) of each graph
+        polys = {g: q.spectral._faddeev_leverrier([g])[0] for g in graphs}
         calls = self._spy_kernels(monkeypatch)
-        calls["_faddeev_leverrier"] = _count_calls(monkeypatch, "_faddeev_leverrier", q.spectral)
+        calls["_faddeev_leverrier"] = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
         calls["connected_stack"] = float_side["connected_stack"]
         assert cli.run_scan(lines, cli.AnalysisConfig(), out=io.StringIO()) == len(lines)
@@ -537,8 +561,10 @@ class TestComputeOnce:
         for g in graphs:
             by_n.setdefault(g.n, set()).add(g)
         for name, made in calls.items():
-            stacked = sorted((set(args[0]) for args in made), key=lambda s: next(iter(s)).n)
-            assert stacked == [by_n[n] for n in sorted(by_n)], name
+            stacked = sorted((set(args[0]) for args in made), key=_stack_n)
+            expected = [by_n[n] if name != "minimal_polys_stack" else {polys[g] for g in by_n[n]}
+                        for n in sorted(by_n)]
+            assert stacked == expected, name
         # one eigensolver call per vertex count, on the stack of its graphs
         assert sorted((args[0].shape for args in float_side["eigh"]), key=lambda s: s[1]) == \
             [(len(by_n[n]), n, n) for n in sorted(by_n)]

@@ -391,3 +391,13 @@ class TestSupportAgainstPsi:
             assert json.loads(out)["error"].endswith("is not a root of the polynomial")
         else:
             assert code == 2 and out == "" and "is not a root of the polynomial" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "pair"])
+    def test_guard_error_names_vertex_and_tolerance(self, tmp_path, capsys, command):
+        # at --tol-support 1e-300 rounding noise puts 0, an eigenvalue of P3
+        # outside the middle vertex's support, in that vertex's support
+        argv = self._argv(command, q.path(3), tmp_path, (1, 0)) + ["--tol-support", "1e-300"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "vertex 1" in err and "1e-300" in err
+        assert err.rstrip().endswith("is not a root of the polynomial")

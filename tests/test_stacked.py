@@ -69,7 +69,7 @@ class TestStackMatchesOneGraph:
         # the corpus has stacks of n = 1 and n = 2
         for i, stack in enumerate(stacks(corpus, seed=2)):
             roots = roots_for(stack, seed=i)
-            found = walkalg.minimal_polys_stack(stack, roots)
+            found = walkalg.minimal_polys_stack(spectral.char_polys(stack), roots)
             assert found == [walkalg.minimal_polys(g, r) for g, r in zip(stack, roots)]
             assert [{u: psi.degree for u, psi in f.items()} for f in found] == \
                 [walkalg.walk_ranks(g, r) for g, r in zip(stack, roots)]
@@ -77,7 +77,7 @@ class TestStackMatchesOneGraph:
     def test_controllability(self, corpus):
         for i, stack in enumerate(stacks(corpus, seed=3)):
             roots = roots_for(stack, seed=i)
-            found = walkalg.minimal_polys_stack(stack, roots)
+            found = walkalg.minimal_polys_stack(spectral.char_polys(stack), roots)
             assert [{u: psi.degree == g.n for u, psi in f.items()}
                     for g, f in zip(stack, found)] == \
                 [walkalg.controllability(g, r) for g, r in zip(stack, roots)]
@@ -107,7 +107,7 @@ class TestStackMatchesOneGraph:
             roots = [range(n), [0, n - 1], range(0, n, 3), []]
             assert spectral._faddeev_leverrier(stack) == \
                 [spectral._faddeev_leverrier([g])[0] for g in stack]
-            found = walkalg.minimal_polys_stack(stack, roots)
+            found = walkalg.minimal_polys_stack(spectral.char_polys(stack), roots)
             assert found == [walkalg.minimal_polys(g, r) for g, r in zip(stack, roots)]
             assert [{u: psi.degree == g.n for u, psi in f.items()}
                     for g, f in zip(stack, found)] == \
@@ -176,7 +176,7 @@ def decompose_reference(g, grouping_tolerance=None):
         idems.append(block @ block.T)
     return spectral.SpectralDecomposition(
         eigenvalues=np.array(eigs), multiplicities=np.array(mults, dtype=int),
-        idempotents=tuple(idems), grouping_tolerance=float(grouping_tolerance))
+        idempotents=np.stack(idems), grouping_tolerance=float(grouping_tolerance))
 
 
 def peaks_reference(vals, floor):

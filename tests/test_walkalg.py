@@ -103,18 +103,21 @@ class TestRankExact:
 
 
 class TestWalkRank:
-    """walk_rank must equal the Bareiss rank of the whole walk matrix."""
+    """walk_rank, and walk_ranks over every root, must equal the Bareiss rank
+    of the whole walk matrix."""
 
     def test_matches_bareiss_on_atlas(self, atlas_connected):
         for graphs in atlas_connected.values():
             for g in graphs:
+                ranks = walkalg.walk_ranks(g, range(g.n))
                 for u in range(g.n):
-                    assert q.walk_rank(g, u) == q.rank_exact(walk_matrix(g, u))
+                    assert ranks[u] == q.rank_exact(walk_matrix(g, u))
 
     def test_matches_bareiss_on_random_corpus(self):
         for g in random_connected_graphs(300, 10, seed=20240901):
+            ranks = walkalg.walk_ranks(g, range(g.n))
             for u in range(g.n):
-                assert q.walk_rank(g, u) == q.rank_exact(walk_matrix(g, u))
+                assert ranks[u] == q.rank_exact(walk_matrix(g, u))
 
     @pytest.mark.parametrize("g", [
         q.cartesian_product(q.path(5), q.path(6)),
@@ -125,8 +128,8 @@ class TestWalkRank:
     ], ids=["P5xP6", "Q5", "Q6", "P64", "C40"])
     def test_matches_bareiss_on_large_graphs(self, g):
         # all five have rank-deficient vertices, so a lifted gcd decides them
-        ranks = [q.walk_rank(g, u) for u in range(g.n)]
-        assert min(ranks) < g.n
+        ranks = walkalg.walk_ranks(g, range(g.n))
+        assert min(ranks.values()) < g.n
         for u in range(g.n):
             assert ranks[u] == q.rank_exact(walk_matrix(g, u))
 
@@ -405,9 +408,11 @@ class TestControllability:
         g = random_connected_graphs(1, 64, seed=64, n_min=64)[0]
         phi = q.char_poly_exact(g).coeffs
         deleted = q.deleted_char_polys(g)
+        controllable = walkalg.controllability(g, range(g.n))
+        ranks = walkalg.walk_ranks(g, range(g.n))
         for u in range(g.n):
             by_gcd = poly_gcd(phi, deleted[u].coeffs) == [1]
-            assert q.is_controllable(g, u) == (q.walk_rank(g, u) == g.n) == by_gcd
+            assert controllable[u] == (ranks[u] == g.n) == by_gcd
 
 
 class TestCospectrality:
@@ -513,12 +518,13 @@ class TestSupportCrosscheck:
         (q.Graph.from_edges(1, []), 0, (1, 1, 1)),
     ])
     def test_examples(self, g, u, expected):
-        assert q.support_size_crosscheck(g, u) == expected
+        assert q.support_size_crosscheck(g, [u]) == {u: expected}
 
     def test_three_way_agreement_random(self):
         for g in random_connected_graphs(40, 8, seed=107):
-            for u in range(g.n):
-                rank, support, poles = q.support_size_crosscheck(g, u)
+            found = q.support_size_crosscheck(g, range(g.n))
+            assert list(found) == list(range(g.n))
+            for rank, support, poles in found.values():
                 assert rank == support == poles
 
 
