@@ -634,12 +634,10 @@ class GraphData:
     def minimal_polys(self, roots):
         return _fill("psi", [self], [roots])[0]
 
-    def support_class(self, u, psi=None):
+    def support_class(self, u, psi):
         """The class of u's support against ``psi``, u's minimal polynomial
-        (from ``minimal_polys`` when None); a value that fails the root
-        guard is a ValueError naming u and the support tolerance."""
-        if psi is None:
-            psi = self.minimal_polys((u,))[u]
+        as ``minimal_polys`` gives it; a value that fails the root guard is a
+        ValueError naming u and the support tolerance."""
         try:
             return self._classify((self.support(u), psi))
         except ValueError as exc:

@@ -15,8 +15,8 @@ from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, ExactPoly, InternalChe
                        char_polys, decompose, deleted_char_polys, eigenvalue_support)
 
 
-def _check_vertex(g, u):
-    if not 0 <= u < g.n:
+def _check_vertex(n, u):
+    if not 0 <= u < n:
         raise ValueError(f"vertex {u} out of range")
 
 
@@ -27,7 +27,7 @@ def _check_cap(g, cap):
 
 def walk_matrix(g, u, cap=EXACT_CAP_DEFAULT):
     """Integer matrix with columns e_u, A e_u, ..., A^{n-1} e_u."""
-    _check_vertex(g, u)
+    _check_vertex(g.n, u)
     _check_cap(g, cap)
     a = np.array(g.adjacency, dtype=object)
     col = np.zeros(g.n, dtype=object)
@@ -91,8 +91,7 @@ def minimal_polys_stack(polys, roots):
     roots = [list(dict.fromkeys(r)) for r in roots]
     for (phi, _), vertices in zip(polys, roots):
         for u in vertices:
-            if not 0 <= u < phi.degree:
-                raise ValueError(f"vertex {u} out of range")
+            _check_vertex(phi.degree, u)
     rows = [(phi, deleted[u]) for (phi, deleted), vertices in zip(polys, roots)
             for u in vertices]
     found = iter(poly_gcds([phi.coeffs for phi, _ in rows], [p.coeffs for _, p in rows]))
@@ -101,6 +100,9 @@ def minimal_polys_stack(polys, roots):
 
 def minimal_polys(g, roots, cap=EXACT_CAP_DEFAULT):
     """``minimal_polys_stack`` of one graph."""
+    roots = list(roots)
+    for u in roots:
+        _check_vertex(g.n, u)
     return minimal_polys_stack(char_polys([g], cap), [roots])[0]
 
 
@@ -131,8 +133,8 @@ def cospectral_via_charpoly(g, u, v, cap=EXACT_CAP_DEFAULT):
     """phi(X - u) = phi(X - v), coefficient-wise over exact integers."""
     if u == v:
         raise ValueError("vertices must be distinct")
-    _check_vertex(g, u)
-    _check_vertex(g, v)
+    _check_vertex(g.n, u)
+    _check_vertex(g.n, v)
     deleted = deleted_char_polys(g, cap=cap)
     return deleted[u].coeffs == deleted[v].coeffs
 
@@ -158,7 +160,7 @@ def _closed_walks(g, roots, cap):
     below 2**53: checked."""
     n = g.n
     for u in roots:
-        _check_vertex(g, u)
+        _check_vertex(g.n, u)
     _check_cap(g, cap)
     top = max(int(g.adjacency.sum(axis=1).max(initial=0)), 1)
     primes = _walk_count_primes(((2 * top ** (2 * n - 2)).bit_length()))

@@ -345,10 +345,11 @@ class TestSupportAgainstPsi:
         real = q.analysis.eigenvalue_support
         monkeypatch.setattr(q.analysis, "eigenvalue_support",
                             lambda sd, u, tol: real(sd, u, tol) | {zero})
-        assert data.minimal_polys((1,))[1].coeffs == (1, 0, -2)
+        psi = data.minimal_polys((1,))[1]
+        assert psi.coeffs == (1, 0, -2)
         assert zero in data.support(1)
         with pytest.raises(ValueError, match="not a root"):
-            data.support_class(1)
+            data.support_class(1, psi)
 
     def test_support_size_is_the_degree_of_psi(self):
         graphs = [q.Graph(nx.to_numpy_array(G, dtype=int)) for G in nx.graph_atlas_g()
