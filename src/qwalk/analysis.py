@@ -16,8 +16,8 @@ import numpy as np
 
 from . import partitions, walkalg
 from .graphs import connected_stack
-from .spectral import (SUPPORT_TOL_DEFAULT, char_polys, decompose, decompose_stack,
-                       eigenvalue_support, gap_report, transition_matrix)
+from .spectral import (EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, char_polys, decompose,
+                       decompose_stack, eigenvalue_support, gap_report, transition_matrix)
 from .polys import poly_divides
 
 THRESHOLD_DEFAULT = 1 - 1e-9
@@ -34,8 +34,8 @@ class AnalysisConfig:
     grouping_tolerance: float = None  # None = auto
     support_tolerance: float = SUPPORT_TOL_DEFAULT
     denominator_bound: int = DEN_BOUND_DEFAULT
-    exact_cap: int = 64
-    brute_force_cap: int = 10
+    exact_cap: int = EXACT_CAP_DEFAULT
+    brute_force_cap: int = partitions.BRUTE_FORCE_CAP_DEFAULT
     jobs: int = 1
 
     def __post_init__(self):
@@ -719,7 +719,8 @@ def _check_pair(data, u, v):
 def necessary_conditions(g, u, v, grouping_tolerance=None,
                          support_tolerance=SUPPORT_TOL_DEFAULT,
                          denominator_bound=DEN_BOUND_DEFAULT,
-                         exact_cap=64, brute_force_cap=10):
+                         exact_cap=EXACT_CAP_DEFAULT,
+                         brute_force_cap=partitions.BRUTE_FORCE_CAP_DEFAULT):
     """Evaluate every necessary condition for PST between u and v."""
     config = AnalysisConfig(grouping_tolerance=grouping_tolerance,
                             support_tolerance=support_tolerance,

@@ -18,7 +18,8 @@ from dataclasses import asdict
 from . import analysis
 from .analysis import DEN_BOUND_DEFAULT, T_MAX_DEFAULT, THRESHOLD_DEFAULT, AnalysisConfig
 from .graphs import Graph, Graph6Error, encode_graph6, parse_graph6
-from .spectral import SUPPORT_TOL_DEFAULT
+from .partitions import BRUTE_FORCE_CAP_DEFAULT
+from .spectral import EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, _check_cap
 from .walkalg import InternalCheckError
 
 SCHEMA_VERSION = 2
@@ -163,27 +164,17 @@ def pair_report_json(g, report):
 # ---------------------------------------------------------------------------
 # scan
 
-def scan_graph(g, config):
+def _scan_doc(data):
     """Per-graph scan summary: gap report plus the verdicts of every
     cospectral pair (cospectrality is a verdict, so the pre-filter is
-    lossless) and a time search for each pair that passes them all.  A scan
-    chunk writes the same document for each of its graphs, from one
-    ``analysis.fill_stacked`` of them all (``_scan_doc``)."""
-    data = analysis.GraphData(g, config)
-    analysis.fill_stacked([data], _pair_vertices)
-    return _scan_doc(data)
-
-
-def _scan_doc(data):
-    """``scan_graph`` of ``data``, whose per-vertex facts ``fill_stacked``
-    gave over the vertices of its cospectral pairs.  A graph with no vertex,
-    or a connected one above the exact cap, is an error, as in ``pair``; the
+    lossless) and a time search for each pair that passes them all, from
+    the per-vertex facts that ``analysis.fill_stacked`` gave ``data`` over
+    the vertices of its cospectral pairs.  A graph with no vertex, or a
+    connected one above the exact cap, is an error, as in ``pair``; the
     brute-force automorphism check is left to ``pair``."""
     g, config = data.g, data.config
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if data.connected and g.n > config.exact_cap:
-        raise ValueError(f"exact-arithmetic cap exceeded: {g.n} > {config.exact_cap}")
+    if g.n < 1 or data.connected:
+        _check_cap(g, config.exact_cap)
     doc = {"id": encode_graph6(g), "n": g.n, "connected": data.connected}
     if g.n >= 2:
         doc["gap"] = asdict(data.gap)
@@ -257,8 +248,8 @@ def _add_shared_flags(p):
                    help="eigenvalue grouping tolerance (default: auto)")
     p.add_argument("--tol-support", type=float, default=SUPPORT_TOL_DEFAULT)
     p.add_argument("--den-bound", type=int, default=DEN_BOUND_DEFAULT)
-    p.add_argument("--exact-cap", type=int, default=64)
-    p.add_argument("--bf-cap", type=int, default=10)
+    p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT)
+    p.add_argument("--bf-cap", type=int, default=BRUTE_FORCE_CAP_DEFAULT)
 
 
 def _config_from_args(args, jobs=1):

@@ -23,6 +23,11 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def _check_size(n):
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
+
+
 class Graph:
     """Immutable simple undirected graph backed by a dense 0/1 adjacency matrix."""
 
@@ -32,9 +37,7 @@ class Graph:
         a = np.asarray(adjacency, dtype=np.int8)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        n = a.shape[0]
-        if n > MAX_VERTICES:
-            raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
+        _check_size(a.shape[0])
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0):
@@ -46,6 +49,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
+        _check_size(n)  # before the n x n allocation
         a = np.zeros((n, n), dtype=np.int8)
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
@@ -245,8 +249,7 @@ def petersen():
 def cartesian_product(g, h):
     """Cartesian product; vertex (a, x) gets index a*h.n + x."""
     ng, nh = g.n, h.n
-    if ng * nh > MAX_VERTICES:
-        raise ValueError("product size exceeds construction cap")
+    _check_size(ng * nh)
     ag, ah = g.adjacency, h.adjacency
     a = np.kron(ag, np.eye(nh, dtype=np.int8)) + np.kron(np.eye(ng, dtype=np.int8), ah)
     return Graph(a)

@@ -6,6 +6,7 @@ Polynomials are sequences of coefficients in descending powers,
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -33,16 +34,6 @@ def poly_degree(coeffs):
         return -1
     return len(t) - 1
 
-
-# The largest primes below 2**61, as literals so that import computes nothing.
-_PRIMES = (
-    2305843009213693951, 2305843009213693921, 2305843009213693907,
-    2305843009213693723, 2305843009213693693, 2305843009213693669,
-    2305843009213693613, 2305843009213693561, 2305843009213693549,
-    2305843009213693487, 2305843009213693421, 2305843009213693373,
-    2305843009213693277, 2305843009213693193, 2305843009213693153,
-    2305843009213693133,
-)
 
 # The largest primes below 2**31, for residue arithmetic in floats and int64.
 _PRIMES31 = (
@@ -75,15 +66,26 @@ def _is_prime(n):
     return True
 
 
-def _primes(table=_PRIMES):
-    """The literal primes of ``table``, then the primes below them in
-    descending order."""
+def _primes():
+    """The literal primes of ``_PRIMES31``, then the primes below them in
+    descending order: the one prime sequence of every residue computation."""
+    table = _PRIMES31
     yield from table
     c = table[-1] - 2
     while c > 1:
         if _is_prime(c):
             yield c
         c -= 2
+
+
+def _primes_above(bound, more=0):
+    """The shortest prefix of ``_primes()`` whose product exceeds ``bound``,
+    then the ``more`` primes that follow it."""
+    primes, product, rest = [], 1, _primes()
+    while product <= bound:
+        primes.append(next(rest))
+        product *= primes[-1]
+    return tuple(primes) + tuple(itertools.islice(rest, more))
 
 
 def _divmod_monic(num, den, p=0):
@@ -130,7 +132,8 @@ def _integer_poly(coeffs):
 def poly_gcd(p, q):
     """Monic gcd of integer polynomials, at least one of them monic.
 
-    The gcd is taken modulo 61-bit primes.  Primes whose gcd has the smallest
+    The gcd is taken modulo the primes of ``_primes()`` in turn, with its own
+    Garner lift, independent of ``_crt``.  Primes whose gcd has the smallest
     degree seen are combined by the Chinese remainder theorem into a monic
     integer candidate H with coefficients in the symmetric residue range, and
     H is accepted only when it divides both inputs exactly over the integers.
@@ -229,7 +232,7 @@ def poly_gcds(p, q):
     least one of each pair monic, and the cofactor p[i] / h, as pairs, from
     one vectorised run over the distinct pairs.
 
-    The pairs run one lockstep Euclid modulo each of the 31-bit primes in
+    The pairs run one lockstep Euclid modulo each prime of ``_primes()`` in
     turn (``_euclid_mod``).  Degree 0 at the first prime proves a pair
     coprime: a common factor over Q is, by Gauss's lemma, an integer
     polynomial dividing the monic input, so it keeps its degree mod p.  The
@@ -240,8 +243,8 @@ def poly_gcds(p, q):
     run, however many pairs share it.  A monic divisor h of degree k of the
     monic input f, of degree d, has every coefficient at most
     C(k, k // 2) M(h) <= 2**d ||f||_2 (Mignotte; M is the Mahler measure,
-    and M(h) <= M(f) <= ||f||_2 by Landau), so the lift stops once the
-    primes' product exceeds twice the largest such bound of the run.  A pair
+    and M(h) <= M(f) <= ||f||_2 by Landau), so the lift stops at the end of
+    ``_primes_above`` twice the largest such bound of the run.  A pair
     that degenerates, changes degree between primes or is never accepted
     goes to ``poly_gcd``.
     """
@@ -268,7 +271,7 @@ def poly_gcds(p, q):
                 for f in dict.fromkeys(a if known[a][0] == 1 else b for a, b in distinct))
     found = [None] * len(distinct)
     live, degree, primes, stack = np.arange(len(distinct)), None, [], []
-    for prime in _primes(_PRIMES31):
+    for prime in _primes_above(limit):
         g, d = _euclid_mod((a_int[live] % prime).astype(np.int64),
                            (b_int[live] % prime).astype(np.int64), prime)
         if degree is None:  # the first prime
@@ -288,7 +291,7 @@ def poly_gcds(p, q):
             if all(divide(x, cand) is not None for x in distinct[i]):
                 found[i], accepted[j] = cand, True
         live, degree, stack = live[~accepted], degree[~accepted], [s[~accepted] for s in stack]
-        if not len(live) or math.prod(primes) > limit:
+        if not len(live):
             break
     results = {}
     for key, h, a, b in zip(distinct, found, heads, rows):

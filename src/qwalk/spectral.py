@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import encode_graph6
-from .polys import _PRIMES31, _crt, _primes, poly_eval
+from .polys import _crt, _primes_above, poly_eval
 
 EXACT_CAP_DEFAULT = 64
 SUPPORT_TOL_DEFAULT = 1e-10
@@ -139,7 +139,7 @@ def _check_cap(g, cap):
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if g.n > cap:
-        raise ValueError(f"exact characteristic polynomial cap exceeded: {g.n} > {cap}")
+        raise ValueError(f"exact-arithmetic cap exceeded: {g.n} > {cap}")
 
 
 # A float64 product of a 0/1 matrix with residues below a prime p is exact
@@ -158,18 +158,6 @@ def _coefficient_bound(n, m):
     s = isqrt(2m // (n - 1)) + 1 > sqrt(2m / (n - 1)) covers both."""
     s = math.isqrt(2 * m // max(n - 1, 1)) + 1
     return (1 + s) ** n
-
-
-def _residue_primes(n, m):
-    """Primes below 2**31: all but the last have a product above twice
-    ``_coefficient_bound(n, m)``, and the last is a check prime."""
-    limit = 2 * _coefficient_bound(n, m)
-    primes, product = [], 1
-    for p in _primes(_PRIMES31):
-        primes.append(p)
-        if product > limit:
-            return tuple(primes)
-        product *= p
 
 
 def _combine(residues, primes):
@@ -195,7 +183,8 @@ def _faddeev_leverrier(graphs):
     on its own, and an error names it.
     """
     n = graphs[0].n
-    primes = _residue_primes(n, max(g.num_edges for g in graphs))
+    # primes with a product above twice the bound, then one check prime
+    primes = _primes_above(2 * _coefficient_bound(n, max(g.num_edges for g in graphs)), 1)
     p = np.array(primes, dtype=np.int64)
     if n * (max(primes) - 1) >= _FLOAT64_EXACT:
         raise InternalCheckError(f"{encode_graph6(graphs[0])}: float64 products are not exact")

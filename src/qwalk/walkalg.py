@@ -3,26 +3,21 @@ cospectrality, and the transfer similarity W_v W_u^{-1}, all exact."""
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .polys import _PRIMES31, _primes, poly_degree, poly_gcd, poly_gcds
-from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, ExactPoly, InternalCheckError,
-                       char_polys, decompose, deleted_char_polys, eigenvalue_support)
+from .polys import _primes_above, poly_degree, poly_gcd, poly_gcds
+from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, ExactPoly,
+                       InternalCheckError, _check_cap, char_polys, decompose,
+                       deleted_char_polys, eigenvalue_support)
 
 
 def _check_vertex(n, u):
     if not 0 <= u < n:
         raise ValueError(f"vertex {u} out of range")
-
-
-def _check_cap(g, cap):
-    if g.n > cap:
-        raise ValueError(f"exact-arithmetic cap exceeded: {g.n} > {cap}")
 
 
 def walk_matrix(g, u, cap=EXACT_CAP_DEFAULT):
@@ -139,17 +134,6 @@ def cospectral_via_charpoly(g, u, v, cap=EXACT_CAP_DEFAULT):
     return deleted[u].coeffs == deleted[v].coeffs
 
 
-@functools.lru_cache(maxsize=None)
-def _walk_count_primes(bits):
-    """Primes below 2**31 whose product exceeds 2**bits."""
-    primes, product = [], 1
-    for p in _primes(_PRIMES31):
-        if product >> bits:
-            return tuple(primes)
-        primes.append(p)
-        product *= p
-
-
 def _closed_walks(g, roots, cap):
     """The closed-walk counts h_k = (A^k)_uu for k = 0 .. 2n - 2 of every u
     in ``roots``, as residues: an int64 array (roots, 2n - 1, primes).  Every
@@ -163,7 +147,7 @@ def _closed_walks(g, roots, cap):
         _check_vertex(g.n, u)
     _check_cap(g, cap)
     top = max(int(g.adjacency.sum(axis=1).max(initial=0)), 1)
-    primes = _walk_count_primes(((2 * top ** (2 * n - 2)).bit_length()))
+    primes = _primes_above(2 * top ** (2 * n - 2))
     if n * (max(primes) - 1) >= _FLOAT64_EXACT:
         raise InternalCheckError(f"float64 products are not exact at n={n}")
     rows = np.arange(len(roots))
@@ -187,7 +171,8 @@ def cospectral_via_gram(g, u, v, cap=EXACT_CAP_DEFAULT):
     return np.array_equal(counts[0], counts[1])
 
 
-def support_size_crosscheck(g, roots, cap=EXACT_CAP_DEFAULT, support_tolerance=1e-10):
+def support_size_crosscheck(g, roots, cap=EXACT_CAP_DEFAULT,
+                            support_tolerance=SUPPORT_TOL_DEFAULT):
     """(walk-matrix rank, numeric support size, pole count) of every u in
     ``roots``, as a dict; all three must agree.  The rank is the Bareiss rank
     of the whole walk matrix and the pole count n - deg ``poly_gcd``(phi,

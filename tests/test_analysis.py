@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -453,13 +454,16 @@ class TestOneDecomposition:
         q.analyze_pair(q.hypercube(3), 0, 7)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("command", ["analyze_graph", "scan_graph"])
+    @pytest.mark.parametrize("command", ["analyze_graph", "_scan_chunk"])
     def test_cli_graph_commands(self, monkeypatch, command):
-        # scan_graph decomposes through fill_stacked's decompose_stack, so
+        # a scan chunk decomposes through fill_stacked's decompose_stack, so
         # count the eigensolver, which every route calls
         from qwalk import cli
         calls = _count_calls(monkeypatch, "eigh", np.linalg)
-        getattr(cli, command)(q.hypercube(3), cli.AnalysisConfig())
+        if command == "analyze_graph":
+            cli.analyze_graph(q.hypercube(3), cli.AnalysisConfig())
+        else:
+            cli._scan_chunk(([q.encode_graph6(q.hypercube(3))], cli.AnalysisConfig()))
         assert len(calls) == 1
 
 
@@ -523,11 +527,12 @@ class TestComputeOnce:
         assert {name: len(made) for name, made in float_side.items()} == \
             {"eigh": 1, "connected_stack": 1}
 
-    def test_scan_graph(self, monkeypatch):
+    def test_scan_chunk(self, monkeypatch):
         from qwalk import cli
         calls = self._spy_kernels(monkeypatch)
         recurrence = self._spy_recurrence(monkeypatch)
-        doc = cli.scan_graph(q.hypercube(3), cli.AnalysisConfig())
+        line, = cli._scan_chunk(([q.encode_graph6(q.hypercube(3))], cli.AnalysisConfig()))
+        doc = json.loads(line)
         assert len(doc["pairs"]) == 28  # Q3 is vertex-transitive
         self._assert_once(calls, range(8))
         self._assert_recurrence_once(recurrence, q.hypercube(3))

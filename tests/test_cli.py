@@ -7,6 +7,7 @@ import pytest
 import qwalk as q
 from qwalk import cli
 from qwalk.cli import AnalysisConfig, main, run_scan
+from qwalk.graphs import MAX_VERTICES
 
 
 def run_cli(argv, capsys):
@@ -119,6 +120,14 @@ class TestAnalyze:
         code, out, err = run_cli(["analyze", str(f)], capsys)
         assert code == 2 and not out and err.startswith("error: JSON")
 
+    def test_too_many_vertices_exit_2_before_allocating(self, tmp_path, capsys):
+        # 28 bytes that ask for an n x n matrix of 3.64 TiB
+        n = MAX_VERTICES + 1
+        f = tmp_path / "g.json"
+        f.write_text(f'{{"n": {n}, "edges": []}}')
+        code, out, err = run_cli(["analyze", str(f)], capsys)
+        assert (code, out, err) == (2, "", f"error: graph too large: {n} > {MAX_VERTICES}\n")
+
     def test_json_out_flag(self, tmp_path, capsys):
         f = tmp_path / "p3.g6"
         f.write_text("Bg")
@@ -190,6 +199,12 @@ class TestPair:
         assert run_cli(["pair", p3_file, "0", "9"], capsys)[0] == 2
         assert run_cli(["pair", p3_file, "1", "1"], capsys)[0] == 2
 
+    def test_above_exact_cap_words_the_cap_as_scan_does(self, tmp_path, capsys):
+        f = tmp_path / "p70.g6"
+        f.write_text(q.encode_graph6(q.path(70)))
+        code, out, err = run_cli(["pair", str(f), "0", "69"], capsys)
+        assert (code, out, err) == (2, "", "error: exact-arithmetic cap exceeded: 70 > 64\n")
+
 
 class TestScan:
     def test_q3_catalog_finds_pst(self, tmp_path, capsys):
@@ -244,7 +259,7 @@ class TestScan:
         # 4 and 5 are twins, both adjacent to exactly 2 and 3: cospectral, but
         # e_4 - e_5 is an eigenvector, so they are not strongly cospectral
         g = q.Graph.from_edges(6, [(0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
-        doc = cli.scan_graph(g, AnalysisConfig())
+        doc = json.loads(cli._scan_chunk(([q.encode_graph6(g)], AnalysisConfig()))[0])
         pair = next(p for p in doc["pairs"] if (p["u"], p["v"]) == (4, 5))
         assert not pair["verdicts"]["sign_condition"] and "pst" not in pair
         assert all(v for k, v in pair["verdicts"].items() if k != "sign_condition")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -60,20 +61,31 @@ def pairs_of(g):
 
 
 class TestPrimes:
-    def test_literals_are_distinct_61_bit_primes(self):
-        assert len(set(polys._PRIMES)) == len(polys._PRIMES)
-        for p in polys._PRIMES:
-            assert p.bit_length() == 61
+    def test_literals_are_distinct_31_bit_primes(self):
+        assert len(set(polys._PRIMES31)) == len(polys._PRIMES31)
+        for p in polys._PRIMES31:
+            assert p.bit_length() == 31
             assert is_prime_mr(p)
 
     def test_extension_continues_below_the_literals(self):
         gen = polys._primes()
-        listed = [next(gen) for _ in range(len(polys._PRIMES))]
+        listed = [next(gen) for _ in range(len(polys._PRIMES31))]
         extra = [next(gen) for _ in range(3)]
-        assert listed == list(polys._PRIMES)
-        assert extra == sorted(extra, reverse=True) and extra[0] < polys._PRIMES[-1]
+        assert listed == list(polys._PRIMES31)
+        assert extra == sorted(extra, reverse=True) and extra[0] < polys._PRIMES31[-1]
         assert all(is_prime_mr(p) for p in extra)
-        assert not polys._is_prime(polys._PRIMES[0] - 2)  # between two literals
+        assert not polys._is_prime(polys._PRIMES31[0] - 2)  # between two literals
+
+    @pytest.mark.parametrize("bits", [0, 30, 31, 62, 200, 31 * 16, 1000])
+    def test_chooser_takes_the_shortest_prefix_above_the_bound(self, bits):
+        # 31 * 16 bits and more take primes past the 16 literals
+        bound = 2**bits
+        primes = polys._primes_above(bound)
+        gen = polys._primes()
+        assert list(primes) == [next(gen) for _ in primes]
+        assert math.prod(primes) > bound >= math.prod(primes[:-1])
+        assert polys._primes_above(bound, 2) == primes + (next(gen), next(gen))
+        assert all(is_prime_mr(p) for p in primes)
 
 
 class TestPolyGcd:
@@ -122,14 +134,14 @@ class TestPolyGcd:
 
     def test_beyond_the_literal_primes(self, monkeypatch):
         # coefficients far wider than one prime force the extension
-        monkeypatch.setattr(polys, "_PRIMES", polys._PRIMES[:1])
+        monkeypatch.setattr(polys, "_PRIMES31", polys._PRIMES31[:1])
         h = [1, 3**200, -(5**150)]
         a, b = poly_mul(h, [1, 7]), poly_mul(h, [2, 0, -11])
         assert poly_gcd(a, b) == h
 
     def test_unlucky_prime_is_discarded(self):
         # modulo the first prime t (t - P) = t^2, so that prime sees degree 2
-        big = polys._PRIMES[0]
+        big = polys._PRIMES31[0]
         assert poly_gcd([1, -big, 0], [1, 0, 0]) == [1, 0]
 
     def test_zero_and_constant(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qwalk as q
-from qwalk import cli, spectral, walkalg
+from qwalk import cli, polys, spectral, walkalg
 from qwalk.polys import _PRIMES31, _is_prime
 from qwalk.spectral import trace_identity_check
 
@@ -227,6 +227,15 @@ def fewest_primes(g):
     return count, top
 
 
+def spy_primes(monkeypatch, g):
+    """The primes of one ``_faddeev_leverrier`` run on ``g``, the check
+    prime last."""
+    seen, real = [], spectral._combine
+    monkeypatch.setattr(spectral, "_combine", lambda r, p: seen.append(p) or real(r, p))
+    spectral._faddeev_leverrier([g])
+    return tuple(seen[0])
+
+
 class TestResidueArithmetic:
     """phi and every phi(G - u) at the cap, combined from residues modulo
     31-bit primes under a proved bound and checked twice."""
@@ -240,19 +249,25 @@ class TestResidueArithmetic:
             assert q.deleted_char_polys(g)[u] == q.char_poly_exact(q.delete_vertex(g, u))
 
     @pytest.mark.parametrize("g", CAP_GRAPHS, ids=CAP_IDS)
-    def test_bound_covers_every_coefficient(self, g):
+    def test_bound_covers_every_coefficient(self, monkeypatch, g):
         bound = spectral._coefficient_bound(g.n, g.num_edges)
         count, top = fewest_primes(g)
         assert top <= bound
-        *main, check = spectral._residue_primes(g.n, g.num_edges)
+        *main, check = spy_primes(monkeypatch, g)
         assert math.prod(main) > 2 * bound and len(main) >= count
         assert check not in main
+
+    @pytest.mark.parametrize("g,count", zip(CAP_GRAPHS, [8, 5, 6, 5, 5, 6, 7, 8]), ids=CAP_IDS)
+    def test_prime_count_is_pinned(self, monkeypatch, g, count):
+        # the primes to combine, then the check prime: more would slow the
+        # recurrence, fewer would break the bound
+        assert spy_primes(monkeypatch, g) == _PRIMES31[:count]
 
     def test_primes_past_the_literals(self, monkeypatch):
         # with two literal primes the rest come from the Miller-Rabin search
         g = q.hypercube(4)
-        monkeypatch.setattr(spectral, "_PRIMES31", _PRIMES31[:2])
-        primes = spectral._residue_primes(g.n, g.num_edges)
+        monkeypatch.setattr(polys, "_PRIMES31", _PRIMES31[:2])
+        primes = spy_primes(monkeypatch, g)
         assert len(primes) > 2 and primes[:2] == _PRIMES31[:2]
         assert list(primes) == sorted(set(primes), reverse=True)
         assert all(_is_prime(p) and p < 2**31 for p in primes)
@@ -265,7 +280,7 @@ class TestResidueArithmetic:
         count, _ = fewest_primes(g)
         assert count >= 2
         # count - 1 primes to combine, and the next one as the check prime
-        monkeypatch.setattr(spectral, "_residue_primes", lambda n, m: _PRIMES31[:count])
+        monkeypatch.setattr(spectral, "_primes_above", lambda bound, more: _PRIMES31[:count])
         with pytest.raises(q.InternalCheckError, match="check prime"):
             spectral._faddeev_leverrier([g])[0]
 

@@ -118,8 +118,8 @@ class TestStackMatchesOneGraph:
         # its primes from its densest graph, wherever that sits in the stack
         stack = [q.path(40), q.complete(40), q.star(39)]
         asked = []
-        real = spectral._residue_primes
-        monkeypatch.setattr(spectral, "_residue_primes",
+        real = spectral._coefficient_bound
+        monkeypatch.setattr(spectral, "_coefficient_bound",
                             lambda n, m: asked.append((n, m)) or real(n, m))
         assert spectral._faddeev_leverrier(stack) == \
             [spectral._faddeev_leverrier([g])[0] for g in stack]

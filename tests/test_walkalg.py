@@ -1,9 +1,9 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-
-import math
 
 import qwalk as q
 import qwalk.polys as polys
@@ -40,6 +40,13 @@ def spy_poly_gcd(monkeypatch):
     real = polys.poly_gcd
     monkeypatch.setattr(polys, "poly_gcd", lambda p, r: sent.append((p, r)) or real(p, r))
     return sent
+
+
+def small_prime_first(monkeypatch, p):
+    """Make poly_gcds, and it alone, run modulo ``p`` before its own primes;
+    the recurrence, the walk counts and poly_gcd import or walk theirs."""
+    real = polys._primes_above
+    monkeypatch.setattr(polys, "_primes_above", lambda bound: (p,) + real(bound))
 
 
 def poly_mul_mod(a, b, p):
@@ -137,7 +144,7 @@ class TestWalkRank:
         # modulo 2 many Euclids degenerate or find too large a gcd, which the
         # next prime contradicts, so those roots are decided by poly_gcd
         sent = spy_poly_gcd(monkeypatch)
-        monkeypatch.setattr(polys, "_PRIMES31", (2,) + polys._PRIMES31)
+        small_prime_first(monkeypatch, 2)
         for n in range(2, 6):
             for g in atlas_connected[n]:
                 for u in range(g.n):
@@ -196,7 +203,7 @@ class TestWalkRanks:
         # modulo 2 many batched roots degenerate or find too large a gcd, which
         # the next prime contradicts, so poly_gcd decides them
         sent = spy_poly_gcd(monkeypatch)
-        monkeypatch.setattr(polys, "_PRIMES31", (2,) + polys._PRIMES31)
+        small_prime_first(monkeypatch, 2)
         for n in range(2, 7):
             for g in atlas_connected[n]:
                 reference = bareiss_ranks(g)
@@ -314,12 +321,12 @@ class TestBatchedControllability:
                 np.array([[c % p for c in phi]] * len(rows), dtype=np.int64), residues, p)[1]
 
         sent = spy_poly_gcd(monkeypatch)
-        monkeypatch.setattr(polys, "_PRIMES31", (3,) + polys._PRIMES31)
+        small_prime_first(monkeypatch, 3)
         degenerate = 0
         for g in random_connected_graphs(40, 12, seed=719):
             phi = q.char_poly_exact(g).coeffs
             rows = [p.coeffs for p in q.deleted_char_polys(g)]
-            mod3, true = degrees(phi, rows, 3), degrees(phi, rows, polys._PRIMES31[1])
+            mod3, true = degrees(phi, rows, 3), degrees(phi, rows, polys._PRIMES31[0])
             undecided = sorted({r for r, d, e in zip(rows, mod3, true) if d < 0 or 0 < d != e})
             sent.clear()
             psi = walkalg.minimal_polys(g, range(g.n))
@@ -481,7 +488,7 @@ class TestClosedWalkResidues:
         n = g.n
         counts = walkalg._closed_walks(g, range(n), 64)
         top = max(int(np.asarray(g.adjacency).sum(axis=1).max()), 1)
-        primes = walkalg._walk_count_primes((2 * top ** (2 * n - 2)).bit_length())
+        primes = list(itertools.islice(polys._primes(), counts.shape[-1]))
         assert math.prod(primes) > 2 * top ** (2 * n - 2)
         assert counts.shape == (n, 2 * n - 1, len(primes))
         reference = [closed_walks_reference(g, u) for u in range(n)]
