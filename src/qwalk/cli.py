@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import multiprocessing
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from . import analysis
 from .analysis import DEN_BOUND_DEFAULT, T_MAX_DEFAULT, THRESHOLD_DEFAULT, AnalysisConfig
@@ -53,6 +55,43 @@ def _event_json(event):
         "fidelity": event.fidelity,
         "kind": "numeric",  # evidence from a numeric search, not a proof
     }
+
+
+_SCALAR_JSON = {int: int.__repr__, float: float.__repr__, str: encode_basestring_ascii,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): {None: "null"}.__getitem__}
+
+
+def _dumps(value, indent="\n"):
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, each
+    line after the first prefixed by ``indent[1:]``.  The stdlib writes
+    indented JSON in pure Python; this writes str-keyed dicts, lists of one
+    exact scalar type and lists of int lists (the Δ_u cells) in a few joins,
+    and leaves the rest to the stdlib."""
+    inner = indent + "  "
+    kind = type(value)
+    if kind is dict and value and all(type(k) is str for k in value):
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _dumps(value[k], inner)
+            for k in sorted(value)) + indent + "}"
+    if kind is list and value:
+        kinds = set(map(type, value))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is list and set(map(type, itertools.chain.from_iterable(value))) <= {int}:
+            deeper, inner_sep = inner + "  ", "," + inner + "  "
+            items = [f"[{deeper}{inner_sep.join(map(int.__repr__, row))}{inner}]"
+                     if row else "[]" for row in value]
+        elif kind in _SCALAR_JSON:
+            items = map(_SCALAR_JSON[kind], value)
+        else:
+            items = (_dumps(x, inner) for x in value)
+        text = "[" + inner + ("," + inner).join(items) + indent + "]"
+    elif kind in _SCALAR_JSON:
+        text = _SCALAR_JSON[kind](value)
+    else:  # escaped JSON holds no raw newline, so this indents it exactly
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+    # no other token holds "nan" or "inf": float.__repr__ to JSON's names
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if kind is float else text
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +341,7 @@ def build_parser():
 
 
 def _emit(doc, json_out):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _dumps(doc)
     if json_out:
         with open(json_out, "w") as fh:
             fh.write(text + "\n")

@@ -24,6 +24,8 @@ class Graph6Error(ValueError):
 
 
 def _check_size(n):
+    if n < 0:
+        raise ValueError(f"negative vertex count: {n}")
     if n > MAX_VERTICES:
         raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
 

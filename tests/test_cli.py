@@ -2,12 +2,15 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import qwalk as q
 from qwalk import cli
 from qwalk.cli import AnalysisConfig, main, run_scan
 from qwalk.graphs import MAX_VERTICES
+
+from test_acceptance import REPORT_GRAPHS
 
 
 def run_cli(argv, capsys):
@@ -128,6 +131,12 @@ class TestAnalyze:
         code, out, err = run_cli(["analyze", str(f)], capsys)
         assert (code, out, err) == (2, "", f"error: graph too large: {n} > {MAX_VERTICES}\n")
 
+    def test_negative_vertex_count_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "g.json"
+        f.write_text('{"n": -1, "edges": []}')
+        code, out, err = run_cli(["analyze", str(f)], capsys)
+        assert (code, out, err) == (2, "", "error: negative vertex count: -1\n")
+
     def test_json_out_flag(self, tmp_path, capsys):
         f = tmp_path / "p3.g6"
         f.write_text("Bg")
@@ -135,6 +144,11 @@ class TestAnalyze:
         code, _, _ = run_cli(["analyze", str(f), "--json", str(target)], capsys)
         assert code == 0
         assert json.loads(target.read_text())["n"] == 3
+        # the file holds the bytes the same command prints on stdout
+        for argv in (["analyze", str(f)], ["pair", str(f), "0", "2"]):
+            code, _, _ = run_cli([*argv, "--json", str(target)], capsys)
+            assert code == 0
+            assert (0, target.read_text(), "") == run_cli(argv, capsys)
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.g6"
@@ -357,6 +371,62 @@ class TestScan:
             "graph must have at least one vertex", "", "exact-arithmetic cap exceeded: 8 > 6",
             docs[8]["error"], ""]
         assert "truncated" in docs[8]["error"] and not docs[3]["connected"]
+
+
+def _emitted(doc, capsys):
+    cli._emit(doc, None)
+    return capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def report_docs():
+    config = AnalysisConfig()
+    docs = {}
+    for name, g in REPORT_GRAPHS.items():
+        pair = q.analysis.GraphData(g, config).pair(0, g.n - 1)
+        docs[f"analyze {name}"] = cli.analyze_graph(g, config)
+        docs[f"pair {name}"] = cli.pair_report_json(g, pair)
+    return docs
+
+
+class TestEmit:
+    """``_emit`` prints exactly ``json.dumps(doc, indent=2, sort_keys=True)``."""
+
+    @pytest.mark.parametrize("name", [f"{command} {name}" for name in REPORT_GRAPHS
+                                      for command in ("analyze", "pair")])
+    def test_reports_match_the_stdlib(self, report_docs, capsys, name):
+        doc = report_docs[name]
+        assert _emitted(doc, capsys) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_edge_values_match_the_stdlib(self, capsys):
+        doc = {
+            "floats": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1],
+            "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0,
+            "big": 2**70, "bigs": [2**70, -(2**70), 0],
+            "mixed": [1, True], "scalars": [1, 2.5, "s"], "nothing": None,
+            "bools": [True, False], "nones": [None, None],
+            "empty_list": [], "empty_dict": {}, "tuple": (1, (2, 3)),
+            "cells": [[1, 2], [], [3]], "empty_cells": [[], []], "bool_cells": [[1], [True]],
+            "np_float": np.float64(0.5), "np_floats": [np.float64(1.5), np.float64(-2.0)],
+            "strings": ['"quoted"', "back\\slash", "ctrl\x00\x1f\t\n\r", "héllo ✓ 𝄞",
+                        "{inf}nan", "Bg{[", "]~?}"],
+            "deep": [{"b": [1.5, math.nan], "a": {"z": [], "y": [[0]]}}, [[1.0], ["x"]]],
+            "non_str_keys": {1: "one", 2: {"k": [1]}},
+            "with \"quote\" é": {"c": 1, "a": [-1e300, 1e16]},
+            "nested_empty": [[], {}, [[]]],
+        }
+        assert _emitted(doc, capsys) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [1, 2.5, math.nan, "s", None, True, [], {}, [[1]]])
+    def test_top_level_values_match_the_stdlib(self, capsys, doc):
+        assert _emitted(doc, capsys) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [{"a": [object()]}, {"a": {1: "x", "b": 2}}])
+    def test_unserialisable_values_raise_as_the_stdlib_does(self, capsys, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._emit(doc, None)
 
 
 def test_stdin_input(monkeypatch, capsys):
