@@ -58,7 +58,6 @@ from .analysis import (
     fidelity,
     finiteness_bound,
     necessary_conditions,
-    ratio_condition,
     rho_squared_integer,
     search_pst,
     verify_pst_event,

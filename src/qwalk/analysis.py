@@ -22,7 +22,6 @@ from .polys import poly_divides
 
 THRESHOLD_DEFAULT = 1 - 1e-9
 T_MAX_DEFAULT = 50.0
-DEN_BOUND_DEFAULT = 10**6
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -33,7 +32,6 @@ class AnalysisConfig:
     threshold: float = THRESHOLD_DEFAULT
     grouping_tolerance: float = None  # None = auto
     support_tolerance: float = SUPPORT_TOL_DEFAULT
-    denominator_bound: int = DEN_BOUND_DEFAULT
     exact_cap: int = EXACT_CAP_DEFAULT
     brute_force_cap: int = partitions.BRUTE_FORCE_CAP_DEFAULT
     jobs: int = 1
@@ -41,7 +39,7 @@ class AnalysisConfig:
     def __post_init__(self):
         if not 0 < self.threshold < 1:
             raise ValueError("threshold must lie in (0, 1)")
-        positive = ["support_tolerance", "t_max", "denominator_bound", "exact_cap"]
+        positive = ["support_tolerance", "t_max", "exact_cap"]
         if self.grouping_tolerance is not None:
             positive.append("grouping_tolerance")
         for name in positive:
@@ -263,57 +261,6 @@ def verify_pst_event(sd, event, support_tolerance=SUPPORT_TOL_DEFAULT, tol=1e-8)
 # Arithmetic conditions
 
 @dataclass(frozen=True)
-class RatioResult:
-    holds: bool
-    witness: tuple = None  # failing (theta_k, theta_l, theta_r, theta_s)
-
-
-def reconstruct_rational(x, denominator_bound=DEN_BOUND_DEFAULT,
-                         residual_tol=1e-9):
-    """Continued-fraction rational reconstruction of a float.
-
-    Expands x and accepts a convergent only when the expansion effectively
-    terminates (a partial quotient beyond the denominator bound); a float
-    that is a small-height rational plus rounding noise terminates almost
-    immediately, while a genuinely irrational x runs its denominator past
-    the bound first. Returns a Fraction or None.
-    """
-    num, den = Fraction(x).as_integer_ratio()
-    a, rem = divmod(num, den)  # x = a + rem / den, 0 <= rem < den
-    h0, k0 = 1, 0
-    h1, k1 = a, 1
-    while True:
-        # the next partial quotient is floor(den / rem)
-        if rem == 0 or den > denominator_bound * rem:
-            cand = Fraction(h1, k1)
-            if k1 <= denominator_bound and abs(x - float(cand)) < residual_tol:
-                return cand
-            return None
-        a, rem, den = den // rem, den % rem, rem
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        if k1 > denominator_bound:
-            return None
-
-
-def ratio_condition(support_values, denominator_bound=DEN_BOUND_DEFAULT,
-                    residual_tol=1e-9):
-    """All ratios (theta_k - theta_l)/(theta_r - theta_s) over the support must
-    be rational; the largest-gap pair fixes the denominator."""
-    vals = sorted(set(float(v) for v in support_values), reverse=True)
-    if len(vals) < 2:
-        raise ValueError("ratio condition needs at least two distinct values")
-    tr, ts = vals[0], vals[-1]
-    den = tr - ts
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            ratio = (vals[i] - vals[j]) / den
-            if reconstruct_rational(ratio, denominator_bound, residual_tol) is None:
-                return RatioResult(holds=False, witness=(vals[i], vals[j], tr, ts))
-    return RatioResult(holds=True)
-
-
-@dataclass(frozen=True)
 class SupportClass:
     """Arithmetic type of an eigenvalue support: all integers, all of the form
     (a + b_i sqrt(delta))/2, or neither."""
@@ -377,7 +324,9 @@ def _near_root(coeffs, v):
 def classify_support(support_values, psi, tol=1e-8):
     """Classify a support as Integer / Quadratic / Neither against ``psi``, a
     squarefree monic integer ``ExactPoly`` whose roots include the support,
-    such as the minimal polynomial psi_u of e_u (``GraphData.minimal_polys``).
+    such as the minimal polynomial psi_u of e_u (``GraphData.minimal_polys``);
+    the values may be any set of roots of ``psi``, such as a pair's common
+    support.
     Each value must pass the dyadic root guard (``_near_root``), or
     ValueError is raised; an integer value k is then tested as psi(k) = 0,
     and a value (a + b sqrt(delta)) / 2 by dividing psi by its minimal
@@ -466,7 +415,7 @@ class TransferReport:
     cospectral: bool
     equal_supports: bool
     sign_condition: bool
-    ratio: RatioResult
+    ratio_condition: bool
     support_class: SupportClass
     rho_squared_is_integer: bool
     delta_partition_equal: bool
@@ -490,7 +439,7 @@ class TransferReport:
             "cospectral": self.cospectral,
             "equal_supports": self.equal_supports,
             "sign_condition": self.sign_condition,
-            "ratio_condition": self.ratio.holds,
+            "ratio_condition": self.ratio_condition,
             "support_class_not_neither": self.support_class.kind != "Neither",
             "rho_squared_integer": self.rho_squared_is_integer,
             "delta_partition_equal": self.delta_partition_equal,
@@ -568,12 +517,13 @@ class GraphData:
     """Every fact the commands derive from one graph, each computed once, on
     first use: the decomposition, phi, every phi(G - u), the gap and
     rho^2-integrality; per vertex the support, Delta_u and the minimal
-    polynomial psi_u of e_u, whose degree gives controllability; per
-    distinct support its ratio condition, and with psi its class.  Delta_u
-    and psi_u come from batched kernels over a set of vertices: a view asks
-    for all the vertices it needs at once (``deltas``, ``minimal_polys``),
-    and only those not yet computed are run, in stacked runs over many
-    graphs (``fill_stacked``) or over a stack of one.
+    polynomial psi_u of e_u, whose degree gives controllability; per set of
+    roots of psi_u (u's support, or a pair's common support, whose class is
+    the ratio condition) its class.  Delta_u and psi_u come from batched
+    kernels over a set of vertices: a view asks for all the vertices it
+    needs at once (``deltas``, ``minimal_polys``), and only those not yet
+    computed are run, in stacked runs over many graphs (``fill_stacked``) or
+    over a stack of one.
 
     ``report`` is the one place where the necessary conditions for a vertex
     pair become verdicts; ``pair`` adds the checks that only a single-pair
@@ -649,12 +599,6 @@ class GraphData:
         support, psi = key
         return classify_support(self.values(support), psi)
 
-    @_memo
-    def _ratio(self, support):
-        if len(support) < 2:
-            return RatioResult(holds=True)
-        return ratio_condition(self.values(support), self.config.denominator_bound)
-
     def report(self, u, v):
         """Every necessary-condition verdict for PST from u to v, except the
         brute-force stabilizer check, which ``pair`` adds."""
@@ -666,13 +610,21 @@ class GraphData:
         sign_ok = bool(np.all(np.minimum(abs(x - y).max(axis=1), abs(x + y).max(axis=1)) < 1e-7))
         deltas, psi = self.deltas((u, v)), self.minimal_polys((u, v))
         du = deltas[u]
+        # u's class first, so that a value failing the root guard is named
+        # with u; the common support, a subset of u's, then passes it too
+        support_class = self.support_class(u, psi[u])
+        # every (theta_k - theta_l)/(theta_r - theta_s) over the common
+        # support is rational iff that conjugation-closed set of roots of
+        # psi_u is not Neither (Godsil, "Periodic graphs", 2011); with equal
+        # supports it is u's own class, read from the memo
+        common = tuple(sorted(set(sup_u) & set(sup_v)))
         return TransferReport(
             u=u, v=v, n=self.g.n,
             cospectral=self.cospectral(u, v),
             equal_supports=sup_u == sup_v,
             sign_condition=sign_ok,
-            ratio=self._ratio(tuple(sorted(set(sup_u) & set(sup_v)))),
-            support_class=self.support_class(u, psi[u]),
+            ratio_condition=len(common) < 2 or self._classify((common, psi[u])).kind != "Neither",
+            support_class=support_class,
             rho_squared_is_integer=self.rho_squared_is_integer,
             delta_partition_equal=du == deltas[v],
             v_singleton_in_delta_u=(v,) in du.cells,
@@ -718,13 +670,11 @@ def _check_pair(data, u, v):
 
 def necessary_conditions(g, u, v, grouping_tolerance=None,
                          support_tolerance=SUPPORT_TOL_DEFAULT,
-                         denominator_bound=DEN_BOUND_DEFAULT,
                          exact_cap=EXACT_CAP_DEFAULT,
                          brute_force_cap=partitions.BRUTE_FORCE_CAP_DEFAULT):
     """Evaluate every necessary condition for PST between u and v."""
     config = AnalysisConfig(grouping_tolerance=grouping_tolerance,
                             support_tolerance=support_tolerance,
-                            denominator_bound=denominator_bound,
                             exact_cap=exact_cap, brute_force_cap=brute_force_cap)
     return GraphData(g, config).pair(u, v, search=False)
 

@@ -18,13 +18,13 @@ from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from . import analysis
-from .analysis import DEN_BOUND_DEFAULT, T_MAX_DEFAULT, THRESHOLD_DEFAULT, AnalysisConfig
+from .analysis import T_MAX_DEFAULT, THRESHOLD_DEFAULT, AnalysisConfig
 from .graphs import Graph, Graph6Error, encode_graph6, parse_graph6
 from .partitions import BRUTE_FORCE_CAP_DEFAULT
 from .spectral import EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, _check_cap
 from .walkalg import InternalCheckError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,6 @@ def pair_report_json(g, report):
         "gap": asdict(report.gap),
         "pst_found": _event_json(report.pst_found),
     }
-    if report.ratio.witness is not None:
-        doc["ratio_witness"] = list(report.ratio.witness)
     if report.verification is not None:
         doc["verification"] = {
             "passed": report.verification.passed,
@@ -286,7 +284,9 @@ def _add_shared_flags(p):
     p.add_argument("--tol-group", type=float, default=None,
                    help="eigenvalue grouping tolerance (default: auto)")
     p.add_argument("--tol-support", type=float, default=SUPPORT_TOL_DEFAULT)
-    p.add_argument("--den-bound", type=int, default=DEN_BOUND_DEFAULT)
+    p.add_argument("--den-bound", type=int, default=None,
+                   help="unused: the ratio condition is exact; accepted so that "
+                   "existing command lines keep working")
     p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT)
     p.add_argument("--bf-cap", type=int, default=BRUTE_FORCE_CAP_DEFAULT)
 
@@ -297,7 +297,6 @@ def _config_from_args(args, jobs=1):
         threshold=args.threshold,
         grouping_tolerance=args.tol_group,
         support_tolerance=args.tol_support,
-        denominator_bound=args.den_bound,
         exact_cap=args.exact_cap,
         brute_force_cap=args.bf_cap,
         jobs=jobs,

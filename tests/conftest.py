@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
@@ -62,3 +63,54 @@ def poly_divmod(num, den):
             for j, d in enumerate(den):
                 r[i + j] -= q[i] * d
     return poly_trim(q), poly_trim(r)
+
+
+@dataclass(frozen=True)
+class RatioResult:
+    holds: bool
+    witness: tuple = None  # failing (theta_k, theta_l, theta_r, theta_s)
+
+
+def reconstruct_rational(x, denominator_bound=10**6, residual_tol=1e-9):
+    """Continued-fraction rational reconstruction of a float.
+
+    Expands x and accepts a convergent only when the expansion effectively
+    terminates (a partial quotient beyond the denominator bound); a float
+    that is a small-height rational plus rounding noise terminates almost
+    immediately, while a genuinely irrational x runs its denominator past
+    the bound first. Returns a Fraction or None.
+    """
+    num, den = Fraction(x).as_integer_ratio()
+    a, rem = divmod(num, den)  # x = a + rem / den, 0 <= rem < den
+    h0, k0 = 1, 0
+    h1, k1 = a, 1
+    while True:
+        # the next partial quotient is floor(den / rem)
+        if rem == 0 or den > denominator_bound * rem:
+            cand = Fraction(h1, k1)
+            if k1 <= denominator_bound and abs(x - float(cand)) < residual_tol:
+                return cand
+            return None
+        a, rem, den = den // rem, den % rem, rem
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        if k1 > denominator_bound:
+            return None
+
+
+def ratio_condition(support_values, denominator_bound=10**6, residual_tol=1e-9):
+    """All ratios (theta_k - theta_l)/(theta_r - theta_s) over the support
+    must be rational; the largest-gap pair fixes the denominator.  The float
+    verdict the package gave before it read the condition from the exact
+    support class; kept as a test reference, witness included."""
+    vals = sorted(set(float(v) for v in support_values), reverse=True)
+    if len(vals) < 2:
+        raise ValueError("ratio condition needs at least two distinct values")
+    tr, ts = vals[0], vals[-1]
+    den = tr - ts
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            ratio = (vals[i] - vals[j]) / den
+            if reconstruct_rational(ratio, denominator_bound, residual_tol) is None:
+                return RatioResult(holds=False, witness=(vals[i], vals[j], tr, ts))
+    return RatioResult(holds=True)

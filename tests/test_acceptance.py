@@ -15,7 +15,7 @@ import qwalk as q
 from qwalk.cli import AnalysisConfig, analyze_graph, pair_report_json, run_scan
 from qwalk.partitions import Partition, automorphisms, equitable_quotient_checks
 
-from conftest import random_connected_graphs, random_graphs
+from conftest import random_connected_graphs, random_graphs, ratio_condition
 
 
 def report(num, ok, detail):
@@ -235,10 +235,14 @@ def scan_text(catalog_lines):
     return buf.getvalue()
 
 
-# SHA-256 of run_scan's output over catalog_lines, schema version 2: every
+# SHA-256 of run_scan's output over catalog_lines, schema version 3: every
 # pair's verdicts include sign_condition, and only pairs passing all of them
 # are searched.
-SCAN_GOLDEN_SHA256 = "0453958928c03f872d03da071b34ade9d3e94ac6cca828893016ea6f72e6136a"
+SCAN_GOLDEN_SHA256 = "84d5b44a79dc30a04890f7b0f09c8941a399ab724bbe40537051fa1bb0d63079"
+
+# The same digest for schema version 2, whose scan lines differ only in
+# their schema_version.
+SCAN_V2_SHA256 = "0453958928c03f872d03da071b34ade9d3e94ac6cca828893016ea6f72e6136a"
 
 # The same digest for schema version 1, whose scan verdicts left out
 # sign_condition and which searched every pair passing the rest.
@@ -264,6 +268,21 @@ def test_scan_lines_do_not_depend_on_chunks(catalog_lines, scan_text, order):
     assert buf.getvalue().splitlines() == [golden[i] for i in index]
 
 
+def _as_schema_v2(text):
+    """Rebuild schema-version-2 scan output from version-3 output."""
+    rows = []
+    for line in text.splitlines():
+        doc = json.loads(line)
+        doc["schema_version"] = 2
+        rows.append(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
+    return "".join(rows)
+
+
+def test_scan_output_maps_back_to_schema_v2(scan_text):
+    v2 = _as_schema_v2(scan_text)
+    assert hashlib.sha256(v2.encode()).hexdigest() == SCAN_V2_SHA256
+
+
 def _as_schema_v1(text):
     """Rebuild schema-version-1 scan output from version-2 output."""
     rows = []
@@ -279,7 +298,7 @@ def _as_schema_v1(text):
 
 
 def test_scan_output_maps_back_to_schema_v1(scan_text):
-    v1 = _as_schema_v1(scan_text)
+    v1 = _as_schema_v1(_as_schema_v2(scan_text))
     assert hashlib.sha256(v1.encode()).hexdigest() == SCAN_V1_SHA256
 
 
@@ -317,14 +336,51 @@ REPORT_GRAPHS = {
 
 # SHA-256 of the ``analyze`` then ``pair (0, n - 1)`` JSON of every graph in
 # REPORT_GRAPHS, in order, as the CLI prints them.
-REPORTS_GOLDEN_SHA256 = "604796819e4fe12cece74b34768d9cb00144fade797eb4fdec5fa1e995e9552b"
+REPORTS_GOLDEN_SHA256 = "b3527519559ce36a73ed8c90be2b68a104e2cc2cddd3a5bcdde2ae118dfaccb2"
+
+# The same digest for schema version 2, whose pair reports also carried the
+# failing support values of the float ratio test as ``ratio_witness``.
+REPORTS_V2_SHA256 = "604796819e4fe12cece74b34768d9cb00144fade797eb4fdec5fa1e995e9552b"
 
 
-def test_analyze_and_pair_reports_match_golden():
+@pytest.fixture(scope="module")
+def report_docs():
+    """(GraphData, analyze doc, pair (0, n - 1) doc) of every REPORT_GRAPHS graph."""
     config = AnalysisConfig()
-    digest = hashlib.sha256()
+    out = []
     for g in REPORT_GRAPHS.values():
-        pair = q.analysis.GraphData(g, config).pair(0, g.n - 1)
-        for doc in (analyze_graph(g, config), pair_report_json(g, pair)):
-            digest.update(json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
-    assert digest.hexdigest() == REPORTS_GOLDEN_SHA256
+        data = q.analysis.GraphData(g, config)
+        out.append((data, analyze_graph(g, config), pair_report_json(g, data.pair(0, g.n - 1))))
+    return out
+
+
+def _reports_digest(docs):
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_analyze_and_pair_reports_match_golden(report_docs):
+    assert _reports_digest(doc for _, *docs in report_docs for doc in docs) == REPORTS_GOLDEN_SHA256
+
+
+def _reports_as_schema_v2(report_docs):
+    """Rebuild the schema-version-2 reports from version-3 ones: a pair
+    whose ratio condition fails gets back the witness of the float test
+    over its common support."""
+    for data, analyze_doc, pair_doc in report_docs:
+        yield {**analyze_doc, "schema_version": 2}
+        pair_doc = {**pair_doc, "schema_version": 2}
+        if not pair_doc["verdicts"]["ratio_condition"]:
+            u, v = pair_doc["pair"]
+            common = sorted(set(data.support(u)) & set(data.support(v)))
+            pair_doc["ratio_witness"] = list(ratio_condition(data.values(common)).witness)
+        yield pair_doc
+
+
+def test_reports_map_back_to_schema_v2(report_docs):
+    v2 = list(_reports_as_schema_v2(report_docs))
+    witnessed = [doc["n"] for doc in v2 if "ratio_witness" in doc]
+    assert witnessed == [30, 40, 32]  # P5xP6, C40, random32
+    assert _reports_digest(v2) == REPORTS_V2_SHA256

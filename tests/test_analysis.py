@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -11,14 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwalk as q
-from qwalk.analysis import (
-    RatioResult,
-    reconstruct_rational,
-    squarefree_part,
-)
+from qwalk.analysis import squarefree_part
 from qwalk.polys import poly_degree, poly_gcd
 
-from conftest import poly_divmod, random_connected_graphs, random_graphs
+from conftest import (poly_divmod, random_connected_graphs, random_graphs, ratio_condition,
+                      reconstruct_rational)
+from test_acceptance import REPORT_GRAPHS
 
 SQRT2 = math.sqrt(2)
 SQRT5 = math.sqrt(5)
@@ -133,19 +132,19 @@ class TestVerifyPstEvent:
 
 class TestRatioCondition:
     def test_sqrt2_multiples(self):
-        assert q.ratio_condition([SQRT2, 0, -SQRT2]).holds
+        assert ratio_condition([SQRT2, 0, -SQRT2]).holds
 
     def test_integers(self):
-        assert q.ratio_condition([3.0, 1.0, -1.0, -3.0]).holds
+        assert ratio_condition([3.0, 1.0, -1.0, -3.0]).holds
 
     def test_p4_fails_with_witness(self):
-        res = q.ratio_condition(P4_EIGS)
+        res = ratio_condition(P4_EIGS)
         assert not res.holds
         assert res.witness is not None and len(res.witness) == 4
 
     def test_too_few_values(self):
         with pytest.raises(ValueError):
-            q.ratio_condition([1.0])
+            ratio_condition([1.0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -157,13 +156,40 @@ class TestRatioCondition:
     def test_affine_invariance(self, c, d):
         base = [SQRT2, 0.0, -SQRT2]
         mapped = [float(c) * v + float(d) for v in base]
-        assert q.ratio_condition(mapped).holds == q.ratio_condition(base).holds
+        assert ratio_condition(mapped).holds == ratio_condition(base).holds
 
     def test_reconstruct_rational(self):
         assert reconstruct_rational(1 / 3) == Fraction(1, 3)
         assert reconstruct_rational(-7 / 8) == Fraction(-7, 8)
         assert reconstruct_rational(1 / (1 + SQRT5)) is None
         assert reconstruct_rational(math.pi) is None
+
+    def test_report_verdict_is_the_reference(self, atlas_connected):
+        # report reads the condition from the exact class of the common
+        # support; the continued-fraction reference must agree on every pair
+        # of the atlas graphs and on the reported pairs of the fixtures
+        config = q.analysis.AnalysisConfig()
+        atlas = [q.analysis.GraphData(g, config) for graphs in atlas_connected.values()
+                 for g in graphs]
+        fixtures = [q.analysis.GraphData(g, config) for g in REPORT_GRAPHS.values()]
+        checked = failing = 0
+        reference = {}  # common support values -> reference verdict
+        for datas, pairs in [
+            (atlas, lambda n: itertools.combinations(range(n), 2)),
+            (fixtures, lambda n: {(0, n - 1), (0, 1), (1, n - 2)} - {(1, 1)}),
+        ]:
+            q.analysis.fill_stacked(datas, lambda d: range(d.g.n))
+            for data in datas:
+                for u, v in pairs(data.g.n):
+                    common = sorted(set(data.support(u)) & set(data.support(v)))
+                    values = tuple(data.values(common))
+                    if values not in reference:
+                        reference[values] = len(values) < 2 or ratio_condition(values).holds
+                    expected = reference[values]
+                    assert data.report(u, v).ratio_condition == expected, (data.g, u, v)
+                    checked += 1
+                    failing += not expected
+        assert (checked, failing) == (19869, 19176)
 
 
 class TestClassifySupport:
@@ -206,7 +232,7 @@ class TestClassifySupport:
                 sup = sorted(q.eigenvalue_support(sd, u))
                 vals = [float(sd.eigenvalues[r]) for r in sup]
                 ints = [v for v in vals if abs(v - round(v)) < 1e-8]
-                if len(ints) >= 2 and len(vals) >= 2 and q.ratio_condition(vals).holds:
+                if len(ints) >= 2 and len(vals) >= 2 and ratio_condition(vals).holds:
                     assert q.classify_support(vals, psi(g, u)).kind == "Integer"
 
     def test_squarefree_part(self):

@@ -38,7 +38,6 @@ class TestConfig:
             AnalysisConfig(t_max=-1)
 
     @pytest.mark.parametrize("field,value", [
-        ("denominator_bound", 0), ("denominator_bound", -5),
         ("exact_cap", 0), ("brute_force_cap", -1),
         ("grouping_tolerance", 0.0), ("grouping_tolerance", -1.0),
         ("grouping_tolerance", math.nan), ("grouping_tolerance", math.inf),
@@ -57,20 +56,32 @@ class TestConfig:
         assert AnalysisConfig(brute_force_cap=0).brute_force_cap == 0
 
     @pytest.mark.parametrize("flags", [
-        ["--den-bound", "0"], ["--den-bound", "-1"], ["--exact-cap", "0"], ["--bf-cap", "-1"],
+        ["--tol-support", "0"], ["--exact-cap", "-1"], ["--exact-cap", "0"], ["--bf-cap", "-1"],
         ["--tol-group", "0"], ["--tol-group", "-1"], ["--tol-group", "nan"],
         ["--tol-support", "nan"], ["--t-max", "nan"], ["--t-max", "inf"],
     ])
     @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
     def test_out_of_range_flags_exit_2(self, tmp_path, capsys, command, flags):
-        # K2 has PST; --den-bound 0 used to report ratio_condition false on
-        # it, and --tol-support nan emptied every support; scan wrote an
-        # error line per graph and exited 0 for --tol-group 0 and --t-max inf
+        # K2 has PST; --tol-support nan used to empty every support, and scan
+        # wrote an error line per graph and exited 0 for --tol-group 0 and
+        # --t-max inf
         f = tmp_path / "k2.g6"
         f.write_text(q.encode_graph6(q.complete(2)) + "\n")
         argv = [command, str(f)] + (["0", "1"] if command == "pair" else []) + flags
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == "" and "must be" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
+    def test_den_bound_is_ignored(self, tmp_path, capsys, command):
+        # the ratio condition is exact, so the denominator bound of the old
+        # float test changes nothing (at 5 that test failed every pair of
+        # EtTg, spectrum 3, 1, 0, -2), and any integer is still accepted
+        f = tmp_path / "ettg.g6"
+        f.write_text("EtTg\n")
+        argv = [command, str(f)] + (["0", "1"] if command == "pair" else [])
+        runs = [run_cli(argv + flags, capsys) for flags in ([], ["--den-bound", "5"],
+                                                             ["--den-bound", "0"])]
+        assert runs[0][0] == 0 and runs[0][1] and runs == [runs[0]] * 3
 
 
 class TestAnalyze:
