@@ -10,7 +10,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -266,7 +265,7 @@ class SupportClass:
     (a + b_i sqrt(delta))/2, or neither."""
 
     kind: str  # "Integer" | "Quadratic" | "Neither"
-    a: Fraction = None
+    a: int = None
     delta: int = None
     b_values: tuple = None
 
@@ -321,82 +320,74 @@ def _near_root(coeffs, v):
     return lo * hi <= 0
 
 
-def classify_support(support_values, psi, tol=1e-8):
+# How close a float must be to an integer for the exact verdicts of
+# classify_support and rho_squared_integer to test that integer.
+_NEAR_INT_TOL = 1e-8
+
+
+def classify_support(support_values, psi):
     """Classify a support as Integer / Quadratic / Neither against ``psi``, a
     squarefree monic integer ``ExactPoly`` whose roots include the support,
-    such as the minimal polynomial psi_u of e_u (``GraphData.minimal_polys``);
-    the values may be any set of roots of ``psi``, such as a pair's common
-    support.
+    such as the minimal polynomial psi_u of e_u (``GraphData.minimal_polys``).
     Each value must pass the dyadic root guard (``_near_root``), or
-    ValueError is raised; an integer value k is then tested as psi(k) = 0,
-    and a value (a + b sqrt(delta)) / 2 by dividing psi by its minimal
-    polynomial."""
+    ValueError is raised. Integer values k are tested as psi(k) = 0.
+    Otherwise the d values must have an integer trace T; a = 2T/d, each value
+    gives b^2 delta = round((2v - a)^2) with one squarefree delta > 1, and
+    the minimal polynomial of each (a + b sqrt(delta)) / 2 must divide psi.
+    On a conjugation-closed set (every support and common support at the
+    default support tolerance) this is the exact class; a set that another
+    tolerance leaves unclosed is classified by the same test."""
     vals = [float(v) for v in support_values]
     for v in vals:
         if not _near_root(psi.coeffs, v):
             raise ValueError(f"value {v} is not a root of the polynomial")
 
-    if all(abs(v - round(v)) < tol for v in vals):
+    if all(abs(v - round(v)) < _NEAR_INT_TOL for v in vals):
         if all(psi(round(v)) == 0 for v in set(vals)):
             return SupportClass(kind="Integer")
 
-    irrational = [v for v in vals if abs(v - round(v)) >= tol]
-    if irrational:
-        deltas = set()
-        for i in range(len(irrational)):
-            for j in range(i + 1, len(irrational)):
-                d2 = (irrational[i] - irrational[j]) ** 2
-                if d2 > tol and abs(d2 - round(d2)) < tol:
-                    sf = squarefree_part(round(d2))
-                    if sf > 1:
-                        deltas.add(sf)
-        if not deltas:
-            return SupportClass(kind="Neither")
-        # a = v_i + v_j for a conjugate pair, as an integer 2a
-        twice_a = sorted({
-            round(2 * (vals[i] + vals[j]))
-            for i in range(len(vals)) for j in range(i + 1, len(vals))
-        })
-        for delta in sorted(deltas):
-            sq = math.sqrt(delta)
-            for m in twice_a:
-                a = Fraction(m, 2)
-                fit = _fit_quadratic(vals, psi, a, delta, sq, tol)
-                if fit is not None:
-                    return fit
-    return SupportClass(kind="Neither")
-
-
-def _fit_quadratic(vals, psi, a, delta, sq, tol):
-    bs = []
+    neither = SupportClass(kind="Neither")
+    # the values (a + b_i sqrt(delta)) / 2 come in conjugate pairs +-b_i, so
+    # their trace is d a / 2
+    trace = sum(vals)
+    twice_trace = 2 * round(trace)
+    if abs(trace - round(trace)) >= _NEAR_INT_TOL or twice_trace % len(vals):
+        return neither
+    a = twice_trace // len(vals)
+    deltas, bs = set(), []
     for v in vals:
-        b2 = (2 * v - float(a)) / sq * 2  # 2*b_i must be an integer
-        if abs(b2 - round(b2)) >= tol:
-            return None
-        b = Fraction(round(b2), 2)
-        if abs(v - (float(a) + float(b) * sq) / 2) >= tol:
-            return None
-        bs.append(b)
+        x = 2 * v - a
+        m = round(x * x)  # b^2 delta
+        # the minimal polynomial, t - a/2 or t^2 - a t + (a^2 - m)/4, must be
+        # integral: a root of the monic integer psi is an algebraic integer
+        if abs(x * x - m) >= _NEAR_INT_TOL or (a * a - m) % 4:
+            return neither
+        b = 0
+        if m:
+            delta = squarefree_part(m)
+            deltas.add(delta)
+            b = math.isqrt(m // delta)
+        bs.append(b if x > 0 else -b)
+    if len(deltas) != 1 or 1 in deltas:
+        return neither
+    delta = deltas.pop()
     for b in set(bs):
-        # a root of the monic integer psi is an algebraic integer, so its
-        # minimal polynomial has integer coefficients or it is no root
-        minimal = [1, -a / 2] if b == 0 else [1, -a, (a * a - b * b * delta) / 4]
-        if any(Fraction(c).denominator != 1 for c in minimal) or not poly_divides(
-                [int(c) for c in minimal], psi.coeffs):
-            return None
+        minimal = [1, -a, (a * a - b * b * delta) // 4] if b else [1, -a // 2]
+        if not poly_divides(minimal, psi.coeffs):
+            return neither
     return SupportClass(kind="Quadratic", a=a, delta=delta, b_values=tuple(bs))
 
 
-def rho_squared_integer(sd, exact_poly, tol=1e-8):
+def rho_squared_integer(sd, exact_poly):
     """True iff the squared spectral radius is an integer, verified exactly."""
     rho = sd.spectral_radius
     r2 = rho * rho
     m = round(r2)
-    if abs(r2 - m) > tol:
+    if abs(r2 - m) > _NEAR_INT_TOL:
         return False
-    if abs(rho - round(rho)) < tol:
+    if abs(rho - round(rho)) < _NEAR_INT_TOL:
         return exact_poly(round(rho)) == 0
-    # rho = sqrt(m) with m no square (an integer rho would be within tol), so
+    # rho = sqrt(m) with m no square (an integer rho is caught above), so
     # t^2 - m is irreducible and shares a root with phi only when it divides it
     return poly_divides([1, 0, -m], exact_poly.coeffs)
 

@@ -284,9 +284,6 @@ def _add_shared_flags(p):
     p.add_argument("--tol-group", type=float, default=None,
                    help="eigenvalue grouping tolerance (default: auto)")
     p.add_argument("--tol-support", type=float, default=SUPPORT_TOL_DEFAULT)
-    p.add_argument("--den-bound", type=int, default=None,
-                   help="unused: the ratio condition is exact; accepted so that "
-                   "existing command lines keep working")
     p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT)
     p.add_argument("--bf-cap", type=int, default=BRUTE_FORCE_CAP_DEFAULT)
 

@@ -312,9 +312,10 @@ def reference_rho_squared_integer(sd, phi, tol=1e-8):
 
 
 class TestExactChecksMatchFractionReference:
-    """The integer divisibility tests of classify_support against psi_u and
-    of rho_squared_integer decide as the Fraction references against phi
-    do."""
+    """classify_support against psi_u, on every vertex support and common
+    support, and rho_squared_integer decide as the Fraction references
+    against phi do; the class reference is the old search over pairwise
+    delta and a candidates."""
 
     def _check(self, graphs):
         kinds, rho_verdicts = set(), set()
@@ -324,8 +325,10 @@ class TestExactChecksMatchFractionReference:
             assert rho == reference_rho_squared_integer(sd, phi)
             rho_verdicts.add(rho)
             minimal = q.walkalg.minimal_polys(g, range(g.n))
-            for support, psi_u in {(tuple(sorted(q.eigenvalue_support(sd, u))), minimal[u])
-                                   for u in range(g.n)}:
+            supports = [q.eigenvalue_support(sd, u) for u in range(g.n)]
+            # u's support (u = v) and each common support, against psi_u
+            for support, psi_u in {(tuple(sorted(supports[u] & supports[v])), minimal[u])
+                                   for u in range(g.n) for v in range(g.n)}:
                 vals = [float(sd.eigenvalues[r]) for r in support]
                 sc = q.classify_support(vals, psi_u)
                 assert sc == reference_classify(vals, phi)
@@ -352,12 +355,14 @@ class TestExactChecksMatchFractionReference:
         (q.path(3), [0.25]),  # t - 1/4 truncates to t
         (q.path(2), [(0.5 + 2 * SQRT2) / 2, (0.5 - 2 * SQRT2) / 2]),  # to t^2 - 1
     ])
-    def test_non_integral_minimal_polynomial_rejected(self, g, vals):
+    def test_non_integral_minimal_polynomial_rejected(self, monkeypatch, g, vals):
         # each a = 1/2 candidate truncates to a divisor of phi, but a root of
         # a monic integer polynomial is an algebraic integer, so it is no root
         phi, a, delta = q.char_poly_exact(g), Fraction(1, 2), 2
         assert _fraction_fit_quadratic(vals, phi, a, delta, 1e-8) is None
-        assert q.analysis._fit_quadratic(vals, phi, a, delta, math.sqrt(delta), 1e-8) is None
+        # the root guard would reject these values before any candidate
+        monkeypatch.setattr(q.analysis, "_near_root", lambda coeffs, v: True)
+        assert q.classify_support(vals, phi).kind == "Neither"
 
 
 class TestSupportAgainstPsi:

@@ -71,18 +71,6 @@ class TestConfig:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == "" and "must be" in err
 
-    @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
-    def test_den_bound_is_ignored(self, tmp_path, capsys, command):
-        # the ratio condition is exact, so the denominator bound of the old
-        # float test changes nothing (at 5 that test failed every pair of
-        # EtTg, spectrum 3, 1, 0, -2), and any integer is still accepted
-        f = tmp_path / "ettg.g6"
-        f.write_text("EtTg\n")
-        argv = [command, str(f)] + (["0", "1"] if command == "pair" else [])
-        runs = [run_cli(argv + flags, capsys) for flags in ([], ["--den-bound", "5"],
-                                                             ["--den-bound", "0"])]
-        assert runs[0][0] == 0 and runs[0][1] and runs == [runs[0]] * 3
-
 
 class TestAnalyze:
     def test_p4_report(self, tmp_path, capsys):
@@ -456,22 +444,35 @@ class TestSupportAgainstPsi:
         f.write_text(q.encode_graph6(g) + "\n")
         return [command, str(f)] + ([str(w) for w in pair] if command == "pair" else [])
 
-    @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
-    def test_coarse_support_tolerance_still_integer(self, tmp_path, capsys, command):
+    # (graph, --tol-support, numeric support size, pair (0, 1) passes every
+    # verdict) by test id suffix
+    _COARSE = {
         # on K4 at 0.3 only -1 is in each numeric support (E_3 has diagonal
         # 1/4), against deg psi_u = 2; -1 is a root of psi_u, so Integer
-        argv = self._argv(command, q.complete(4), tmp_path, (0, 1)) + ["--tol-support", "0.3"]
+        "": (q.complete(4), "0.3", 1, False),
+        # on K2 at 10 every support is empty, which is Integer too
+        "-empty": (q.complete(2), "10", 0, True),
+    }
+
+    @pytest.mark.parametrize("command,case", [
+        pytest.param(command, case, id=command + suffix)
+        for suffix, case in _COARSE.items() for command in ("analyze", "pair", "scan")])
+    def test_coarse_support_tolerance_still_integer(self, tmp_path, capsys, command, case):
+        g, tol, size, all_pass = case
+        argv = self._argv(command, g, tmp_path, (0, 1)) + ["--tol-support", tol]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         if command == "analyze":
             vertices = json.loads(out)["vertices"]
-            assert [len(v["support"]) for v in vertices] == [1] * 4
+            assert [len(v["support"]) for v in vertices] == [size] * g.n
             assert {v["support_class"]["kind"] for v in vertices} == {"Integer"}
         elif command == "pair":
-            assert json.loads(out)["support_class"] == {"kind": "Integer"}
+            doc = json.loads(out)
+            assert doc["support_class"] == {"kind": "Integer"}
+            assert doc["all_pass"] == all(doc["verdicts"].values()) == all_pass
         else:
             doc = json.loads(out)
-            assert "error" not in doc and len(doc["pairs"]) == 6
+            assert "error" not in doc and len(doc["pairs"]) == g.n * (g.n - 1) // 2
             assert all(p["verdicts"]["support_class_not_neither"] for p in doc["pairs"])
 
     @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
