@@ -16,7 +16,8 @@ import numpy as np
 from . import partitions, walkalg
 from .graphs import connected_stack
 from .spectral import (EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, char_polys, decompose,
-                       decompose_stack, eigenvalue_support, gap_report, transition_matrix)
+                       decompose_stack, eigenvalue_support, gap_report, support_mask,
+                       supports_stack, transition_matrix)
 from .polys import poly_divides
 
 THRESHOLD_DEFAULT = 1 - 1e-9
@@ -445,51 +446,89 @@ class TransferReport:
         return all(self.verdicts().values())
 
 
-def _memo(method):
-    """Cache a one-argument method of ``GraphData`` per instance and argument."""
-
-    @functools.wraps(method)
-    def cached(self, key):
-        memo = self._cache.setdefault(method.__name__, {})
-        if key not in memo:
-            memo[key] = method(self, key)
-        return memo[key]
-
-    return cached
+# Most idempotent entries that each float temporary of a ``signs_stack``
+# block holds: a block gathers this many entries over n of its rows.
+_SIGN_BLOCK_ENTRIES = 2**18
 
 
-def _fill(name, datas, roots):
-    """Cache ``name``, "deltas" or "psi", of the vertices roots[i]
-    of every ``GraphData`` datas[i], all of one vertex count, from one
-    stacked kernel run over those not cached yet; returns the caches."""
+def signs_stack(sds, pairs, support_tolerance):
+    """Strong cospectrality of every pair (u, v) of pairs[i] of sds[i], all
+    of one vertex count, as a dict per decomposition: min(max|x - y|,
+    max|x + y|) < 1e-7 on every r in the support of u or of v
+    (``support_mask``), x and y the columns u and v of E_r.  Each (pair, r)
+    is a row; the rows run in blocks of ``_SIGN_BLOCK_ENTRIES`` // n, and a
+    pair that a block boundary cuts fails if either part does."""
+    idems, mask = support_mask(sds, support_tolerance)
+    sizes = np.array([len(sd.eigenvalues) for sd in sds])
+    graph = np.repeat(np.arange(len(sds)), [len(p) for p in pairs])
+    u, v = np.array([p for ps in pairs for p in ps], dtype=np.intp).reshape(-1, 2).T
+    ends = np.cumsum(sizes[graph])  # each pair's rows end here
+    shift = np.cumsum(sizes)[graph] - ends  # a row's number to its cluster row
+    bad = np.zeros(len(u), dtype=bool)
+    total = int(ends[-1]) if len(ends) else 0
+    step = max(1, _SIGN_BLOCK_ENTRIES // idems.shape[-1])
+    for start in range(0, total, step):
+        rows = np.arange(start, min(start + step, total))
+        p = np.searchsorted(ends, rows, side="right")
+        r = rows + shift[p]
+        keep = mask[r, u[p]] | mask[r, v[p]]
+        p, r = p[keep], r[keep]
+        if len(p):
+            x, y = idems[r, :, u[p]], idems[r, :, v[p]]
+            fail = ~(np.minimum(abs(x - y).max(axis=1), abs(x + y).max(axis=1)) < 1e-7)
+            heads = np.flatnonzero(np.diff(p, prepend=-1))
+            bad[p[heads]] |= np.logical_or.reduceat(fail, heads)
+    ok = iter((~bad).tolist())
+    return [{pair: next(ok) for pair in ps} for ps in pairs]
+
+
+def _fill(name, datas, keys):
+    """Cache ``name``, "deltas" or "psi" of the vertices keys[i] or "signs"
+    of the pairs keys[i], of every ``GraphData`` datas[i], all of one vertex
+    count, from one stacked kernel run over those not cached yet; returns
+    the caches."""
     memos = [d._cache.setdefault(name, {}) for d in datas]
-    todo = [(m, sorted(set(r) - m.keys()), d) for d, m, r in zip(datas, memos, roots)]
+    todo = [(m, sorted(set(k) - m.keys()), d) for d, m, k in zip(datas, memos, keys)]
     todo = [t for t in todo if t[1]]
     if todo:
         memos_, missing, owners = zip(*todo)
-        facts = (partitions.delta_stack([d.g for d in owners], missing) if name == "deltas" else
-                 walkalg.minimal_polys_stack([d.char_polys for d in owners], missing))
+        if name == "deltas":
+            facts = partitions.delta_stack([d.g for d in owners], missing)
+        elif name == "psi":
+            facts = walkalg.minimal_polys_stack([d.char_polys for d in owners], missing)
+        else:
+            facts = signs_stack([d.sd for d in owners], missing,
+                                owners[0].config.support_tolerance)
         for memo, found in zip(memos_, facts):
             memo.update(found)
     return memos
 
 
-def _set(datas, name, stack):
+def _fill_pairs(datas, pairs):
+    """Cache Delta_u and psi_u of both vertices and the sign condition of
+    every pair of the list pairs[i] of datas[i], all of one vertex count."""
+    for name in ("deltas", "psi"):
+        _fill(name, datas, [{w for pair in p for w in pair} for p in pairs])
+    _fill("signs", datas, pairs)
+
+
+def _set(datas, name, stack, of="g"):
     """Set the cached property ``name`` of the ``datas`` that lack it, from
-    one run of ``stack`` over their graphs."""
+    one run of ``stack`` over their graphs, or their attribute ``of``."""
     todo = [d for d in datas if name not in vars(d)]
-    for d, value in zip(todo, stack([d.g for d in todo]) if todo else ()):
+    for d, value in zip(todo, stack([getattr(d, of) for d in todo]) if todo else ()):
         vars(d)[name] = value
 
 
-def fill_stacked(datas, roots):
+def fill_stacked(datas, pairs):
     """The facts ``scan`` needs of every ``GraphData`` d of ``datas`` (one
     config), by one run of each stacked kernel per vertex count, facts
     already known left out: connectivity and the decomposition of d with a
     vertex (unless connected above the cap, an error), then, for d connected
-    within the cap with n >= 2, phi and every phi(G - u), by one
-    Faddeev-LeVerrier run, and Delta_u and psi_u of ``roots(d)``, ``roots``
-    after phi(G - u)."""
+    within the cap with n >= 2, every support, phi and every phi(G - u), by
+    one Faddeev-LeVerrier run, and, for the vertex pairs ``pairs(d)``, read
+    after phi(G - u), Delta_u and psi_u of their vertices and their sign
+    condition."""
     for n, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
         group, config = list(group), datas[0].config
         if n < 1:
@@ -499,22 +538,24 @@ def fill_stacked(datas, roots):
         _set(group, "sd", lambda graphs: decompose_stack(graphs, config.grouping_tolerance))
         group = [d for d in group if d.connected and n >= 2]
         if group:
+            _set(group, "supports", lambda sds: supports_stack(sds, config.support_tolerance),
+                 of="sd")
             _set(group, "char_polys", lambda graphs: char_polys(graphs, config.exact_cap))
-            for name in ("deltas", "psi"):
-                _fill(name, group, [roots(d) for d in group])
+            _fill_pairs(group, [pairs(d) for d in group])
 
 
 class GraphData:
     """Every fact the commands derive from one graph, each computed once, on
     first use: the decomposition, phi, every phi(G - u), the gap and
-    rho^2-integrality; per vertex the support, Delta_u and the minimal
-    polynomial psi_u of e_u, whose degree gives controllability; per set of
-    roots of psi_u (u's support, or a pair's common support, whose class is
-    the ratio condition) its class.  Delta_u and psi_u come from batched
-    kernels over a set of vertices: a view asks for all the vertices it
-    needs at once (``deltas``, ``minimal_polys``), and only those not yet
-    computed are run, in stacked runs over many graphs (``fill_stacked``) or
-    over a stack of one.
+    rho^2-integrality; every vertex's support; per vertex Delta_u and the
+    minimal polynomial psi_u of e_u, whose degree gives controllability;
+    per vertex pair the sign condition; per set of roots of psi_u (u's
+    support, or a pair's common support, whose class is the ratio
+    condition) its class.  Each comes from a stacked kernel: the supports
+    for all vertices at once, Delta_u and psi_u for the vertices a view
+    asks for at once (``deltas``, ``minimal_polys``), the signs for the
+    pairs, and only what is not yet known is run, in stacked runs over many
+    graphs (``fill_stacked``) or over a stack of one.
 
     ``report`` is the one place where the necessary conditions for a vertex
     pair become verdicts; ``pair`` adds the checks that only a single-pair
@@ -561,10 +602,10 @@ class GraphData:
         return [(u, v) for u, v in itertools.combinations(range(self.g.n), 2)
                 if self.cospectral(u, v)]
 
-    @_memo
-    def support(self, u):
-        """Sorted indices of the eigenvalues in the support of ``u``."""
-        return tuple(sorted(eigenvalue_support(self.sd, u, self.config.support_tolerance)))
+    @functools.cached_property
+    def supports(self):
+        """Per vertex u, the sorted indices of the eigenvalues in its support."""
+        return supports_stack([self.sd], self.config.support_tolerance)[0]
 
     def values(self, support):
         return [float(self.sd.eigenvalues[r]) for r in support]
@@ -580,26 +621,25 @@ class GraphData:
         as ``minimal_polys`` gives it; a value that fails the root guard is a
         ValueError naming u and the support tolerance."""
         try:
-            return self._classify((self.support(u), psi))
+            return self._classify(self.supports[u], psi)
         except ValueError as exc:
             raise ValueError(f"vertex {u}, support tolerance "
                              f"{self.config.support_tolerance}: {exc}") from None
 
-    @_memo
-    def _classify(self, key):
-        support, psi = key
-        return classify_support(self.values(support), psi)
+    def _classify(self, support, psi):
+        memo = self._cache.setdefault("classes", {})
+        if (support, psi) not in memo:
+            memo[support, psi] = classify_support(self.values(support), psi)
+        return memo[support, psi]
 
     def report(self, u, v):
         """Every necessary-condition verdict for PST from u to v, except the
         brute-force stabilizer check, which ``pair`` adds."""
-        sup_u, sup_v = self.support(u), self.support(v)
-        # strong cospectrality: E_r e_u = +-E_r e_v on every support eigenvalue
-        support = sorted(set(sup_u) | set(sup_v))
-        idempotents = self.sd.idempotents
-        x, y = idempotents[support, :, u], idempotents[support, :, v]
-        sign_ok = bool(np.all(np.minimum(abs(x - y).max(axis=1), abs(x + y).max(axis=1)) < 1e-7))
-        deltas, psi = self.deltas((u, v)), self.minimal_polys((u, v))
+        cache = self._cache
+        if (u, v) not in cache.get("signs", ()):  # filled after Delta and psi of u, v
+            _fill_pairs([self], [[(u, v)]])
+        sup_u, sup_v = self.supports[u], self.supports[v]
+        deltas, psi = cache["deltas"], cache["psi"]
         du = deltas[u]
         # u's class first, so that a value failing the root guard is named
         # with u; the common support, a subset of u's, then passes it too
@@ -613,8 +653,8 @@ class GraphData:
             u=u, v=v, n=self.g.n,
             cospectral=self.cospectral(u, v),
             equal_supports=sup_u == sup_v,
-            sign_condition=sign_ok,
-            ratio_condition=len(common) < 2 or self._classify((common, psi[u])).kind != "Neither",
+            sign_condition=cache["signs"][(u, v)],
+            ratio_condition=len(common) < 2 or self._classify(common, psi[u]).kind != "Neither",
             support_class=support_class,
             rho_squared_is_integer=self.rho_squared_is_integer,
             delta_partition_equal=du == deltas[v],

@@ -152,7 +152,7 @@ def analyze_graph(g, config):
         psi = data.minimal_polys(range(g.n))
     vertices = []
     for u in range(g.n):
-        sup = data.support(u)
+        sup = data.supports[u]
         entry = {
             "vertex": u,
             "support": list(sup),
@@ -205,10 +205,10 @@ def _scan_doc(data):
     """Per-graph scan summary: gap report plus the verdicts of every
     cospectral pair (cospectrality is a verdict, so the pre-filter is
     lossless) and a time search for each pair that passes them all, from
-    the per-vertex facts that ``analysis.fill_stacked`` gave ``data`` over
-    the vertices of its cospectral pairs.  A graph with no vertex, or a
-    connected one above the exact cap, is an error, as in ``pair``; the
-    brute-force automorphism check is left to ``pair``."""
+    the facts that ``analysis.fill_stacked`` gave ``data`` for its
+    cospectral pairs.  A graph with no vertex, or a connected one above the
+    exact cap, is an error, as in ``pair``; the brute-force automorphism
+    check is left to ``pair``."""
     g, config = data.g, data.config
     if g.n < 1 or data.connected:
         _check_cap(g, config.exact_cap)
@@ -218,19 +218,15 @@ def _scan_doc(data):
     pairs = []
     if data.connected and g.n >= 2:
         for u, v in data.cospectral_pairs:
-            report = data.report(u, v)
-            entry = {"u": u, "v": v, "verdicts": report.verdicts()}
-            if report.all_pass:
+            verdicts = data.report(u, v).verdicts()
+            entry = {"u": u, "v": v, "verdicts": verdicts}
+            if all(verdicts.values()):
                 entry["pst"] = _event_json(analysis.search_pst(
                     data.sd, u, v, t_max=config.t_max, threshold=config.threshold
                 ))
             pairs.append(entry)
     doc["pairs"] = pairs
     return doc
-
-
-def _pair_vertices(data):
-    return {w for pair in data.cospectral_pairs for w in pair}
 
 
 # Most lines per scan chunk; a chunk runs each stacked kernel once per n.
@@ -247,7 +243,7 @@ def _scan_chunk(item):
                 datas[i] = analysis.GraphData(parse_graph6(line), config)
         except (Graph6Error, ValueError) as exc:
             docs[i] = {"id": line, "error": str(exc)}
-    analysis.fill_stacked(list(datas.values()), _pair_vertices)
+    analysis.fill_stacked(list(datas.values()), lambda data: data.cospectral_pairs)
     for i, data in datas.items():
         try:
             docs[i] = _scan_doc(data)

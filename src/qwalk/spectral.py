@@ -112,10 +112,37 @@ def transition_matrix(sd, t):
     return h
 
 
+def support_mask(sds, support_tolerance):
+    """The idempotents of the decompositions ``sds``, all of one vertex
+    count, concatenated as (clusters, n, n), and the (clusters, n) mask of
+    (E_r)_{u,u} > tolerance that defines every support; the diagonal entry
+    equals ||E_r e_u||^2 and is non-negative.  A stack of one is not copied."""
+    idems = sds[0].idempotents if len(sds) == 1 else np.concatenate(
+        [sd.idempotents for sd in sds])
+    return idems, np.diagonal(idems, axis1=1, axis2=2) > support_tolerance
+
+
+def supports_stack(sds, support_tolerance=SUPPORT_TOL_DEFAULT):
+    """Per decomposition of ``sds``, all of one vertex count, the support of
+    every vertex u, the sorted indices r with (E_r)_{u,u} > tolerance, as a
+    tuple indexed by u: one mask over the stack, split by one sort."""
+    idems, mask = support_mask(sds, support_tolerance)
+    n = idems.shape[-1]
+    sizes = [len(sd.eigenvalues) for sd in sds]
+    graph = np.repeat(np.arange(len(sds)), sizes)  # of each cluster row
+    first = np.cumsum([0] + sizes)  # each graph's first row
+    rows, verts = np.nonzero(mask)
+    key = graph[rows] * n + verts
+    order = np.lexsort((rows, key))
+    found = (rows - first[graph[rows]])[order].tolist()
+    ends = np.cumsum(np.bincount(key, minlength=len(sds) * n)).tolist()
+    parts = [tuple(found[a:b]) for a, b in zip([0] + ends, ends)]
+    return [tuple(parts[g * n:g * n + n]) for g in range(len(sds))]
+
+
 def eigenvalue_support(sd, u, support_tolerance=SUPPORT_TOL_DEFAULT):
-    """Indices r with (E_r)_{u,u} > tolerance; this diagonal entry equals
-    ||E_r e_u||^2 and is non-negative."""
-    return set(np.flatnonzero(sd.idempotents[:, u, u] > support_tolerance).tolist())
+    """The support of ``u`` as a set: ``supports_stack`` of one graph."""
+    return set(supports_stack([sd], support_tolerance)[0][u])
 
 
 @dataclass(frozen=True)

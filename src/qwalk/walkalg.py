@@ -12,7 +12,7 @@ import numpy as np
 from .polys import _primes_above, poly_degree, poly_gcd, poly_gcds
 from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, ExactPoly,
                        InternalCheckError, _check_cap, char_polys, decompose,
-                       deleted_char_polys, eigenvalue_support)
+                       deleted_char_polys, supports_stack)
 
 
 def _check_vertex(n, u):
@@ -178,10 +178,9 @@ def support_size_crosscheck(g, roots, cap=EXACT_CAP_DEFAULT,
     of the whole walk matrix and the pole count n - deg ``poly_gcd``(phi,
     phi(G - u)), so no route is used twice.  One decomposition and one
     recurrence run serve every root."""
-    sd = decompose(g)
+    supports = supports_stack([decompose(g)], support_tolerance)[0]
     phi, deleted = char_polys([g], cap)[0]
-    return {u: (rank_exact(walk_matrix(g, u, cap=cap)),
-                len(eigenvalue_support(sd, u, support_tolerance)),
+    return {u: (rank_exact(walk_matrix(g, u, cap=cap)), len(supports[u]),
                 g.n - poly_degree(poly_gcd(phi.coeffs, deleted[u].coeffs)))
             for u in roots}
 

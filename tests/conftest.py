@@ -114,3 +114,18 @@ def ratio_condition(support_values, denominator_bound=10**6, residual_tol=1e-9):
             if reconstruct_rational(ratio, denominator_bound, residual_tol) is None:
                 return RatioResult(holds=False, witness=(vals[i], vals[j], tr, ts))
     return RatioResult(holds=True)
+
+
+def support_reference(sd, u, support_tolerance):
+    """The per-vertex support that ``spectral.supports_stack`` replaced: the
+    sorted r with (E_r)_{u,u} > tolerance."""
+    return tuple(np.flatnonzero(sd.idempotents[:, u, u] > support_tolerance).tolist())
+
+
+def sign_reference(sd, u, v, support_tolerance):
+    """The per-pair strong-cospectrality test that ``analysis.signs_stack``
+    replaced: E_r e_u = +-E_r e_v on the union of the two supports."""
+    support = sorted(set(support_reference(sd, u, support_tolerance))
+                     | set(support_reference(sd, v, support_tolerance)))
+    x, y = sd.idempotents[support, :, u], sd.idempotents[support, :, v]
+    return bool(np.all(np.minimum(abs(x - y).max(axis=1), abs(x + y).max(axis=1)) < 1e-7))

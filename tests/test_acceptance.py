@@ -374,7 +374,7 @@ def _reports_as_schema_v2(report_docs):
         pair_doc = {**pair_doc, "schema_version": 2}
         if not pair_doc["verdicts"]["ratio_condition"]:
             u, v = pair_doc["pair"]
-            common = sorted(set(data.support(u)) & set(data.support(v)))
+            common = sorted(set(data.supports[u]) & set(data.supports[v]))
             pair_doc["ratio_witness"] = list(ratio_condition(data.values(common)).witness)
         yield pair_doc
 

@@ -178,10 +178,10 @@ class TestRatioCondition:
             (atlas, lambda n: itertools.combinations(range(n), 2)),
             (fixtures, lambda n: {(0, n - 1), (0, 1), (1, n - 2)} - {(1, 1)}),
         ]:
-            q.analysis.fill_stacked(datas, lambda d: range(d.g.n))
+            q.analysis.fill_stacked(datas, lambda d: list(pairs(d.g.n)))
             for data in datas:
                 for u, v in pairs(data.g.n):
-                    common = sorted(set(data.support(u)) & set(data.support(v)))
+                    common = sorted(set(data.supports[u]) & set(data.supports[v]))
                     values = tuple(data.values(common))
                     if values not in reference:
                         reference[values] = len(values) < 2 or ratio_condition(values).holds
@@ -374,12 +374,12 @@ class TestSupportAgainstPsi:
         # 0 is a root of phi(P3) = t (t^2 - 2) but not of psi_1 = t^2 - 2
         data = q.analysis.GraphData(q.path(3), q.analysis.AnalysisConfig())
         zero = next(r for r, x in enumerate(data.sd.eigenvalues) if abs(x) < 1e-9)
-        real = q.analysis.eigenvalue_support
-        monkeypatch.setattr(q.analysis, "eigenvalue_support",
-                            lambda sd, u, tol: real(sd, u, tol) | {zero})
+        real = q.analysis.supports_stack
+        monkeypatch.setattr(q.analysis, "supports_stack", lambda sds, tol: [
+            tuple(tuple(sorted(set(s) | {zero})) for s in sups) for sups in real(sds, tol)])
         psi = data.minimal_polys((1,))[1]
         assert psi.coeffs == (1, 0, -2)
-        assert zero in data.support(1)
+        assert zero in data.supports[1]
         with pytest.raises(ValueError, match="not a root"):
             data.support_class(1, psi)
 

@@ -480,8 +480,8 @@ class TestSupportAgainstPsi:
         # every eigenvalue put in every numeric support: 0 is an eigenvalue
         # of P5 but not a root of psi_1 = (t^2 - 1)(t^2 - 3), and 1 and 3
         # are a cospectral pair
-        monkeypatch.setattr(q.analysis, "eigenvalue_support",
-                            lambda sd, u, tol: set(range(sd.num_distinct)))
+        monkeypatch.setattr(q.analysis, "supports_stack", lambda sds, tol: [
+            (tuple(range(sd.num_distinct)),) * sd.n for sd in sds])
         code, out, err = run_cli(self._argv(command, q.path(5), tmp_path, (1, 3)), capsys)
         if command == "scan":
             assert code == 0

@@ -3,7 +3,9 @@ each graph, what that graph gives alone, and the per-graph checks still name
 the graph that fails them."""
 
 import io
+import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 import qwalk as q
 from qwalk import analysis, cli, graphs, partitions, spectral, walkalg
 
-from conftest import random_connected_graphs
+from conftest import random_connected_graphs, sign_reference, support_reference
 
 SIZES = (1, 2, 3, 5, 8, 13)
 
@@ -304,3 +306,64 @@ class TestFloatSideMatchesReference:
             assert [g.is_connected() for g in stack] == expected
             if n >= 2:
                 assert True in expected and False in expected
+
+    # (grouping tolerance, support tolerance): the defaults; 10, above every
+    # diagonal entry, so that every support is empty; 1e-300, which rounding
+    # noise passes; 0.3, which leaves support values out; and a grouping
+    # tolerance that merges eigenvalues
+    FLOAT_SETTINGS = [(None, q.spectral.SUPPORT_TOL_DEFAULT), (None, 10.0), (None, 1e-300),
+                      (None, 0.3), (0.3, q.spectral.SUPPORT_TOL_DEFAULT)]
+
+    @staticmethod
+    def _pairs(g):
+        # every pair, and every third one the other way round
+        pairs = list(itertools.combinations(range(g.n), 2))
+        return pairs + [(v, u) for u, v in pairs[::3]]
+
+    def _check_supports_and_signs(self, stack, grouping, support):
+        sds = spectral.decompose_stack(stack, grouping)
+        assert spectral.supports_stack(sds, support) == \
+            [tuple(support_reference(sd, u, support) for u in range(sd.n)) for sd in sds]
+        pairs = [self._pairs(g) for g in stack]
+        found = analysis.signs_stack(sds, pairs, support)
+        assert found == [{(u, v): sign_reference(sd, u, v, support) for u, v in ps}
+                         for sd, ps in zip(sds, pairs)]
+        return [sign for signs in found for sign in signs.values()]
+
+    @pytest.mark.parametrize("grouping,support", FLOAT_SETTINGS)
+    def test_supports_and_signs(self, corpus, grouping, support):
+        special = [q.hypercube(6), q.path(64),
+                   q.cartesian_product(q.petersen(), q.path(3)), q.complete(2)]
+        signs = []
+        for stack in stacks(corpus + special, seed=6):
+            signs += self._check_supports_and_signs(stack, grouping, support)
+        assert True in signs and (False in signs) == (support != 10.0)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_signs_across_blocks(self, monkeypatch, atlas_connected, rows):
+        # blocks of 1 or 3 rows cut a pair's rows (one per eigenvalue of its
+        # graph) over several blocks, failing rows included
+        stack = atlas_connected[7][:60]
+        monkeypatch.setattr(analysis, "_SIGN_BLOCK_ENTRIES", rows * 7)
+        assert max(len(sd.eigenvalues) for sd in spectral.decompose_stack(stack)) > rows
+        signs = self._check_supports_and_signs(stack, None, q.spectral.SUPPORT_TOL_DEFAULT)
+        assert True in signs and False in signs
+
+    def test_sign_pass_memory_is_bounded(self):
+        # 64 copies of Q6, as a scan chunk of Q6 lines stacks them: 2016 pairs
+        # by 7 eigenvalues each, 903,168 rows of 64 entries, would be 462 MB
+        # per float temporary gathered at once; in blocks of
+        # _SIGN_BLOCK_ENTRIES the pass stays under 40 MB, the copied
+        # idempotents (15 MB) and the per-pair dicts included
+        sds = spectral.decompose_stack([q.hypercube(6)] * 64)
+        pairs = [list(itertools.combinations(range(64), 2))] * 64
+        tracemalloc.start()
+        try:
+            found = analysis.signs_stack(sds, pairs, q.spectral.SUPPORT_TOL_DEFAULT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
+        assert found[0] == {(u, v): sign_reference(sds[0], u, v, q.spectral.SUPPORT_TOL_DEFAULT)
+                            for u, v in pairs[0]}
+        assert all(signs == found[0] for signs in found)
