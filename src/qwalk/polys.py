@@ -169,15 +169,22 @@ def poly_gcd(p, q):
 
 def _crt(residues, primes):
     """Integers in the symmetric range from their residues modulo ``primes``,
-    one row each: Garner's mixed-radix digits in int64, then one object dot
-    with the radices."""
+    one row each: Garner's mixed-radix digits in int64, each pair joined
+    into one limb d_i + p_i d_(i+1) < 2**62, then one object dot with the
+    limbs' radices.  One limb, over one or two primes, stays int64."""
     digits = residues.copy()
     for i, p in enumerate(primes):
         for j in range(i):
             digits[:, i] = (digits[:, i] - digits[:, j]) % p * pow(primes[j], -1, p) % p
-    radices = np.array([math.prod(primes[:i]) for i in range(len(primes))], dtype=object)
+    limbs = digits[:, ::2].copy()
+    limbs[:, :len(primes) // 2] += digits[:, 1::2] * np.array(primes[:-1:2], dtype=np.int64)
     modulus = math.prod(primes)
-    values = digits.astype(object) @ radices
+    if limbs.shape[1] == 1:
+        values = limbs[:, 0]
+    else:
+        radices = np.array([math.prod(primes[:i]) for i in range(0, len(primes), 2)],
+                           dtype=object)
+        values = limbs.astype(object) @ radices
     return np.where(values > modulus // 2, values - modulus, values)
 
 

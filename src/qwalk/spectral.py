@@ -169,9 +169,44 @@ def _check_cap(g, cap):
         raise ValueError(f"exact-arithmetic cap exceeded: {g.n} > {cap}")
 
 
-# A float64 product of a 0/1 matrix with residues below a prime p is exact
-# while every partial sum, at most n (p - 1), stays below 2**53.
+# A float64 product of a 0/1 matrix with non-negative integers is exact
+# while every partial sum, at most the largest degree times the largest
+# entry, stays below 2**53.
 _FLOAT64_EXACT = 2**53
+
+
+def _reduce(x, p):
+    """The float64 residue array ``x`` reduced modulo the primes ``p`` of
+    its last axis, by one int64 ``%``."""
+    return (x.astype(np.int64) % p).astype(float)
+
+
+def _residue_walks(a, x, p, at):
+    """The products A x, A (A x), ... of residue walks kept in float64 and
+    reduced modulo the primes ``p`` only near 2**53, one per step.
+
+    ``a`` is a (stack, n, n) 0/1 float64 array and ``x`` a (stack, n, ...,
+    primes) float64 array of zeros and ones, its last axis the walks modulo
+    each prime.  A row of A has at most D ones, D the largest degree, so a
+    product of entries at most b has partial sums at most D b: the bound b
+    is p - 1 after a reduction and D b after a product, and the walks are
+    reduced first (``_reduce``) when the next product could reach
+    ``_FLOAT64_EXACT``.  Each step yields A x and its entries at the index
+    ``at`` reduced as int64; the caller may overwrite those entries of the
+    yielded array with residues before the next step.  A stack of n-vertex
+    graphs is refused when n (p - 1) reaches ``_FLOAT64_EXACT``, so every
+    product straight after a reduction is exact."""
+    n, top = a.shape[-1], int(p.max()) - 1
+    if n * top >= _FLOAT64_EXACT:
+        raise InternalCheckError(f"float64 products of residues below {top + 1} "
+                                 f"are not exact at n={n}")
+    degree, bound = int(a.sum(axis=-1).max()), 1
+    while True:
+        if degree * bound >= _FLOAT64_EXACT:
+            x, bound = _reduce(x, p), top
+        x = (a @ x.reshape(len(a), n, -1)).reshape(x.shape)
+        bound = max(degree * bound, top)
+        yield x, x[at].astype(np.int64) % p
 
 
 def _coefficient_bound(n, m):
@@ -206,46 +241,48 @@ def _faddeev_leverrier(graphs):
     adjugate is det(tI - A_{G-u}), so the diagonals of B_0 .. B_{n-1} give
     every vertex-deleted characteristic polynomial.  Only the c_k and the
     diagonals are combined into integers.  The residues are (graphs, n, n,
-    primes), with primes for the largest edge count; each graph is checked
-    on its own, and an error names it.
+    primes), with primes for the largest edge count; the checks run once
+    over the stack, and an error names the first graph that fails one.
     """
     n = graphs[0].n
     # primes with a product above twice the bound, then one check prime
     primes = _primes_above(2 * _coefficient_bound(n, max(g.num_edges for g in graphs)), 1)
     p = np.array(primes, dtype=np.int64)
-    if n * (max(primes) - 1) >= _FLOAT64_EXACT:
-        raise InternalCheckError(f"{encode_graph6(graphs[0])}: float64 products are not exact")
     inverses = np.array([[pow(k, -1, q) for q in primes] for k in range(1, n + 1)],
                         dtype=np.int64)
     a = np.stack([g.adjacency for g in graphs]).astype(float)
     idx = np.arange(n)
-    b = np.zeros((len(graphs), n, n, len(primes)), dtype=np.int64)
+    b = np.zeros((len(graphs), n, n, len(primes)))
     b[:, idx, idx] = 1
-    coeffs = [np.ones_like(b[:, 0, 0])]
-    diagonals = [b[:, idx, idx]]
+    walks = _residue_walks(a, b, p, (slice(None), idx, idx))
+    coeffs = [np.ones((len(graphs), len(primes)), dtype=np.int64)]
+    diagonals = [np.ones((len(graphs), n, len(primes)), dtype=np.int64)]
     for k in range(1, n + 1):
-        m = (a @ b.reshape(len(a), n, -1).astype(float)).astype(np.int64).reshape(b.shape) % p
-        c = -(np.trace(m.transpose(1, 2, 0, 3)) % p) * inverses[k - 1] % p
+        b, d = next(walks)
+        c = -(np.sum(d, axis=1) % p) * inverses[k - 1] % p
         coeffs.append(c)
         if k < n:
-            m[:, idx, idx] = (m[:, idx, idx] + c[:, None]) % p
-            b = m
-            diagonals.append(b[:, idx, idx])
+            d = (d + c[:, None]) % p
+            b[:, idx, idx] = d
+            diagonals.append(d)
     # rows of each graph: the coefficients of phi, then those of phi(G - u)
     # for u = 0, 1, ...
     residues = np.concatenate([np.stack(coeffs, axis=1),
                                np.stack(diagonals, axis=2).reshape(len(a), n * n, -1)], axis=1)
     values, agree = _combine(residues.reshape(-1, len(primes)), primes)
-    out = []
-    for g, row, ok in zip(graphs, values.reshape(len(a), -1), agree.reshape(len(a), -1)):
-        phi, deleted = row[:n + 1].tolist(), row[n + 1:].reshape(n, n)
-        if not ok.all():
-            raise InternalCheckError(f"{encode_graph6(g)}: reconstructed integers disagree "
-                                     f"with the check prime {primes[-1]}")
-        if deleted.sum(axis=0).tolist() != [c * (n - i) for i, c in enumerate(phi[:-1])]:
-            raise InternalCheckError(f"{encode_graph6(g)}: phi' differs from sum phi(G - u)")
-        out.append((ExactPoly(tuple(phi)), tuple(ExactPoly(tuple(r)) for r in deleted.tolist())))
-    return out
+    values = values.reshape(len(a), -1)
+    phi, deleted = values[:, :n + 1], values[:, n + 1:].reshape(len(a), n, n)
+    # phi' = sum_u phi(G - u), in Python integers: int64 sums could wrap
+    derivative = phi[:, :-1].astype(object) * np.arange(n, 0, -1)
+    wrong = ~agree.reshape(len(a), -1).all(axis=1)
+    failed = wrong | (np.add.reduce(deleted, axis=1, dtype=object) != derivative).any(axis=1)
+    if failed.any():
+        i = int(np.argmax(failed))
+        reason = (f"reconstructed integers disagree with the check prime {primes[-1]}"
+                  if wrong[i] else "phi' differs from sum phi(G - u)")
+        raise InternalCheckError(f"{encode_graph6(graphs[i])}: {reason}")
+    return [(ExactPoly(tuple(f)), tuple(ExactPoly(tuple(r)) for r in rows))
+            for f, rows in zip(phi.tolist(), deleted.tolist())]
 
 
 def char_polys(graphs, cap=EXACT_CAP_DEFAULT):
@@ -259,15 +296,18 @@ def char_poly_exact(g, cap=EXACT_CAP_DEFAULT):
     """Exact characteristic polynomial det(tI - A), from the Faddeev-LeVerrier
     recurrence run modulo a few primes below 2**31 at once.
 
-    The residues are an int64 array (n, n, primes) per graph of a stack, and
-    each step A B_{k-1} is one float64 matrix product with it.  It is exact:
-    A is 0/1 and every residue is below 2**31, so every partial sum is an
-    integer below n 2**31 < 2**53, which is checked on every call.  The
-    primes' product exceeds twice a proved bound on every coefficient,
-    (1 + s)^n with s = isqrt(2m // (n - 1)) + 1, so the residues determine
-    the integers in the symmetric range.  One more prime checks them, and
-    phi' must equal the sum of the phi(G - u) in exact integers; either
-    failing raises ``InternalCheckError``."""
+    The residues are a float64 array (n, n, primes) per graph of a stack,
+    and each step A B_{k-1} is one matrix product with it
+    (``_residue_walks``).  A is 0/1 with at most D ones a row, so a product
+    of entries at most b has partial sums at most D b; the array is reduced
+    modulo the primes only when that would reach 2**53, and only the
+    diagonal, which gives c_k and every phi(G - u), on every step.  A
+    reduction leaves entries below 2**31, and n 2**31 < 2**53 is checked
+    before the first step.  The primes' product exceeds twice a proved bound on every
+    coefficient, (1 + s)^n with s = isqrt(2m // (n - 1)) + 1, so the
+    residues determine the integers in the symmetric range.  One more prime
+    checks them, and phi' must equal the sum of the phi(G - u) in exact
+    integers; either failing raises ``InternalCheckError``."""
     return char_polys([g], cap)[0][0]
 
 

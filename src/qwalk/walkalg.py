@@ -3,6 +3,7 @@ cospectrality, and the transfer similarity W_v W_u^{-1}, all exact."""
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,9 +11,9 @@ from fractions import Fraction
 import numpy as np
 
 from .polys import _primes_above, poly_degree, poly_gcd, poly_gcds
-from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, ExactPoly,
-                       InternalCheckError, _check_cap, char_polys, decompose,
-                       deleted_char_polys, supports_stack)
+from .spectral import (EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, ExactPoly, InternalCheckError,
+                       _check_cap, _residue_walks, char_polys, decompose, deleted_char_polys,
+                       supports_stack)
 
 
 def _check_vertex(n, u):
@@ -139,27 +140,25 @@ def _closed_walks(g, roots, cap):
     in ``roots``, as residues: an int64 array (roots, 2n - 1, primes).  Every
     h_k is at most D^k, D the largest degree, and the primes (below 2**31)
     have a product above 2 D^(2n - 2), so counts are equal iff residues are.
-    The walks A^k e_u modulo every prime are one int64 array, stepped by one
-    float64 product each, exact while every partial sum, below n 2**31, is
-    below 2**53: checked."""
+    The walks A^k e_u modulo every prime are one float64 array (n, roots,
+    primes), stepped by ``spectral._residue_walks``: one exact product each,
+    reduced modulo the primes only when the next product could reach 2**53,
+    and the counts h_k reduced on every step."""
     n = g.n
     for u in roots:
         _check_vertex(g.n, u)
     _check_cap(g, cap)
     top = max(int(g.adjacency.sum(axis=1).max(initial=0)), 1)
     primes = _primes_above(2 * top ** (2 * n - 2))
-    if n * (max(primes) - 1) >= _FLOAT64_EXACT:
-        raise InternalCheckError(f"float64 products are not exact at n={n}")
     rows = np.arange(len(roots))
     roots = np.array(list(roots), dtype=np.int64)
-    p = np.array(primes, dtype=np.int64)[:, None]
-    x = np.zeros((len(roots), len(primes), n), dtype=np.int64)
-    x[rows, :, roots] = 1
-    a = g.adjacency.astype(float)
-    counts = [x[rows, :, roots]]
-    for _ in range(2 * n - 2):
-        x = (x.reshape(-1, n) @ a).astype(np.int64).reshape(x.shape) % p
-        counts.append(x[rows, :, roots])
+    p = np.array(primes, dtype=np.int64)
+    x = np.zeros((1, n, len(roots), len(primes)))
+    x[0, roots, rows] = 1
+    a = g.adjacency.astype(float)[None]
+    walks = _residue_walks(a, x, p, (0, roots, rows))
+    counts = [np.ones((len(roots), len(primes)), dtype=np.int64)]
+    counts += [h for _, h in itertools.islice(walks, 2 * n - 2)]
     return np.stack(counts, axis=1)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import qwalk as q
 from qwalk.polys import poly_degree, poly_trim
+from qwalk.walkalg import walk_matrix
 
 
 def random_connected_graphs(count, n_max, seed, n_min=2):
@@ -32,6 +33,13 @@ def random_graphs(count, n_max, seed, n_min=1):
         a = np.triu((rng.random((n, n)) < 0.4).astype(int), 1)
         out.append(q.Graph(a + a.T))
     return out
+
+
+def closed_walks_reference(g, u):
+    """Reference: the closed-walk counts h_k = x_i . x_j, i + j = k, from the
+    exact object-dtype walk columns x_i = A^i e_u."""
+    w = walk_matrix(g, u)
+    return [w[:, k // 2] @ w[:, (k + 1) // 2] for k in range(2 * g.n - 1)]
 
 
 @pytest.fixture(scope="session")

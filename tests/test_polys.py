@@ -167,6 +167,39 @@ class TestPolyGcd:
             poly_gcd(p, r)
 
 
+def crt_reference(residues, primes):
+    """The integer in the symmetric range with the given residues, by the
+    textbook CRT sum in Python integers."""
+    modulus = math.prod(primes)
+    x = sum(r * (modulus // p) * pow(modulus // p, -1, p) for r, p in zip(residues, primes))
+    x %= modulus
+    return x - modulus if x > modulus // 2 else x
+
+
+class TestCrt:
+    """polys._crt, Garner digits joined in pairs, against Python integers."""
+
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_matches_python_integers(self, count):
+        primes = polys._PRIMES31[:count]
+        half = math.prod(primes) // 2
+        rng = np.random.default_rng(count)
+        values = [0, 1, -1, half, -half, half - 1, 1 - half]
+        values += [int(v) * half // 2**40 for v in rng.integers(-2**40, 2**40, 40)]
+        rows = [[v % p for p in primes] for v in values]
+        # residues 0 and p - 1 in every arrangement of the first three primes
+        rows += [[p - 1 if mask >> i & 1 else 0 for i, p in enumerate(primes)]
+                 for mask in range(2 ** min(count, 3))]
+        rows += [[p - 1 for p in primes]] + [[int(rng.integers(p)) for p in primes]
+                                             for _ in range(40)]
+        found = polys._crt(np.array(rows, dtype=np.int64), primes)
+        assert found.tolist() == [crt_reference(r, primes) for r in rows]
+        assert found.tolist()[:len(values)] == values
+        if count <= 2:
+            # one limb: the lift never leaves int64
+            assert found.dtype == np.int64
+
+
 class TestSquarefree:
     """psi_u = phi / gcd(phi, phi(G - u)), the minimal polynomial of e_u, is
     squarefree."""

@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from qwalk import cli, polys, spectral, walkalg
 from qwalk.polys import _PRIMES31, _is_prime
 from qwalk.spectral import trace_identity_check
 
-from conftest import random_graphs
+from conftest import closed_walks_reference, random_graphs
 
 
 class TestDecompose:
@@ -178,9 +180,11 @@ class TestDeletedCharPolys:
         # checked by a raise, not an assert, so python -O keeps the check
         assert q.InternalCheckError is walkalg.InternalCheckError \
             is spectral.InternalCheckError is cli.InternalCheckError
-        real_trace = np.trace
-        # 1 for each graph and prime: odd at step 2
-        monkeypatch.setattr(spectral.np, "trace", lambda m: np.ones_like(real_trace(m)))
+        real_sum = np.sum
+        # the trace, summed from the reduced diagonal: 1 for each graph and
+        # prime, odd at step 2
+        monkeypatch.setattr(spectral.np, "sum",
+                            lambda *args, **kwargs: np.ones_like(real_sum(*args, **kwargs)))
         with pytest.raises(q.InternalCheckError):
             spectral._faddeev_leverrier([q.path(3)])[0]
 
@@ -304,6 +308,105 @@ class TestResidueArithmetic:
         monkeypatch.setattr(spectral, "_FLOAT64_EXACT", 2**32)
         with pytest.raises(q.InternalCheckError):
             spectral._faddeev_leverrier([q.path(4)])[0]
+
+
+def catalog_stacks():
+    """One stack per vertex count of the benchmark catalog: the first (at
+    most 64) graphs of that count, in file order."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "atlas1000.g6"
+    by_n = {}
+    for line in path.read_text().split():
+        g = q.parse_graph6(line)
+        by_n.setdefault(g.n, []).append(g)
+    return [by_n[n][:64] for n in sorted(by_n)]
+
+
+SCHEDULE_GRAPHS = [q.complete(64), q.path(64), q.star(63), q.hypercube(6),
+                   q.cartesian_product(q.petersen(), q.path(3))]
+SCHEDULE_IDS = ["K64", "P64", "star63", "Q6", "PetersenxP3"]
+
+
+def lowest_admitted(monkeypatch, n):
+    """Patch ``_FLOAT64_EXACT`` to the smallest value that the entry refusal
+    n (p - 1) < _FLOAT64_EXACT admits at n vertices.  A product straight
+    after a reduction is then always exact, and the next one reaches the
+    bound when the largest degree D has D**2 > n: K64 and the star reduce
+    before every product but the first two, Q6 and Petersen x P3 before
+    every second one, P64 before about every sixth."""
+    monkeypatch.setattr(spectral, "_FLOAT64_EXACT", n * (_PRIMES31[0] - 1) + 1)
+
+
+def spy_reductions(monkeypatch):
+    """Count the whole-array reductions of ``spectral._residue_walks``."""
+    seen, real = [], spectral._reduce
+    monkeypatch.setattr(spectral, "_reduce", lambda x, p: seen.append(x.shape) or real(x, p))
+    return seen
+
+
+def closed_walk_residues(g, roots):
+    """``_closed_walks`` of ``roots`` on ``g``, and the same counts from the
+    object-dtype reference reduced modulo its primes."""
+    counts = walkalg._closed_walks(g, roots, 64)
+    primes = list(itertools.islice(polys._primes(), counts.shape[-1]))
+    return counts.tolist(), [[[h % p for p in primes] for h in closed_walks_reference(g, u)]
+                             for u in roots]
+
+
+class TestReductionSchedule:
+    """The lazily reduced residue step of Faddeev-LeVerrier and the closed
+    walks against the object-dtype references, at the default exactness
+    bound and at the lowest one the entry refusal admits."""
+
+    @pytest.mark.parametrize("low", [False, True], ids=["default", "lowest"])
+    @pytest.mark.parametrize("g", SCHEDULE_GRAPHS, ids=SCHEDULE_IDS)
+    def test_faddeev_leverrier(self, monkeypatch, g, low):
+        reference = faddeev_leverrier_reference(g)
+        if low:
+            lowest_admitted(monkeypatch, g.n)
+        phi, deleted = spectral._faddeev_leverrier([g])[0]
+        assert (phi.coeffs, [p.coeffs for p in deleted]) == reference
+
+    @pytest.mark.parametrize("low", [False, True], ids=["default", "lowest"])
+    @pytest.mark.parametrize("g", SCHEDULE_GRAPHS, ids=SCHEDULE_IDS)
+    def test_closed_walks(self, monkeypatch, g, low):
+        if low:
+            lowest_admitted(monkeypatch, g.n)
+        found, reference = closed_walk_residues(g, (0, 1, g.n // 2, g.n - 1))
+        assert found == reference
+
+    @pytest.mark.parametrize("low", [False, True], ids=["default", "lowest"])
+    def test_catalog_stacks(self, monkeypatch, low):
+        for stack in catalog_stacks():
+            if low:
+                lowest_admitted(monkeypatch, stack[0].n)
+            found = spectral._faddeev_leverrier(stack)
+            for g, (phi, deleted) in zip(stack, found):
+                assert (phi.coeffs, [p.coeffs for p in deleted]) == faddeev_leverrier_reference(g)
+                walks, reference = closed_walk_residues(g, range(g.n))
+                assert walks == reference
+
+    def test_path_reduces_rarely(self, monkeypatch):
+        # degree 2: about 22 products between reductions, so a fallback to
+        # reducing on every step fails here
+        g = q.path(64)
+        seen = spy_reductions(monkeypatch)
+        spectral._faddeev_leverrier([g])
+        assert 0 < len(seen) < g.n // 8
+        seen.clear()
+        walkalg._closed_walks(g, (0, 63), 64)
+        assert 0 < len(seen) < (2 * g.n - 2) // 8
+
+    def test_lowest_bound_reduces_often(self, monkeypatch):
+        # the patched runs above take the densest schedule there is: K64
+        # reduces before every product but the first two
+        g = q.complete(64)
+        lowest_admitted(monkeypatch, g.n)
+        seen = spy_reductions(monkeypatch)
+        spectral._faddeev_leverrier([g])
+        assert len(seen) == g.n - 2
+        seen.clear()
+        walkalg._closed_walks(g, (0, 63), 64)
+        assert len(seen) == 2 * g.n - 4
 
 
 class TestGapReport:

@@ -7,11 +7,12 @@ import pytest
 
 import qwalk as q
 import qwalk.polys as polys
+import qwalk.spectral as spectral
 import qwalk.walkalg as walkalg
 from qwalk.polys import poly_degree, poly_gcd
 from qwalk.walkalg import invert_exact, walk_matrix
 
-from conftest import poly_divmod, random_connected_graphs
+from conftest import closed_walks_reference, poly_divmod, random_connected_graphs
 
 LARGE = {
     "P5xP6": q.cartesian_product(q.path(5), q.path(6)),
@@ -55,13 +56,6 @@ def poly_mul_mod(a, b, p):
         for j, y in enumerate(b):
             out[i + j] = (out[i + j] + x * y) % p
     return out
-
-
-def closed_walks_reference(g, u):
-    """Reference: the closed-walk counts h_k = x_i . x_j, i + j = k, from the
-    exact object-dtype walk columns x_i = A^i e_u."""
-    w = walk_matrix(g, u)
-    return [w[:, k // 2] @ w[:, (k + 1) // 2] for k in range(2 * g.n - 1)]
 
 
 class TestWalkMatrix:
@@ -513,7 +507,8 @@ class TestClosedWalkResidues:
 
     @pytest.mark.internal_check
     def test_inexact_float_products_raise(self, monkeypatch):
-        monkeypatch.setattr(walkalg, "_FLOAT64_EXACT", 2**20)
+        # the refusal lives in the step both residue kernels share
+        monkeypatch.setattr(spectral, "_FLOAT64_EXACT", 2**20)
         with pytest.raises(q.InternalCheckError):
             q.cospectral_via_gram(q.path(4), 0, 3)
 
