@@ -16,8 +16,8 @@ import numpy as np
 from . import partitions, walkalg
 from .graphs import connected_stack
 from .spectral import (EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, char_polys, decompose,
-                       decompose_stack, eigenvalue_support, gap_report, support_mask,
-                       supports_stack, transition_matrix)
+                       decompose_stack, gap_report, support_mask, supports_stack,
+                       transition_matrix)
 from .polys import poly_divides
 
 THRESHOLD_DEFAULT = 1 - 1e-9
@@ -169,26 +169,6 @@ def search_pst(sd, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT):
                     fidelity=float(fid))
 
 
-def check_periodicity(sd, u, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT,
-                      support_class=None):
-    """Earliest time with |H(t)_{u,u}| >= threshold, or None.
-
-    When the support class is known, its closed-form ``period_candidate``
-    is tested before the scan.
-    """
-    thetas = np.asarray(sd.eigenvalues)
-    coeffs = sd.idempotents[:, u, u].astype(complex)
-
-    hits = []
-    cand = None if support_class is None else period_candidate(support_class)
-    if cand is not None and abs(_amplitude(thetas, coeffs, cand)) >= threshold:
-        hits.append(cand)
-    found = _search_amplitude(thetas, coeffs, t_max, threshold, sd.spectral_radius)
-    if found is not None:
-        hits.append(found[0])
-    return min(hits) if hits else None
-
-
 @dataclass(frozen=True)
 class PstVerification:
     """Structural checks of a PST event against the spectral decomposition."""
@@ -231,9 +211,8 @@ def verify_pst_event(sd, event, support_tolerance=SUPPORT_TOL_DEFAULT, tol=1e-8)
     periodic_v = abs(abs(h2[v, v]) - 1) < tol
     diag_phase_matches = abs(h2[u, u] - gamma**2) < tol
 
-    support = sorted(eigenvalue_support(sd, u, support_tolerance))
     signs = []
-    for r in support:
+    for r in supports_stack([sd], support_tolerance)[0][u]:
         ratio = np.exp(1j * sd.eigenvalues[r] * tau) / gamma
         signs.append((r, 1 if ratio.real >= 0 else -1))
     f_plus = sum(sd.idempotents[r] for r, s in signs if s == 1)
@@ -562,7 +541,7 @@ class GraphData:
     report runs.
     """
 
-    def __init__(self, g, config):
+    def __init__(self, g, config=AnalysisConfig()):
         self.g = g
         self.config = config
         self._cache = {}
@@ -611,9 +590,14 @@ class GraphData:
         return [float(self.sd.eigenvalues[r]) for r in support]
 
     def deltas(self, roots):
+        """Delta_u of every u of ``roots``, as a dict that also holds the
+        roots asked for before; each call adds its new roots in ascending
+        order."""
         return _fill("deltas", [self], [roots])[0]
 
     def minimal_polys(self, roots):
+        """psi_u of every u of ``roots``, whose degree is the rank of the
+        walk matrix W_u, as a dict like ``deltas``'s."""
         return _fill("psi", [self], [roots])[0]
 
     def support_class(self, u, psi):
@@ -699,33 +683,11 @@ def _check_pair(data, u, v):
         raise ValueError("necessary-condition pipeline requires a connected graph")
 
 
-def necessary_conditions(g, u, v, grouping_tolerance=None,
-                         support_tolerance=SUPPORT_TOL_DEFAULT,
-                         exact_cap=EXACT_CAP_DEFAULT,
-                         brute_force_cap=partitions.BRUTE_FORCE_CAP_DEFAULT):
-    """Evaluate every necessary condition for PST between u and v."""
-    config = AnalysisConfig(grouping_tolerance=grouping_tolerance,
-                            support_tolerance=support_tolerance,
-                            exact_cap=exact_cap, brute_force_cap=brute_force_cap)
-    return GraphData(g, config).pair(u, v, search=False)
-
-
 def analyze_pair(g, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT,
                  grouping_tolerance=None, **kwargs):
-    """necessary_conditions plus, when every verdict passes, the numeric time
-    search and, when it finds a PST event, its structural verification."""
+    """``GraphData(g, config).pair(u, v)``: every necessary-condition verdict
+    plus, when they all pass, the numeric time search and, when it finds a
+    PST event, its structural verification."""
     config = AnalysisConfig(t_max=t_max, threshold=threshold,
                             grouping_tolerance=grouping_tolerance, **kwargs)
     return GraphData(g, config).pair(u, v)
-
-
-def finiteness_bound(k):
-    """Bounds behind the finiteness result for maximum valency k: support size,
-    eccentricity, and vertex count."""
-    if k < 1:
-        raise ValueError("valency bound must be >= 1")
-    s = 2 * k + 1
-    support_bound = math.isqrt(2 * s * s - 1) + 1  # ceil(s * sqrt(2)), exact
-    eccentricity_bound = support_bound
-    vertex_bound = 1 + sum(k * (k - 1) ** (d - 1) for d in range(1, eccentricity_bound + 1))
-    return support_bound, eccentricity_bound, vertex_bound

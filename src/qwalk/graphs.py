@@ -202,7 +202,7 @@ def encode_graph6(g):
 
 
 # ---------------------------------------------------------------------------
-# Named families and surgery
+# Named families
 
 def path(n):
     if n < 1:
@@ -255,11 +255,3 @@ def cartesian_product(g, h):
     ag, ah = g.adjacency, h.adjacency
     a = np.kron(ag, np.eye(nh, dtype=np.int8)) + np.kron(np.eye(ng, dtype=np.int8), ah)
     return Graph(a)
-
-
-def delete_vertex(g, u):
-    """Remove ``u`` and its edges; surviving vertices keep their relative order."""
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range")
-    keep = [i for i in range(g.n) if i != u]
-    return Graph(g.adjacency[np.ix_(keep, keep)])

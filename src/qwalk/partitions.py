@@ -1,10 +1,9 @@
-"""Equitable partitions: color refinement, Delta_u, quotient matrices, and a
-brute-force automorphism stabilizer search for small graphs."""
+"""Equitable partitions: color refinement, Delta_u, and a brute-force
+automorphism stabilizer check for small graphs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -166,8 +165,9 @@ def coarsest_equitable_refinement(g, pi0):
 
 
 def delta_stack(graphs, roots):
-    """``delta_partitions`` of every graph, all of one vertex count, over its
-    ``roots`` list, from one batched refinement."""
+    """Delta_u, the coarsest equitable refinement of {{u}, V \\ {u}}, of
+    every u of roots[i] of each graph graphs[i], all of one vertex count, as
+    a dict per graph, from one batched refinement."""
     roots = [list(dict.fromkeys(r)) for r in roots]
     gi, flat = _stack_rows(roots)
     for u in flat[(flat < 0) | (flat >= graphs[0].n)][:1]:
@@ -176,101 +176,6 @@ def delta_stack(graphs, roots):
     colors[np.arange(len(flat)), flat] = 1
     found = iter(_partitions(graphs, gi, colors))
     return [{u: next(found) for u in vertices} for vertices in roots]
-
-
-def delta_partitions(g, roots):
-    """Delta_u, the coarsest equitable refinement of {{u}, V \\ {u}}, of
-    every u in ``roots``, as a dict: ``delta_stack`` of one graph."""
-    return delta_stack([g], [roots])[0]
-
-
-def delta_u(g, u):
-    """Delta_u: ``delta_partitions`` of one root."""
-    return delta_partitions(g, [u])[u]
-
-
-def quotient_matrix(g, pi):
-    """Integer matrix B with B[i][j] = neighbors in cell j of a cell-i vertex.
-
-    Returns None when ``pi`` is not equitable.
-    """
-    adj = g.adjacency
-    cell_of = pi.cell_of()
-    k = pi.num_cells
-    b = np.zeros((k, k), dtype=object)
-    for i, cell in enumerate(pi.cells):
-        ref = None
-        for v in cell:
-            row = [0] * k
-            for w in np.flatnonzero(adj[v]):
-                row[cell_of[w]] += 1
-            if ref is None:
-                ref = row
-                b[i] = row
-            elif row != ref:
-                return None
-    return b
-
-
-def is_equitable(g, pi):
-    """(True, B) when every cell has constant neighbor counts, else (False, None)."""
-    b = quotient_matrix(g, pi)
-    return (b is not None), b
-
-
-def characteristic_matrix(pi):
-    """0/1 matrix whose columns are the cell characteristic vectors."""
-    p = np.zeros((pi.n, pi.num_cells), dtype=object)
-    for i, cell in enumerate(pi.cells):
-        for v in cell:
-            p[v, i] = 1
-    return p
-
-
-def normalized_char_matrix(pi):
-    """Float matrix Q with unit-scaled cell columns; Q^T Q = I."""
-    q = np.zeros((pi.n, pi.num_cells))
-    for i, cell in enumerate(pi.cells):
-        q[list(cell), i] = 1.0 / np.sqrt(len(cell))
-    return q
-
-
-def projection_matrix_exact(pi):
-    """QQ^T as exact rationals: block diagonal with (1/r) J_r blocks."""
-    m = np.full((pi.n, pi.n), Fraction(0), dtype=object)
-    for cell in pi.cells:
-        w = Fraction(1, len(cell))
-        for v in cell:
-            for u in cell:
-                m[v, u] = w
-    return m
-
-
-def equitable_quotient_checks(g, pi):
-    """Exact verification of the equitable-partition equivalences.
-
-    Returns a dict with: 'equitable', and when equitable 'AP_eq_PB' (A P = P B
-    with P the characteristic matrix) and 'A_commutes_QQt' (A QQ^T = QQ^T A
-    over exact rationals).
-    """
-    ok, b = is_equitable(g, pi)
-    out = {"equitable": ok}
-    if not ok:
-        return out
-    a = np.array(g.adjacency, dtype=object)
-    p = characteristic_matrix(pi)
-    out["AP_eq_PB"] = np.array_equal(a @ p, p @ b)
-    qqt = projection_matrix_exact(pi)
-    out["A_commutes_QQt"] = np.array_equal(a @ qqt, qqt @ a)
-    return out
-
-
-def check_delta_equality(g, u, v):
-    """True iff Delta_u and Delta_v are identical as partitions."""
-    if u == v:
-        raise ValueError("vertices must be distinct")
-    deltas = delta_partitions(g, (u, v))
-    return deltas[u] == deltas[v]
 
 
 # ---------------------------------------------------------------------------
@@ -312,33 +217,6 @@ def automorphisms(g, n_cap=BRUTE_FORCE_CAP_DEFAULT, colors=None):
 
     extend(0)
     return out
-
-
-def stabilizer_orbits_bruteforce(g, u, n_cap=BRUTE_FORCE_CAP_DEFAULT):
-    """Orbit partition of the automorphisms fixing ``u``, pruned by Delta_u."""
-    n = g.n
-    if n > n_cap:
-        raise ValueError(f"brute-force cap exceeded: {n} > {n_cap}")
-    colors = delta_u(g, u).cell_of()
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in automorphisms(g, n_cap=n_cap, colors=colors):
-        if perm[u] != u:
-            continue
-        for v, w in enumerate(perm):
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[rw] = rv
-    groups = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return Partition.from_cells(groups.values(), n)
 
 
 def stabilizers_equal(g, u, v, n_cap=BRUTE_FORCE_CAP_DEFAULT):

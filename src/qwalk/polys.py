@@ -28,13 +28,6 @@ def poly_trim(coeffs):
     return list(coeffs[i:])
 
 
-def poly_degree(coeffs):
-    t = poly_trim(coeffs)
-    if len(t) == 1 and t[0] == 0:
-        return -1
-    return len(t) - 1
-
-
 # The largest primes below 2**31, for residue arithmetic in floats and int64.
 _PRIMES31 = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,

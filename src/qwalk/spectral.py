@@ -140,11 +140,6 @@ def supports_stack(sds, support_tolerance=SUPPORT_TOL_DEFAULT):
     return [tuple(parts[g * n:g * n + n]) for g in range(len(sds))]
 
 
-def eigenvalue_support(sd, u, support_tolerance=SUPPORT_TOL_DEFAULT):
-    """The support of ``u`` as a set: ``supports_stack`` of one graph."""
-    return set(supports_stack([sd], support_tolerance)[0][u])
-
-
 @dataclass(frozen=True)
 class ExactPoly:
     """Monic integer polynomial, coefficients in descending powers."""
@@ -233,7 +228,7 @@ def _combine(residues, primes):
 def _faddeev_leverrier(graphs):
     """(phi(G), (phi(G - u) for every u)) of every graph G of ``graphs``, all
     of one vertex count, from one Faddeev-LeVerrier run over the stack, in
-    the residue arithmetic that ``char_poly_exact`` describes.
+    the residue arithmetic that ``char_polys`` describes.
 
     With B_0 = I, c_k = -tr(A B_{k-1}) / k and B_k = A B_{k-1} + c_k I, the
     coefficients of det(tI - A) are c_0 = 1, c_1, ..., c_n and
@@ -286,15 +281,10 @@ def _faddeev_leverrier(graphs):
 
 
 def char_polys(graphs, cap=EXACT_CAP_DEFAULT):
-    """``_faddeev_leverrier`` of ``graphs``, all of one vertex count, within
-    ``cap``: (phi, every phi(G - u)) of each graph, from one run."""
-    _check_cap(graphs[0], cap)
-    return _faddeev_leverrier(graphs)
-
-
-def char_poly_exact(g, cap=EXACT_CAP_DEFAULT):
-    """Exact characteristic polynomial det(tI - A), from the Faddeev-LeVerrier
-    recurrence run modulo a few primes below 2**31 at once.
+    """(phi, every phi(G - u)) of each graph of ``graphs``, all of one vertex
+    count within ``cap``, exact, from one ``_faddeev_leverrier`` run modulo
+    a few primes below 2**31 at once (phi of the empty graph G - u, n = 1,
+    is 1).
 
     The residues are a float64 array (n, n, primes) per graph of a stack,
     and each step A B_{k-1} is one matrix product with it
@@ -303,21 +293,14 @@ def char_poly_exact(g, cap=EXACT_CAP_DEFAULT):
     modulo the primes only when that would reach 2**53, and only the
     diagonal, which gives c_k and every phi(G - u), on every step.  A
     reduction leaves entries below 2**31, and n 2**31 < 2**53 is checked
-    before the first step.  The primes' product exceeds twice a proved bound on every
-    coefficient, (1 + s)^n with s = isqrt(2m // (n - 1)) + 1, so the
-    residues determine the integers in the symmetric range.  One more prime
-    checks them, and phi' must equal the sum of the phi(G - u) in exact
-    integers; either failing raises ``InternalCheckError``."""
-    return char_polys([g], cap)[0][0]
-
-
-def deleted_char_polys(g, cap=EXACT_CAP_DEFAULT):
-    """Exact phi(G - u) for every vertex u, indexed by u (phi of the empty
-    graph is 1): the diagonals of the adjugate adj(tI - A) from the same
-    residue-arithmetic run as ``char_poly_exact``.  The bound there covers
-    these coefficients too (n - 1 vertices, at most m edges), and the same
-    check prime and phi' = sum_u phi(G - u) check them."""
-    return char_polys([g], cap)[0][1]
+    before the first step.  The primes' product exceeds twice a proved
+    bound on every coefficient of phi and of each phi(G - u), (1 + s)^n
+    with s = isqrt(2m // (n - 1)) + 1, so the residues determine the
+    integers in the symmetric range.  One more prime checks them, and phi'
+    must equal the sum of the phi(G - u) in exact integers; either failing
+    raises ``InternalCheckError``."""
+    _check_cap(graphs[0], cap)
+    return _faddeev_leverrier(graphs)
 
 
 @dataclass(frozen=True)
@@ -332,26 +315,11 @@ class GapReport:
         object.__setattr__(self, "satisfied", self.sigma**2 < self.bound)
 
 
-def eigenvalue_gap(g, grouping_tolerance=None):
-    """Minimum distance between eigenvalues of the multiset (0 on repeats)."""
-    if g.n < 2:
-        raise ValueError("eigenvalue gap needs at least two vertices")
-    return gap_report(decompose(g, grouping_tolerance))
-
-
 def gap_report(sd):
-    """``eigenvalue_gap`` of the graph that ``sd`` decomposes (n >= 2)."""
+    """The ``GapReport`` of the graph that ``sd`` decomposes (n >= 2): the
+    minimum distance between the eigenvalues of the multiset, 0 on repeats."""
     if np.any(sd.multiplicities > 1):
         sigma = 0.0
     else:
         sigma = float(np.min(sd.eigenvalues[:-1] - sd.eigenvalues[1:]))
     return GapReport(sigma=sigma, bound=12.0 / (sd.n + 1))
-
-
-def trace_identity_check(g):
-    """Returns (sum over eigenvalue multiset of (theta_i - theta_j)^2, 4*n*|E|)."""
-    w = np.linalg.eigvalsh(g.adjacency.astype(float))
-    diffs = w[:, None] - w[None, :]
-    lhs = float((diffs**2).sum())
-    rhs = float(4 * g.n * g.num_edges)
-    return lhs, rhs

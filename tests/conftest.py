@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import qwalk as q
-from qwalk.polys import poly_degree, poly_trim
-from qwalk.walkalg import walk_matrix
+from qwalk.polys import poly_trim
+
+from oracles import poly_degree, walk_matrix
 
 
 def random_connected_graphs(count, n_max, seed, n_min=2):

@@ -13,9 +13,11 @@ import pytest
 
 import qwalk as q
 from qwalk.cli import AnalysisConfig, analyze_graph, pair_report_json, run_scan
-from qwalk.partitions import Partition, automorphisms, equitable_quotient_checks
+from qwalk.partitions import Partition, automorphisms
 
 from conftest import random_connected_graphs, random_graphs, ratio_condition
+from oracles import (equitable_quotient_checks, support_size_crosscheck, trace_identity_check,
+                     transfer_similarity)
 
 
 def report(num, ok, detail):
@@ -79,7 +81,7 @@ def test_criterion_2_theory_consistency(pst_events):
         ver = q.verify_pst_event(sd, ev)
         if not ver.passed:
             errs.append("%s: verification" % name)
-        rep = q.necessary_conditions(g, ev.u, ev.v)
+        rep = q.GraphData(g).pair(ev.u, ev.v, search=False)
         bad = [k for k, v in rep.verdicts().items() if not v]
         if bad:
             errs.append("%s: %s" % (name, bad))
@@ -93,7 +95,7 @@ def test_criterion_3_cospectrality_oracles(random_corpus, atlas_connected):
     pairs = 0
     bad = 0
     for g in corpus:
-        deleted = q.deleted_char_polys(g)  # one recurrence run per graph
+        deleted = q.GraphData(g).char_polys[1]  # one recurrence run per graph
         for u, v in itertools.combinations(range(g.n), 2):
             pairs += 1
             if q.cospectral_via_gram(g, u, v) != (deleted[u] == deleted[v]):
@@ -107,7 +109,7 @@ def test_criterion_4_support_identity(random_corpus, atlas_connected):
     checked = 0
     bad = 0
     for g in corpus:
-        for rank, support, poles in q.support_size_crosscheck(g, range(g.n)).values():
+        for rank, support, poles in support_size_crosscheck(g, range(g.n)).values():
             checked += 1
             if not rank == support == poles:
                 bad += 1
@@ -120,14 +122,14 @@ def test_criterion_5_gap_bound(random_corpus, atlas_connected):
     gap_bad = 0
     trace_bad = 0
     for g in corpus:
-        rep = q.eigenvalue_gap(g)
+        rep = q.GraphData(g).gap
         if not rep.satisfied:
             gap_bad += 1
-        lhs, rhs = q.trace_identity_check(g)
+        lhs, rhs = trace_identity_check(g)
         if abs(lhs - rhs) > 1e-6 * max(abs(rhs), 1.0):
             trace_bad += 1
     # n = 2 equality case, reported and exempted
-    k2 = q.eigenvalue_gap(q.path(2))
+    k2 = q.GraphData(q.path(2)).gap
     assert k2.sigma ** 2 == pytest.approx(k2.bound)
     report(5, gap_bad == 0 and trace_bad == 0,
            "%d graphs, %d gap / %d trace violations; K2 attains equality (exempt)"
@@ -155,17 +157,17 @@ def test_criterion_7_support_classes():
     errs = []
 
     q3 = q.hypercube(3)
-    sc = q.necessary_conditions(q3, 0, 7).support_class
+    sc = q.GraphData(q3).pair(0, 7, search=False).support_class
     if sc.kind != "Integer":
         errs.append("Q3: %s" % sc.kind)
 
     for name, g, u, v in [("P3", q.path(3), 0, 2),
                           ("P3xP3", q.cartesian_product(q.path(3), q.path(3)), 0, 8)]:
-        sc = q.necessary_conditions(g, u, v).support_class
+        sc = q.GraphData(g).pair(u, v, search=False).support_class
         if not (sc.kind == "Quadratic" and sc.a == 0 and sc.delta == 2):
             errs.append("%s: %s" % (name, sc))
 
-    sc = q.necessary_conditions(q.path(4), 0, 3).support_class
+    sc = q.GraphData(q.path(4)).pair(0, 3, search=False).support_class
     if sc.kind != "Neither":
         errs.append("P4: %s" % sc.kind)
     report(7, not errs,
@@ -186,23 +188,25 @@ def test_criterion_8_equitable_exactness():
               and checks["A_commutes_QQt"])
         if not ok:
             bad += 1
-    q3_cells = [len(c) for c in q.delta_u(q.hypercube(3), 0).cells]
+    q3_cells = [len(c) for c in q.GraphData(q.hypercube(3)).deltas([0])[0].cells]
     report(8, bad == 0 and q3_cells == [1, 3, 3, 1],
            "200 graphs exact, %d failures; delta_u(Q3) cells %s" % (bad, q3_cells))
 
 
 def test_criterion_9_transfer_similarity():
-    ts = q.transfer_similarity(q.path(4), 0, 3)
+    ts = transfer_similarity(q.path(4), 0, 3)
     p4_ok = (np.array_equal(ts.matrix.astype(int), np.eye(4, dtype=int)[::-1])
              and ts.commutes_with_adjacency and ts.orthogonal and ts.maps_u_to_v)
 
     # pair found by brute-force catalog search over n <= 9
     g = q.parse_graph6("GSv~Sc")
     u, v = 1, 7
-    pair_ok = (q.cospectral_via_charpoly(g, u, v)
-               and q.is_controllable(g, u) and q.is_controllable(g, v)
+    data = q.GraphData(g)
+    psi = data.minimal_polys((u, v))
+    pair_ok = (data.cospectral(u, v)
+               and psi[u].degree == g.n and psi[v].degree == g.n
                and not any(p[u] == v for p in automorphisms(g)))
-    ts2 = q.transfer_similarity(g, u, v)
+    ts2 = transfer_similarity(g, u, v)
     entries = {abs(x) for row in ts2.matrix for x in row}
     pair_ok = pair_ok and ts2.orthogonal and ts2.commutes_with_adjacency \
         and ts2.maps_u_to_v and not entries <= {0, 1}
@@ -311,7 +315,7 @@ def test_scan_verdicts_are_the_pair_verdicts(catalog_lines, scan_text):
             verdicts = pair["verdicts"]
             if not all(v for k, v in verdicts.items() if k != "sign_condition"):
                 continue
-            full = q.necessary_conditions(q.parse_graph6(line), pair["u"], pair["v"])
+            full = q.GraphData(q.parse_graph6(line)).pair(pair["u"], pair["v"], search=False)
             expected = full.verdicts()
             del expected["automorphism_stabilizer_equal"]
             assert verdicts == expected, (line, pair)
@@ -349,7 +353,7 @@ def report_docs():
     config = AnalysisConfig()
     out = []
     for g in REPORT_GRAPHS.values():
-        data = q.analysis.GraphData(g, config)
+        data = q.GraphData(g, config)
         out.append((data, analyze_graph(g, config), pair_report_json(g, data.pair(0, g.n - 1))))
     return out
 

@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 import qwalk as q
-from qwalk.partitions import (
-    Partition,
-    automorphisms,
-    characteristic_matrix,
-    equitable_quotient_checks,
-    normalized_char_matrix,
-    stabilizers_equal,
-)
-
 from qwalk import partitions
+from qwalk.partitions import Partition, automorphisms, stabilizers_equal
 
 from conftest import random_connected_graphs, random_graphs
+from oracles import (characteristic_matrix, equitable_quotient_checks, is_equitable,
+                     stabilizer_orbits_bruteforce)
 
 
 def refine_reference(g, pi0):
@@ -88,8 +82,8 @@ class TestRefinement:
             a = np.asarray(g.adjacency)[np.ix_(perm, perm)]
             h = q.Graph(a)
             # relabeled graph: vertex i of h corresponds to perm[i] of g
-            pi_g = q.delta_u(g, int(perm[0]))
-            pi_h = q.delta_u(h, 0)
+            pi_g = q.GraphData(g).deltas([int(perm[0])])[int(perm[0])]
+            pi_h = q.GraphData(h).deltas([0])[0]
             inv = np.argsort(perm)
             mapped = Partition.from_cells(
                 [[int(inv[v]) for v in cell] for cell in pi_g.cells], g.n
@@ -99,7 +93,7 @@ class TestRefinement:
 
 class TestDeltaU:
     def test_hypercube_distance_partition(self):
-        pi = q.delta_u(q.hypercube(3), 0)
+        pi = q.GraphData(q.hypercube(3)).deltas([0])[0]
         assert [len(c) for c in pi.cells] == [1, 3, 3, 1]
         # cells are exactly the Hamming-distance classes
         assert pi.cells[0] == (0,)
@@ -107,10 +101,10 @@ class TestDeltaU:
         assert set(pi.cells[3]) == {7}
 
     def test_p4_end_is_discrete(self):
-        assert q.delta_u(q.path(4), 0) == Partition.discrete(4)
+        assert q.GraphData(q.path(4)).deltas([0])[0] == Partition.discrete(4)
 
     def test_k1(self):
-        assert q.delta_u(q.Graph.from_edges(1, []), 0) == Partition.discrete(1)
+        assert q.GraphData(q.Graph.from_edges(1, [])).deltas([0])[0] == Partition.discrete(1)
 
 
 LARGE = {
@@ -123,12 +117,12 @@ LARGE = {
 
 
 class TestBatchedRefinement:
-    """delta_partitions and coarsest_equitable_refinement against the
+    """GraphData.deltas and coarsest_equitable_refinement against the
     refinement loop that refines one cell at a time."""
 
     @staticmethod
     def _check(g):
-        deltas = partitions.delta_partitions(g, range(g.n))
+        deltas = q.GraphData(g).deltas(range(g.n))
         assert sorted(deltas) == list(range(g.n))
         for u in range(g.n):
             assert deltas[u] == delta_reference(g, u)
@@ -151,18 +145,19 @@ class TestBatchedRefinement:
         self._check(LARGE[name])
 
     def test_roots_subset_and_order(self):
+        # a first call lists its roots in ascending order
         g = q.cartesian_product(q.path(3), q.path(4))
-        deltas = partitions.delta_partitions(g, [9, 2, 5])
-        assert list(deltas) == [9, 2, 5]
+        deltas = q.GraphData(g).deltas([9, 2, 5])
+        assert list(deltas) == [2, 5, 9]
         assert all(deltas[u] == delta_reference(g, u) for u in deltas)
-        assert partitions.delta_partitions(g, []) == {}
+        assert q.GraphData(g).deltas([]) == {}
 
     def test_batches_of_roots(self, monkeypatch):
         # a small entry budget splits the roots into several batches
         g = q.hypercube(4)
-        whole = partitions.delta_partitions(g, range(g.n))
+        whole = q.GraphData(g).deltas(range(g.n))
         monkeypatch.setattr(partitions, "_BATCH_ENTRIES", 3 * g.n**2)
-        assert partitions.delta_partitions(g, range(g.n)) == whole
+        assert q.GraphData(g).deltas(range(g.n)) == whole
 
     def test_refines_any_start(self):
         rng = np.random.default_rng(613)
@@ -175,22 +170,22 @@ class TestBatchedRefinement:
 
     def test_bad_root(self):
         with pytest.raises(ValueError):
-            partitions.delta_partitions(q.path(3), [0, 3])
+            q.GraphData(q.path(3)).deltas([0, 3])
 
 
 class TestIsEquitable:
     def test_star_quotient(self):
-        ok, b = q.is_equitable(q.star(3), Partition.from_cells([[0], [1, 2, 3]], 4))
+        ok, b = is_equitable(q.star(3), Partition.from_cells([[0], [1, 2, 3]], 4))
         assert ok
         assert b.tolist() == [[0, 3], [1, 0]]
 
     def test_p3_unbalanced_split(self):
-        ok, b = q.is_equitable(q.path(3), Partition.from_cells([[0], [1, 2]], 3))
+        ok, b = is_equitable(q.path(3), Partition.from_cells([[0], [1, 2]], 3))
         assert not ok and b is None
 
     def test_discrete_gives_adjacency(self):
         g = q.cycle(4)
-        ok, b = q.is_equitable(g, Partition.discrete(4))
+        ok, b = is_equitable(g, Partition.discrete(4))
         assert ok
         assert np.array_equal(np.asarray(b, dtype=int), np.asarray(g.adjacency))
 
@@ -202,74 +197,52 @@ class TestIsEquitable:
             assert checks["AP_eq_PB"]
             assert checks["A_commutes_QQt"]
 
-
-class TestNormalizedCharMatrix:
-    def test_discrete_is_identity(self):
-        assert np.array_equal(normalized_char_matrix(Partition.discrete(4)), np.eye(4))
-
-    def test_single_cell(self):
-        qm = normalized_char_matrix(Partition.trivial(4))
-        assert np.allclose(qm, np.full((4, 1), 0.5))
-
-    def test_orthonormal_columns(self):
-        pi = Partition.from_cells([[0, 2], [1], [3, 4, 5]], 6)
-        qm = normalized_char_matrix(pi)
-        assert np.allclose(qm.T @ qm, np.eye(3), atol=1e-12)
-
     def test_char_matrix_gram_is_cell_sizes(self):
         pi = Partition.from_cells([[0, 2], [1], [3, 4, 5]], 6)
         p = characteristic_matrix(pi)
         assert np.array_equal((p.T @ p).astype(int), np.diag([2, 1, 3]))
 
-    def test_singleton_cell_fixes_basis_vector(self):
-        pi = Partition.from_cells([[0, 2], [1], [3]], 4)
-        qm = normalized_char_matrix(pi)
-        proj = qm @ qm.T
-        for u in range(4):
-            fixed = np.allclose(proj[:, u], np.eye(4)[:, u])
-            assert fixed == ((u,) in pi.cells)
-
 
 class TestDeltaEquality:
     def test_hypercube_antipodal(self):
-        assert q.check_delta_equality(q.hypercube(3), 0, 7)
+        deltas = q.GraphData(q.hypercube(3)).deltas((0, 7))
+        assert deltas[0] == deltas[7]
 
     def test_p4_end_vs_interior_both_discrete(self):
         # direct computation: refining either {{0}, rest} or {{1}, rest}
         # splits P4 all the way down, so the two partitions coincide
-        assert q.delta_u(q.path(4), 0) == Partition.discrete(4)
-        assert q.delta_u(q.path(4), 1) == Partition.discrete(4)
-        assert q.check_delta_equality(q.path(4), 0, 1)
+        deltas = q.GraphData(q.path(4)).deltas((0, 1))
+        assert deltas[0] == Partition.discrete(4)
+        assert deltas[1] == Partition.discrete(4)
+        assert deltas[0] == deltas[1]
 
     def test_star_center_vs_leaf(self):
-        assert not q.check_delta_equality(q.star(3), 0, 1)
+        deltas = q.GraphData(q.star(3)).deltas((0, 1))
+        assert deltas[0] != deltas[1]
 
     def test_p3_ends(self):
-        assert q.check_delta_equality(q.path(3), 0, 2)
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            q.check_delta_equality(q.path(3), 1, 1)
+        deltas = q.GraphData(q.path(3)).deltas((0, 2))
+        assert deltas[0] == deltas[2]
 
 
 class TestAutomorphisms:
     def test_p3_end_stabilizer_trivial(self):
-        pi = q.stabilizer_orbits_bruteforce(q.path(3), 0)
+        pi = stabilizer_orbits_bruteforce(q.path(3), 0)
         assert pi == Partition.discrete(3)
 
     def test_star_center_orbits(self):
-        pi = q.stabilizer_orbits_bruteforce(q.star(3), 0)
+        pi = stabilizer_orbits_bruteforce(q.star(3), 0)
         assert pi.cells == ((0,), (1, 2, 3))
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            q.stabilizer_orbits_bruteforce(q.petersen(), 0, n_cap=9)
+            stabilizer_orbits_bruteforce(q.petersen(), 0, n_cap=9)
 
     def test_orbits_refine_delta_u(self):
         for g in random_graphs(100, 8, seed=83, n_min=2):
             u = g.n - 1
-            orbits = q.stabilizer_orbits_bruteforce(g, u)
-            assert orbits.refines(q.delta_u(g, u))
+            orbits = stabilizer_orbits_bruteforce(g, u)
+            assert orbits.refines(q.GraphData(g).deltas([u])[u])
 
     def test_automorphism_count_examples(self):
         assert len(automorphisms(q.complete(4))) == 24

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import qwalk as q
 from qwalk import polys
-from qwalk.polys import poly_degree, poly_gcd, poly_trim
+from qwalk.polys import poly_gcd, poly_trim
 
 from conftest import poly_divmod, random_connected_graphs
+from oracles import poly_degree
 
 
 def euclid_gcd(p, r):
@@ -56,8 +57,8 @@ def is_prime_mr(n, rounds=40, seed=0):
 
 
 def pairs_of(g):
-    phi = q.char_poly_exact(g).coeffs
-    return [(phi, p.coeffs) for p in q.deleted_char_polys(g)]
+    phi, deleted = q.GraphData(g).char_polys
+    return [(phi.coeffs, p.coeffs) for p in deleted]
 
 
 class TestPrimes:
@@ -210,4 +211,4 @@ class TestSquarefree:
         expected = [1]
         for k in range(-6, 7, 2):
             expected = poly_mul(expected, [1, -k])
-        assert q.walkalg.minimal_polys(q.hypercube(6), [0])[0].coeffs == tuple(expected)
+        assert q.GraphData(q.hypercube(6)).minimal_polys([0])[0].coeffs == tuple(expected)

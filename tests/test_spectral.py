@@ -8,9 +8,9 @@ import pytest
 import qwalk as q
 from qwalk import cli, polys, spectral, walkalg
 from qwalk.polys import _PRIMES31, _is_prime
-from qwalk.spectral import trace_identity_check
 
 from conftest import closed_walks_reference, random_graphs
+from oracles import delete_vertex, trace_identity_check
 
 
 class TestDecompose:
@@ -86,16 +86,13 @@ class TestTransitionMatrix:
 
 class TestEigenvalueSupport:
     def test_hypercube_vertex_transitive(self):
-        sd = q.decompose(q.hypercube(3))
-        assert q.eigenvalue_support(sd, 5) == {0, 1, 2, 3}
+        assert q.GraphData(q.hypercube(3)).supports[5] == (0, 1, 2, 3)
 
     def test_p3_center_misses_zero(self):
-        sd = q.decompose(q.path(3))
-        assert q.eigenvalue_support(sd, 1) == {0, 2}
+        assert q.GraphData(q.path(3)).supports[1] == (0, 2)
 
     def test_k1(self):
-        sd = q.decompose(q.Graph.from_edges(1, []))
-        assert q.eigenvalue_support(sd, 0) == {0}
+        assert q.GraphData(q.Graph.from_edges(1, [])).supports[0] == (0,)
 
 
 class TestCharPolyExact:
@@ -105,15 +102,15 @@ class TestCharPolyExact:
         (q.path(4), (1, 0, -3, 0, 1)),
     ])
     def test_examples(self, g, coeffs):
-        assert q.char_poly_exact(g).coeffs == coeffs
+        assert q.GraphData(g).phi.coeffs == coeffs
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            q.char_poly_exact(q.path(5), cap=4)
+            q.GraphData(q.path(5), q.AnalysisConfig(exact_cap=4)).phi
 
     def test_roots_match_numeric(self):
         for g in random_graphs(40, 12, seed=41):
-            phi = q.char_poly_exact(g)
+            phi = q.GraphData(g).phi
             w = np.linalg.eigvalsh(g.adjacency.astype(float))
             vals = np.polyval([float(c) for c in phi.coeffs], w)
             # scale by derivative magnitude to keep the check meaningful
@@ -144,36 +141,36 @@ class TestDeletedCharPolys:
 
     @pytest.mark.parametrize("g", NAMED_FAMILIES, ids=repr)
     def test_named_families(self, g):
-        deleted = q.deleted_char_polys(g)
+        deleted = q.GraphData(g).char_polys[1]
         assert len(deleted) == g.n
         for u in range(g.n):
             if g.n == 1:
                 assert deleted[u].coeffs == (1,)
             else:
-                assert deleted[u] == q.char_poly_exact(q.delete_vertex(g, u))
+                assert deleted[u] == q.GraphData(delete_vertex(g, u)).phi
 
     @pytest.mark.parametrize("g", NAMED_FAMILIES, ids=repr)
     def test_char_poly_matches_reference(self, g):
-        assert q.char_poly_exact(g).coeffs == charpoly_reference(g)
+        assert q.GraphData(g).phi.coeffs == charpoly_reference(g)
 
     def test_random_corpus(self):
         for g in random_graphs(40, 12, seed=47, n_min=2):
-            assert q.char_poly_exact(g).coeffs == charpoly_reference(g)
-            deleted = q.deleted_char_polys(g)
+            phi, deleted = q.GraphData(g).char_polys
+            assert phi.coeffs == charpoly_reference(g)
             for u in range(g.n):
-                assert deleted[u] == q.char_poly_exact(q.delete_vertex(g, u))
+                assert deleted[u] == q.GraphData(delete_vertex(g, u)).phi
 
     def test_same_run_as_char_poly(self):
         # phi'(t) = sum_u phi(G - u)(t)
         g = q.petersen()
-        phi = q.char_poly_exact(g).coeffs
-        deriv = [c * (g.n - i) for i, c in enumerate(phi[:-1])]
-        total = [sum(p.coeffs[k] for p in q.deleted_char_polys(g)) for k in range(g.n)]
+        phi, deleted = q.GraphData(g).char_polys
+        deriv = [c * (g.n - i) for i, c in enumerate(phi.coeffs[:-1])]
+        total = [sum(p.coeffs[k] for p in deleted) for k in range(g.n)]
         assert total == deriv
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            q.deleted_char_polys(q.path(5), cap=4)
+            q.GraphData(q.path(5), q.AnalysisConfig(exact_cap=4)).char_polys
 
     @pytest.mark.internal_check
     def test_indivisible_trace_raises(self, monkeypatch):
@@ -222,8 +219,8 @@ CAP_IDS = ["K64", "star63", "Q6", "P64", "C64", "random64-0.1", "random64-0.5", 
 def fewest_primes(g):
     """The fewest leading 31-bit primes whose product exceeds twice every
     |coefficient| of phi(G) and the phi(G - u)."""
-    top = max(abs(c) for p in (q.char_poly_exact(g), *q.deleted_char_polys(g))
-              for c in p.coeffs)
+    phi, deleted = q.GraphData(g).char_polys
+    top = max(abs(c) for p in (phi, *deleted) for c in p.coeffs)
     count, product = 0, 1
     while product <= 2 * top:
         product *= _PRIMES31[count]
@@ -247,10 +244,11 @@ class TestResidueArithmetic:
     @pytest.mark.parametrize("g", CAP_GRAPHS, ids=CAP_IDS)
     def test_matches_references(self, g):
         phi, deleted = faddeev_leverrier_reference(g)
-        assert q.char_poly_exact(g).coeffs == charpoly_reference(g) == phi
-        assert [p.coeffs for p in q.deleted_char_polys(g)] == deleted
+        found_phi, found_deleted = q.GraphData(g).char_polys
+        assert found_phi.coeffs == charpoly_reference(g) == phi
+        assert [p.coeffs for p in found_deleted] == deleted
         for u in (0, 1, g.n // 2, g.n - 1):
-            assert q.deleted_char_polys(g)[u] == q.char_poly_exact(q.delete_vertex(g, u))
+            assert found_deleted[u] == q.GraphData(delete_vertex(g, u)).phi
 
     @pytest.mark.parametrize("g", CAP_GRAPHS, ids=CAP_IDS)
     def test_bound_covers_every_coefficient(self, monkeypatch, g):
@@ -411,24 +409,20 @@ class TestReductionSchedule:
 
 class TestGapReport:
     def test_p4(self):
-        rep = q.eigenvalue_gap(q.path(4))
+        rep = q.GraphData(q.path(4)).gap
         assert abs(rep.sigma - 1.0) < 1e-10
         assert rep.bound == pytest.approx(2.4)
         assert rep.satisfied
 
     def test_k3_repeated(self):
-        rep = q.eigenvalue_gap(q.complete(3))
+        rep = q.GraphData(q.complete(3)).gap
         assert rep.sigma == 0.0 and rep.satisfied
 
     def test_k2_attains_equality(self):
         # sigma^2 = 4 = 12/3: the strict bound fails on K2
-        rep = q.eigenvalue_gap(q.complete(2))
+        rep = q.GraphData(q.complete(2)).gap
         assert abs(rep.sigma - 2.0) < 1e-12
         assert not rep.satisfied
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            q.eigenvalue_gap(q.Graph.from_edges(1, []))
 
 
 class TestTraceIdentity:

@@ -72,9 +72,10 @@ class TestStackMatchesOneGraph:
         for i, stack in enumerate(stacks(corpus, seed=2)):
             roots = roots_for(stack, seed=i)
             found = walkalg.minimal_polys_stack(spectral.char_polys(stack), roots)
-            assert found == [walkalg.minimal_polys(g, r) for g, r in zip(stack, roots)]
+            alone = [q.GraphData(g).minimal_polys(r) for g, r in zip(stack, roots)]
+            assert found == alone
             assert [{u: psi.degree for u, psi in f.items()} for f in found] == \
-                [walkalg.walk_ranks(g, r) for g, r in zip(stack, roots)]
+                [{u: psi.degree for u, psi in f.items()} for f in alone]
 
     def test_controllability(self, corpus):
         for i, stack in enumerate(stacks(corpus, seed=3)):
@@ -82,20 +83,21 @@ class TestStackMatchesOneGraph:
             found = walkalg.minimal_polys_stack(spectral.char_polys(stack), roots)
             assert [{u: psi.degree == g.n for u, psi in f.items()}
                     for g, f in zip(stack, found)] == \
-                [walkalg.controllability(g, r) for g, r in zip(stack, roots)]
+                [{u: psi.degree == g.n for u, psi in q.GraphData(g).minimal_polys(r).items()}
+                 for g, r in zip(stack, roots)]
 
     def test_delta_partitions(self, corpus):
         for i, stack in enumerate(stacks(corpus, seed=4)):
             roots = roots_for(stack, seed=i)
             assert partitions.delta_stack(stack, roots) == \
-                [partitions.delta_partitions(g, r) for g, r in zip(stack, roots)]
+                [q.GraphData(g).deltas(r) for g, r in zip(stack, roots)]
 
     def test_batches_split_across_graphs(self, monkeypatch, atlas_connected):
         # a small entry budget cuts the rows of a stack into batches that hold
         # a part of one graph's rows or several graphs'
         stack = atlas_connected[7][:40]
         roots = [range(7)] * len(stack)
-        alone_deltas = [partitions.delta_partitions(g, r) for g, r in zip(stack, roots)]
+        alone_deltas = [q.GraphData(g).deltas(r) for g, r in zip(stack, roots)]
         monkeypatch.setattr(partitions, "_BATCH_ENTRIES", 11 * 7 * 7)
         assert partitions.delta_stack(stack, roots) == alone_deltas
 
@@ -110,10 +112,12 @@ class TestStackMatchesOneGraph:
             assert spectral._faddeev_leverrier(stack) == \
                 [spectral._faddeev_leverrier([g])[0] for g in stack]
             found = walkalg.minimal_polys_stack(spectral.char_polys(stack), roots)
-            assert found == [walkalg.minimal_polys(g, r) for g, r in zip(stack, roots)]
+            alone = [q.GraphData(g).minimal_polys(r) for g, r in zip(stack, roots)]
+            assert found == alone
             assert [{u: psi.degree == g.n for u, psi in f.items()}
                     for g, f in zip(stack, found)] == \
-                [walkalg.controllability(g, r) for g, r in zip(stack, roots)]
+                [{u: psi.degree == g.n for u, psi in f.items()}
+                 for g, f in zip(stack, alone)]
 
     def test_primes_cover_the_densest_graph(self, monkeypatch):
         # the coefficient bound grows with the edge count, so a stack takes

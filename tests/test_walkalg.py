@@ -9,10 +9,11 @@ import qwalk as q
 import qwalk.polys as polys
 import qwalk.spectral as spectral
 import qwalk.walkalg as walkalg
-from qwalk.polys import poly_degree, poly_gcd
-from qwalk.walkalg import invert_exact, walk_matrix
+from qwalk.polys import poly_gcd
 
 from conftest import closed_walks_reference, poly_divmod, random_connected_graphs
+from oracles import (invert_exact, poly_degree, rank_exact, support_size_crosscheck,
+                     transfer_similarity, walk_matrix)
 
 LARGE = {
     "P5xP6": q.cartesian_product(q.path(5), q.path(6)),
@@ -25,14 +26,20 @@ LARGE = {
 
 def bareiss_ranks(g):
     """Reference: the Bareiss rank of every whole walk matrix."""
-    return {u: q.rank_exact(walk_matrix(g, u)) for u in range(g.n)}
+    return {u: rank_exact(walk_matrix(g, u)) for u in range(g.n)}
 
 
 def coprime_reference(g):
     """Reference: gcd(phi, phi(G - u)) = 1 by the certified modular gcd."""
-    phi = q.char_poly_exact(g).coeffs
-    return {u: poly_degree(poly_gcd(phi, p.coeffs)) == 0
-            for u, p in enumerate(q.deleted_char_polys(g))}
+    phi, deleted = q.GraphData(g).char_polys
+    return {u: poly_degree(poly_gcd(phi.coeffs, p.coeffs)) == 0
+            for u, p in enumerate(deleted)}
+
+
+def degrees(psi):
+    """deg psi_u, the walk-matrix rank, of every psi_u of a
+    ``GraphData.minimal_polys`` view."""
+    return {u: p.degree for u, p in psi.items()}
 
 
 def spy_poly_gcd(monkeypatch):
@@ -84,55 +91,49 @@ class TestWalkMatrix:
 
 class TestRankExact:
     def test_identity(self):
-        assert q.rank_exact(np.eye(6, dtype=int)) == 6
+        assert rank_exact(np.eye(6, dtype=int)) == 6
 
     def test_p3_center_rank_two(self):
-        assert q.rank_exact(walk_matrix(q.path(3), 1)) == 2
+        assert rank_exact(walk_matrix(q.path(3), 1)) == 2
 
     def test_p4_end_full_rank(self):
-        assert q.rank_exact(walk_matrix(q.path(4), 0)) == 4
+        assert rank_exact(walk_matrix(q.path(4), 0)) == 4
 
     def test_zero_and_rectangular(self):
-        assert q.rank_exact(np.zeros((3, 3), dtype=int)) == 0
-        assert q.rank_exact(np.array([[1, 2, 3], [2, 4, 6]], dtype=object)) == 1
+        assert rank_exact(np.zeros((3, 3), dtype=int)) == 0
+        assert rank_exact(np.array([[1, 2, 3], [2, 4, 6]], dtype=object)) == 1
 
     def test_matches_numpy_on_random(self):
         rng = np.random.default_rng(97)
         for _ in range(50):
             m = rng.integers(-3, 4, size=(6, 6))
-            assert q.rank_exact(m) == np.linalg.matrix_rank(m.astype(float))
+            assert rank_exact(m) == np.linalg.matrix_rank(m.astype(float))
 
 
 class TestWalkRank:
-    """walk_rank, and walk_ranks over every root, must equal the Bareiss rank
+    """deg psi_u, of one root or of every root, must equal the Bareiss rank
     of the whole walk matrix."""
 
     def test_matches_bareiss_on_atlas(self, atlas_connected):
         for graphs in atlas_connected.values():
             for g in graphs:
-                ranks = walkalg.walk_ranks(g, range(g.n))
+                ranks = degrees(q.GraphData(g).minimal_polys(range(g.n)))
                 for u in range(g.n):
-                    assert ranks[u] == q.rank_exact(walk_matrix(g, u))
+                    assert ranks[u] == rank_exact(walk_matrix(g, u))
 
     def test_matches_bareiss_on_random_corpus(self):
         for g in random_connected_graphs(300, 10, seed=20240901):
-            ranks = walkalg.walk_ranks(g, range(g.n))
+            ranks = degrees(q.GraphData(g).minimal_polys(range(g.n)))
             for u in range(g.n):
-                assert ranks[u] == q.rank_exact(walk_matrix(g, u))
+                assert ranks[u] == rank_exact(walk_matrix(g, u))
 
-    @pytest.mark.parametrize("g", [
-        q.cartesian_product(q.path(5), q.path(6)),
-        q.hypercube(5),
-        q.hypercube(6),
-        q.path(64),
-        q.cycle(40),
-    ], ids=["P5xP6", "Q5", "Q6", "P64", "C40"])
+    @pytest.mark.parametrize("g", list(LARGE.values()), ids=list(LARGE))
     def test_matches_bareiss_on_large_graphs(self, g):
         # all five have rank-deficient vertices, so a lifted gcd decides them
-        ranks = walkalg.walk_ranks(g, range(g.n))
+        ranks = degrees(q.GraphData(g).minimal_polys(range(g.n)))
         assert min(ranks.values()) < g.n
         for u in range(g.n):
-            assert ranks[u] == q.rank_exact(walk_matrix(g, u))
+            assert ranks[u] == rank_exact(walk_matrix(g, u))
 
     def test_unlucky_prime_falls_back_to_poly_gcd(self, monkeypatch, atlas_connected):
         # modulo 2 many Euclids degenerate or find too large a gcd, which the
@@ -142,7 +143,8 @@ class TestWalkRank:
         for n in range(2, 6):
             for g in atlas_connected[n]:
                 for u in range(g.n):
-                    assert q.walk_rank(g, u) == q.rank_exact(walk_matrix(g, u))
+                    assert q.GraphData(g).minimal_polys([u])[u].degree == \
+                        rank_exact(walk_matrix(g, u))
         assert sent
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
@@ -168,28 +170,28 @@ class TestWalkRank:
 
     def test_bad_vertex_and_cap(self):
         with pytest.raises(ValueError):
-            q.walk_rank(q.path(3), 3)
+            q.GraphData(q.path(3)).minimal_polys([3])
         with pytest.raises(ValueError):
-            q.walk_rank(q.path(5), 0, cap=4)
+            q.GraphData(q.path(5), q.AnalysisConfig(exact_cap=4)).minimal_polys([0])
 
 
 class TestWalkRanks:
-    """walk_ranks over a whole root set against the Bareiss rank of each
+    """deg psi_u over a whole root set against the Bareiss rank of each
     whole walk matrix."""
 
     def test_atlas(self, atlas_connected):
         for graphs in atlas_connected.values():
             for g in graphs:
-                assert walkalg.walk_ranks(g, range(g.n)) == bareiss_ranks(g)
+                assert degrees(q.GraphData(g).minimal_polys(range(g.n))) == bareiss_ranks(g)
 
     def test_random_corpus(self):
         for g in random_connected_graphs(300, 10, seed=20240901):
-            assert walkalg.walk_ranks(g, range(g.n)) == bareiss_ranks(g)
+            assert degrees(q.GraphData(g).minimal_polys(range(g.n))) == bareiss_ranks(g)
 
     @pytest.mark.parametrize("name", sorted(LARGE))
     def test_large_graphs(self, name):
         g = LARGE[name]
-        ranks = walkalg.walk_ranks(g, range(g.n))
+        ranks = degrees(q.GraphData(g).minimal_polys(range(g.n)))
         assert min(ranks.values()) < g.n  # deficient roots take the certificate
         assert ranks == bareiss_ranks(g)
 
@@ -201,40 +203,44 @@ class TestWalkRanks:
         for n in range(2, 7):
             for g in atlas_connected[n]:
                 reference = bareiss_ranks(g)
-                assert walkalg.walk_ranks(g, range(n)) == reference
-                assert walkalg.controllability(g, range(n)) == \
+                psi = q.GraphData(g).minimal_polys(range(n))
+                assert degrees(psi) == reference
+                assert {u: p.degree == n for u, p in psi.items()} == \
                     {u: k == n for u, k in reference.items()}
         assert sent
 
     def test_roots_subset_and_batches(self):
+        # a first call lists its roots in ascending order
         g = LARGE["P5xP6"]
         reference = bareiss_ranks(g)
-        ranks = walkalg.walk_ranks(g, [17, 3, 29])
-        assert list(ranks) == [17, 3, 29]
+        ranks = degrees(q.GraphData(g).minimal_polys([17, 3, 29]))
+        assert list(ranks) == [3, 17, 29]
         assert all(ranks[u] == reference[u] for u in ranks)
-        assert walkalg.walk_ranks(g, []) == {}
-        assert walkalg.walk_ranks(g, range(g.n)) == reference
+        assert q.GraphData(g).minimal_polys([]) == {}
+        assert degrees(q.GraphData(g).minimal_polys(range(g.n))) == reference
 
     def test_bad_vertex_and_cap(self):
         with pytest.raises(ValueError):
-            walkalg.walk_ranks(q.path(3), [0, 3])
+            q.GraphData(q.path(3)).minimal_polys([0, 3])
         with pytest.raises(ValueError):
-            walkalg.walk_ranks(q.path(5), [0], cap=4)
+            q.GraphData(q.path(5), q.AnalysisConfig(exact_cap=4)).minimal_polys([0])
 
 
 class TestMinimalPolys:
     """The certified gcds of poly_gcds equal poly_gcd row by row, their
     cofactors are the minimal polynomials psi_u = phi / gcd(phi, phi(G - u))
-    that minimal_polys gives, and every psi_u has degree the Bareiss rank."""
+    that GraphData.minimal_polys gives, and every psi_u has degree the
+    Bareiss rank."""
 
     @staticmethod
     def _check(g):
-        phi = q.char_poly_exact(g).coeffs
-        rows = [p.coeffs for p in q.deleted_char_polys(g)]
+        data = q.GraphData(g)
+        phi = data.phi.coeffs
+        rows = [p.coeffs for p in data.char_polys[1]]
         found = polys.poly_gcds([phi] * g.n, rows)
         assert [h for h, _ in found] == [poly_gcd(phi, r) for r in rows]
         reference = bareiss_ranks(g)
-        minimal = walkalg.minimal_polys(g, range(g.n))
+        minimal = data.minimal_polys(range(g.n))
         for u, (h, cofactor) in enumerate(found):
             psi, rest = poly_divmod(phi, h)
             assert rest == [0] and len(psi) - 1 == reference[u]
@@ -268,22 +274,24 @@ class TestMinimalPolys:
         graphs += [LARGE["P5xP6"], LARGE["Q5"]]
         for g in graphs:
             reference = bareiss_ranks(g)
-            phi = q.char_poly_exact(g).coeffs
-            deleted = q.deleted_char_polys(g)
+            data = q.GraphData(g)
+            phi, deleted = data.char_polys
             deficient = {deleted[u].coeffs for u in range(g.n) if reference[u] < g.n}
             if not deficient:
                 continue
             sent = spy_poly_gcd(monkeypatch)
             monkeypatch.setattr(polys, "_crt", corrupt)
-            assert walkalg.walk_ranks(g, range(g.n)) == reference
-            assert len(sent) == 1 and tuple(sent[0][0]) == phi and tuple(sent[0][1]) in deficient
-            controllable = walkalg.controllability(g, range(g.n))
+            psi = data.minimal_polys(range(g.n))
+            assert degrees(psi) == reference
+            assert len(sent) == 1 and tuple(sent[0][0]) == phi.coeffs and \
+                tuple(sent[0][1]) in deficient
+            controllable = {u: p.degree == g.n for u, p in psi.items()}
             assert controllable == {u: k == g.n for u, k in reference.items()}
             monkeypatch.undo()
 
 
 class TestBatchedControllability:
-    """controllability over a root set, from the gcds of one poly_gcds run,
+    """deg psi_u = n over a root set, from the gcds of one poly_gcds run,
     against the Bareiss and coprimality references."""
 
     def test_matches_references(self, atlas_connected):
@@ -291,7 +299,8 @@ class TestBatchedControllability:
         graphs += random_connected_graphs(60, 12, seed=709) + [LARGE["P5xP6"], LARGE["Q5"]]
         for g in graphs:
             expected = {u: r == g.n for u, r in bareiss_ranks(g).items()}
-            assert walkalg.controllability(g, range(g.n)) == expected
+            psi = q.GraphData(g).minimal_polys(range(g.n))
+            assert {u: p.degree == g.n for u, p in psi.items()} == expected
             assert coprime_reference(g) == expected
 
     def test_random64_every_vertex(self, monkeypatch):
@@ -301,15 +310,15 @@ class TestBatchedControllability:
         # every root has full rank, and the vectorised Euclid proves them all
         sent = []
         monkeypatch.setattr(polys, "poly_gcd", lambda p, r: sent.append(r))
-        monkeypatch.setattr(walkalg, "poly_gcd", lambda p, r: sent.append(r))
-        assert walkalg.controllability(g, range(g.n)) == reference
+        psi = q.GraphData(g).minimal_polys(range(g.n))
+        assert {u: p.degree == g.n for u, p in psi.items()} == reference
         assert not sent
 
     def test_tiny_euclid_prime_rows_reach_poly_gcd(self, monkeypatch):
         # modulo 3 many remainder sequences hit a leading coefficient 0, or
         # end in too large a gcd, which the next prime contradicts; those
         # distinct rows, and only those, must be decided by poly_gcd
-        def degrees(phi, rows, p):
+        def mod_degrees(phi, rows, p):
             residues = np.array([[c % p for c in r] for r in rows], dtype=np.int64)
             return polys._euclid_mod(
                 np.array([[c % p for c in phi]] * len(rows), dtype=np.int64), residues, p)[1]
@@ -318,16 +327,17 @@ class TestBatchedControllability:
         small_prime_first(monkeypatch, 3)
         degenerate = 0
         for g in random_connected_graphs(40, 12, seed=719):
-            phi = q.char_poly_exact(g).coeffs
-            rows = [p.coeffs for p in q.deleted_char_polys(g)]
-            mod3, true = degrees(phi, rows, 3), degrees(phi, rows, polys._PRIMES31[0])
+            data = q.GraphData(g)
+            phi = data.phi.coeffs
+            rows = [p.coeffs for p in data.char_polys[1]]
+            mod3, true = mod_degrees(phi, rows, 3), mod_degrees(phi, rows, polys._PRIMES31[0])
             undecided = sorted({r for r, d, e in zip(rows, mod3, true) if d < 0 or 0 < d != e})
             sent.clear()
-            psi = walkalg.minimal_polys(g, range(g.n))
+            psi = data.minimal_polys(range(g.n))
             assert sorted(tuple(r) for _, r in sent) == undecided
             assert [psi[u].degree == g.n for u in range(g.n)] == \
                 list(coprime_reference(g).values())
-            assert walkalg.controllability(g, range(g.n)) == coprime_reference(g)
+            assert {u: p.degree == g.n for u, p in psi.items()} == coprime_reference(g)
             degenerate += len(undecided)
         assert degenerate
 
@@ -337,13 +347,14 @@ class TestBatchedControllability:
         real = polys._euclid_mod
         monkeypatch.setattr(polys, "_euclid_mod",
                             lambda a, b, p: calls.append(len(a)) or real(a, b, p))
-        assert walkalg.walk_ranks(LARGE["Q6"], range(64)) == {u: 7 for u in range(64)}
+        assert degrees(q.GraphData(LARGE["Q6"]).minimal_polys(range(64))) == \
+            {u: 7 for u in range(64)}
         assert calls and set(calls) == {1}
 
     def test_single_polynomial_and_stack_agree(self):
         g = LARGE["Q5"]
-        phi = q.char_poly_exact(g).coeffs
-        rows = [p.coeffs for p in q.deleted_char_polys(g)]
+        phi, deleted = q.GraphData(g).char_polys
+        phi, rows = phi.coeffs, [p.coeffs for p in deleted]
         stack = polys.poly_gcds([phi] * g.n, rows)
         assert len(stack) == g.n
         assert [polys.poly_gcds([phi], [r])[0] for r in rows] == stack
@@ -366,29 +377,31 @@ class TestBatchedControllability:
 
         monkeypatch.setattr(polys, "_divmod_monic", spy)
         g = LARGE[name]
-        assert min(walkalg.walk_ranks(g, range(g.n)).values()) < g.n  # lifted gcds
+        psi = q.GraphData(g).minimal_polys(range(g.n))
+        assert min(p.degree for p in psi.values()) < g.n  # lifted gcds
         assert calls and len(calls) == len(set(calls))
 
 
 class TestControllability:
+    """u is controllable iff deg psi_u = n."""
+
     def test_p4_end_controllable(self):
-        assert q.is_controllable(q.path(4), 0)
+        assert q.GraphData(q.path(4)).minimal_polys([0])[0].degree == 4
 
     def test_p3_center_not(self):
-        assert not q.is_controllable(q.path(3), 1)
+        assert q.GraphData(q.path(3)).minimal_polys([1])[1].degree < 3
 
     def test_complete_graphs_never(self):
         # repeated eigenvalue -1 rules out a full support
         for n in (3, 4, 5):
-            assert not q.is_controllable(q.complete(n), 0)
+            assert q.GraphData(q.complete(n)).minimal_polys([0])[0].degree < n
 
     def test_controllable_implies_distinct_spectrum(self):
         for g in random_connected_graphs(60, 8, seed=101):
-            sd = q.decompose(g)
-            for u in range(g.n):
-                if q.is_controllable(g, u):
-                    assert sd.num_distinct == g.n
-
+            data = q.GraphData(g)
+            for u, psi in data.minimal_polys(range(g.n)).items():
+                if psi.degree == g.n:
+                    assert data.sd.num_distinct == g.n
 
     @pytest.mark.parametrize("g", [
         q.hypercube(6),
@@ -396,44 +409,45 @@ class TestControllability:
     ], ids=["Q6", "random64"])
     def test_rank_and_gcd_routes_agree_at_n64(self, g):
         # no timing assertion: the Bareiss rank and the coprimality
-        # reference must both give is_controllable's verdict
-        phi = q.char_poly_exact(g).coeffs
-        deleted = q.deleted_char_polys(g)
+        # reference must both give the verdict deg psi_u = n
+        data = q.GraphData(g)
+        phi, deleted = data.char_polys
+        psi = data.minimal_polys((0, 1, 31, 63))
         for u in (0, 1, 31, 63):
-            by_rank = q.rank_exact(walk_matrix(g, u)) == g.n
-            by_gcd = poly_gcd(phi, deleted[u].coeffs) == [1]
-            assert q.is_controllable(g, u) == by_rank == by_gcd
+            by_rank = rank_exact(walk_matrix(g, u)) == g.n
+            by_gcd = poly_gcd(phi.coeffs, deleted[u].coeffs) == [1]
+            assert (psi[u].degree == g.n) == by_rank == by_gcd
 
     def test_every_vertex_of_random64_agrees(self):
         # no timing assertion
         g = random_connected_graphs(1, 64, seed=64, n_min=64)[0]
-        phi = q.char_poly_exact(g).coeffs
-        deleted = q.deleted_char_polys(g)
-        controllable = walkalg.controllability(g, range(g.n))
-        ranks = walkalg.walk_ranks(g, range(g.n))
+        data = q.GraphData(g)
+        phi, deleted = data.char_polys
+        ranks = degrees(data.minimal_polys(range(g.n)))
         for u in range(g.n):
-            by_gcd = poly_gcd(phi, deleted[u].coeffs) == [1]
-            assert controllable[u] == (ranks[u] == g.n) == by_gcd
+            by_gcd = poly_gcd(phi.coeffs, deleted[u].coeffs) == [1]
+            assert (ranks[u] == g.n) == by_gcd
 
 
 class TestCospectrality:
     def test_p3_ends(self):
-        assert q.cospectral_via_charpoly(q.path(3), 0, 2)
+        assert q.GraphData(q.path(3)).cospectral(0, 2)
         assert q.cospectral_via_gram(q.path(3), 0, 2)
 
     def test_p4_end_vs_interior(self):
         # P4 - end = P3 (t^3 - 2t) but P4 - interior = K2 + K1 (t^3 - t)
-        assert not q.cospectral_via_charpoly(q.path(4), 0, 1)
+        assert not q.GraphData(q.path(4)).cospectral(0, 1)
         assert not q.cospectral_via_gram(q.path(4), 0, 1)
 
     def test_complete_any_pair(self):
-        assert q.cospectral_via_charpoly(q.complete(5), 1, 3)
+        assert q.GraphData(q.complete(5)).cospectral(1, 3)
 
     def test_vertex_out_of_range(self):
+        # the checked pair of a pair report
         with pytest.raises(ValueError):
-            q.cospectral_via_charpoly(q.path(3), 0, 3)
+            q.GraphData(q.path(3)).pair(0, 3, search=False)
         with pytest.raises(ValueError):
-            q.cospectral_via_charpoly(q.path(3), -1, 2)
+            q.GraphData(q.path(3)).pair(-1, 2, search=False)
 
     def test_gram_entries_are_walk_numbers(self):
         g = q.petersen()
@@ -467,10 +481,10 @@ class TestCospectrality:
     def test_gram_charpoly_agreement_random(self):
         # the Gram and deleted-charpoly definitions of cospectrality coincide
         for g in random_connected_graphs(60, 8, seed=103):
+            data = q.GraphData(g)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
-                    assert q.cospectral_via_gram(g, u, v) == \
-                        q.cospectral_via_charpoly(g, u, v)
+                    assert q.cospectral_via_gram(g, u, v) == data.cospectral(u, v)
 
 
 class TestClosedWalkResidues:
@@ -520,11 +534,11 @@ class TestSupportCrosscheck:
         (q.Graph.from_edges(1, []), 0, (1, 1, 1)),
     ])
     def test_examples(self, g, u, expected):
-        assert q.support_size_crosscheck(g, [u]) == {u: expected}
+        assert support_size_crosscheck(g, [u]) == {u: expected}
 
     def test_three_way_agreement_random(self):
         for g in random_connected_graphs(40, 8, seed=107):
-            found = q.support_size_crosscheck(g, range(g.n))
+            found = support_size_crosscheck(g, range(g.n))
             assert list(found) == list(range(g.n))
             for rank, support, poles in found.values():
                 assert rank == support == poles
@@ -532,28 +546,29 @@ class TestSupportCrosscheck:
 
 class TestTransferSimilarity:
     def test_p4_ends_is_reversal(self):
-        ts = q.transfer_similarity(q.path(4), 0, 3)
+        ts = transfer_similarity(q.path(4), 0, 3)
         reversal = np.eye(4, dtype=int)[::-1]
         assert np.array_equal(ts.matrix.astype(int), reversal)
         assert ts.commutes_with_adjacency and ts.maps_u_to_v and ts.orthogonal
 
     def test_same_vertex_gives_identity(self):
-        ts = q.transfer_similarity(q.path(4), 0, 0)
+        ts = transfer_similarity(q.path(4), 0, 0)
         assert np.array_equal(ts.matrix.astype(int), np.eye(4, dtype=int))
 
     def test_non_controllable_rejected(self):
         with pytest.raises(ValueError):
-            q.transfer_similarity(q.path(3), 1, 0)
+            transfer_similarity(q.path(3), 1, 0)
 
     def test_discovered_cospectral_pair(self):
         # smallest brute-force hit from the n <= 9 catalog search: cospectral,
         # controllable, and no automorphism maps one endpoint to the other
         g = q.parse_graph6("GSv~Sc")
-        assert q.cospectral_via_charpoly(g, 1, 7)
-        assert q.is_controllable(g, 1) and q.is_controllable(g, 7)
+        data = q.GraphData(g)
+        assert data.cospectral(1, 7)
+        assert [p.degree for p in data.minimal_polys((1, 7)).values()] == [g.n, g.n]
         from qwalk.partitions import automorphisms
         assert not any(p[1] == 7 for p in automorphisms(g))
-        ts = q.transfer_similarity(g, 1, 7)
+        ts = transfer_similarity(g, 1, 7)
         assert ts.orthogonal and ts.commutes_with_adjacency and ts.maps_u_to_v
         entries = {abs(x) for row in ts.matrix for x in row}
         assert not entries <= {0, 1}  # orthogonal but not a permutation
