@@ -572,14 +572,19 @@ class GraphData:
         return self.g.is_connected()
 
     def cospectral(self, u, v):
-        """phi(G - u) = phi(G - v), coefficient-wise."""
+        """phi(G - u) = phi(G - v), coefficient-wise, for distinct vertices."""
+        if u == v:
+            raise ValueError("vertices must be distinct")
+        walkalg._check_vertex(self.g.n, u)
+        walkalg._check_vertex(self.g.n, v)
         deleted = self.char_polys[1]
         return deleted[u] == deleted[v]
 
     @functools.cached_property
     def cospectral_pairs(self):
+        deleted = self.char_polys[1]
         return [(u, v) for u, v in itertools.combinations(range(self.g.n), 2)
-                if self.cospectral(u, v)]
+                if deleted[u] == deleted[v]]
 
     @functools.cached_property
     def supports(self):
@@ -590,15 +595,16 @@ class GraphData:
         return [float(self.sd.eigenvalues[r]) for r in support]
 
     def deltas(self, roots):
-        """Delta_u of every u of ``roots``, as a dict that also holds the
-        roots asked for before; each call adds its new roots in ascending
-        order."""
-        return _fill("deltas", [self], [roots])[0]
+        """Delta_u of every u of ``roots``, as a new dict in their order."""
+        roots = list(roots)
+        memo = _fill("deltas", [self], [roots])[0]
+        return {u: memo[u] for u in roots}
 
     def minimal_polys(self, roots):
-        """psi_u of every u of ``roots``, whose degree is the rank of the
-        walk matrix W_u, as a dict like ``deltas``'s."""
-        return _fill("psi", [self], [roots])[0]
+        """psi_u, of degree rank W_u, of every u of ``roots``, as a new dict in their order."""
+        roots = list(roots)
+        memo = _fill("psi", [self], [roots])[0]
+        return {u: memo[u] for u in roots}
 
     def support_class(self, u, psi):
         """The class of u's support against ``psi``, u's minimal polynomial

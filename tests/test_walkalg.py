@@ -36,12 +36,6 @@ def coprime_reference(g):
             for u, p in enumerate(deleted)}
 
 
-def degrees(psi):
-    """deg psi_u, the walk-matrix rank, of every psi_u of a
-    ``GraphData.minimal_polys`` view."""
-    return {u: p.degree for u, p in psi.items()}
-
-
 def spy_poly_gcd(monkeypatch):
     """Record the (phi, row) pairs that reach polys.poly_gcd."""
     sent = []
@@ -117,23 +111,23 @@ class TestWalkRank:
     def test_matches_bareiss_on_atlas(self, atlas_connected):
         for graphs in atlas_connected.values():
             for g in graphs:
-                ranks = degrees(q.GraphData(g).minimal_polys(range(g.n)))
+                psi = q.GraphData(g).minimal_polys(range(g.n))
                 for u in range(g.n):
-                    assert ranks[u] == rank_exact(walk_matrix(g, u))
+                    assert psi[u].degree == rank_exact(walk_matrix(g, u))
 
     def test_matches_bareiss_on_random_corpus(self):
         for g in random_connected_graphs(300, 10, seed=20240901):
-            ranks = degrees(q.GraphData(g).minimal_polys(range(g.n)))
+            psi = q.GraphData(g).minimal_polys(range(g.n))
             for u in range(g.n):
-                assert ranks[u] == rank_exact(walk_matrix(g, u))
+                assert psi[u].degree == rank_exact(walk_matrix(g, u))
 
     @pytest.mark.parametrize("g", list(LARGE.values()), ids=list(LARGE))
     def test_matches_bareiss_on_large_graphs(self, g):
         # all five have rank-deficient vertices, so a lifted gcd decides them
-        ranks = degrees(q.GraphData(g).minimal_polys(range(g.n)))
-        assert min(ranks.values()) < g.n
+        psi = q.GraphData(g).minimal_polys(range(g.n))
+        assert min(p.degree for p in psi.values()) < g.n
         for u in range(g.n):
-            assert ranks[u] == rank_exact(walk_matrix(g, u))
+            assert psi[u].degree == rank_exact(walk_matrix(g, u))
 
     def test_unlucky_prime_falls_back_to_poly_gcd(self, monkeypatch, atlas_connected):
         # modulo 2 many Euclids degenerate or find too large a gcd, which the
@@ -182,16 +176,18 @@ class TestWalkRanks:
     def test_atlas(self, atlas_connected):
         for graphs in atlas_connected.values():
             for g in graphs:
-                assert degrees(q.GraphData(g).minimal_polys(range(g.n))) == bareiss_ranks(g)
+                psi = q.GraphData(g).minimal_polys(range(g.n))
+                assert {u: p.degree for u, p in psi.items()} == bareiss_ranks(g)
 
     def test_random_corpus(self):
         for g in random_connected_graphs(300, 10, seed=20240901):
-            assert degrees(q.GraphData(g).minimal_polys(range(g.n))) == bareiss_ranks(g)
+            psi = q.GraphData(g).minimal_polys(range(g.n))
+            assert {u: p.degree for u, p in psi.items()} == bareiss_ranks(g)
 
     @pytest.mark.parametrize("name", sorted(LARGE))
     def test_large_graphs(self, name):
         g = LARGE[name]
-        ranks = degrees(q.GraphData(g).minimal_polys(range(g.n)))
+        ranks = {u: p.degree for u, p in q.GraphData(g).minimal_polys(range(g.n)).items()}
         assert min(ranks.values()) < g.n  # deficient roots take the certificate
         assert ranks == bareiss_ranks(g)
 
@@ -204,20 +200,20 @@ class TestWalkRanks:
             for g in atlas_connected[n]:
                 reference = bareiss_ranks(g)
                 psi = q.GraphData(g).minimal_polys(range(n))
-                assert degrees(psi) == reference
+                assert {u: p.degree for u, p in psi.items()} == reference
                 assert {u: p.degree == n for u, p in psi.items()} == \
                     {u: k == n for u, k in reference.items()}
         assert sent
 
     def test_roots_subset_and_batches(self):
-        # a first call lists its roots in ascending order
         g = LARGE["P5xP6"]
         reference = bareiss_ranks(g)
-        ranks = degrees(q.GraphData(g).minimal_polys([17, 3, 29]))
-        assert list(ranks) == [3, 17, 29]
-        assert all(ranks[u] == reference[u] for u in ranks)
+        psi = q.GraphData(g).minimal_polys([17, 3, 29])
+        assert list(psi) == [17, 3, 29]
+        assert all(psi[u].degree == reference[u] for u in psi)
         assert q.GraphData(g).minimal_polys([]) == {}
-        assert degrees(q.GraphData(g).minimal_polys(range(g.n))) == reference
+        psi = q.GraphData(g).minimal_polys(range(g.n))
+        assert {u: p.degree for u, p in psi.items()} == reference
 
     def test_bad_vertex_and_cap(self):
         with pytest.raises(ValueError):
@@ -282,7 +278,7 @@ class TestMinimalPolys:
             sent = spy_poly_gcd(monkeypatch)
             monkeypatch.setattr(polys, "_crt", corrupt)
             psi = data.minimal_polys(range(g.n))
-            assert degrees(psi) == reference
+            assert {u: p.degree for u, p in psi.items()} == reference
             assert len(sent) == 1 and tuple(sent[0][0]) == phi.coeffs and \
                 tuple(sent[0][1]) in deficient
             controllable = {u: p.degree == g.n for u, p in psi.items()}
@@ -347,8 +343,8 @@ class TestBatchedControllability:
         real = polys._euclid_mod
         monkeypatch.setattr(polys, "_euclid_mod",
                             lambda a, b, p: calls.append(len(a)) or real(a, b, p))
-        assert degrees(q.GraphData(LARGE["Q6"]).minimal_polys(range(64))) == \
-            {u: 7 for u in range(64)}
+        psi = q.GraphData(LARGE["Q6"]).minimal_polys(range(64))
+        assert {u: p.degree for u, p in psi.items()} == {u: 7 for u in range(64)}
         assert calls and set(calls) == {1}
 
     def test_single_polynomial_and_stack_agree(self):
@@ -423,10 +419,10 @@ class TestControllability:
         g = random_connected_graphs(1, 64, seed=64, n_min=64)[0]
         data = q.GraphData(g)
         phi, deleted = data.char_polys
-        ranks = degrees(data.minimal_polys(range(g.n)))
+        psi = data.minimal_polys(range(g.n))
         for u in range(g.n):
             by_gcd = poly_gcd(phi.coeffs, deleted[u].coeffs) == [1]
-            assert (ranks[u] == g.n) == by_gcd
+            assert (psi[u].degree == g.n) == by_gcd
 
 
 class TestCospectrality:
@@ -443,11 +439,9 @@ class TestCospectrality:
         assert q.GraphData(q.complete(5)).cospectral(1, 3)
 
     def test_vertex_out_of_range(self):
-        # the checked pair of a pair report
-        with pytest.raises(ValueError):
-            q.GraphData(q.path(3)).pair(0, 3, search=False)
-        with pytest.raises(ValueError):
-            q.GraphData(q.path(3)).pair(-1, 2, search=False)
+        for u, v in [(0, 3), (-1, 2), (1, 1)]:
+            with pytest.raises(ValueError):
+                q.GraphData(q.path(3)).cospectral(u, v)
 
     def test_gram_entries_are_walk_numbers(self):
         g = q.petersen()
