@@ -67,8 +67,13 @@ def fidelity(sd, u, v, t):
 # ---------------------------------------------------------------------------
 # Time search
 
+# Points in the first block of the time grid; each later block doubles.
+_FIRST_BLOCK = 256
+
+
 def _amplitude(thetas, coeffs, t):
-    return np.sum(coeffs * np.exp(1j * np.multiply.outer(t, thetas)), axis=-1)
+    """sum_r c_r exp(i theta_r t) at one time t."""
+    return (coeffs * np.exp(1j * (t * thetas))).sum()
 
 
 def _golden_max(f, lo, hi, xtol=1e-12):
@@ -85,21 +90,21 @@ def _golden_max(f, lo, hi, xtol=1e-12):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+    return (a + b) / 2
 
 
-def _polish_peak(thetas, coeffs, tau, halfwidth):
-    """Sharpen a fidelity maximum by bisecting d/dt |amplitude|^2.
+def _polish_peak(itheta, coeffs, slope, tau, halfwidth):
+    """Sharpen a fidelity maximum by bisecting d/dt |amplitude|^2, with
+    ``itheta`` = i theta and ``slope`` = i theta c, so that one exp gives the
+    amplitude and its derivative.
 
     Golden section alone bottoms out near sqrt(eps) in time because the
     fidelity is flat at a true peak; the derivative crosses zero linearly.
     """
 
     def deriv(t):
-        h = _amplitude(thetas, coeffs, t)
-        hp = np.sum(1j * thetas * coeffs * np.exp(1j * thetas * t))
-        return 2 * (np.conj(h) * hp).real
+        e = np.exp(itheta * t)
+        return 2 * (np.conj((coeffs * e).sum()) * (slope * e).sum()).real
 
     lo, hi = tau - halfwidth, tau + halfwidth
     dlo, dhi = deriv(lo), deriv(hi)
@@ -130,26 +135,41 @@ def _grid_peaks(vals, floor):
 
 
 def _search_amplitude(thetas, coeffs, t_max, threshold, rho):
-    """Earliest t in (0, t_max] with |sum_r c_r exp(i theta_r t)| >= threshold."""
+    """Earliest t in (0, t_max] with |sum_r c_r exp(i theta_r t)| >= threshold.
+
+    The grid is evaluated in blocks in time order, ``_FIRST_BLOCK`` points
+    and then twice the last, each read with one point of its neighbours on
+    either side.  A point's value does not depend on its block, so
+    ``_grid_peaks`` finds the peaks of the whole grid, in order; the search
+    stops at the first that refines to the threshold."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     step = math.pi / (100 * max(rho, 1.0))
     ts = np.arange(step, t_max + step / 2, step)
     if len(ts) == 0:
         ts = np.array([t_max])
-    vals = np.abs(_amplitude(thetas, coeffs, ts))
+    itheta = 1j * thetas
+    slope = itheta * coeffs
 
     # a true peak can drop by at most (step/2) * rho * sum|c_r| <= pi/200
     # between grid samples; 0.02 leaves slack
     f = lambda t: abs(_amplitude(thetas, coeffs, t))
-    for i in _grid_peaks(vals, threshold - 0.02):
-        lo = max(ts[i] - step, step * 1e-9)
-        hi = min(ts[i] + step, t_max)
-        tau, fid = _golden_max(f, lo, hi)
-        tau = _polish_peak(thetas, coeffs, tau, min(step, 1e-4))
-        fid = f(tau)
-        if fid >= threshold:
-            return tau, min(fid, 1.0)
+    start, size = 0, _FIRST_BLOCK
+    while start < len(ts):
+        stop = min(start + size, len(ts))
+        first = max(start - 1, 0)
+        amps = np.sum(coeffs * np.exp(1j * np.multiply.outer(ts[first:stop + 1], thetas)),
+                      axis=-1)
+        for i in _grid_peaks(np.abs(amps), threshold - 0.02) + first:
+            if not start <= i < stop:
+                continue
+            lo = max(ts[i] - step, step * 1e-9)
+            hi = min(ts[i] + step, t_max)
+            tau = _polish_peak(itheta, coeffs, slope, _golden_max(f, lo, hi), min(step, 1e-4))
+            fid = f(tau)
+            if fid >= threshold:
+                return tau, min(fid, 1.0)
+        start, size = stop, 2 * size
     return None
 
 
@@ -282,22 +302,23 @@ def squarefree_part(m):
 _GUARD_BITS = 30
 
 
-def _scaled_sign(coeffs, m):
-    """Sign of 2**(B*d) * p(m / 2**B), B = _GUARD_BITS, in integers."""
-    acc, scale = 0, 1
-    for c in coeffs:
-        acc = acc * m + c * scale
-        scale <<= _GUARD_BITS
-    return (acc > 0) - (acc < 0)
-
-
-def _near_root(coeffs, v):
-    """True iff the squarefree polynomial ``coeffs`` is zero at an end of, or
-    changes sign across, the dyadic interval [m - 1, m + 1] / 2**B that holds
-    v (m the nearest integer to v * 2**B); either proves a root in it."""
-    m = round(v * 2**_GUARD_BITS)
-    lo, hi = _scaled_sign(coeffs, m - 1), _scaled_sign(coeffs, m + 1)
-    return lo * hi <= 0
+def _near_roots(coeffs, values):
+    """For each of ``values``, whether the squarefree polynomial ``coeffs``
+    is zero at an end of, or changes sign across, the dyadic interval
+    [m - 1, m + 1] / 2**B that holds it (m the nearest integer to v * 2**B,
+    B = _GUARD_BITS); either proves a root in it.  The signs are those of
+    2**(B*d) p(x / 2**B) at x = m - 1 and m + 1, by Horner's rule in
+    integers on the coefficients c_i 2**(B*i), shifted once for all values."""
+    shifted = [c << (_GUARD_BITS * i) for i, c in enumerate(coeffs)]
+    out = []
+    for v in values:
+        m = round(v * 2**_GUARD_BITS)
+        lo = hi = 0
+        for c in shifted:
+            lo = lo * (m - 1) + c
+            hi = hi * (m + 1) + c
+        out.append(((lo > 0) - (lo < 0)) * ((hi > 0) - (hi < 0)) <= 0)
+    return out
 
 
 # How close a float must be to an integer for the exact verdicts of
@@ -309,7 +330,7 @@ def classify_support(support_values, psi):
     """Classify a support as Integer / Quadratic / Neither against ``psi``, a
     squarefree monic integer ``ExactPoly`` whose roots include the support,
     such as the minimal polynomial psi_u of e_u (``GraphData.minimal_polys``).
-    Each value must pass the dyadic root guard (``_near_root``), or
+    Each value must pass the dyadic root guard (``_near_roots``), or
     ValueError is raised. Integer values k are tested as psi(k) = 0.
     Otherwise the d values must have an integer trace T; a = 2T/d, each value
     gives b^2 delta = round((2v - a)^2) with one squarefree delta > 1, and
@@ -318,8 +339,8 @@ def classify_support(support_values, psi):
     default support tolerance) this is the exact class; a set that another
     tolerance leaves unclosed is classified by the same test."""
     vals = [float(v) for v in support_values]
-    for v in vals:
-        if not _near_root(psi.coeffs, v):
+    for v, near in zip(vals, _near_roots(psi.coeffs, vals)):
+        if not near:
             raise ValueError(f"value {v} is not a root of the polynomial")
 
     if all(abs(v - round(v)) < _NEAR_INT_TOL for v in vals):

@@ -14,7 +14,6 @@ import math
 import multiprocessing
 import os
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from . import analysis
@@ -42,6 +41,10 @@ def _support_class_json(sc):
         out["delta"] = sc.delta
         out["b_values"] = [str(b) for b in sc.b_values]
     return out
+
+
+def _gap_json(gap):
+    return {"sigma": gap.sigma, "bound": gap.bound, "satisfied": gap.satisfied}
 
 
 def _event_json(event):
@@ -142,7 +145,7 @@ def analyze_graph(g, config):
     if not connected:
         doc["warning"] = "graph is disconnected; spectral facts only"
     if g.n >= 2:
-        doc["gap"] = asdict(data.gap)
+        doc["gap"] = _gap_json(data.gap)
     exact_ok = g.n <= config.exact_cap
     if exact_ok:
         doc["char_poly"] = _exact_poly_json(data.phi)
@@ -187,7 +190,7 @@ def pair_report_json(g, report):
         "support_class": _support_class_json(report.support_class),
         "controllable": {"u": report.controllable_u, "v": report.controllable_v},
         "v_singleton_in_delta_u": report.v_singleton_in_delta_u,
-        "gap": asdict(report.gap),
+        "gap": _gap_json(report.gap),
         "pst_found": _event_json(report.pst_found),
     }
     if report.verification is not None:
@@ -214,7 +217,7 @@ def _scan_doc(data):
         _check_cap(g, config.exact_cap)
     doc = {"id": encode_graph6(g), "n": g.n, "connected": data.connected}
     if g.n >= 2:
-        doc["gap"] = asdict(data.gap)
+        doc["gap"] = _gap_json(data.gap)
     pairs = []
     if data.connected and g.n >= 2:
         for u, v in data.cospectral_pairs:

@@ -185,12 +185,12 @@ def encode_graph6(g):
         out = [n + 63]
     else:
         out = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    a = g.adjacency
+    a = g.adjacency.tolist()
     bits = 0
     nfill = 0
     for j in range(1, n):
         for i in range(j):
-            bits = (bits << 1) | int(a[i, j])
+            bits = (bits << 1) | a[i][j]
             nfill += 1
             if nfill == 6:
                 out.append(bits + 63)

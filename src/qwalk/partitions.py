@@ -182,7 +182,8 @@ def delta_stack(graphs, roots):
 # Brute-force automorphisms (small n only)
 
 def automorphisms(g, n_cap=BRUTE_FORCE_CAP_DEFAULT, colors=None):
-    """All automorphisms of ``g`` by backtracking, as image tuples.
+    """All automorphisms of ``g`` by backtracking, as image tuples in
+    lexicographic order.
 
     ``colors`` (vertex -> int) restricts images to same-colored vertices; by
     default the coarsest equitable refinement of the trivial partition is used
@@ -193,9 +194,12 @@ def automorphisms(g, n_cap=BRUTE_FORCE_CAP_DEFAULT, colors=None):
         raise ValueError(f"brute-force cap exceeded: {n} > {n_cap}")
     if n == 0:
         return [()]
-    adj = g.adjacency
+    adj = g.adjacency.tolist()
     if colors is None:
         colors = coarsest_equitable_refinement(g, Partition.trivial(n)).cell_of()
+    cells = {}  # color -> its vertices, ascending
+    for w in range(n):
+        cells.setdefault(int(colors[w]), []).append(w)
     out = []
     image = [-1] * n
     used = [False] * n
@@ -204,10 +208,12 @@ def automorphisms(g, n_cap=BRUTE_FORCE_CAP_DEFAULT, colors=None):
         if v == n:
             out.append(tuple(image))
             return
-        for w in range(n):
-            if used[w] or colors[w] != colors[v]:
+        row = adj[v][:v]
+        for w in cells[int(colors[v])]:
+            if used[w]:
                 continue
-            if any(adj[v, x] != adj[w, image[x]] for x in range(v)):
+            other = adj[w]
+            if row != [other[x] for x in image[:v]]:
                 continue
             image[v] = w
             used[w] = True

@@ -240,12 +240,12 @@ def _faddeev_leverrier(graphs):
     over the stack, and an error names the first graph that fails one.
     """
     n = graphs[0].n
+    a = np.stack([g.adjacency for g in graphs]).astype(float)
     # primes with a product above twice the bound, then one check prime
-    primes = _primes_above(2 * _coefficient_bound(n, max(g.num_edges for g in graphs)), 1)
+    primes = _primes_above(2 * _coefficient_bound(n, int(a.sum(axis=(1, 2)).max()) // 2), 1)
     p = np.array(primes, dtype=np.int64)
     inverses = np.array([[pow(k, -1, q) for q in primes] for k in range(1, n + 1)],
                         dtype=np.int64)
-    a = np.stack([g.adjacency for g in graphs]).astype(float)
     idx = np.arange(n)
     b = np.zeros((len(graphs), n, n, len(primes)))
     b[:, idx, idx] = 1

@@ -1,6 +1,7 @@
-"""Exact oracles that no command calls, kept as references for the tests:
-Bareiss elimination, the transfer similarity, equitable quotients, and
-paper statements the package does not check."""
+"""Oracles that no command calls, kept as references for the tests:
+Bareiss elimination, the transfer similarity, equitable quotients, paper
+statements the package does not check, and the plain loops that the time
+search, the root guard and the automorphism backtracking replaced."""
 
 import math
 import operator
@@ -10,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 import qwalk as q
-from qwalk.analysis import (T_MAX_DEFAULT, THRESHOLD_DEFAULT, _amplitude, _search_amplitude,
-                            period_candidate)
+from qwalk.analysis import (_GOLDEN, _GUARD_BITS, T_MAX_DEFAULT, THRESHOLD_DEFAULT, PstEvent,
+                            _amplitude, _grid_peaks, _search_amplitude, period_candidate)
 from qwalk.partitions import BRUTE_FORCE_CAP_DEFAULT, Partition, automorphisms
 from qwalk.polys import poly_gcd, poly_trim
 from qwalk.spectral import EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, _check_cap
@@ -281,3 +282,141 @@ def trace_identity_check(g):
     lhs = float((diffs**2).sum())
     rhs = float(4 * g.n * g.num_edges)
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# The time search over the whole grid at once
+
+def _amplitude_reference(thetas, coeffs, t):
+    return np.sum(coeffs * np.exp(1j * np.multiply.outer(t, thetas)), axis=-1)
+
+
+def _golden_max_reference(f, lo, hi, xtol=1e-12):
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    x = (a + b) / 2
+    return x, f(x)
+
+
+def _polish_peak_reference(thetas, coeffs, tau, halfwidth):
+    def deriv(t):
+        h = _amplitude_reference(thetas, coeffs, t)
+        hp = np.sum(1j * thetas * coeffs * np.exp(1j * thetas * t))
+        return 2 * (np.conj(h) * hp).real
+
+    lo, hi = tau - halfwidth, tau + halfwidth
+    dlo, dhi = deriv(lo), deriv(hi)
+    if not (dlo > 0 > dhi):
+        return tau
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        dm = deriv(mid)
+        if dm == 0 or hi - lo < 1e-14:
+            return mid
+        if dm > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def grid_reference(thetas, coeffs, t_max, rho):
+    """The whole time grid of a search and |amplitude| on it."""
+    step = math.pi / (100 * max(rho, 1.0))
+    ts = np.arange(step, t_max + step / 2, step)
+    if len(ts) == 0:
+        ts = np.array([t_max])
+    return step, ts, np.abs(_amplitude_reference(thetas, coeffs, ts))
+
+
+def search_amplitude_reference(thetas, coeffs, t_max, threshold, rho):
+    """The search that ``analysis._search_amplitude`` replaced: the whole grid
+    evaluated first, then every peak refined in order."""
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    step, ts, vals = grid_reference(thetas, coeffs, t_max, rho)
+    f = lambda t: abs(_amplitude_reference(thetas, coeffs, t))
+    for i in _grid_peaks(vals, threshold - 0.02):
+        lo = max(ts[i] - step, step * 1e-9)
+        hi = min(ts[i] + step, t_max)
+        tau, fid = _golden_max_reference(f, lo, hi)
+        tau = _polish_peak_reference(thetas, coeffs, tau, min(step, 1e-4))
+        fid = f(tau)
+        if fid >= threshold:
+            return tau, min(fid, 1.0)
+    return None
+
+
+def search_reference(sd, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT):
+    """``analysis.search_pst`` over ``search_amplitude_reference``."""
+    thetas = np.asarray(sd.eigenvalues)
+    coeffs = sd.idempotents[:, u, v].astype(complex)
+    hit = search_amplitude_reference(thetas, coeffs, t_max, threshold, sd.spectral_radius)
+    if hit is None:
+        return None
+    tau, fid = hit
+    amp = _amplitude_reference(thetas, coeffs, tau)
+    return PstEvent(u=u, v=v, tau=float(tau), gamma=complex(amp / abs(amp)),
+                    fidelity=float(fid))
+
+
+# ---------------------------------------------------------------------------
+# The root guard one point at a time
+
+def _scaled_sign(coeffs, m):
+    """Sign of 2**(B*d) * p(m / 2**B), B = _GUARD_BITS, in integers."""
+    acc, scale = 0, 1
+    for c in coeffs:
+        acc = acc * m + c * scale
+        scale <<= _GUARD_BITS
+    return (acc > 0) - (acc < 0)
+
+
+def near_root_reference(coeffs, v):
+    """The per-value guard that ``analysis._near_roots`` replaced: the signs
+    at both ends of [m - 1, m + 1] / 2**B, each from its own Horner run."""
+    m = round(v * 2**_GUARD_BITS)
+    lo, hi = _scaled_sign(coeffs, m - 1), _scaled_sign(coeffs, m + 1)
+    return lo * hi <= 0
+
+
+# ---------------------------------------------------------------------------
+# Automorphism backtracking on numpy arrays
+
+def automorphisms_reference(g, colors):
+    """The backtracking that ``partitions.automorphisms`` runs on lists, on
+    the int8 adjacency matrix and the ``colors`` array."""
+    n = g.n
+    adj = g.adjacency
+    out = []
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(v):
+        if v == n:
+            out.append(tuple(image))
+            return
+        for w in range(n):
+            if used[w] or colors[w] != colors[v]:
+                continue
+            if any(adj[v, x] != adj[w, image[x]] for x in range(v)):
+                continue
+            image[v] = w
+            used[w] = True
+            extend(v + 1)
+            used[w] = False
+        image[v] = -1
+
+    extend(0)
+    return out

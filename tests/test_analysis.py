@@ -17,7 +17,7 @@ from qwalk.polys import poly_gcd
 
 from conftest import (poly_divmod, random_connected_graphs, random_graphs, ratio_condition,
                       reconstruct_rational)
-from oracles import check_periodicity, finiteness_bound, poly_degree
+from oracles import check_periodicity, finiteness_bound, near_root_reference, poly_degree
 from test_acceptance import REPORT_GRAPHS
 
 SQRT2 = math.sqrt(2)
@@ -359,7 +359,7 @@ class TestExactChecksMatchFractionReference:
         phi, a, delta = q.GraphData(g).phi, Fraction(1, 2), 2
         assert _fraction_fit_quadratic(vals, phi, a, delta, 1e-8) is None
         # the root guard would reject these values before any candidate
-        monkeypatch.setattr(q.analysis, "_near_root", lambda coeffs, v: True)
+        monkeypatch.setattr(q.analysis, "_near_roots", lambda coeffs, values: [True] * len(values))
         assert q.classify_support(vals, phi).kind == "Neither"
 
 
@@ -673,6 +673,26 @@ class TestLargeGraphs:
         minimal = data.minimal_polys(range(data.g.n))
         for u in range(data.g.n):
             q.classify_support(data.values(data.supports[u]), minimal[u])
+
+    def test_guard_matches_the_per_value_reference(self, atlas_connected):
+        # every support value of LARGE and of the catalog, and the values 2
+        # and 5 grid steps of 2**-B off it, where it mostly fails
+        graphs = list(LARGE.values()) + [g for n in range(2, 8) for g in atlas_connected[n]]
+        graphs += [q.hypercube(3), q.petersen(), q.path(8), q.cycle(8)]
+        unit = 2.0**-q.analysis._GUARD_BITS
+        verdicts = set()
+        for g in graphs:
+            data = q.GraphData(g)
+            minimal = data.minimal_polys(range(g.n))
+            for u in range(g.n):
+                coeffs = minimal[u].coeffs
+                vals = [v + k * unit for v in data.values(data.supports[u])
+                        for k in (0, -2, 2, -5, 5)]
+                near = q.analysis._near_roots(coeffs, vals)
+                assert near == [near_root_reference(coeffs, v) for v in vals]
+                assert all(near[::5])
+                verdicts.update(near)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("name", ["Q5", "Q6"])
     def test_hypercube_antipodal_pst(self, name):

@@ -6,8 +6,8 @@ from qwalk import partitions
 from qwalk.partitions import Partition, automorphisms, stabilizers_equal
 
 from conftest import random_connected_graphs, random_graphs
-from oracles import (characteristic_matrix, equitable_quotient_checks, is_equitable,
-                     stabilizer_orbits_bruteforce)
+from oracles import (automorphisms_reference, characteristic_matrix, equitable_quotient_checks,
+                     is_equitable, stabilizer_orbits_bruteforce)
 
 
 def refine_reference(g, pi0):
@@ -242,6 +242,17 @@ class TestAutomorphisms:
             u = g.n - 1
             orbits = stabilizer_orbits_bruteforce(g, u)
             assert orbits.refines(q.GraphData(g).deltas([u])[u])
+
+    def test_automorphisms_match_the_numpy_reference(self, atlas_connected):
+        graphs = [g for n in range(1, 8) for g in atlas_connected[n]]
+        graphs += [q.petersen(), q.hypercube(3), q.cycle(10), q.complete(4)]
+        for g in graphs:
+            colors = partitions.coarsest_equitable_refinement(g, Partition.trivial(g.n)).cell_of()
+            assert automorphisms(g) == automorphisms_reference(g, colors)
+        # with the colors of Delta_u, as the stabilizer orbits pass them
+        for g in graphs[-4:]:
+            colors = q.GraphData(g).deltas([0])[0].cell_of()
+            assert automorphisms(g, colors=colors) == automorphisms_reference(g, colors)
 
     def test_automorphism_count_examples(self):
         assert len(automorphisms(q.complete(4))) == 24

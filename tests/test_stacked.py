@@ -4,6 +4,7 @@ the graph that fails them."""
 
 import io
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -15,6 +16,7 @@ import qwalk as q
 from qwalk import analysis, cli, graphs, partitions, spectral, walkalg
 
 from conftest import random_connected_graphs, sign_reference, support_reference
+from oracles import grid_reference, search_reference
 
 SIZES = (1, 2, 3, 5, 8, 13)
 
@@ -279,17 +281,82 @@ class TestFloatSideMatchesReference:
         lines = [q.encode_graph6(g) for n in range(1, 8) for g in atlas_connected[n]]
         lines += [q.encode_graph6(g) for g in (q.hypercube(3), q.petersen(), q.path(8),
                                                q.cycle(8))]
-        calls = []
-        real = analysis._grid_peaks
+        searches = []  # (grid arguments, blocks, hit)
+        real_search, real_peaks = analysis._search_amplitude, analysis._grid_peaks
 
-        def spy(vals, floor):
-            found = real(vals, floor)
-            calls.append(found.tolist() == peaks_reference(vals, floor))
+        def search_spy(thetas, coeffs, t_max, threshold, rho):
+            searches.append([(thetas, coeffs, t_max, rho), []])
+            hit = real_search(thetas, coeffs, t_max, threshold, rho)
+            searches[-1].append(hit)
+            return hit
+
+        def peaks_spy(vals, floor):
+            found = real_peaks(vals, floor)
+            searches[-1][1].append((vals.copy(), found.tolist() == peaks_reference(vals, floor)))
             return found
 
-        monkeypatch.setattr(analysis, "_grid_peaks", spy)
+        monkeypatch.setattr(analysis, "_search_amplitude", search_spy)
+        monkeypatch.setattr(analysis, "_grid_peaks", peaks_spy)
         cli.run_scan(lines, cli.AnalysisConfig(), out=io.StringIO())
-        assert len(calls) >= 30 and all(calls)
+        assert len(searches) >= 30
+        many = 0
+        for args, blocks, hit in searches:
+            assert all(same for _, same in blocks)
+            blocks = [vals for vals, _ in blocks]
+            # consecutive blocks share two points, the last of one block's
+            # own and the first of the next's; without them the blocks are
+            # the start of the whole grid, bit for bit, and all of it when
+            # nothing reached the threshold
+            vals = grid_reference(*args)[2]
+            joined = np.concatenate([blocks[0]] + [b[2:] for b in blocks[1:]])
+            assert joined.tobytes() == vals[:len(joined)].tobytes()
+            assert hit is not None or len(joined) == len(vals)
+            assert [len(b) for b in blocks[:-1]] == \
+                [analysis._FIRST_BLOCK * 2**k + 1 + (k > 0) for k in range(len(blocks) - 1)]
+            many += len(blocks) > 3
+        assert many > 0
+
+    def test_search_pst_of_every_catalog_pair(self, atlas_connected):
+        graphs = [g for n in range(2, 8) for g in atlas_connected[n]]
+        graphs += [q.hypercube(3), q.petersen(), q.path(8), q.cycle(8)]
+        pairs = found = 0
+        for g in graphs:
+            data = q.GraphData(g)
+            for u, v in data.cospectral_pairs:
+                event = q.search_pst(data.sd, u, v)
+                assert event == search_reference(data.sd, u, v)
+                pairs += 1
+                found += event is not None
+        assert (pairs, found) == (2734, 11)
+
+    def test_search_pst_on_larger_supports(self):
+        graphs = [q.path(n) for n in range(8, 21)] + [q.cycle(n) for n in range(8, 21)]
+        p3 = q.path(3)
+        graphs += [q.hypercube(5), q.hypercube(6), q.petersen(),
+                   q.cartesian_product(q.cartesian_product(p3, p3), p3)]
+        graphs += random_connected_graphs(12, 48, seed=23, n_min=12)
+        found = largest = 0
+        for g in graphs:
+            sd = q.decompose(g)
+            largest = max(largest, len(sd.eigenvalues))
+            for u, v in [(0, g.n - 1), (0, g.n // 2), (1, g.n - 2)]:
+                event = q.search_pst(sd, u, v, threshold=0.9)
+                assert event == search_reference(sd, u, v, threshold=0.9)
+                found += event is not None
+        assert found > 5 and largest >= 40
+
+    def test_search_pst_across_many_blocks(self):
+        # C40 at t_max 400 has a grid of 25465 points in 7 blocks; none
+        # reaches 0.9, and the first point at 0.5 is in the fifth block,
+        # grid points 3840 to 7935
+        sd = q.decompose(q.cycle(40))
+        events = []
+        for threshold in (analysis.THRESHOLD_DEFAULT, 0.9, 0.5):
+            event = q.search_pst(sd, 0, 20, t_max=400, threshold=threshold)
+            assert event == search_reference(sd, 0, 20, t_max=400, threshold=threshold)
+            events.append(event)
+        step = math.pi / 200
+        assert events[:2] == [None, None] and 3840 * step < events[2].tau < 7937 * step
 
     def test_connected_stack(self, atlas_all):
         by_n = {}
