@@ -30,7 +30,6 @@ from .analysis import (
     PstEvent,
     SupportClass,
     TransferReport,
-    analyze_pair,
     classify_support,
     fidelity,
     rho_squared_integer,
@@ -45,8 +44,7 @@ __all__ = [
     "Partition", "coarsest_equitable_refinement",
     "InternalCheckError", "cospectral_via_gram",
     "AnalysisConfig", "GraphData", "PstEvent", "SupportClass", "TransferReport",
-    "analyze_pair", "classify_support", "fidelity", "rho_squared_integer", "search_pst",
-    "verify_pst_event",
+    "classify_support", "fidelity", "rho_squared_integer", "search_pst", "verify_pst_event",
 ]
 
 __version__ = "0.1.0"

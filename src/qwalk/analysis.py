@@ -76,12 +76,12 @@ def _amplitude(thetas, coeffs, t):
     return (coeffs * np.exp(1j * (t * thetas))).sum()
 
 
-def _golden_max(f, lo, hi, xtol=1e-12):
+def _golden_max(f, lo, hi):
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
+    while b - a > 1e-12:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -189,6 +189,10 @@ def search_pst(sd, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT):
                     fidelity=float(fid))
 
 
+# Largest deviation that ``verify_pst_event`` accepts in each structural check.
+_VERIFY_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class PstVerification:
     """Structural checks of a PST event against the spectral decomposition."""
@@ -212,24 +216,20 @@ class PstVerification:
         ))
 
 
-def verify_pst_event(sd, event, support_tolerance=SUPPORT_TOL_DEFAULT, tol=1e-8):
+def verify_pst_event(sd, event, support_tolerance=SUPPORT_TOL_DEFAULT):
     """Re-verify a PST event: swap action, period 2*tau, and the signed
     idempotent split F+ / F- with F+ F- = 0."""
     u, v, tau, gamma = event.u, event.v, event.tau, event.gamma
     h = transition_matrix(sd, tau)
     if abs(h[v, u]) < event.fidelity - 1e-6:
         raise ValueError("event fails re-verification against this decomposition")
-    n = sd.n
-    eu = np.zeros(n)
-    eu[u] = 1
-    ev = np.zeros(n)
-    ev[v] = 1
-    maps_u_to_v = np.max(np.abs(h @ eu - gamma * ev)) < tol
-    maps_v_to_u = np.max(np.abs(h @ ev - gamma * eu)) < tol
+    swap = h[:, [u, v]]  # columns u and v of H(tau), less gamma e_v and gamma e_u
+    swap[[v, u], [0, 1]] -= gamma
+    maps_u_to_v, maps_v_to_u = np.abs(swap).max(axis=0) < _VERIFY_TOL
     h2 = transition_matrix(sd, 2 * tau)
-    periodic_u = abs(abs(h2[u, u]) - 1) < tol
-    periodic_v = abs(abs(h2[v, v]) - 1) < tol
-    diag_phase_matches = abs(h2[u, u] - gamma**2) < tol
+    periodic_u = abs(abs(h2[u, u]) - 1) < _VERIFY_TOL
+    periodic_v = abs(abs(h2[v, v]) - 1) < _VERIFY_TOL
+    diag_phase_matches = abs(h2[u, u] - gamma**2) < _VERIFY_TOL
 
     signs = []
     for r in supports_stack([sd], support_tolerance)[0][u]:
@@ -240,7 +240,7 @@ def verify_pst_event(sd, event, support_tolerance=SUPPORT_TOL_DEFAULT, tol=1e-8)
     plus_nonzero = any(s == 1 for _, s in signs)
     minus_nonzero = any(s == -1 for _, s in signs)
     if plus_nonzero and minus_nonzero:
-        prod_zero = bool(np.max(np.abs(f_plus @ f_minus)) < tol)
+        prod_zero = bool(np.max(np.abs(f_plus @ f_minus)) < _VERIFY_TOL)
     else:
         prod_zero = True
     return PstVerification(
@@ -594,10 +594,7 @@ class GraphData:
 
     def cospectral(self, u, v):
         """phi(G - u) = phi(G - v), coefficient-wise, for distinct vertices."""
-        if u == v:
-            raise ValueError("vertices must be distinct")
-        walkalg._check_vertex(self.g.n, u)
-        walkalg._check_vertex(self.g.n, v)
+        _check_pair(self.g.n, u, v)
         deleted = self.char_polys[1]
         return deleted[u] == deleted[v]
 
@@ -682,39 +679,26 @@ class GraphData:
         with ``search``, when every verdict passes (as in ``scan``), the
         numeric time search and the verification of any event it finds."""
         g, config = self.g, self.config
-        _check_pair(self, u, v)
+        _check_pair(g.n, u, v)
+        if not self.connected:
+            raise ValueError("necessary-condition pipeline requires a connected graph")
         report = self.report(u, v)
         if walkalg.cospectral_via_gram(g, u, v, cap=config.exact_cap) != report.cospectral:
             raise walkalg.InternalCheckError(
                 f"cospectrality routes disagree on pair ({u}, {v})"
             )
-        stab_equal = None
         if g.n <= config.brute_force_cap:
-            stab_equal = partitions.stabilizers_equal(g, u, v, n_cap=config.brute_force_cap)
-        report = replace(report, stabilizer_equal=stab_equal)
-        event = None
+            report = replace(report, stabilizer_equal=partitions.stabilizers_equal(
+                g, u, v, n_cap=config.brute_force_cap))
         if search and report.all_pass:
             event = search_pst(self.sd, u, v, t_max=config.t_max, threshold=config.threshold)
-        if event is None:
-            return report
-        return replace(report, pst_found=event,
-                       verification=verify_pst_event(self.sd, event, config.support_tolerance))
+            if event is not None:
+                report = replace(report, pst_found=event, verification=verify_pst_event(
+                    self.sd, event, config.support_tolerance))
+        return report
 
 
-def _check_pair(data, u, v):
-    if u == v:
-        raise ValueError("vertices must be distinct")
-    if not (0 <= u < data.g.n and 0 <= v < data.g.n):
-        raise ValueError("vertex out of range")
-    if not data.connected:
-        raise ValueError("necessary-condition pipeline requires a connected graph")
-
-
-def analyze_pair(g, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT,
-                 grouping_tolerance=None, **kwargs):
-    """``GraphData(g, config).pair(u, v)``: every necessary-condition verdict
-    plus, when they all pass, the numeric time search and, when it finds a
-    PST event, its structural verification."""
-    config = AnalysisConfig(t_max=t_max, threshold=threshold,
-                            grouping_tolerance=grouping_tolerance, **kwargs)
-    return GraphData(g, config).pair(u, v)
+def _check_pair(n, u, v):
+    """ValueError unless u and v are distinct vertices of 0 .. n - 1."""
+    if not (0 <= u < n and 0 <= v < n) or u == v:
+        raise ValueError(f"invalid vertex pair ({u}, {v}) for n={n}")

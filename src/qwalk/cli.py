@@ -348,20 +348,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "analyze":
+        if args.command in ("analyze", "pair"):
             config = _config_from_args(args)
             g = read_graph(args.input)
-            _emit(analyze_graph(g, config), args.json_out)
-            return 0
-        if args.command == "pair":
-            config = _config_from_args(args)
-            g = read_graph(args.input)
-            if not (0 <= args.u < g.n and 0 <= args.v < g.n) or args.u == args.v:
-                print(f"error: invalid vertex pair ({args.u}, {args.v}) for n={g.n}",
-                      file=sys.stderr)
-                return 2
-            report = analysis.GraphData(g, config).pair(args.u, args.v)
-            _emit(pair_report_json(g, report), args.json_out)
+            if args.command == "analyze":
+                doc = analyze_graph(g, config)
+            else:
+                doc = pair_report_json(g, analysis.GraphData(g, config).pair(args.u, args.v))
+            _emit(doc, args.json_out)
             return 0
         if args.command == "scan":
             if args.jobs is None:

@@ -229,12 +229,12 @@ def star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def hypercube(d, max_dim=20):
+def hypercube(d):
     """d-cube on 2**d vertices indexed by bitstrings, edges at Hamming distance 1."""
     if d < 0:
         raise ValueError("hypercube requires d >= 0")
-    if d > max_dim:
-        raise ValueError(f"hypercube dimension {d} exceeds cap {max_dim}")
+    if d > 20:
+        raise ValueError(f"hypercube dimension {d} exceeds cap 20")
     n = 1 << d
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
     return Graph.from_edges(n, edges)

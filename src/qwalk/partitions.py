@@ -227,6 +227,4 @@ def automorphisms(g, n_cap=BRUTE_FORCE_CAP_DEFAULT, colors=None):
 
 def stabilizers_equal(g, u, v, n_cap=BRUTE_FORCE_CAP_DEFAULT):
     """True iff every automorphism fixes u exactly when it fixes v."""
-    if g.n > n_cap:
-        raise ValueError(f"brute-force cap exceeded: {g.n} > {n_cap}")
     return all((p[u] == u) == (p[v] == v) for p in automorphisms(g, n_cap=n_cap))

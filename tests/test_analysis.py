@@ -123,6 +123,17 @@ class TestVerifyPstEvent:
         ver = q.verify_pst_event(sd, ev)
         assert ver.diag_phase_matches and ver.periodic_u and ver.periodic_v
 
+    def test_near_miss_fails_without_raising(self):
+        # a 0.9 threshold accepts P4's near transfer between its ends; the
+        # event is real, so nothing raises, but no swap or period check holds
+        sd = q.decompose(q.path(4))
+        ev = q.search_pst(sd, 0, 3, threshold=0.9)
+        assert ev.fidelity == pytest.approx(0.986, abs=1e-3)
+        assert ev.tau == pytest.approx(2.81, abs=1e-2)
+        ver = q.verify_pst_event(sd, ev)
+        assert not (ver.maps_u_to_v or ver.maps_v_to_u or ver.periodic_u)
+        assert not ver.passed
+
     def test_stale_event_rejected(self):
         sd = q.decompose(q.path(2))
         bogus = q.PstEvent(u=0, v=1, tau=0.3, gamma=1j, fidelity=1.0)
@@ -421,7 +432,7 @@ class TestSupportAgainstPsi:
 
 class TestNecessaryConditions:
     def test_hypercube_antipodal_all_pass(self):
-        rep = q.analyze_pair(q.hypercube(3), 0, 7)
+        rep = q.GraphData(q.hypercube(3)).pair(0, 7)
         assert rep.all_pass
         assert rep.pst_found is not None
         assert rep.pst_found.tau == pytest.approx(math.pi / 2, abs=1e-8)
@@ -460,7 +471,7 @@ class TestNecessaryConditions:
             (q.cartesian_product(q.path(3), q.path(3)), 0, 8),
         ]
         for g, u, v in fixtures:
-            rep = q.analyze_pair(g, u, v, t_max=10)
+            rep = q.GraphData(g, q.AnalysisConfig(t_max=10)).pair(u, v)
             assert rep.pst_found is not None, (g, u, v)
             assert rep.all_pass, (g, u, v, rep.verdicts())
             assert rep.verification.passed
@@ -485,16 +496,16 @@ def _count_calls(monkeypatch, name, *modules):
 class TestSearchPolicy:
     def test_pair_searches_only_when_every_verdict_passes(self, monkeypatch):
         calls = _count_calls(monkeypatch, "search_pst", q.analysis)
-        rep = q.analyze_pair(q.path(4), 0, 1)
+        rep = q.GraphData(q.path(4)).pair(0, 1)
         assert not rep.cospectral and rep.pst_found is None and not calls
-        rep = q.analyze_pair(q.hypercube(4), 0, 15)
+        rep = q.GraphData(q.hypercube(4)).pair(0, 15)
         assert rep.all_pass and rep.pst_found is not None and len(calls) == 1
 
 
 class TestOneDecomposition:
-    def test_analyze_pair(self, monkeypatch):
+    def test_graph_data_pair(self, monkeypatch):
         calls = _count_calls(monkeypatch, "decompose", q.spectral, q.analysis)
-        q.analyze_pair(q.hypercube(3), 0, 7)
+        q.GraphData(q.hypercube(3)).pair(0, 7)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["analyze_graph", "_scan_chunk"])
@@ -583,7 +594,7 @@ class TestComputeOnce:
         calls = self._spy_kernels(monkeypatch)
         recurrence = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
-        q.analyze_pair(q.hypercube(3), u, v)
+        q.GraphData(q.hypercube(3)).pair(u, v)
         self._assert_once(calls, (u, v))
         self._assert_recurrence_once(recurrence, q.hypercube(3))
         assert {name: len(made) for name, made in float_side.items()} == \
@@ -697,7 +708,7 @@ class TestLargeGraphs:
     @pytest.mark.parametrize("name", ["Q5", "Q6"])
     def test_hypercube_antipodal_pst(self, name):
         g = LARGE[name]
-        report = q.analyze_pair(g, 0, g.n - 1)
+        report = q.GraphData(g).pair(0, g.n - 1)
         assert report.all_pass
         assert report.support_class.kind == "Integer"
         assert report.pst_found.tau == pytest.approx(math.pi / 2, abs=1e-6)
@@ -705,6 +716,6 @@ class TestLargeGraphs:
 
     @pytest.mark.parametrize("name,v", [("P64", 63), ("C40", 20), ("random60", 59)])
     def test_pair_completes(self, name, v):
-        report = q.analyze_pair(LARGE[name], 0, v)
+        report = q.GraphData(LARGE[name]).pair(0, v)
         assert not report.all_pass
         assert report.pst_found is None

@@ -212,6 +212,16 @@ class TestPair:
         assert run_cli(["pair", p3_file, "0", "9"], capsys)[0] == 2
         assert run_cli(["pair", p3_file, "1", "1"], capsys)[0] == 2
 
+    @pytest.mark.parametrize("u,v", [(1, 1), (0, 3), (-1, 0)])
+    def test_invalid_pair_has_one_message(self, p3_file, capsys, u, v):
+        message = f"invalid vertex pair ({u}, {v}) for n=3"
+        assert run_cli(["pair", p3_file, str(u), str(v)], capsys) == (2, "", f"error: {message}\n")
+        data = q.GraphData(q.path(3))
+        for view in (data.pair, data.cospectral):
+            with pytest.raises(ValueError) as exc:
+                view(u, v)
+            assert str(exc.value) == message
+
     def test_above_exact_cap_words_the_cap_as_scan_does(self, tmp_path, capsys):
         f = tmp_path / "p70.g6"
         f.write_text(q.encode_graph6(q.path(70)))
