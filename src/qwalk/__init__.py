@@ -16,7 +16,6 @@ from .graphs import (
     star,
 )
 from .spectral import (
-    ExactPoly,
     GapReport,
     SpectralDecomposition,
     decompose,
@@ -40,7 +39,7 @@ from .analysis import (
 __all__ = [
     "Graph", "Graph6Error", "cartesian_product", "complete", "cycle", "encode_graph6",
     "hypercube", "parse_graph6", "path", "petersen", "star",
-    "ExactPoly", "GapReport", "SpectralDecomposition", "decompose", "transition_matrix",
+    "GapReport", "SpectralDecomposition", "decompose", "transition_matrix",
     "Partition", "coarsest_equitable_refinement",
     "InternalCheckError", "cospectral_via_gram",
     "AnalysisConfig", "GraphData", "PstEvent", "SupportClass", "TransferReport",

@@ -18,7 +18,7 @@ from .graphs import connected_stack
 from .spectral import (EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, char_polys, decompose,
                        decompose_stack, gap_report, support_mask, supports_stack,
                        transition_matrix)
-from .polys import poly_divides
+from .polys import poly_divides, poly_eval
 
 THRESHOLD_DEFAULT = 1 - 1e-9
 T_MAX_DEFAULT = 50.0
@@ -328,8 +328,9 @@ _NEAR_INT_TOL = 1e-8
 
 def classify_support(support_values, psi):
     """Classify a support as Integer / Quadratic / Neither against ``psi``, a
-    squarefree monic integer ``ExactPoly`` whose roots include the support,
-    such as the minimal polynomial psi_u of e_u (``GraphData.minimal_polys``).
+    squarefree monic integer polynomial (coefficients in descending powers)
+    whose roots include the support, such as the minimal polynomial psi_u
+    of e_u (``GraphData.minimal_polys``).
     Each value must pass the dyadic root guard (``_near_roots``), or
     ValueError is raised. Integer values k are tested as psi(k) = 0.
     Otherwise the d values must have an integer trace T; a = 2T/d, each value
@@ -339,12 +340,12 @@ def classify_support(support_values, psi):
     default support tolerance) this is the exact class; a set that another
     tolerance leaves unclosed is classified by the same test."""
     vals = [float(v) for v in support_values]
-    for v, near in zip(vals, _near_roots(psi.coeffs, vals)):
+    for v, near in zip(vals, _near_roots(psi, vals)):
         if not near:
             raise ValueError(f"value {v} is not a root of the polynomial")
 
     if all(abs(v - round(v)) < _NEAR_INT_TOL for v in vals):
-        if all(psi(round(v)) == 0 for v in set(vals)):
+        if all(poly_eval(psi, round(v)) == 0 for v in set(vals)):
             return SupportClass(kind="Integer")
 
     neither = SupportClass(kind="Neither")
@@ -374,23 +375,24 @@ def classify_support(support_values, psi):
     delta = deltas.pop()
     for b in set(bs):
         minimal = [1, -a, (a * a - b * b * delta) // 4] if b else [1, -a // 2]
-        if not poly_divides(minimal, psi.coeffs):
+        if not poly_divides(minimal, psi):
             return neither
     return SupportClass(kind="Quadratic", a=a, delta=delta, b_values=tuple(bs))
 
 
-def rho_squared_integer(sd, exact_poly):
-    """True iff the squared spectral radius is an integer, verified exactly."""
+def rho_squared_integer(sd, phi):
+    """True iff the squared spectral radius is an integer, verified exactly
+    against ``phi``, the characteristic polynomial as a coefficient tuple."""
     rho = sd.spectral_radius
     r2 = rho * rho
     m = round(r2)
     if abs(r2 - m) > _NEAR_INT_TOL:
         return False
     if abs(rho - round(rho)) < _NEAR_INT_TOL:
-        return exact_poly(round(rho)) == 0
+        return poly_eval(phi, round(rho)) == 0
     # rho = sqrt(m) with m no square (an integer rho is caught above), so
     # t^2 - m is irreducible and shares a root with phi only when it divides it
-    return poly_divides([1, 0, -m], exact_poly.coeffs)
+    return poly_divides([1, 0, -m], phi)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +645,7 @@ class GraphData:
     def report(self, u, v):
         """Every necessary-condition verdict for PST from u to v, except the
         brute-force stabilizer check, which ``pair`` adds."""
+        _check_pair(self.g.n, u, v)
         cache = self._cache
         if (u, v) not in cache.get("signs", ()):  # filled after Delta and psi of u, v
             _fill_pairs([self], [[(u, v)]])
@@ -667,17 +670,17 @@ class GraphData:
             rho_squared_is_integer=self.rho_squared_is_integer,
             delta_partition_equal=du == deltas[v],
             v_singleton_in_delta_u=(v,) in du.cells,
-            controllable_u=psi[u].degree == self.g.n,
-            controllable_v=psi[v].degree == self.g.n,
+            controllable_u=len(psi[u]) - 1 == self.g.n,
+            controllable_v=len(psi[v]) - 1 == self.g.n,
             stabilizer_equal=None,
             gap=self.gap,
         )
 
-    def pair(self, u, v, search=True):
+    def pair(self, u, v):
         """``report`` on a checked pair, plus the Gram cross-check of
         cospectrality, the brute-force stabilizer check within its cap and,
-        with ``search``, when every verdict passes (as in ``scan``), the
-        numeric time search and the verification of any event it finds."""
+        when every verdict passes (as in ``scan``), the numeric time search
+        and the verification of any event it finds."""
         g, config = self.g, self.config
         _check_pair(g.n, u, v)
         if not self.connected:
@@ -690,7 +693,7 @@ class GraphData:
         if g.n <= config.brute_force_cap:
             report = replace(report, stabilizer_equal=partitions.stabilizers_equal(
                 g, u, v, n_cap=config.brute_force_cap))
-        if search and report.all_pass:
+        if report.all_pass:
             event = search_pst(self.sd, u, v, t_max=config.t_max, threshold=config.threshold)
             if event is not None:
                 report = replace(report, pst_found=event, verification=verify_pst_event(

@@ -29,11 +29,6 @@ SCHEMA_VERSION = 3
 # ---------------------------------------------------------------------------
 # JSON serialization: exact values as strings, floats as shortest round-trip
 
-def _exact_poly_json(poly):
-    # big integers as strings to avoid precision loss downstream
-    return [str(c) for c in poly.coeffs]
-
-
 def _support_class_json(sc):
     out = {"kind": sc.kind}
     if sc.kind == "Quadratic":
@@ -148,7 +143,7 @@ def analyze_graph(g, config):
         doc["gap"] = _gap_json(data.gap)
     exact_ok = g.n <= config.exact_cap
     if exact_ok:
-        doc["char_poly"] = _exact_poly_json(data.phi)
+        doc["char_poly"] = [str(c) for c in data.phi]  # big integers as strings
         doc["rho_squared_integer"] = data.rho_squared_is_integer
     deltas = data.deltas(range(g.n))
     if exact_ok:  # one psi_u run for every support class and controllability
@@ -169,7 +164,7 @@ def analyze_graph(g, config):
             if period is not None:
                 entry["period_candidate"] = period
             if connected:
-                entry["controllable"] = psi[u].degree == g.n
+                entry["controllable"] = len(psi[u]) - 1 == g.n
         vertices.append(entry)
     doc["vertices"] = vertices
     return doc

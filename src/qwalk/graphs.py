@@ -91,9 +91,6 @@ class Graph:
     def neighbors(self, u):
         return [int(v) for v in np.flatnonzero(self._adj[u])]
 
-    def edges(self):
-        return [(int(i), int(j)) for i, j in zip(*np.triu(self._adj).nonzero())]
-
     def is_connected(self):
         return connected_stack([self])[0]
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import encode_graph6
-from .polys import _crt, _primes_above, poly_eval
+from .polys import _crt, _primes_above
 
 EXACT_CAP_DEFAULT = 64
 SUPPORT_TOL_DEFAULT = 1e-10
@@ -140,23 +140,6 @@ def supports_stack(sds, support_tolerance=SUPPORT_TOL_DEFAULT):
     return [tuple(parts[g * n:g * n + n]) for g in range(len(sds))]
 
 
-@dataclass(frozen=True)
-class ExactPoly:
-    """Monic integer polynomial, coefficients in descending powers."""
-
-    coeffs: tuple
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        return poly_eval(self.coeffs, x)
-
-    def __str__(self):
-        return " ".join(str(c) for c in self.coeffs)
-
-
 def _check_cap(g, cap):
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -276,13 +259,14 @@ def _faddeev_leverrier(graphs):
         reason = (f"reconstructed integers disagree with the check prime {primes[-1]}"
                   if wrong[i] else "phi' differs from sum phi(G - u)")
         raise InternalCheckError(f"{encode_graph6(graphs[i])}: {reason}")
-    return [(ExactPoly(tuple(f)), tuple(ExactPoly(tuple(r)) for r in rows))
+    return [(tuple(f), tuple(map(tuple, rows)))
             for f, rows in zip(phi.tolist(), deleted.tolist())]
 
 
 def char_polys(graphs, cap=EXACT_CAP_DEFAULT):
     """(phi, every phi(G - u)) of each graph of ``graphs``, all of one vertex
-    count within ``cap``, exact, from one ``_faddeev_leverrier`` run modulo
+    count within ``cap``, exact, as tuples of Python ints in descending
+    powers, from one ``_faddeev_leverrier`` run modulo
     a few primes below 2**31 at once (phi of the empty graph G - u, n = 1,
     is 1).
 

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 
 from .polys import _primes_above, poly_gcds
-from .spectral import EXACT_CAP_DEFAULT, ExactPoly, InternalCheckError, _check_cap, _residue_walks
+from .spectral import EXACT_CAP_DEFAULT, InternalCheckError, _check_cap, _residue_walks
 
 
 def _check_vertex(n, u):
@@ -19,7 +19,7 @@ def _check_vertex(n, u):
 def minimal_polys_stack(polys, roots):
     """For each (phi, (phi(G - u) for every u)) of ``polys``, as
     ``char_polys`` gives them, the minimal polynomial psi_u of e_u of each u
-    of its ``roots``, as dicts of ``ExactPoly``.
+    of its ``roots``, as dicts of coefficient tuples.
 
     As e_u^T (tI - A)^-1 e_u = phi(G - u) / phi(G), whose reduced
     denominator is the minimal polynomial of e_u, psi_u is
@@ -31,11 +31,11 @@ def minimal_polys_stack(polys, roots):
     roots = [list(dict.fromkeys(r)) for r in roots]
     for (phi, _), vertices in zip(polys, roots):
         for u in vertices:
-            _check_vertex(phi.degree, u)
+            _check_vertex(len(phi) - 1, u)
     rows = [(phi, deleted[u]) for (phi, deleted), vertices in zip(polys, roots)
             for u in vertices]
-    found = iter(poly_gcds([phi.coeffs for phi, _ in rows], [p.coeffs for _, p in rows]))
-    return [{u: ExactPoly(tuple(next(found)[1])) for u in vertices} for vertices in roots]
+    found = iter(poly_gcds([phi for phi, _ in rows], [p for _, p in rows]))
+    return [{u: tuple(next(found)[1]) for u in vertices} for vertices in roots]
 
 
 def _closed_walks(g, roots, cap):

@@ -112,7 +112,7 @@ def transfer_similarity(g, u, v, cap=EXACT_CAP_DEFAULT):
     Q e_u = e_v, and orthogonality iff the vertices are cospectral."""
     psi = q.GraphData(g, q.AnalysisConfig(exact_cap=cap)).minimal_polys((u, v))
     for w in (u, v):
-        if psi[w].degree < g.n:
+        if len(psi[w]) - 1 < g.n:
             raise ValueError(f"vertex {w} is not controllable")
     wu = walk_matrix(g, u, cap=cap)
     wv = walk_matrix(g, v, cap=cap)
@@ -144,7 +144,7 @@ def support_size_crosscheck(g, roots, cap=EXACT_CAP_DEFAULT,
     data = q.GraphData(g, q.AnalysisConfig(exact_cap=cap, support_tolerance=support_tolerance))
     phi, deleted = data.char_polys
     return {u: (rank_exact(walk_matrix(g, u, cap=cap)), len(data.supports[u]),
-                g.n - poly_degree(poly_gcd(phi.coeffs, deleted[u].coeffs)))
+                g.n - poly_degree(poly_gcd(phi, deleted[u])))
             for u in roots}
 
 

@@ -217,7 +217,7 @@ class TestPair:
         message = f"invalid vertex pair ({u}, {v}) for n=3"
         assert run_cli(["pair", p3_file, str(u), str(v)], capsys) == (2, "", f"error: {message}\n")
         data = q.GraphData(q.path(3))
-        for view in (data.pair, data.cospectral):
+        for view in (data.pair, data.report, data.cospectral):
             with pytest.raises(ValueError) as exc:
                 view(u, v)
             assert str(exc.value) == message

@@ -32,7 +32,7 @@ def bareiss_ranks(g):
 def coprime_reference(g):
     """Reference: gcd(phi, phi(G - u)) = 1 by the certified modular gcd."""
     phi, deleted = q.GraphData(g).char_polys
-    return {u: poly_degree(poly_gcd(phi.coeffs, p.coeffs)) == 0
+    return {u: poly_degree(poly_gcd(phi, p)) == 0
             for u, p in enumerate(deleted)}
 
 
@@ -113,21 +113,21 @@ class TestWalkRank:
             for g in graphs:
                 psi = q.GraphData(g).minimal_polys(range(g.n))
                 for u in range(g.n):
-                    assert psi[u].degree == rank_exact(walk_matrix(g, u))
+                    assert len(psi[u]) - 1 == rank_exact(walk_matrix(g, u))
 
     def test_matches_bareiss_on_random_corpus(self):
         for g in random_connected_graphs(300, 10, seed=20240901):
             psi = q.GraphData(g).minimal_polys(range(g.n))
             for u in range(g.n):
-                assert psi[u].degree == rank_exact(walk_matrix(g, u))
+                assert len(psi[u]) - 1 == rank_exact(walk_matrix(g, u))
 
     @pytest.mark.parametrize("g", list(LARGE.values()), ids=list(LARGE))
     def test_matches_bareiss_on_large_graphs(self, g):
         # all five have rank-deficient vertices, so a lifted gcd decides them
         psi = q.GraphData(g).minimal_polys(range(g.n))
-        assert min(p.degree for p in psi.values()) < g.n
+        assert min(len(p) - 1 for p in psi.values()) < g.n
         for u in range(g.n):
-            assert psi[u].degree == rank_exact(walk_matrix(g, u))
+            assert len(psi[u]) - 1 == rank_exact(walk_matrix(g, u))
 
     def test_unlucky_prime_falls_back_to_poly_gcd(self, monkeypatch, atlas_connected):
         # modulo 2 many Euclids degenerate or find too large a gcd, which the
@@ -137,7 +137,7 @@ class TestWalkRank:
         for n in range(2, 6):
             for g in atlas_connected[n]:
                 for u in range(g.n):
-                    assert q.GraphData(g).minimal_polys([u])[u].degree == \
+                    assert len(q.GraphData(g).minimal_polys([u])[u]) - 1 == \
                         rank_exact(walk_matrix(g, u))
         assert sent
 
@@ -177,17 +177,17 @@ class TestWalkRanks:
         for graphs in atlas_connected.values():
             for g in graphs:
                 psi = q.GraphData(g).minimal_polys(range(g.n))
-                assert {u: p.degree for u, p in psi.items()} == bareiss_ranks(g)
+                assert {u: len(p) - 1 for u, p in psi.items()} == bareiss_ranks(g)
 
     def test_random_corpus(self):
         for g in random_connected_graphs(300, 10, seed=20240901):
             psi = q.GraphData(g).minimal_polys(range(g.n))
-            assert {u: p.degree for u, p in psi.items()} == bareiss_ranks(g)
+            assert {u: len(p) - 1 for u, p in psi.items()} == bareiss_ranks(g)
 
     @pytest.mark.parametrize("name", sorted(LARGE))
     def test_large_graphs(self, name):
         g = LARGE[name]
-        ranks = {u: p.degree for u, p in q.GraphData(g).minimal_polys(range(g.n)).items()}
+        ranks = {u: len(p) - 1 for u, p in q.GraphData(g).minimal_polys(range(g.n)).items()}
         assert min(ranks.values()) < g.n  # deficient roots take the certificate
         assert ranks == bareiss_ranks(g)
 
@@ -200,8 +200,8 @@ class TestWalkRanks:
             for g in atlas_connected[n]:
                 reference = bareiss_ranks(g)
                 psi = q.GraphData(g).minimal_polys(range(n))
-                assert {u: p.degree for u, p in psi.items()} == reference
-                assert {u: p.degree == n for u, p in psi.items()} == \
+                assert {u: len(p) - 1 for u, p in psi.items()} == reference
+                assert {u: len(p) - 1 == n for u, p in psi.items()} == \
                     {u: k == n for u, k in reference.items()}
         assert sent
 
@@ -210,10 +210,10 @@ class TestWalkRanks:
         reference = bareiss_ranks(g)
         psi = q.GraphData(g).minimal_polys([17, 3, 29])
         assert list(psi) == [17, 3, 29]
-        assert all(psi[u].degree == reference[u] for u in psi)
+        assert all(len(psi[u]) - 1 == reference[u] for u in psi)
         assert q.GraphData(g).minimal_polys([]) == {}
         psi = q.GraphData(g).minimal_polys(range(g.n))
-        assert {u: p.degree for u, p in psi.items()} == reference
+        assert {u: len(p) - 1 for u, p in psi.items()} == reference
 
     def test_bad_vertex_and_cap(self):
         with pytest.raises(ValueError):
@@ -231,8 +231,7 @@ class TestMinimalPolys:
     @staticmethod
     def _check(g):
         data = q.GraphData(g)
-        phi = data.phi.coeffs
-        rows = [p.coeffs for p in data.char_polys[1]]
+        phi, rows = data.char_polys
         found = polys.poly_gcds([phi] * g.n, rows)
         assert [h for h, _ in found] == [poly_gcd(phi, r) for r in rows]
         reference = bareiss_ranks(g)
@@ -240,7 +239,7 @@ class TestMinimalPolys:
         for u, (h, cofactor) in enumerate(found):
             psi, rest = poly_divmod(phi, h)
             assert rest == [0] and len(psi) - 1 == reference[u]
-            assert cofactor == psi and minimal[u].coeffs == tuple(psi)
+            assert cofactor == psi and minimal[u] == tuple(psi)
 
     def test_atlas(self, atlas_connected):
         for graphs in atlas_connected.values():
@@ -272,16 +271,16 @@ class TestMinimalPolys:
             reference = bareiss_ranks(g)
             data = q.GraphData(g)
             phi, deleted = data.char_polys
-            deficient = {deleted[u].coeffs for u in range(g.n) if reference[u] < g.n}
+            deficient = {deleted[u] for u in range(g.n) if reference[u] < g.n}
             if not deficient:
                 continue
             sent = spy_poly_gcd(monkeypatch)
             monkeypatch.setattr(polys, "_crt", corrupt)
             psi = data.minimal_polys(range(g.n))
-            assert {u: p.degree for u, p in psi.items()} == reference
-            assert len(sent) == 1 and tuple(sent[0][0]) == phi.coeffs and \
+            assert {u: len(p) - 1 for u, p in psi.items()} == reference
+            assert len(sent) == 1 and tuple(sent[0][0]) == phi and \
                 tuple(sent[0][1]) in deficient
-            controllable = {u: p.degree == g.n for u, p in psi.items()}
+            controllable = {u: len(p) - 1 == g.n for u, p in psi.items()}
             assert controllable == {u: k == g.n for u, k in reference.items()}
             monkeypatch.undo()
 
@@ -296,7 +295,7 @@ class TestBatchedControllability:
         for g in graphs:
             expected = {u: r == g.n for u, r in bareiss_ranks(g).items()}
             psi = q.GraphData(g).minimal_polys(range(g.n))
-            assert {u: p.degree == g.n for u, p in psi.items()} == expected
+            assert {u: len(p) - 1 == g.n for u, p in psi.items()} == expected
             assert coprime_reference(g) == expected
 
     def test_random64_every_vertex(self, monkeypatch):
@@ -307,7 +306,7 @@ class TestBatchedControllability:
         sent = []
         monkeypatch.setattr(polys, "poly_gcd", lambda p, r: sent.append(r))
         psi = q.GraphData(g).minimal_polys(range(g.n))
-        assert {u: p.degree == g.n for u, p in psi.items()} == reference
+        assert {u: len(p) - 1 == g.n for u, p in psi.items()} == reference
         assert not sent
 
     def test_tiny_euclid_prime_rows_reach_poly_gcd(self, monkeypatch):
@@ -324,16 +323,15 @@ class TestBatchedControllability:
         degenerate = 0
         for g in random_connected_graphs(40, 12, seed=719):
             data = q.GraphData(g)
-            phi = data.phi.coeffs
-            rows = [p.coeffs for p in data.char_polys[1]]
+            phi, rows = data.char_polys
             mod3, true = mod_degrees(phi, rows, 3), mod_degrees(phi, rows, polys._PRIMES31[0])
             undecided = sorted({r for r, d, e in zip(rows, mod3, true) if d < 0 or 0 < d != e})
             sent.clear()
             psi = data.minimal_polys(range(g.n))
             assert sorted(tuple(r) for _, r in sent) == undecided
-            assert [psi[u].degree == g.n for u in range(g.n)] == \
+            assert [len(psi[u]) - 1 == g.n for u in range(g.n)] == \
                 list(coprime_reference(g).values())
-            assert {u: p.degree == g.n for u, p in psi.items()} == coprime_reference(g)
+            assert {u: len(p) - 1 == g.n for u, p in psi.items()} == coprime_reference(g)
             degenerate += len(undecided)
         assert degenerate
 
@@ -344,13 +342,12 @@ class TestBatchedControllability:
         monkeypatch.setattr(polys, "_euclid_mod",
                             lambda a, b, p: calls.append(len(a)) or real(a, b, p))
         psi = q.GraphData(LARGE["Q6"]).minimal_polys(range(64))
-        assert {u: p.degree for u, p in psi.items()} == {u: 7 for u in range(64)}
+        assert {u: len(p) - 1 for u, p in psi.items()} == {u: 7 for u in range(64)}
         assert calls and set(calls) == {1}
 
     def test_single_polynomial_and_stack_agree(self):
         g = LARGE["Q5"]
-        phi, deleted = q.GraphData(g).char_polys
-        phi, rows = phi.coeffs, [p.coeffs for p in deleted]
+        phi, rows = q.GraphData(g).char_polys
         stack = polys.poly_gcds([phi] * g.n, rows)
         assert len(stack) == g.n
         assert [polys.poly_gcds([phi], [r])[0] for r in rows] == stack
@@ -374,7 +371,7 @@ class TestBatchedControllability:
         monkeypatch.setattr(polys, "_divmod_monic", spy)
         g = LARGE[name]
         psi = q.GraphData(g).minimal_polys(range(g.n))
-        assert min(p.degree for p in psi.values()) < g.n  # lifted gcds
+        assert min(len(p) - 1 for p in psi.values()) < g.n  # lifted gcds
         assert calls and len(calls) == len(set(calls))
 
 
@@ -382,21 +379,21 @@ class TestControllability:
     """u is controllable iff deg psi_u = n."""
 
     def test_p4_end_controllable(self):
-        assert q.GraphData(q.path(4)).minimal_polys([0])[0].degree == 4
+        assert len(q.GraphData(q.path(4)).minimal_polys([0])[0]) - 1 == 4
 
     def test_p3_center_not(self):
-        assert q.GraphData(q.path(3)).minimal_polys([1])[1].degree < 3
+        assert len(q.GraphData(q.path(3)).minimal_polys([1])[1]) - 1 < 3
 
     def test_complete_graphs_never(self):
         # repeated eigenvalue -1 rules out a full support
         for n in (3, 4, 5):
-            assert q.GraphData(q.complete(n)).minimal_polys([0])[0].degree < n
+            assert len(q.GraphData(q.complete(n)).minimal_polys([0])[0]) - 1 < n
 
     def test_controllable_implies_distinct_spectrum(self):
         for g in random_connected_graphs(60, 8, seed=101):
             data = q.GraphData(g)
             for u, psi in data.minimal_polys(range(g.n)).items():
-                if psi.degree == g.n:
+                if len(psi) - 1 == g.n:
                     assert data.sd.num_distinct == g.n
 
     @pytest.mark.parametrize("g", [
@@ -411,8 +408,8 @@ class TestControllability:
         psi = data.minimal_polys((0, 1, 31, 63))
         for u in (0, 1, 31, 63):
             by_rank = rank_exact(walk_matrix(g, u)) == g.n
-            by_gcd = poly_gcd(phi.coeffs, deleted[u].coeffs) == [1]
-            assert (psi[u].degree == g.n) == by_rank == by_gcd
+            by_gcd = poly_gcd(phi, deleted[u]) == [1]
+            assert (len(psi[u]) - 1 == g.n) == by_rank == by_gcd
 
     def test_every_vertex_of_random64_agrees(self):
         # no timing assertion
@@ -421,8 +418,8 @@ class TestControllability:
         phi, deleted = data.char_polys
         psi = data.minimal_polys(range(g.n))
         for u in range(g.n):
-            by_gcd = poly_gcd(phi.coeffs, deleted[u].coeffs) == [1]
-            assert (psi[u].degree == g.n) == by_gcd
+            by_gcd = poly_gcd(phi, deleted[u]) == [1]
+            assert (len(psi[u]) - 1 == g.n) == by_gcd
 
 
 class TestCospectrality:
@@ -559,7 +556,7 @@ class TestTransferSimilarity:
         g = q.parse_graph6("GSv~Sc")
         data = q.GraphData(g)
         assert data.cospectral(1, 7)
-        assert [p.degree for p in data.minimal_polys((1, 7)).values()] == [g.n, g.n]
+        assert [len(p) - 1 for p in data.minimal_polys((1, 7)).values()] == [g.n, g.n]
         from qwalk.partitions import automorphisms
         assert not any(p[1] == 7 for p in automorphisms(g))
         ts = transfer_similarity(g, 1, 7)
