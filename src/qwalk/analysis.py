@@ -126,7 +126,10 @@ def _grid_peaks(vals, floor):
     """Indices of the local maxima of ``vals`` (ties included) at or above
     ``floor``.  Only the flat |amplitude| == 1 case (single support
     eigenvalue) peaks at the first grid point; a merely decreasing start is
-    the trivial t -> 0 plateau of a diagonal entry."""
+    the trivial t -> 0 plateau of a diagonal entry.  A block whose largest
+    value is below ``floor`` has no peak, and is not searched for one."""
+    if vals.max() < floor:
+        return np.flatnonzero(())
     peaks = vals >= floor
     peaks[1:] &= vals[1:] >= vals[:-1]
     peaks[1:-1] &= vals[1:-1] >= vals[2:]
@@ -497,7 +500,7 @@ def _fill(name, datas, keys):
         if name == "deltas":
             facts = partitions.delta_stack([d.g for d in owners], missing)
         elif name == "psi":
-            facts = walkalg.minimal_polys_stack([d.char_polys for d in owners], missing)
+            facts = walkalg.minimal_polys_stack([d.char_rows for d in owners], missing)
         else:
             facts = signs_stack([d.sd for d in owners], missing,
                                 owners[0].config.support_tolerance)
@@ -524,13 +527,14 @@ def _set(datas, name, stack, of="g"):
 
 def fill_stacked(datas, pairs):
     """The facts ``scan`` needs of every ``GraphData`` d of ``datas`` (one
-    config), by one run of each stacked kernel per vertex count, facts
-    already known left out: connectivity and the decomposition of d with a
-    vertex (unless connected above the cap, an error), then, for d connected
-    within the cap with n >= 2, every support, phi and every phi(G - u), by
-    one Faddeev-LeVerrier run, and, for the vertex pairs ``pairs(d)``, read
-    after phi(G - u), Delta_u and psi_u of their vertices and their sign
-    condition."""
+    config, one scan chunk), by one run of each stacked kernel per vertex
+    count, facts already known left out: connectivity and the decomposition
+    of d with a vertex (unless connected above the cap, an error), then, for
+    d connected within the cap with n >= 2, every support, phi and every
+    phi(G - u) as integer rows (``char_rows``), by one Faddeev-LeVerrier
+    run, and, for the vertex pairs ``pairs(d)``, read after phi(G - u),
+    Delta_u and psi_u of their vertices, psi_u from those rows, and their
+    sign condition."""
     for n, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
         group, config = list(group), datas[0].config
         if n < 1:
@@ -542,7 +546,7 @@ def fill_stacked(datas, pairs):
         if group:
             _set(group, "supports", lambda sds: supports_stack(sds, config.support_tolerance),
                  of="sd")
-            _set(group, "char_polys", lambda graphs: char_polys(graphs, config.exact_cap))
+            _set(group, "char_rows", lambda graphs: char_polys(graphs, config.exact_cap))
             _fill_pairs(group, [pairs(d) for d in group])
 
 
@@ -574,9 +578,15 @@ class GraphData:
         return decompose(self.g, self.config.grouping_tolerance)
 
     @functools.cached_property
-    def char_polys(self):
-        """(phi, (phi(G - u) for every u)), from one Faddeev-LeVerrier run."""
+    def char_rows(self):
+        """(phi, every phi(G - u)) as integer rows, from one Faddeev-LeVerrier run."""
         return char_polys([self.g], self.config.exact_cap)[0]
+
+    @functools.cached_property
+    def char_polys(self):
+        """(phi, (phi(G - u) for every u)) as tuples of Python ints."""
+        phi, deleted = self.char_rows
+        return tuple(phi.tolist()), tuple(map(tuple, deleted.tolist()))
 
     @property
     def phi(self):

@@ -227,8 +227,11 @@ def _scan_doc(data):
     return doc
 
 
-# Most lines per scan chunk; a chunk runs each stacked kernel once per n.
-SCAN_CHUNK = 64
+# Most lines of a scan chunk, and most sum of n**3 over its lines.  A chunk
+# runs each stacked kernel once per n; the line cap bounds its Python state
+# (~10 KB a catalog graph), the budget its n x n arrays (16 graphs of n = 64).
+SCAN_CHUNK = 256
+SCAN_WORK = 2**22
 
 
 def _scan_chunk(item):
@@ -251,14 +254,30 @@ def _scan_chunk(item):
                        separators=(",", ":"), sort_keys=True) for i in sorted(docs)]
 
 
+def _scan_chunks(lines, jobs):
+    """``lines`` cut in order into chunks: a chunk closes at
+    min(``SCAN_CHUNK``, ceil(lines / jobs)) lines, or before a line that
+    would take its sum of n**3 past ``SCAN_WORK``, n read from each line's
+    graph6 size prefix (0 for a blank line); a chunk holds at least one line."""
+    cap = max(1, min(SCAN_CHUNK, math.ceil(len(lines) / max(1, jobs))))
+    chunks, start, work = [], 0, 0
+    for i, line in enumerate(lines):
+        head = [max(0, ord(c) - 63) for c in line.strip()[:4]] or [0]
+        n = head[1] << 12 | head[2] << 6 | head[3] if head[0] == 63 and len(head) == 4 else head[0]
+        if i - start == cap or i > start and work + n**3 > SCAN_WORK:
+            chunks.append(lines[start:i])
+            start, work = i, 0
+        work += n**3
+    return chunks + [lines[start:]] if lines else []
+
+
 def run_scan(lines, config, out=None):
     """Scan newline-delimited graph6 input; one JSON line per graph, emitted in
     input order regardless of worker count, at most one per line, a chunk
-    of at most ``SCAN_CHUNK`` lines at a time.  Returns the number processed."""
+    (``_scan_chunks``) at a time.  Returns the number processed."""
     if out is None:
         out = sys.stdout
-    size = max(1, min(SCAN_CHUNK, math.ceil(len(lines) / max(1, config.jobs))))
-    chunks = [(lines[i:i + size], config) for i in range(0, len(lines), size)]
+    chunks = [(chunk, config) for chunk in _scan_chunks(lines, config.jobs)]
     jobs = min(config.jobs, len(chunks))
     processed = 0
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:

@@ -114,14 +114,6 @@ def _gcd_mod(a, b, p):
     return [c * inv % p for c in a]
 
 
-def _integer_poly(coeffs):
-    out = poly_trim(list(coeffs) or [0])
-    # the type test is a fast path: the ABC check is slow on plain ints
-    if not all(type(c) is int or isinstance(c, numbers.Integral) for c in out):
-        raise ValueError("integer coefficients needed")
-    return [int(c) for c in out]
-
-
 def poly_gcd(p, q):
     """Monic gcd of integer polynomials, at least one of them monic.
 
@@ -134,7 +126,11 @@ def poly_gcd(p, q):
     monic input), while deg H >= deg h because h mod p divides every modular
     gcd; so H = h.  Any other input raises ValueError.
     """
-    a, b = _integer_poly(p), _integer_poly(q)
+    a, b = (poly_trim(list(x) or [0]) for x in (p, q))
+    # the type test is a fast path: the ABC check is slow on plain ints
+    if not all(type(c) is int or isinstance(c, numbers.Integral) for c in a + b):
+        raise ValueError("integer coefficients needed")
+    a, b = [int(c) for c in a], [int(c) for c in b]
     if a[0] != 1 and b[0] != 1:
         raise ValueError("poly_gcd needs at least one monic polynomial")
     if a == [0] or b == [0]:
@@ -164,20 +160,23 @@ def _crt(residues, primes):
     """Integers in the symmetric range from their residues modulo ``primes``,
     one row each: Garner's mixed-radix digits in int64, each pair joined
     into one limb d_i + p_i d_(i+1) < 2**62, then one object dot with the
-    limbs' radices.  One limb, over one or two primes, stays int64."""
+    limbs' radices.  When every value lies within p_0 p_1 of 0, as over one
+    or two primes, they stay int64: the digits past the first limb are then
+    all 0, or all p_i - 1 for a negative value, which is the limb - p_0 p_1."""
     digits = residues.copy()
     for i, p in enumerate(primes):
         for j in range(i):
             digits[:, i] = (digits[:, i] - digits[:, j]) % p * pow(primes[j], -1, p) % p
     limbs = digits[:, ::2].copy()
     limbs[:, :len(primes) // 2] += digits[:, 1::2] * np.array(primes[:-1:2], dtype=np.int64)
+    high = digits[:, 2:]
+    negative = high.any(axis=1) & (high == np.array(primes[2:], dtype=np.int64) - 1).all(axis=1)
+    if not (high.any(axis=1) & ~negative).any():
+        radix = math.prod(primes[:2])
+        return limbs[:, 0] - (negative if len(primes) > 2 else limbs[:, 0] > radix // 2) * radix
+    radices = np.array([math.prod(primes[:i]) for i in range(0, len(primes), 2)], dtype=object)
+    values = limbs.astype(object) @ radices
     modulus = math.prod(primes)
-    if limbs.shape[1] == 1:
-        values = limbs[:, 0]
-    else:
-        radices = np.array([math.prod(primes[:i]) for i in range(0, len(primes), 2)],
-                           dtype=object)
-        values = limbs.astype(object) @ radices
     return np.where(values > modulus // 2, values - modulus, values)
 
 
@@ -221,80 +220,111 @@ def _euclid_mod(a, b, p):
     return gcds, degrees
 
 
-def _padded(polys):
-    """The polynomials as one object array, zero-padded on the left."""
-    width = max(map(len, polys))
-    return np.array([[0] * (width - len(r)) + r for r in polys], dtype=object)
+def _quotients_mod(num, den, p):
+    """The quotients modulo the prime ``p`` of the int64 residue rows ``num``
+    (..., rows, width) by the monic rows ``den`` of one degree k, as wide
+    as ``num``: one lockstep long division."""
+    k = den.shape[-1] - 1
+    r, quotients = num.copy(), np.zeros_like(num)
+    for i in range(num.shape[-1] - k):
+        c = r[..., i:i + 1].copy()
+        quotients[..., i + k] = c[..., 0]
+        r[..., i:i + k + 1] = (r[..., i:i + k + 1] - c * den) % p
+    return quotients
+
+
+def _times(x, y):
+    """The products of the polynomial rows of ``x`` and ``y`` (broadcast): in
+    int64 when no sum of min(widths) products of their largest entries
+    reaches 2**63."""
+    x, y = sorted((x, y), key=lambda z: z.shape[-1])
+    top = x.shape[-1] * int(abs(x).max(initial=0)) * int(abs(y).max(initial=0))
+    x, y = (z.astype(np.int64 if top < 2**63 else object) for z in (x, y))
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+                   + (x.shape[-1] + y.shape[-1] - 1,), dtype=x.dtype)
+    for j in range(x.shape[-1]):
+        out[..., j:j + y.shape[-1]] += x[..., j:j + 1] * y
+    return out
 
 
 def poly_gcds(p, q):
-    """``poly_gcd`` h of each pair p[i], q[i] of integer polynomials, at
-    least one of each pair monic, and the cofactor p[i] / h, as pairs, from
-    one vectorised run over the distinct pairs.
+    """``poly_gcd`` h of each pair of rows p[i], q[i] of two integer arrays
+    (int64 or object, rows zero-padded on the left, one of each pair monic)
+    and the cofactor p[i] / h, from one vectorised run over the distinct
+    pairs: arrays as wide as the wider input and as ``p``, int64 when the
+    bound below fits.
 
     The pairs run one lockstep Euclid modulo each prime of ``_primes()`` in
     turn (``_euclid_mod``).  Degree 0 at the first prime proves a pair
-    coprime: a common factor over Q is, by Gauss's lemma, an integer
-    polynomial dividing the monic input, so it keeps its degree mod p.  The
-    other pairs have their modular gcds lifted to integers in the symmetric
-    range (``_crt``) after each prime, and a lift is accepted when it divides
-    both inputs exactly, which is ``poly_gcd``'s proof; the quotient of p[i]
-    is the cofactor.  Each distinct (input, lift) pair is divided once per
-    run, however many pairs share it.  A monic divisor h of degree k of the
-    monic input f, of degree d, has every coefficient at most
-    C(k, k // 2) M(h) <= 2**d ||f||_2 (Mignotte; M is the Mahler measure,
-    and M(h) <= M(f) <= ||f||_2 by Landau), so the lift stops at the end of
-    ``_primes_above`` twice the largest such bound of the run.  A pair
-    that degenerates, changes degree between primes or is never accepted
-    goes to ``poly_gcd``.
+    coprime: by Gauss's lemma a common factor divides the monic input over
+    Z, so it keeps its degree mod p.  Otherwise h and the quotients q, r of
+    both inputs by it (``_quotients_mod``) are lifted to the symmetric range
+    (``_crt``) and accepted when h q = p[i] and h r = q[i] exactly
+    (``_times``), ``poly_gcd``'s proof.  A divisor of an input f of degree d
+    has every coefficient at most 2**d ||f||_2 (Mignotte and Landau), so at
+    most 2**(w - 1) sqrt(w) c for rows w wide whose largest |coefficient| is
+    c: a lift past that is rejected unmultiplied, and the lift ends at
+    ``_primes_above`` twice it.  A pair with a zero input, or that
+    degenerates, changes degree or is never accepted goes to ``poly_gcd``.
     """
-    pairs = list(zip(map(tuple, p), map(tuple, q)))
-    distinct = list(dict.fromkeys(pairs))
-    if not distinct:
-        return []
-    known = {x: _integer_poly(x) for x in dict.fromkeys(x for pair in distinct for x in pair)}
-    heads, rows = ([known[pair[side]] for pair in distinct] for side in (0, 1))
-    if any(a[0] != 1 and b[0] != 1 for a, b in zip(heads, rows)):
+    p, q = np.asarray(p), np.asarray(q)
+    if not all(x.dtype == object or x.dtype.kind in "iu" for x in (p, q)):
+        raise ValueError("integer coefficients needed")
+    width = max(p.shape[1], q.shape[1])
+    rows = np.zeros((len(p), 2 * width), dtype=np.result_type(p, q))
+    rows[:, width - p.shape[1]:width], rows[:, 2 * width - q.shape[1]:] = p, q
+    # the distinct pairs: rows with one hash of their residues, then equal
+    key = (rows % _PRIMES31[0]).astype(np.int64) @ np.cumprod(
+        np.full(2 * width, 1000003, dtype=np.int64))  # wraps modulo 2**64
+    seen = {}
+    slot = np.array([seen.setdefault(k, i) for i, k in enumerate(key.tolist())], dtype=int)
+    slot = np.where((rows == rows[slot]).all(axis=1), slot, np.arange(len(rows)))
+    distinct = np.flatnonzero(slot == np.arange(len(rows)))
+    both = rows[distinct].reshape(-1, 2, width).transpose(1, 0, 2)  # p and q rows
+    leads = np.take_along_axis(both, (both != 0).argmax(axis=2)[..., None], axis=2)[..., 0]
+    if (leads != 1).all(axis=0).any():
         raise ValueError("poly_gcds needs at least one monic polynomial in each pair")
-    quotients = {}
-
-    def divide(num, den):
-        """The quotient of ``num`` by the monic ``den``, None if inexact."""
-        key = (num, tuple(den))
-        if key not in quotients:
-            quotient, rest = _divmod_monic(known[num], den)
-            quotients[key] = quotient if rest == [0] else None
-        return quotients[key]
-
-    a_int, b_int = _padded(heads), _padded(rows)
-    limit = max(2 ** len(known[f]) * (math.isqrt(sum(c * c for c in known[f])) + 1)
-                for f in dict.fromkeys(a if known[a][0] == 1 else b for a, b in distinct))
-    found = [None] * len(distinct)
-    live, degree, primes, stack = np.arange(len(distinct)), None, [], []
+    top = int(abs(both).max(initial=0))
+    limit = 2 ** width * (math.isqrt(width * top * top) + 1)
+    gcds, cofactors = (np.zeros((len(distinct), width),
+                                dtype=np.int64 if limit < 2**63 else object) for _ in range(2))
+    live = np.flatnonzero((leads != 0).all(axis=0))
+    degree, primes, stack = None, [], []
     for prime in _primes_above(limit):
-        g, d = _euclid_mod((a_int[live] % prime).astype(np.int64),
-                           (b_int[live] % prime).astype(np.int64), prime)
+        res = (both[:, live] % prime).astype(np.int64)
+        g, d = _euclid_mod(res[0, :, width - p.shape[1]:].copy(),
+                           res[1, :, width - q.shape[1]:].copy(), prime)
         if degree is None:  # the first prime
-            for i in live[d == 0].tolist():
-                found[i] = [1]
+            coprime = live[d == 0]
+            gcds[coprime, -1], cofactors[coprime] = 1, both[0, coprime]
             degree = d
         keep = (d == degree) & (degree > 0)
-        live, degree, stack = live[keep], degree[keep], [s[keep] for s in stack] + [g[keep]]
+        live, degree, g, res = live[keep], degree[keep], g[keep], res[:, keep]
+        stack = [s[keep] for s in stack]
         if not len(live):
             break
+        for k in set(degree.tolist()):
+            of_k = degree == k
+            res[:, of_k] = _quotients_mod(res[:, of_k], g[of_k, -k - 1:], prime)
         primes.append(prime)
+        stack.append(np.concatenate([g[None], res]).transpose(1, 0, 2))
         lifted = _crt(np.stack(stack, axis=-1).reshape(-1, len(primes)), primes)
-        accepted = np.zeros(len(live), dtype=bool)
-        for j, (i, k, cand) in enumerate(zip(live.tolist(), degree.tolist(),
-                                             lifted.reshape(len(live), -1).tolist())):
-            cand = cand[-k - 1:]
-            if all(divide(x, cand) is not None for x in distinct[i]):
-                found[i], accepted[j] = cand, True
+        lifted = lifted.reshape(len(live), 3, width)  # h, q and r
+        accepted = (abs(lifted) <= limit // 2).all(axis=(1, 2))
+        for k in set(degree[accepted].tolist()):
+            at = np.flatnonzero(accepted & (degree == k))
+            products = _times(lifted[at, :1, -k - 1:], lifted[at, 1:, k:])
+            accepted[at] = (products == both[:, live[at]].transpose(1, 0, 2)).all(axis=(1, 2))
+            ok = at[accepted[at]]
+            gcds[live[ok], -k - 1:] = lifted[ok, 0, -k - 1:]
+            cofactors[live[ok], k:] = lifted[ok, 1, k:]
         live, degree, stack = live[~accepted], degree[~accepted], [s[~accepted] for s in stack]
         if not len(live):
             break
-    results = {}
-    for key, h, a, b in zip(distinct, found, heads, rows):
-        h = h or poly_gcd(a, b)
-        results[key] = (h, a if h == [1] else divide(key[0], h))
-    return [results[key] for key in pairs]
+    for i in np.flatnonzero(~gcds.any(axis=1)).tolist():  # undecided
+        x, y = (poly_trim(row.tolist()) for row in both[:, i])
+        h = poly_gcd(x, y)
+        cofactor = _divmod_monic(x, h)[0]
+        gcds[i, width - len(h):], cofactors[i, width - len(cofactor):] = h, cofactor
+    inverse = np.searchsorted(distinct, slot)
+    return gcds[inverse], cofactors[inverse, width - p.shape[1]:]

@@ -210,8 +210,9 @@ def _combine(residues, primes):
 
 def _faddeev_leverrier(graphs):
     """(phi(G), (phi(G - u) for every u)) of every graph G of ``graphs``, all
-    of one vertex count, from one Faddeev-LeVerrier run over the stack, in
-    the residue arithmetic that ``char_polys`` describes.
+    of one vertex count n, as an (n + 1,) and an (n, n) integer array, from
+    one Faddeev-LeVerrier run over the stack, in the residue arithmetic that
+    ``char_polys`` describes.
 
     With B_0 = I, c_k = -tr(A B_{k-1}) / k and B_k = A B_{k-1} + c_k I, the
     coefficients of det(tI - A) are c_0 = 1, c_1, ..., c_n and
@@ -259,16 +260,16 @@ def _faddeev_leverrier(graphs):
         reason = (f"reconstructed integers disagree with the check prime {primes[-1]}"
                   if wrong[i] else "phi' differs from sum phi(G - u)")
         raise InternalCheckError(f"{encode_graph6(graphs[i])}: {reason}")
-    return [(tuple(f), tuple(map(tuple, rows)))
-            for f, rows in zip(phi.tolist(), deleted.tolist())]
+    return list(zip(phi, deleted))
 
 
 def char_polys(graphs, cap=EXACT_CAP_DEFAULT):
     """(phi, every phi(G - u)) of each graph of ``graphs``, all of one vertex
-    count within ``cap``, exact, as tuples of Python ints in descending
-    powers, from one ``_faddeev_leverrier`` run modulo
-    a few primes below 2**31 at once (phi of the empty graph G - u, n = 1,
-    is 1).
+    count within ``cap``, exact, as integer rows in descending powers: int64
+    arrays while every coefficient of the stack lies within p_0 p_1 ~ 2**62
+    of 0 (``_crt``), object arrays of Python ints past it, from one
+    ``_faddeev_leverrier`` run modulo a few primes below 2**31 at once (phi
+    of the empty graph G - u, n = 1, is 1).
 
     The residues are a float64 array (n, n, primes) per graph of a stack,
     and each step A B_{k-1} is one matrix product with it
@@ -301,9 +302,8 @@ class GapReport:
 
 def gap_report(sd):
     """The ``GapReport`` of the graph that ``sd`` decomposes (n >= 2): the
-    minimum distance between the eigenvalues of the multiset, 0 on repeats."""
-    if np.any(sd.multiplicities > 1):
-        sigma = 0.0
-    else:
-        sigma = float(np.min(sd.eigenvalues[:-1] - sd.eigenvalues[1:]))
-    return GapReport(sigma=sigma, bound=12.0 / (sd.n + 1))
+    minimum distance between the eigenvalues of the multiset, 0 on repeats
+    (fewer distinct eigenvalues than n)."""
+    values, n = sd.eigenvalues.tolist(), sd.n
+    sigma = min(map(float.__sub__, values, values[1:])) if len(values) == n else 0.0
+    return GapReport(sigma=sigma, bound=12.0 / (n + 1))

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from .polys import _primes_above, poly_gcds
+from .polys import _primes_above, poly_gcds, poly_trim
 from .spectral import EXACT_CAP_DEFAULT, InternalCheckError, _check_cap, _residue_walks
 
 
@@ -17,25 +17,28 @@ def _check_vertex(n, u):
 
 
 def minimal_polys_stack(polys, roots):
-    """For each (phi, (phi(G - u) for every u)) of ``polys``, as
-    ``char_polys`` gives them, the minimal polynomial psi_u of e_u of each u
-    of its ``roots``, as dicts of coefficient tuples.
+    """For each (phi, (phi(G - u) for every u)) of ``polys``, all of one
+    vertex count, as the integer rows that ``char_polys`` gives, the minimal
+    polynomial psi_u of e_u of each u of its ``roots``, as dicts of tuples of
+    Python ints.
 
     As e_u^T (tI - A)^-1 e_u = phi(G - u) / phi(G), whose reduced
     denominator is the minimal polynomial of e_u, psi_u is
     phi / gcd(phi, phi(G - u)): the cofactor that one certified
-    ``poly_gcds`` run over the roots of every graph divides out, equal pairs
-    once.  It is monic and squarefree, its roots are the eigenvalues in the
-    support of u, and its degree is the rank of the walk matrix W_u.
+    ``poly_gcds`` run over the rows of the roots of every graph gives, equal
+    rows once.  It is monic and squarefree, its roots are the eigenvalues in
+    the support of u, and its degree is the rank of the walk matrix W_u.
     """
     roots = [list(dict.fromkeys(r)) for r in roots]
-    for (phi, _), vertices in zip(polys, roots):
-        for u in vertices:
-            _check_vertex(len(phi) - 1, u)
-    rows = [(phi, deleted[u]) for (phi, deleted), vertices in zip(polys, roots)
-            for u in vertices]
-    found = iter(poly_gcds([phi for phi, _ in rows], [p for _, p in rows]))
-    return [{u: tuple(next(found)[1]) for u in vertices} for vertices in roots]
+    n = len(polys[0][0]) - 1
+    for u in itertools.chain.from_iterable(roots):
+        _check_vertex(n, u)
+    owner = [i for i, r in enumerate(roots) for _ in r]
+    _, cofactors = poly_gcds(np.stack([phi for phi, _ in polys])[owner],
+                             np.concatenate([deleted for _, deleted in polys])[
+                                 [i * n + u for i, r in enumerate(roots) for u in r]])
+    found = map(tuple, map(poly_trim, cofactors.tolist()))
+    return [{u: next(found) for u in vertices} for vertices in roots]
 
 
 def _closed_walks(g, roots, cap):

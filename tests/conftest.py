@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qwalk as q
+from qwalk import polys
 from qwalk.polys import poly_trim
 
 from oracles import poly_degree, walk_matrix
@@ -52,6 +53,26 @@ def atlas_connected():
         if 1 <= n <= 7 and nx.is_connected(G):
             by_n[n].append(q.Graph(nx.to_numpy_array(G, dtype=int)))
     return by_n
+
+
+def as_tuples(rows):
+    """A (phi, every phi(G - u)) pair of integer rows, as ``char_polys``
+    gives it, as the tuples of Python ints that ``GraphData.char_polys`` holds."""
+    phi, deleted = rows
+    return tuple(phi.tolist()), tuple(map(tuple, deleted.tolist()))
+
+
+def padded(rows):
+    """Integer rows zero-padded on the left to one width, as one array."""
+    width = max(map(len, rows))
+    return np.array([[0] * (width - len(r)) + list(r) for r in rows])
+
+
+def gcd_pairs(p, q):
+    """``polys.poly_gcds`` of the rows p[i], q[i], each side ``padded``, as a
+    list of (gcd, cofactor) coefficient lists, leading zeros trimmed."""
+    gcds, cofactors = polys.poly_gcds(padded(p), padded(q))
+    return [(poly_trim(h), poly_trim(c)) for h, c in zip(gcds.tolist(), cofactors.tolist())]
 
 
 def poly_divmod(num, den):

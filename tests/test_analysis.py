@@ -15,8 +15,8 @@ import qwalk as q
 from qwalk.analysis import squarefree_part
 from qwalk.polys import poly_eval, poly_gcd
 
-from conftest import (poly_divmod, random_connected_graphs, random_graphs, ratio_condition,
-                      reconstruct_rational)
+from conftest import (as_tuples, poly_divmod, random_connected_graphs, random_graphs,
+                      ratio_condition, reconstruct_rational)
 from oracles import check_periodicity, finiteness_bound, near_root_reference, poly_degree
 from test_acceptance import REPORT_GRAPHS
 
@@ -624,7 +624,7 @@ class TestComputeOnce:
         lines = [q.encode_graph6(g) for g in graphs]
         assert len(lines) <= cli.SCAN_CHUNK
         # minimal_polys_stack takes the (phi, every phi(G - u)) of each graph
-        polys = {g: q.spectral._faddeev_leverrier([g])[0] for g in graphs}
+        polys = {g: as_tuples(q.spectral._faddeev_leverrier([g])[0]) for g in graphs}
         calls = self._spy_kernels(monkeypatch)
         calls["_faddeev_leverrier"] = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
@@ -634,7 +634,8 @@ class TestComputeOnce:
         for g in graphs:
             by_n.setdefault(g.n, set()).add(g)
         for name, made in calls.items():
-            stacked = sorted((set(args[0]) for args in made), key=_stack_n)
+            stacked = sorted(({as_tuples(x) for x in args[0]} if name == "minimal_polys_stack"
+                              else set(args[0]) for args in made), key=_stack_n)
             expected = [by_n[n] if name != "minimal_polys_stack" else {polys[g] for g in by_n[n]}
                         for n in sorted(by_n)]
             assert stacked == expected, name

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from qwalk.cli import AnalysisConfig, main, run_scan
 from qwalk.graphs import MAX_VERTICES
 
 from test_acceptance import REPORT_GRAPHS
+
+CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "atlas1000.g6"
 
 
 def run_cli(argv, capsys):
@@ -380,6 +383,52 @@ class TestScan:
             "graph must have at least one vertex", "", "exact-arithmetic cap exceeded: 8 > 6",
             docs[8]["error"], ""]
         assert "truncated" in docs[8]["error"] and not docs[3]["connected"]
+
+
+    def test_chunks_close_at_256_lines_or_the_work_budget(self):
+        # Σ n**3 of 256 catalog lines is far below SCAN_WORK = 2**22, while
+        # 16 graphs of n = 64 (64**3 = 2**18 each) reach it; ceil(lines / jobs)
+        # caps both
+        catalog = CATALOG.read_text().split()[:300]
+        rng = np.random.default_rng(64)
+        cap = [q.encode_graph6(q.Graph(a + a.T)) for a in
+               (np.triu((rng.random((64, 64)) < 0.45).astype(int), 1) for _ in range(40))]
+
+        def sizes(lines, jobs):
+            chunks = cli._scan_chunks(lines, jobs)
+            assert [line for chunk in chunks for line in chunk] == lines
+            return [len(chunk) for chunk in chunks]
+
+        assert sizes(catalog, 1) == [256, 44]
+        assert sizes(cap, 1) == sizes(cap, 2) == [16, 16, 8]
+        assert sizes(catalog, 2) == [150, 150] and sizes(catalog, 7) == [43] * 6 + [42]
+        assert sizes(cap, 4) == [10] * 4 and sizes(cap[:1], 1) == [1]
+        assert sizes(catalog[:5] + cap[:16], 1) == [20, 1]  # small lines count too
+        assert sizes([], 3) == [] and sizes(["", " ", "\x7fbad", "~~"], 1) == [4]
+
+    @pytest.mark.parametrize("lines,work", [(1, 2**22), (7, 2**22), (256, 200)],
+                             ids=["1-line", "7-line", "work-200"])
+    def test_chunk_bounds_do_not_change_bytes(self, monkeypatch, lines, work):
+        # mixed vertex counts with a blank line, a malformed one, a
+        # disconnected graph and K1: the bounds cut the chunks differently,
+        # and every line is the same
+        rng = np.random.default_rng(26)
+        two_c4 = q.Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
+                                    + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
+        graphs = [q.path(4), q.cycle(7), two_c4, q.hypercube(3), q.petersen(), q.star(9),
+                  q.cartesian_product(q.path(5), q.path(6)), q.hypercube(5), q.complete(5)]
+        graphs += [q.Graph(a + a.T) for a in
+                   (np.triu((rng.random((n, n)) < 0.45).astype(int), 1) for n in (6, 24, 6, 40))]
+        text = [q.encode_graph6(g) for g in graphs]
+        text[3:3] = ["", "\x7fbad", "@"]
+        default = io.StringIO()
+        assert run_scan(text, AnalysisConfig(), out=default) == len(text) - 1
+        monkeypatch.setattr(cli, "SCAN_CHUNK", lines)
+        monkeypatch.setattr(cli, "SCAN_WORK", work)
+        assert len(cli._scan_chunks(text, 1)) > 1
+        patched = io.StringIO()
+        assert run_scan(text, AnalysisConfig(), out=patched) == len(text) - 1
+        assert patched.getvalue() == default.getvalue()
 
 
 def _emitted(doc, capsys):

@@ -10,7 +10,7 @@ import qwalk as q
 from qwalk import polys
 from qwalk.polys import poly_gcd, poly_trim
 
-from conftest import poly_divmod, random_connected_graphs
+from conftest import gcd_pairs, poly_divmod, random_connected_graphs
 from oracles import poly_degree
 
 
@@ -149,7 +149,7 @@ class TestPolyGcd:
         assert poly_gcd([1, 0, -2], [0]) == [1, 0, -2]
         assert poly_gcd([0, 0], [1, 5]) == [1, 5]
         assert poly_gcd([1], [6, 4]) == [1]
-        assert polys.poly_gcds([[1, 0, -1]], [[1, 2]]) == [([1], [1, 0, -1])]
+        assert gcd_pairs([[1, 0, -1]], [[1, 2]]) == [([1], [1, 0, -1])]
 
     def test_numpy_integers_accepted(self):
         assert poly_gcd(np.array([1, 0, -1]), [np.int64(1), np.int64(1)]) == [1, 1]
@@ -199,6 +199,21 @@ class TestCrt:
         if count <= 2:
             # one limb: the lift never leaves int64
             assert found.dtype == np.int64
+
+    @pytest.mark.parametrize("count", range(3, 9))
+    def test_values_within_the_first_limb_stay_int64(self, count):
+        primes = polys._PRIMES31[:count]
+        radix = primes[0] * primes[1]
+        rng = np.random.default_rng(count)
+        values = [0, 1, -1, radix - 1, 1 - radix, -radix]
+        values += [int(v) for v in rng.integers(1 - radix, radix, 40)]
+        rows = [[v % p for p in primes] for v in values]
+        found = polys._crt(np.array(rows, dtype=np.int64), primes)
+        assert found.dtype == np.int64 and found.tolist() == values
+        # one value past p_0 p_1 takes the whole lift to Python integers
+        rows.append([radix % p for p in primes])
+        found = polys._crt(np.array(rows, dtype=np.int64), primes)
+        assert found.dtype == object and found.tolist() == values + [radix]
 
 
 class TestSquarefree:

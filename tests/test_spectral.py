@@ -9,7 +9,7 @@ import qwalk as q
 from qwalk import cli, polys, spectral, walkalg
 from qwalk.polys import _PRIMES31, _is_prime
 
-from conftest import closed_walks_reference, random_graphs
+from conftest import as_tuples, closed_walks_reference, random_graphs
 from oracles import delete_vertex, trace_identity_check
 
 
@@ -285,7 +285,7 @@ class TestResidueArithmetic:
         assert len(primes) > 2 and primes[:2] == _PRIMES31[:2]
         assert list(primes) == sorted(set(primes), reverse=True)
         assert all(_is_prime(p) and p < 2**31 for p in primes)
-        phi, deleted = spectral._faddeev_leverrier([g])[0]
+        phi, deleted = as_tuples(spectral._faddeev_leverrier([g])[0])
         assert (phi, list(deleted)) == faddeev_leverrier_reference(g)
 
     @pytest.mark.internal_check
@@ -373,7 +373,7 @@ class TestReductionSchedule:
         reference = faddeev_leverrier_reference(g)
         if low:
             lowest_admitted(monkeypatch, g.n)
-        phi, deleted = spectral._faddeev_leverrier([g])[0]
+        phi, deleted = as_tuples(spectral._faddeev_leverrier([g])[0])
         assert (phi, list(deleted)) == reference
 
     @pytest.mark.parametrize("low", [False, True], ids=["default", "lowest"])
@@ -390,7 +390,7 @@ class TestReductionSchedule:
             if low:
                 lowest_admitted(monkeypatch, stack[0].n)
             found = spectral._faddeev_leverrier(stack)
-            for g, (phi, deleted) in zip(stack, found):
+            for g, (phi, deleted) in zip(stack, map(as_tuples, found)):
                 assert (phi, list(deleted)) == faddeev_leverrier_reference(g)
                 walks, reference = closed_walk_residues(g, range(g.n))
                 assert walks == reference

@@ -11,7 +11,7 @@ import qwalk.spectral as spectral
 import qwalk.walkalg as walkalg
 from qwalk.polys import poly_gcd
 
-from conftest import closed_walks_reference, poly_divmod, random_connected_graphs
+from conftest import closed_walks_reference, gcd_pairs, poly_divmod, random_connected_graphs
 from oracles import (invert_exact, poly_degree, rank_exact, support_size_crosscheck,
                      transfer_similarity, walk_matrix)
 
@@ -232,7 +232,7 @@ class TestMinimalPolys:
     def _check(g):
         data = q.GraphData(g)
         phi, rows = data.char_polys
-        found = polys.poly_gcds([phi] * g.n, rows)
+        found = gcd_pairs([phi] * g.n, rows)
         assert [h for h, _ in found] == [poly_gcd(phi, r) for r in rows]
         reference = bareiss_ranks(g)
         minimal = data.minimal_polys(range(g.n))
@@ -348,31 +348,94 @@ class TestBatchedControllability:
     def test_single_polynomial_and_stack_agree(self):
         g = LARGE["Q5"]
         phi, rows = q.GraphData(g).char_polys
-        stack = polys.poly_gcds([phi] * g.n, rows)
+        stack = gcd_pairs([phi] * g.n, rows)
         assert len(stack) == g.n
-        assert [polys.poly_gcds([phi], [r])[0] for r in rows] == stack
-        found = polys.poly_gcds([[1, 0, -1]] * 4, [[1, 2], [1, 1], [0], [3, 7, 2]])
+        assert [gcd_pairs([phi], [r])[0] for r in rows] == stack
+        found = gcd_pairs([[1, 0, -1]] * 4, [[1, 2], [1, 1], [0], [3, 7, 2]])
         assert [h == [1] for h, _ in found] == [True, False, False, True]
         assert [cofactor for _, cofactor in found] == [[1, 0, -1], [1, -1], [1], [1, 0, -1]]
         with pytest.raises(ValueError):
-            polys.poly_gcds([[2, 1]] * 2, [[1, 1], [3, 1]])
+            gcd_pairs([[2, 1]] * 2, [[1, 1], [3, 1]])
 
     @pytest.mark.parametrize("name", ["Q6", "P64"])
-    def test_each_division_made_once(self, monkeypatch, name):
-        # every (input, lifted gcd) pair is divided at most once in a run,
-        # though rows of one graph that share a gcd divide the same phi
+    def test_each_certificate_made_once(self, monkeypatch, name):
+        # every distinct (phi, phi(G - u)) input pair is certified at most
+        # once per lift, though the rows of one graph share phi and many
+        # share phi(G - u) too: a call multiplies the h of each of its lifts
+        # by their q and r, and a certificate is the (h, q, r) of one lift
         calls = []
-        real = polys._divmod_monic
-
-        def spy(num, den, p=0):
-            calls.append((tuple(num), tuple(den), p))
-            return real(num, den, p)
-
-        monkeypatch.setattr(polys, "_divmod_monic", spy)
+        real = polys._times
+        monkeypatch.setattr(polys, "_times", lambda x, y: calls.append((x, y)) or real(x, y))
+        monkeypatch.setattr(polys, "_divmod_monic", None)  # no division by a lift
         g = LARGE[name]
         psi = q.GraphData(g).minimal_polys(range(g.n))
         assert min(len(p) - 1 for p in psi.values()) < g.n  # lifted gcds
-        assert calls and len(calls) == len(set(calls))
+        certified = [(tuple(h), tuple(x), tuple(y)) for hs, quotients in calls
+                     for (h,), (x, y) in zip(hs.tolist(), quotients.tolist())]
+        assert certified and len(certified) == len(set(certified))
+
+
+def random_connected(n, p, seed):
+    """The first connected graph of density p drawn by the rng of ``seed``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = np.triu((rng.random((n, n)) < p).astype(int), 1)
+        g = q.Graph(a + a.T)
+        if g.is_connected():
+            return g
+
+
+ARRAY_PSI = {"Q6": q.hypercube(6), "P64": q.path(64), "K64": q.complete(64),
+             "K1,63": q.star(63), "P5xP6": LARGE["P5xP6"],
+             "random64-0.45": random_connected(64, 0.45, 64),
+             "random64-0.9": random_connected(64, 0.9, 64)}
+
+
+class TestArrayPsi:
+    """psi_u of the array kernel against phi / poly_gcd(phi, phi(G - u)),
+    row by row, on int64 rows and on object rows past int64."""
+
+    def test_rows_of_both_kinds(self):
+        kinds = {name: q.GraphData(g).char_rows[1].dtype for name, g in ARRAY_PSI.items()}
+        assert kinds["K64"] == kinds["random64-0.45"] == object
+        assert kinds["P5xP6"] == kinds["P64"] == np.int64
+
+    @pytest.mark.parametrize("name", list(ARRAY_PSI))
+    def test_matches_row_wise_poly_gcd(self, name):
+        g = ARRAY_PSI[name]
+        data = q.GraphData(g)
+        phi, deleted = data.char_polys
+        expected = {}
+        for row in dict.fromkeys(deleted):
+            psi, rest = poly_divmod(phi, poly_gcd(phi, row))
+            assert rest == [0]
+            expected[row] = tuple(psi)
+        assert data.minimal_polys(range(g.n)) == {u: expected[deleted[u]] for u in range(g.n)}
+
+    @pytest.mark.parametrize("part", ["h", "q", "r"])
+    def test_forged_lift_is_not_accepted(self, monkeypatch, part):
+        # the constant coefficient of h, q = phi / h or r = phi(G - u) / h in
+        # the last lifted row is off by one after every prime: its products
+        # fail, so that distinct row alone goes to poly_gcd, and its psi_u
+        # is still right
+        g = LARGE["P5xP6"]
+        expected = q.GraphData(g).minimal_polys(range(g.n))
+        data = q.GraphData(g)
+        phi, deleted = data.char_polys
+        width = g.n + 1  # a lifted row is h, q and r, each this wide
+        column = {"h": width, "q": 2 * width, "r": 3 * width}[part] - 3 * width - 1
+        real = polys._crt
+
+        def forged(residues, primes):
+            values = real(residues, primes)
+            values[column] += 1
+            return values
+
+        sent = spy_poly_gcd(monkeypatch)
+        monkeypatch.setattr(polys, "_crt", forged)
+        assert data.minimal_polys(range(g.n)) == expected
+        assert len(sent) == 1 and tuple(sent[0][0]) == phi and tuple(sent[0][1]) in deleted
+        assert min(len(p) - 1 for p in expected.values()) < g.n  # lifted gcds
 
 
 class TestControllability:
