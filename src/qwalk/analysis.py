@@ -6,6 +6,7 @@ non-existence.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import partitions, walkalg
 from .graphs import connected_stack
-from .spectral import (EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, char_polys, decompose,
-                       decompose_stack, gap_report, support_mask, supports_stack,
+from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, char_polys,
+                       decompose, decompose_stack, gap_report, support_mask, supports_stack,
                        transition_matrix)
 from .polys import poly_divides, poly_eval
 
@@ -304,24 +305,91 @@ def squarefree_part(m):
 # of psi provably lies within 2**(1 - _GUARD_BITS) of it.
 _GUARD_BITS = 30
 
+# The unit roundoff of float64.
+_UNIT = 2.0**-53
 
-def _near_roots(coeffs, values):
-    """For each of ``values``, whether the squarefree polynomial ``coeffs``
-    is zero at an end of, or changes sign across, the dyadic interval
-    [m - 1, m + 1] / 2**B that holds it (m the nearest integer to v * 2**B,
-    B = _GUARD_BITS); either proves a root in it.  The signs are those of
-    2**(B*d) p(x / 2**B) at x = m - 1 and m + 1, by Horner's rule in
-    integers on the coefficients c_i 2**(B*i), shifted once for all values."""
+
+def _float_signs(table, points):
+    """The float stage of the root guard: the sign of the polynomial of
+    each row of ``table`` (exact float64 coefficients in descending powers,
+    zero-padded on the left) at each point of the same row of ``points``,
+    by one float64 Horner run over all rows, and whether that sign is
+    certain.
+
+    With exact coefficients c_j and an exact point y, the computed value
+    differs from p(y) by at most gamma_2d * S, d the degree (here the
+    widest row's), S = sum |c_j| |y|**j and gamma_k = k u / (1 - k u), u
+    the unit roundoff (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 5.1).  S comes from a second Horner run,
+    on the |c_j| at |y|, which underestimates it by at most the factor
+    1 - gamma_2d.  A sign is certain when the value is finite and its
+    magnitude exceeds gamma_2d / (1 - gamma_2d) * S-hat, rounded up, plus
+    2**-1000 for any underflow; both runs share one array."""
+    k = 2 * (table.shape[1] - 1)
+    gamma = k * _UNIT / (1 - k * _UNIT)
+    ends = points.shape[1]
+    coeffs = np.repeat(np.stack([table.T, abs(table.T)], axis=2), ends, axis=2)
+    both = np.concatenate([points, abs(points)], axis=1)
+    acc = np.zeros(both.shape)
+    for c in coeffs:  # (rows, 2 * ends) per power
+        acc *= both
+        acc += c
+    value, size = acc[:, :ends], acc[:, ends:]
+    bound = gamma / (1 - gamma) * (1 + 2.0**-40) * size + 2.0**-1000
+    return np.sign(value), np.isfinite(value) & np.isfinite(size) & (abs(value) > bound)
+
+
+def _exact_signs(coeffs, ms):
+    """The exact stage of the root guard: the signs of 2**(B*d) p(x / 2**B),
+    B = _GUARD_BITS, at x = m - 1 and m + 1 for each integer m of ``ms``, by
+    Horner's rule in integers on the coefficients c_i 2**(B*i), shifted
+    once for all m."""
     shifted = [c << (_GUARD_BITS * i) for i, c in enumerate(coeffs)]
     out = []
-    for v in values:
-        m = round(v * 2**_GUARD_BITS)
+    for m in ms:
         lo = hi = 0
         for c in shifted:
             lo = lo * (m - 1) + c
             hi = hi * (m + 1) + c
-        out.append(((lo > 0) - (lo < 0)) * ((hi > 0) - (hi < 0)) <= 0)
+        out.append(((lo > 0) - (lo < 0), (hi > 0) - (hi < 0)))
     return out
+
+
+def _guard(psis, rows, values):
+    """For each of ``values``, whether the squarefree integer polynomial
+    psis[rows[i]] is zero at an end of, or changes sign across, the dyadic
+    interval [m - 1, m + 1] / 2**B that holds it (m the nearest integer to
+    v * 2**B, B = _GUARD_BITS); either proves a root in it.  The signs at
+    the ends come from one ``_float_signs`` run over every value whose
+    polynomial has coefficients exact in float64 (|c| <= 2**53) and whose
+    ends are exact (|m| < 2**52), where it is certain at both ends, and
+    from ``_exact_signs`` on the values it leaves undecided, so the verdicts
+    are those of exact arithmetic."""
+    values = np.asarray(values, dtype=float)
+    m = np.rint(values * 2.0**_GUARD_BITS)
+    signs, certain = np.zeros((len(values), 2)), np.zeros((len(values), 2), dtype=bool)
+    exact = [max(map(abs, psi), default=0) <= _FLOAT64_EXACT for psi in psis]
+    floats = np.flatnonzero(np.array(exact, dtype=bool)[rows] & (abs(m) < 2.0**52))
+    if len(floats):
+        width = max(map(len, psis))
+        table = np.array([(0,) * (width - len(psi)) + psi if ok else (0,) * width
+                          for psi, ok in zip(psis, exact)], dtype=float)
+        signs[floats], certain[floats] = _float_signs(
+            table[rows[floats]], (m[floats, None] + [-1, 1]) / 2.0**_GUARD_BITS)
+    by_row = {}  # row -> its values with an undecided end
+    undecided = np.flatnonzero(~certain.all(axis=1))
+    for i, r in zip(undecided.tolist(), rows[undecided].tolist()):
+        by_row.setdefault(r, []).append(i)
+    listed = values.tolist()
+    for r, at in by_row.items():
+        signs[at] = _exact_signs(psis[r], [round(listed[i] * 2**_GUARD_BITS) for i in at])
+    return signs[:, 0] * signs[:, 1] <= 0
+
+
+def _near_roots(coeffs, values):
+    """``_guard`` of ``values`` against the one polynomial ``coeffs``, as a
+    list of bools."""
+    return _guard([tuple(coeffs)], np.zeros(len(values), dtype=np.intp), values).tolist()
 
 
 # How close a float must be to an integer for the exact verdicts of
@@ -329,11 +397,85 @@ def _near_roots(coeffs, values):
 _NEAR_INT_TOL = 1e-8
 
 
+def _classes(supports, psis, near):
+    """``classify_support`` of each value list supports[k] against psis[k],
+    given whether each value passes the root guard (``near``, one flag per
+    value of the concatenated lists): the ValueError of its first value
+    that fails the guard, or its class.
+
+    The near-integer test, the trace and the (2v - a)**2 tests run on one
+    array of every list, each a row led and padded by zeros, which pass
+    every test, with the sums and roundings of the per-value loop they
+    replaced, so each decides as that loop did; the exact tests (psi(k) =
+    0, squarefree parts, divisibility) run only on the lists that pass them."""
+    sizes = [len(s) for s in supports]
+    width = max(sizes, default=0)
+    padded = np.array([[0.0, *s] + [0.0] * (width - len(s)) for s in supports],
+                      dtype=float).reshape(len(supports), width + 1)
+    out = [None] * len(supports)
+    ends = list(itertools.accumulate(sizes))
+    for i in np.flatnonzero(~np.asarray(near, dtype=bool)).tolist():
+        k = bisect.bisect_right(ends, i)
+        if out[k] is None:
+            value = supports[k][i - ends[k] + sizes[k]]
+            out[k] = ValueError(f"value {value} is not a root of the polynomial")
+
+    integral = (abs(padded - np.rint(padded)) < _NEAR_INT_TOL).all(axis=1)
+    for k in np.flatnonzero(integral).tolist():
+        if out[k] is None and all(poly_eval(psis[k], round(v)) == 0 for v in set(supports[k])):
+            out[k] = SupportClass(kind="Integer")
+    if None not in out:
+        return out
+
+    # the values (a + b_i sqrt(delta)) / 2 come in conjugate pairs +-b_i, so
+    # their trace is d a / 2; summed left to right from 0, as sum() does
+    trace = padded.cumsum(axis=1)[:, -1]
+    twice = 2 * np.rint(trace)
+    count = np.maximum(sizes, 1)
+    a = twice // count
+    x = 2 * padded - a[:, None]
+    square = x * x
+    m = np.rint(square)  # b^2 delta
+    # the minimal polynomial, t - a/2 or t^2 - a t + (a^2 - m)/4, must be
+    # integral: a root of the monic integer psi is an algebraic integer
+    fits = ((abs(trace - twice / 2) < _NEAR_INT_TOL) & (twice % count == 0)
+            & ((abs(square - m) < _NEAR_INT_TOL) & ((a[:, None] ** 2 - m) % 4 == 0)).all(axis=1))
+    neither = SupportClass(kind="Neither")
+    for k, fit in enumerate(fits.tolist()):
+        if out[k] is None:
+            out[k] = (_quadratic(psis[k], int(a[k]), supports[k], m[k, 1:].tolist())
+                      if fit else neither)
+    return out
+
+
+def _quadratic(psi, a, vals, squares):
+    """The Quadratic class of the values ``vals`` of psi with 2 * trace / d
+    = ``a`` and integral (2v - a)**2 = ``squares``, or Neither: one
+    squarefree delta > 1 of every nonzero square, and each distinct minimal
+    polynomial dividing psi."""
+    deltas, bs = set(), []
+    for v, m in zip(vals, squares):
+        m, b = int(m), 0
+        if m:
+            delta = squarefree_part(m)
+            deltas.add(delta)
+            b = math.isqrt(m // delta)
+        bs.append(b if 2 * v - a > 0 else -b)
+    if len(deltas) != 1 or 1 in deltas:
+        return SupportClass(kind="Neither")
+    delta = deltas.pop()
+    for b in set(bs):
+        minimal = [1, -a, (a * a - b * b * delta) // 4] if b else [1, -a // 2]
+        if not poly_divides(minimal, psi):
+            return SupportClass(kind="Neither")
+    return SupportClass(kind="Quadratic", a=a, delta=delta, b_values=tuple(bs))
+
+
 def classify_support(support_values, psi):
     """Classify a support as Integer / Quadratic / Neither against ``psi``, a
     squarefree monic integer polynomial (coefficients in descending powers)
     whose roots include the support, such as the minimal polynomial psi_u
-    of e_u (``GraphData.minimal_polys``).
+    of e_u (``GraphData.minimal_polys``): ``_classes`` of a stack of one.
     Each value must pass the dyadic root guard (``_near_roots``), or
     ValueError is raised. Integer values k are tested as psi(k) = 0.
     Otherwise the d values must have an integer trace T; a = 2T/d, each value
@@ -343,44 +485,10 @@ def classify_support(support_values, psi):
     default support tolerance) this is the exact class; a set that another
     tolerance leaves unclosed is classified by the same test."""
     vals = [float(v) for v in support_values]
-    for v, near in zip(vals, _near_roots(psi, vals)):
-        if not near:
-            raise ValueError(f"value {v} is not a root of the polynomial")
-
-    if all(abs(v - round(v)) < _NEAR_INT_TOL for v in vals):
-        if all(poly_eval(psi, round(v)) == 0 for v in set(vals)):
-            return SupportClass(kind="Integer")
-
-    neither = SupportClass(kind="Neither")
-    # the values (a + b_i sqrt(delta)) / 2 come in conjugate pairs +-b_i, so
-    # their trace is d a / 2
-    trace = sum(vals)
-    twice_trace = 2 * round(trace)
-    if abs(trace - round(trace)) >= _NEAR_INT_TOL or twice_trace % len(vals):
-        return neither
-    a = twice_trace // len(vals)
-    deltas, bs = set(), []
-    for v in vals:
-        x = 2 * v - a
-        m = round(x * x)  # b^2 delta
-        # the minimal polynomial, t - a/2 or t^2 - a t + (a^2 - m)/4, must be
-        # integral: a root of the monic integer psi is an algebraic integer
-        if abs(x * x - m) >= _NEAR_INT_TOL or (a * a - m) % 4:
-            return neither
-        b = 0
-        if m:
-            delta = squarefree_part(m)
-            deltas.add(delta)
-            b = math.isqrt(m // delta)
-        bs.append(b if x > 0 else -b)
-    if len(deltas) != 1 or 1 in deltas:
-        return neither
-    delta = deltas.pop()
-    for b in set(bs):
-        minimal = [1, -a, (a * a - b * b * delta) // 4] if b else [1, -a // 2]
-        if not poly_divides(minimal, psi):
-            return neither
-    return SupportClass(kind="Quadratic", a=a, delta=delta, b_values=tuple(bs))
+    found, = _classes([vals], [tuple(psi)], _near_roots(psi, vals))
+    if isinstance(found, ValueError):
+        raise found
+    return found
 
 
 def rho_squared_integer(sd, phi):
@@ -487,11 +595,98 @@ def signs_stack(sds, pairs, support_tolerance):
     return [{pair: next(ok) for pair in ps} for ps in pairs]
 
 
+def _classes_stack(datas, keys):
+    """The class of every (support, psi) of keys[i], a support of datas[i]
+    and a squarefree psi whose roots include its values, as a dict per
+    graph, or the ValueError of its first value that fails the root guard:
+    one ``_guard`` run over every value of the stack, each distinct psi one
+    row of it, then one ``_classes`` run."""
+    psis, rows, supports, of = {}, [], [], []
+    for d, ks in zip(datas, keys):
+        eigenvalues = d.sd.eigenvalues.tolist()
+        for support, psi in ks:
+            supports.append([eigenvalues[r] for r in support])
+            of.append(psi)
+            rows += [psis.setdefault(psi, len(psis))] * len(support)
+    near = _guard(list(psis), np.array(rows, dtype=np.intp), [v for s in supports for v in s])
+    found = iter(_classes(supports, of, near))
+    return [{key: next(found) for key in ks} for ks in keys]
+
+
+def _reports_stack(datas, pairs):
+    """The ``TransferReport`` of every pair (u, v) of pairs[i] of datas[i],
+    all of one vertex count, whose Delta_u, psi_u and sign condition are
+    cached, as a dict per graph; a pair whose u has a support value that
+    fails the root guard maps to the ValueError that ``report`` raises.
+
+    The classes of u's support and of the pair's common support, against
+    psi_u, come from one ``_classes_stack`` run over the stack's classes not
+    yet known; every other verdict is read from the rows of the pair:
+    cospectrality from the phi(G - u) rows, equal supports from the support
+    rows, controllability from the degrees of psi_u and psi_v, and Delta_u
+    from its label row (equal rows, and v once in u's row for a singleton)."""
+    n = datas[0].g.n
+    owns, commons = [], []  # per graph: u -> class key; unequal pair -> common key
+    for d, ps in zip(datas, pairs):
+        sup, psi = d.supports, d._cache["psi"]
+        owns.append({u: (sup[u], psi[u]) for u, _ in ps})
+        commons.append({})
+        for u, v in ps:
+            if sup[u] != sup[v]:
+                common = tuple(sorted(set(sup[u]) & set(sup[v])))
+                if len(common) >= 2:
+                    commons[-1][u, v] = common, psi[u]
+    memos = _fill("classes", datas, [[*own.values(), *common.values()]
+                                     for own, common in zip(owns, commons)])
+    out = []
+    for d, ps, own, common, memo in zip(datas, pairs, owns, commons, memos):
+        sup, psi, deltas, signs = (d.supports, d._cache["psi"], d._cache["deltas"],
+                                   d._cache["signs"])
+        deleted, rho, gap = d.char_polys[1], d.rho_squared_is_integer, d.gap
+        classes = {u: memo[key] for u, key in own.items()}
+        # every (theta_k - theta_l)/(theta_r - theta_s) over the common
+        # support is rational iff that conjugation-closed set of roots of
+        # psi_u is not Neither (Godsil, "Periodic graphs", 2011); with
+        # equal supports it is u's own class
+        ratio = {pair: memo[key].kind != "Neither" for pair, key in common.items()}
+        found = {}
+        for u, v in ps:
+            support_class = classes[u]
+            if isinstance(support_class, ValueError):
+                found[u, v] = _vertex_error(u, d.config, support_class)
+                continue
+            equal = sup[u] == sup[v]
+            found[u, v] = TransferReport(
+                u=u, v=v, n=n,
+                cospectral=deleted[u] == deleted[v],
+                equal_supports=equal,
+                sign_condition=signs[u, v],
+                ratio_condition=(len(sup[u]) < 2 or support_class.kind != "Neither") if equal
+                else ratio.get((u, v), True),
+                support_class=support_class,
+                rho_squared_is_integer=rho,
+                delta_partition_equal=deltas[u] == deltas[v],
+                v_singleton_in_delta_u=deltas[u].count(v) == 1,
+                controllable_u=len(psi[u]) - 1 == n,
+                controllable_v=len(psi[v]) - 1 == n,
+                stabilizer_equal=None,
+                gap=gap,
+            )
+        out.append(found)
+    return out
+
+
+def _vertex_error(u, config, exc):
+    """A root-guard failure of u's support, naming u and the support tolerance."""
+    return ValueError(f"vertex {u}, support tolerance {config.support_tolerance}: {exc}")
+
+
 def _fill(name, datas, keys):
-    """Cache ``name``, "deltas" or "psi" of the vertices keys[i] or "signs"
-    of the pairs keys[i], of every ``GraphData`` datas[i], all of one vertex
-    count, from one stacked kernel run over those not cached yet; returns
-    the caches."""
+    """Cache ``name`` of the keys[i] of every ``GraphData`` datas[i], all of
+    one vertex count, from one stacked kernel run over those not cached
+    yet; returns the caches.  The keys are vertices for "deltas" (label
+    rows) and "psi", vertex pairs for "signs" and "reports", and (support,
+    psi) for "classes"."""
     memos = [d._cache.setdefault(name, {}) for d in datas]
     todo = [(m, sorted(set(k) - m.keys()), d) for d, m, k in zip(datas, memos, keys)]
     todo = [t for t in todo if t[1]]
@@ -501,20 +696,26 @@ def _fill(name, datas, keys):
             facts = partitions.delta_stack([d.g for d in owners], missing)
         elif name == "psi":
             facts = walkalg.minimal_polys_stack([d.char_rows for d in owners], missing)
-        else:
+        elif name == "signs":
             facts = signs_stack([d.sd for d in owners], missing,
                                 owners[0].config.support_tolerance)
+        elif name == "classes":
+            facts = _classes_stack(owners, missing)
+        else:
+            facts = _reports_stack(owners, missing)
         for memo, found in zip(memos_, facts):
             memo.update(found)
     return memos
 
 
 def _fill_pairs(datas, pairs):
-    """Cache Delta_u and psi_u of both vertices and the sign condition of
-    every pair of the list pairs[i] of datas[i], all of one vertex count."""
+    """Cache Delta_u and psi_u of both vertices, the sign condition and then
+    the report of every pair of the list pairs[i] of datas[i], all of one
+    vertex count; returns the caches of the reports."""
     for name in ("deltas", "psi"):
         _fill(name, datas, [{w for pair in p for w in pair} for p in pairs])
     _fill("signs", datas, pairs)
+    return _fill("reports", datas, pairs)
 
 
 def _set(datas, name, stack, of="g"):
@@ -533,8 +734,12 @@ def fill_stacked(datas, pairs):
     d connected within the cap with n >= 2, every support, phi and every
     phi(G - u) as integer rows (``char_rows``), by one Faddeev-LeVerrier
     run, and, for the vertex pairs ``pairs(d)``, read after phi(G - u),
-    Delta_u and psi_u of their vertices, psi_u from those rows, and their
-    sign condition."""
+    Delta_u as label rows and psi_u of their vertices, psi_u from those
+    rows, their sign condition, and last their reports, by one verdict pass
+    (``_reports_stack``) that guards and classifies every distinct (support,
+    psi_u) of the vertex count at once.  A support value that fails the root
+    guard is kept as the error of its pairs, which ``report`` raises, so one
+    graph's failure leaves the others' facts whole."""
     for n, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
         group, config = list(group), datas[0].config
         if n < 1:
@@ -553,19 +758,21 @@ def fill_stacked(datas, pairs):
 class GraphData:
     """Every fact the commands derive from one graph, each computed once, on
     first use: the decomposition, phi, every phi(G - u), the gap and
-    rho^2-integrality; every vertex's support; per vertex Delta_u and the
-    minimal polynomial psi_u of e_u, whose degree gives controllability;
-    per vertex pair the sign condition; per set of roots of psi_u (u's
-    support, or a pair's common support, whose class is the ratio
-    condition) its class.  Each comes from a stacked kernel: the supports
-    for all vertices at once, Delta_u and psi_u for the vertices a view
-    asks for at once (``deltas``, ``minimal_polys``), the signs for the
-    pairs, and only what is not yet known is run, in stacked runs over many
-    graphs (``fill_stacked``) or over a stack of one.
+    rho^2-integrality; every vertex's support; per vertex Delta_u (as a
+    label row) and the minimal polynomial psi_u of e_u, whose degree gives
+    controllability; per vertex pair the sign condition and the report;
+    per set of roots of psi_u (u's support, or a pair's common support,
+    whose class is the ratio condition) its class.  Each comes from a
+    stacked kernel: the supports for all vertices at once, Delta_u, psi_u
+    and the classes for the vertices a view asks for at once (``deltas``,
+    ``minimal_polys``, ``support_classes``), the signs and the reports for
+    the pairs, and only what is not yet known is run, in stacked runs over
+    many graphs (``fill_stacked``) or over a stack of one.
 
-    ``report`` is the one place where the necessary conditions for a vertex
-    pair become verdicts; ``pair`` adds the checks that only a single-pair
-    report runs.
+    The verdict pass (``_reports_stack``) is the one place where the
+    necessary conditions for a vertex pair become verdicts; ``report``
+    reads it, and ``pair`` adds the checks that only a single-pair report
+    runs.
     """
 
     def __init__(self, g, config=AnalysisConfig()):
@@ -625,10 +832,11 @@ class GraphData:
         return [float(self.sd.eigenvalues[r]) for r in support]
 
     def deltas(self, roots):
-        """Delta_u of every u of ``roots``, as a new dict in their order."""
+        """Delta_u of every u of ``roots``, as a new dict of Partitions in
+        their order, built from the cached label rows."""
         roots = list(roots)
         memo = _fill("deltas", [self], [roots])[0]
-        return {u: memo[u] for u in roots}
+        return {u: partitions.Partition.from_labels(memo[u]) for u in roots}
 
     def minimal_polys(self, roots):
         """psi_u, of degree rank W_u, of every u of ``roots``, as a new dict in their order."""
@@ -636,55 +844,32 @@ class GraphData:
         memo = _fill("psi", [self], [roots])[0]
         return {u: memo[u] for u in roots}
 
-    def support_class(self, u, psi):
-        """The class of u's support against ``psi``, u's minimal polynomial
-        as ``minimal_polys`` gives it; a value that fails the root guard is a
-        ValueError naming u and the support tolerance."""
-        try:
-            return self._classify(self.supports[u], psi)
-        except ValueError as exc:
-            raise ValueError(f"vertex {u}, support tolerance "
-                             f"{self.config.support_tolerance}: {exc}") from None
-
-    def _classify(self, support, psi):
-        memo = self._cache.setdefault("classes", {})
-        if (support, psi) not in memo:
-            memo[support, psi] = classify_support(self.values(support), psi)
-        return memo[support, psi]
+    def support_classes(self, psis):
+        """The class of the support of every vertex u of the dict ``psis``
+        against psis[u], u's minimal polynomial as ``minimal_polys`` gives
+        it, as a new dict in its order, those not yet known from one
+        ``_classes_stack`` run; a value that fails the root guard is a
+        ValueError naming the first such u and the support tolerance."""
+        keys = {u: (self.supports[u], tuple(psi)) for u, psi in psis.items()}
+        memo = _fill("classes", [self], [keys.values()])[0]
+        for u, key in keys.items():
+            if isinstance(memo[key], ValueError):
+                raise _vertex_error(u, self.config, memo[key])
+        return {u: memo[key] for u, key in keys.items()}
 
     def report(self, u, v):
         """Every necessary-condition verdict for PST from u to v, except the
-        brute-force stabilizer check, which ``pair`` adds."""
+        brute-force stabilizer check, which ``pair`` adds: the pair's entry
+        of the verdict pass (``_reports_stack``), run as a stack of one
+        unless ``fill_stacked`` or an earlier call cached it."""
         _check_pair(self.g.n, u, v)
-        cache = self._cache
-        if (u, v) not in cache.get("signs", ()):  # filled after Delta and psi of u, v
-            _fill_pairs([self], [[(u, v)]])
-        sup_u, sup_v = self.supports[u], self.supports[v]
-        deltas, psi = cache["deltas"], cache["psi"]
-        du = deltas[u]
-        # u's class first, so that a value failing the root guard is named
-        # with u; the common support, a subset of u's, then passes it too
-        support_class = self.support_class(u, psi[u])
-        # every (theta_k - theta_l)/(theta_r - theta_s) over the common
-        # support is rational iff that conjugation-closed set of roots of
-        # psi_u is not Neither (Godsil, "Periodic graphs", 2011); with equal
-        # supports it is u's own class, read from the memo
-        common = tuple(sorted(set(sup_u) & set(sup_v)))
-        return TransferReport(
-            u=u, v=v, n=self.g.n,
-            cospectral=self.cospectral(u, v),
-            equal_supports=sup_u == sup_v,
-            sign_condition=cache["signs"][(u, v)],
-            ratio_condition=len(common) < 2 or self._classify(common, psi[u]).kind != "Neither",
-            support_class=support_class,
-            rho_squared_is_integer=self.rho_squared_is_integer,
-            delta_partition_equal=du == deltas[v],
-            v_singleton_in_delta_u=(v,) in du.cells,
-            controllable_u=len(psi[u]) - 1 == self.g.n,
-            controllable_v=len(psi[v]) - 1 == self.g.n,
-            stabilizer_equal=None,
-            gap=self.gap,
-        )
+        memo = self._cache.get("reports")
+        if memo is None or (u, v) not in memo:
+            memo = _fill_pairs([self], [[(u, v)]])[0]
+        found = memo[u, v]
+        if isinstance(found, ValueError):
+            raise ValueError(str(found))
+        return found
 
     def pair(self, u, v):
         """``report`` on a checked pair, plus the Gram cross-check of

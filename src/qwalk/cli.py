@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import analysis
 from .analysis import T_MAX_DEFAULT, THRESHOLD_DEFAULT, AnalysisConfig
-from .graphs import Graph, Graph6Error, encode_graph6, parse_graph6
+from .graphs import Graph, Graph6Error, encode_graph6, graph6_body, parse_graph6
 from .partitions import BRUTE_FORCE_CAP_DEFAULT
 from .spectral import EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, _check_cap
 from .walkalg import InternalCheckError
@@ -146,8 +146,9 @@ def analyze_graph(g, config):
         doc["char_poly"] = [str(c) for c in data.phi]  # big integers as strings
         doc["rho_squared_integer"] = data.rho_squared_is_integer
     deltas = data.deltas(range(g.n))
-    if exact_ok:  # one psi_u run for every support class and controllability
+    if exact_ok:  # one psi_u run and one class pass for every vertex
         psi = data.minimal_polys(range(g.n))
+        classes = data.support_classes(psi)
     vertices = []
     for u in range(g.n):
         sup = data.supports[u]
@@ -158,9 +159,8 @@ def analyze_graph(g, config):
             "delta_partition": deltas[u].as_lists(),
         }
         if exact_ok:
-            sc = data.support_class(u, psi[u])
-            entry["support_class"] = _support_class_json(sc)
-            period = analysis.period_candidate(sc)
+            entry["support_class"] = _support_class_json(classes[u])
+            period = analysis.period_candidate(classes[u])
             if period is not None:
                 entry["period_candidate"] = period
             if connected:
@@ -258,11 +258,12 @@ def _scan_chunks(lines, jobs):
     """``lines`` cut in order into chunks: a chunk closes at
     min(``SCAN_CHUNK``, ceil(lines / jobs)) lines, or before a line that
     would take its sum of n**3 past ``SCAN_WORK``, n read from each line's
-    graph6 size prefix (0 for a blank line); a chunk holds at least one line."""
+    graph6 size prefix after any '>>graph6<<' header (0 for a blank line); a
+    chunk holds at least one line."""
     cap = max(1, min(SCAN_CHUNK, math.ceil(len(lines) / max(1, jobs))))
     chunks, start, work = [], 0, 0
     for i, line in enumerate(lines):
-        head = [max(0, ord(c) - 63) for c in line.strip()[:4]] or [0]
+        head = [max(0, ord(c) - 63) for c in graph6_body(line.strip())[:4]] or [0]
         n = head[1] << 12 | head[2] << 6 | head[3] if head[0] == 63 and len(head) == 4 else head[0]
         if i - start == cap or i > start and work + n**3 > SCAN_WORK:
             chunks.append(lines[start:i])

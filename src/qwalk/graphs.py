@@ -121,13 +121,18 @@ def connected_stack(graphs):
 # ---------------------------------------------------------------------------
 # graph6 codec (6-bit groups, offset 63, upper-triangle column-major bits)
 
+def graph6_body(text):
+    """A graph6 string less its optional '>>graph6<<' header, stripped."""
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<"):]
+    return text.strip()
+
+
 def parse_graph6(text):
     """Decode one graph6 string, optionally prefixed with '>>graph6<<'."""
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
-    if text.startswith(">>graph6<<"):
-        text = text[len(">>graph6<<"):]
-    text = text.strip()
+    text = graph6_body(text)
     if not text:
         raise Graph6Error("empty graph6 input", offset=0)
     data = []

@@ -40,6 +40,15 @@ class Partition:
         return cls(cells=tuple(norm), n=n)
 
     @classmethod
+    def from_labels(cls, labels):
+        """The partition of a canonical label row: vertex v in the cell of
+        the least vertex labels[v]."""
+        cells = {}  # label -> vertices; first seen at the cell's least vertex
+        for v, label in enumerate(labels):
+            cells.setdefault(label, []).append(v)
+        return cls(cells=tuple(map(tuple, cells.values())), n=len(labels))
+
+    @classmethod
     def trivial(cls, n):
         return cls.from_cells([range(n)], n)
 
@@ -139,18 +148,25 @@ def _refine(a, gi, colors):
         classes = grown
 
 
-def _partitions(graphs, gi, colors):
-    """``_refine`` of the rows of ``colors``, row r under graphs[gi[r]], as Partitions."""
-    n = graphs[0].n
+def _labels(graphs, gi, colors):
+    """``_refine`` of the rows of ``colors``, row r under graphs[gi[r]], as
+    canonical label rows: each vertex labelled by the least vertex of its
+    cell, so equal partitions have equal rows."""
+    rows, n = colors.shape
     a = np.stack([g.adjacency for g in graphs]).astype(float)
     step = max(1, _BATCH_ENTRIES // max(n, 1) ** 2)
-    out = []
-    for start in range(0, len(colors), step):
-        for row in _refine(a, gi[start:start + step], colors[start:start + step]).tolist():
-            cells = {}  # color -> vertices; first seen at the cell's minimum
-            for v, c in enumerate(row):
-                cells.setdefault(c, []).append(v)
-            out.append(Partition(cells=tuple(map(tuple, cells.values())), n=n))
+    out = np.empty_like(colors)
+    for start in range(0, rows, step):
+        local = _refine(a, gi[start:start + step], colors[start:start + step])
+        # each row's vertices by color, ascending within a color, so a
+        # color's run starts at its least vertex
+        order = np.argsort(local, axis=1, kind="stable")
+        ordered = np.take_along_axis(local, order, axis=1)
+        starts = np.ones(ordered.shape, dtype=bool)
+        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        run = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+        np.put_along_axis(out[start:start + step], order,
+                          np.take_along_axis(order, run, axis=1), axis=1)
     return out
 
 
@@ -161,20 +177,24 @@ def coarsest_equitable_refinement(g, pi0):
         raise ValueError("partition does not match the graph")
     if g.n == 0:
         return pi0
-    return _partitions([g], np.zeros(1, dtype=np.int64), pi0.cell_of()[None])[0]
+    return Partition.from_labels(_labels([g], np.zeros(1, dtype=np.int64),
+                                         pi0.cell_of()[None])[0].tolist())
 
 
 def delta_stack(graphs, roots):
     """Delta_u, the coarsest equitable refinement of {{u}, V \\ {u}}, of
     every u of roots[i] of each graph graphs[i], all of one vertex count, as
-    a dict per graph, from one batched refinement."""
+    a dict per graph of canonical label rows (tuples; ``_labels``), from
+    one batched refinement.  Two roots have equal Delta_u iff their rows
+    are equal, and v is a singleton cell of Delta_u iff v occurs once in
+    u's row."""
     roots = [list(dict.fromkeys(r)) for r in roots]
     gi, flat = _stack_rows(roots)
     for u in flat[(flat < 0) | (flat >= graphs[0].n)][:1]:
         raise ValueError(f"vertex {u} out of range")
     colors = np.zeros((len(flat), graphs[0].n), dtype=np.int64)
     colors[np.arange(len(flat)), flat] = 1
-    found = iter(_partitions(graphs, gi, colors))
+    found = map(tuple, _labels(graphs, gi, colors).tolist())
     return [{u: next(found) for u in vertices} for vertices in roots]
 
 

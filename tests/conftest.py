@@ -7,6 +7,7 @@ import pytest
 
 import qwalk as q
 from qwalk import polys
+from qwalk.partitions import Partition
 from qwalk.polys import poly_trim
 
 from oracles import poly_degree, walk_matrix
@@ -35,6 +36,36 @@ def random_graphs(count, n_max, seed, n_min=1):
         a = np.triu((rng.random((n, n)) < 0.4).astype(int), 1)
         out.append(q.Graph(a + a.T))
     return out
+
+
+def refine_reference(g, pi0):
+    """Colour refinement one cell at a time: split every cell by its
+    vertices' neighbor counts into the current cells until stable."""
+    cells = [list(c) for c in pi0.cells]
+    cell_of = np.empty(g.n, dtype=int)
+    while True:
+        for i, cell in enumerate(cells):
+            cell_of[cell] = i
+        counts = g.adjacency @ np.eye(len(cells), dtype=np.int64)[cell_of]
+        new_cells = []
+        changed = False
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                groups.setdefault(tuple(counts[v]), []).append(v)
+            if len(groups) > 1:
+                changed = True
+            for key in sorted(groups):
+                new_cells.append(groups[key])
+        cells = new_cells
+        if not changed:
+            break
+    return Partition.from_cells(cells, g.n)
+
+
+def delta_reference(g, u):
+    rest = [v for v in range(g.n) if v != u]
+    return refine_reference(g, Partition.from_cells([[u], rest] if rest else [[u]], g.n))
 
 
 def closed_walks_reference(g, u):

@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qwalk as q
@@ -390,7 +391,7 @@ class TestSupportAgainstPsi:
         assert psi == (1, 0, -2)
         assert zero in data.supports[1]
         with pytest.raises(ValueError, match="not a root"):
-            data.support_class(1, psi)
+            data.support_classes({1: psi})
 
     def test_support_size_is_the_degree_of_psi(self):
         graphs = [q.Graph(nx.to_numpy_array(G, dtype=int)) for G in nx.graph_atlas_g()
@@ -568,12 +569,13 @@ class TestComputeOnce:
         g = {"random32": _random_connected(32, seed=32),
              "P5xP6": q.cartesian_product(q.path(5), q.path(6))}[name]
         assert len(set(q.GraphData(g).supports)) == distinct
-        classify = _count_calls(monkeypatch, "classify_support", q.analysis)
+        classify = _count_calls(monkeypatch, "_classes_stack", q.analysis)
         calls = self._spy_kernels(monkeypatch)
         recurrence = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
         cli.analyze_graph(g, cli.AnalysisConfig())
-        assert len(classify) == distinct
+        # one class pass over the distinct (support, psi_u) of one graph
+        assert [[len(keys) for keys in args[1]] for args in classify] == [[distinct]]
         self._assert_once(calls, range(g.n))
         self._assert_recurrence_once(recurrence, g)
         assert {name: len(made) for name, made in float_side.items()} == \
@@ -629,7 +631,14 @@ class TestComputeOnce:
         calls["_faddeev_leverrier"] = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
         calls["connected_stack"] = float_side["connected_stack"]
+        # the verdict pass, and the root guard it runs, take GraphData
+        verdicts = {name: _count_calls(monkeypatch, name, q.analysis)
+                    for name in ("_reports_stack", "_classes_stack")}
+        guards = _count_calls(monkeypatch, "_guard", q.analysis)
         assert cli.run_scan(lines, cli.AnalysisConfig(), out=io.StringIO()) == len(lines)
+        calls.update({name: [([d.g for d in args[0]],) for args in made]
+                      for name, made in verdicts.items()})
+        assert len(guards) == len(calls["_classes_stack"])
         by_n = {}
         for g in graphs:
             by_n.setdefault(g.n, set()).add(g)
@@ -665,6 +674,45 @@ def _random_connected(n, seed):
         g = q.Graph(a + a.T)
         if g.is_connected():
             return g
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def squarefree_polys(draw):
+    """An integer polynomial of degree <= 12 with coefficients up to 2**60,
+    squarefree as a multiple of distinct linear factors t - r and distinct
+    irreducible quadratics t^2 + b t + c, and its real roots."""
+    # a run of consecutive roots far from 0, where float Horner loses the
+    # sign next to a root
+    start = draw(st.integers(-20, 20))
+    run = range(start, min(start + draw(st.integers(0, 12)), 21))
+    roots = sorted(set(run) | set(draw(st.lists(st.integers(-20, 20), max_size=12 - len(run)))))
+    quadratics = [(b, c) for b, c in draw(st.lists(
+        st.tuples(st.integers(-12, 12), st.integers(-60, 60)), unique=True,
+        max_size=(12 - len(roots)) // 2))
+        if b * b - 4 * c < 0 or math.isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c]
+    coeffs = [1]
+    for r in roots:
+        coeffs = _times(coeffs, [1, -r])
+    for b, c in quadratics:
+        coeffs = _times(coeffs, [1, b, c])
+    # a leading factor below 2**20, shifted left so that some rows pass
+    # 2**53 (about a fifth of hypothesis's draws)
+    lead = draw(st.integers(1, 2**20)) * draw(st.sampled_from([1, -1]))
+    room = 60 - max(map(abs, coeffs)).bit_length() - abs(lead).bit_length()
+    assume(room >= 0)
+    coeffs = [c * lead << draw(st.integers(0, room)) for c in coeffs]
+    real = [float(r) for r in roots] + [(-b + sign * math.sqrt(b * b - 4 * c)) / 2
+                                        for b, c in quadratics if b * b > 4 * c
+                                        for sign in (1, -1)]
+    return coeffs, real
 
 
 LARGE = {
@@ -705,6 +753,42 @@ class TestLargeGraphs:
                 assert all(near[::5])
                 verdicts.update(near)
         assert verdicts == {True, False}
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly=squarefree_polys(), off=st.lists(st.floats(-25, 25), max_size=4))
+    @example(poly=(functools.reduce(_times, ([1, -r] for r in range(-20, -12))),
+                   [float(r) for r in range(-20, -12)]), off=[])
+    def test_guard_matches_the_reference_on_random_polynomials(self, poly, off):
+        # on, 1 to 5 grid steps of 2**-B off, and away from the real roots;
+        # coefficients past 2**53 leave a row to the exact stage alone
+        coeffs, roots = poly
+        unit = 2.0**-q.analysis._GUARD_BITS
+        vals = [x + k * unit for x in roots for k in (0, -1, 1, -2, 2, -3, 3, -5, 5)] + off
+        assert q.analysis._near_roots(coeffs, vals) == [near_root_reference(coeffs, v)
+                                                        for v in vals]
+
+    def test_guard_stages_on_cap_size_supports(self, monkeypatch):
+        # phi of K64 reaches 66 bits and psi_u of a random n = 64 graph
+        # passes 2**53 too, so the exact stage decides their values, while
+        # psi_u = (t - 63)(t + 1) of K64 goes to the float stage
+        stages = {name: _count_calls(monkeypatch, name, q.analysis)
+                  for name in ("_float_signs", "_exact_signs")}
+        rng = np.random.default_rng(64)
+        a = np.triu((rng.random((64, 64)) < 0.45).astype(int), 1)
+        unit = 2.0**-q.analysis._GUARD_BITS
+        graphs = [q.complete(64), q.Graph(a + a.T)]
+        assert max(map(abs, q.GraphData(graphs[0]).phi)).bit_length() == 66
+        verdicts = set()
+        for g in graphs:
+            data = q.GraphData(g)
+            for u, psi in data.minimal_polys(range(0, 64, 9)).items():
+                vals = [v + k * unit for v in data.values(data.supports[u]) for k in (0, -2, 2)]
+                for coeffs in (psi, data.phi):
+                    near = q.analysis._near_roots(coeffs, vals)
+                    assert near == [near_root_reference(coeffs, v) for v in vals]
+                    verdicts.update(near)
+        assert verdicts == {True, False}
+        assert stages["_float_signs"] and stages["_exact_signs"]
 
     @pytest.mark.parametrize("name", ["Q5", "Q6"])
     def test_hypercube_antipodal_pst(self, name):

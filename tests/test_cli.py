@@ -406,6 +406,24 @@ class TestScan:
         assert sizes(catalog[:5] + cap[:16], 1) == [20, 1]  # small lines count too
         assert sizes([], 3) == [] and sizes(["", " ", "\x7fbad", "~~"], 1) == [4]
 
+    def test_header_lines_chunk_and_scan_like_plain_ones(self):
+        # a '>>graph6<<' line, which parse_graph6 accepts, used to be sized
+        # n = 0, so 40 such P64 lines made one chunk, past SCAN_WORK
+        p64 = [q.encode_graph6(q.path(64))] * 40
+        for lines in (p64, [">>graph6<<" + line for line in p64]):
+            assert [len(chunk) for chunk in cli._scan_chunks(lines, 1)] == [16, 16, 8]
+        plain = CATALOG.read_text().split()[:30] + [
+            q.encode_graph6(g) for g in (q.path(64), q.hypercube(5), q.star(9), q.cycle(40))]
+        header = [">>graph6<<" + line for line in plain]
+        for jobs in (1, 3):
+            assert [len(c) for c in cli._scan_chunks(header, jobs)] == \
+                [len(c) for c in cli._scan_chunks(plain, jobs)]
+        outputs = []
+        for lines in (plain, header):
+            outputs.append(io.StringIO())
+            assert run_scan(lines, AnalysisConfig(), out=outputs[-1]) == len(lines)
+        assert outputs[0].getvalue() == outputs[1].getvalue()
+
     @pytest.mark.parametrize("lines,work", [(1, 2**22), (7, 2**22), (256, 200)],
                              ids=["1-line", "7-line", "work-200"])
     def test_chunk_bounds_do_not_change_bytes(self, monkeypatch, lines, work):
@@ -543,10 +561,40 @@ class TestSupportAgainstPsi:
             (tuple(range(sd.num_distinct)),) * sd.n for sd in sds])
         code, out, err = run_cli(self._argv(command, q.path(5), tmp_path, (1, 3)), capsys)
         if command == "scan":
-            assert code == 0
-            assert json.loads(out)["error"].endswith("is not a root of the polynomial")
+            # the pair (0, 4) passes, as psi_0 = phi; (1, 3) fails at 0, the
+            # third eigenvalue, named with vertex 1 and the tolerance
+            zero = float(q.decompose(q.path(5)).eigenvalues[2])
+            assert code == 0 and abs(zero) < 1e-12
+            assert out == json.dumps({
+                "error": f"vertex 1, support tolerance 1e-10: value {zero} is not a root "
+                         "of the polynomial",
+                "id": q.encode_graph6(q.path(5)), "schema_version": cli.SCHEMA_VERSION},
+                separators=(",", ":"), sort_keys=True) + "\n"
         else:
             assert code == 2 and out == "" and "is not a root of the polynomial" in err
+
+    def test_guard_failure_leaves_the_rest_of_its_stack_whole(self, monkeypatch):
+        # three graphs of n = 5 in one chunk, stacked in one verdict pass;
+        # every eigenvalue put in every support of the middle one, P5, so
+        # that its pair (1, 3) fails the root guard, and the lines of C5
+        # and K1,4 on either side are those of a scan without it
+        lines = [q.encode_graph6(g) for g in (q.cycle(5), q.path(5), q.star(4))]
+        plain = io.StringIO()
+        run_scan(lines, AnalysisConfig(), out=plain)
+        real = q.analysis.supports_stack
+        monkeypatch.setattr(q.analysis, "supports_stack", lambda sds, tol: [
+            (tuple(range(sd.num_distinct)),) * sd.n if sd.num_distinct == 5 else sups
+            for sd, sups in zip(sds, real(sds, tol))])
+        passes = []
+        real_pass = q.analysis._reports_stack
+        monkeypatch.setattr(q.analysis, "_reports_stack", lambda datas, pairs: (
+            passes.append([d.g for d in datas]) or real_pass(datas, pairs)))
+        patched = io.StringIO()
+        assert run_scan(lines, AnalysisConfig(), out=patched) == 3
+        assert passes == [[q.cycle(5), q.path(5), q.star(4)]]
+        before, after = plain.getvalue().splitlines(), patched.getvalue().splitlines()
+        assert after[::2] == before[::2] and "error" not in before[1]
+        assert json.loads(after[1])["error"].startswith("vertex 1, support tolerance")
 
     @pytest.mark.parametrize("command", ["analyze", "pair"])
     def test_guard_error_names_vertex_and_tolerance(self, tmp_path, capsys, command):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,39 +7,11 @@ import qwalk as q
 from qwalk import partitions
 from qwalk.partitions import Partition, automorphisms, stabilizers_equal
 
-from conftest import random_connected_graphs, random_graphs
+from conftest import delta_reference, random_connected_graphs, random_graphs, refine_reference
 from oracles import (automorphisms_reference, characteristic_matrix, equitable_quotient_checks,
                      is_equitable, stabilizer_orbits_bruteforce)
 
-
-def refine_reference(g, pi0):
-    """Colour refinement one cell at a time: split every cell by its
-    vertices' neighbor counts into the current cells until stable."""
-    cells = [list(c) for c in pi0.cells]
-    cell_of = np.empty(g.n, dtype=int)
-    while True:
-        for i, cell in enumerate(cells):
-            cell_of[cell] = i
-        counts = g.adjacency @ np.eye(len(cells), dtype=np.int64)[cell_of]
-        new_cells = []
-        changed = False
-        for cell in cells:
-            groups = {}
-            for v in cell:
-                groups.setdefault(tuple(counts[v]), []).append(v)
-            if len(groups) > 1:
-                changed = True
-            for key in sorted(groups):
-                new_cells.append(groups[key])
-        cells = new_cells
-        if not changed:
-            break
-    return Partition.from_cells(cells, g.n)
-
-
-def delta_reference(g, u):
-    rest = [v for v in range(g.n) if v != u]
-    return refine_reference(g, Partition.from_cells([[u], rest] if rest else [[u]], g.n))
+CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "atlas1000.g6"
 
 
 class TestPartitionType:
@@ -143,6 +117,21 @@ class TestBatchedRefinement:
     @pytest.mark.parametrize("name", sorted(LARGE))
     def test_large_graphs(self, name):
         self._check(LARGE[name])
+
+    def test_label_rows_on_the_catalog_and_large_graphs(self):
+        # Delta_u is cached as a label row (each vertex labelled by the least
+        # vertex of its cell); the Partitions that GraphData.deltas builds
+        # from the rows are the one-cell-at-a-time refinement's, on every
+        # vertex of the catalog graphs and of the cap-size graphs
+        from test_analysis import LARGE as CAP_SIZE
+        catalog = [q.parse_graph6(line) for line in CATALOG.read_text().split()]
+        for g in catalog + list(CAP_SIZE.values()):
+            data = q.GraphData(g)
+            deltas = data.deltas(range(g.n))
+            assert deltas == {u: delta_reference(g, u) for u in range(g.n)}
+            for u in range(g.n):
+                least = {v: cell[0] for cell in deltas[u].cells for v in cell}
+                assert data._cache["deltas"][u] == tuple(least[v] for v in range(g.n))
 
     def test_roots_subset_and_order(self):
         g = q.cartesian_product(q.path(3), q.path(4))

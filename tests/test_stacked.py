@@ -92,14 +92,14 @@ class TestStackMatchesOneGraph:
         for i, stack in enumerate(stacks(corpus, seed=4)):
             roots = roots_for(stack, seed=i)
             assert partitions.delta_stack(stack, roots) == \
-                [q.GraphData(g).deltas(r) for g, r in zip(stack, roots)]
+                [partitions.delta_stack([g], [r])[0] for g, r in zip(stack, roots)]
 
     def test_batches_split_across_graphs(self, monkeypatch, atlas_connected):
         # a small entry budget cuts the rows of a stack into batches that hold
         # a part of one graph's rows or several graphs'
         stack = atlas_connected[7][:40]
         roots = [range(7)] * len(stack)
-        alone_deltas = [q.GraphData(g).deltas(r) for g, r in zip(stack, roots)]
+        alone_deltas = [partitions.delta_stack([g], [r])[0] for g, r in zip(stack, roots)]
         monkeypatch.setattr(partitions, "_BATCH_ENTRIES", 11 * 7 * 7)
         assert partitions.delta_stack(stack, roots) == alone_deltas
 
