@@ -308,6 +308,11 @@ _GUARD_BITS = 30
 # The unit roundoff of float64.
 _UNIT = 2.0**-53
 
+# Fewest values on which the root guard runs its float stage: below this its
+# fixed cost, some tens of microseconds, exceeds that of the exact stage on
+# every value of a small graph (a pair report, the smallest scan stacks).
+_FLOAT_STAGE_VALUES = 16
+
 
 def _float_signs(table, points):
     """The float stage of the root guard: the sign of the polynomial of
@@ -340,10 +345,10 @@ def _float_signs(table, points):
 
 
 def _exact_signs(coeffs, ms):
-    """The exact stage of the root guard: the signs of 2**(B*d) p(x / 2**B),
-    B = _GUARD_BITS, at x = m - 1 and m + 1 for each integer m of ``ms``, by
-    Horner's rule in integers on the coefficients c_i 2**(B*i), shifted
-    once for all m."""
+    """The exact stage of the root guard: the product of the signs of
+    2**(B*d) p(x / 2**B), B = _GUARD_BITS, at x = m - 1 and m + 1 for each
+    integer m of ``ms``, by Horner's rule in integers on the coefficients
+    c_i 2**(B*i), shifted once for all m."""
     shifted = [c << (_GUARD_BITS * i) for i, c in enumerate(coeffs)]
     out = []
     for m in ms:
@@ -351,45 +356,50 @@ def _exact_signs(coeffs, ms):
         for c in shifted:
             lo = lo * (m - 1) + c
             hi = hi * (m + 1) + c
-        out.append(((lo > 0) - (lo < 0), (hi > 0) - (hi < 0)))
+        out.append(((lo > 0) - (lo < 0)) * ((hi > 0) - (hi < 0)))
     return out
 
 
 def _guard(psis, rows, values):
-    """For each of ``values``, whether the squarefree integer polynomial
-    psis[rows[i]] is zero at an end of, or changes sign across, the dyadic
-    interval [m - 1, m + 1] / 2**B that holds it (m the nearest integer to
-    v * 2**B, B = _GUARD_BITS); either proves a root in it.  The signs at
-    the ends come from one ``_float_signs`` run over every value whose
-    polynomial has coefficients exact in float64 (|c| <= 2**53) and whose
-    ends are exact (|m| < 2**52), where it is certain at both ends, and
-    from ``_exact_signs`` on the values it leaves undecided, so the verdicts
-    are those of exact arithmetic."""
-    values = np.asarray(values, dtype=float)
-    m = np.rint(values * 2.0**_GUARD_BITS)
-    signs, certain = np.zeros((len(values), 2)), np.zeros((len(values), 2), dtype=bool)
-    exact = [max(map(abs, psi), default=0) <= _FLOAT64_EXACT for psi in psis]
-    floats = np.flatnonzero(np.array(exact, dtype=bool)[rows] & (abs(m) < 2.0**52))
-    if len(floats):
-        width = max(map(len, psis))
-        table = np.array([(0,) * (width - len(psi)) + psi if ok else (0,) * width
-                          for psi, ok in zip(psis, exact)], dtype=float)
-        signs[floats], certain[floats] = _float_signs(
-            table[rows[floats]], (m[floats, None] + [-1, 1]) / 2.0**_GUARD_BITS)
+    """For each float of the list ``values``, whether the squarefree integer
+    polynomial psis[rows[i]] is zero at an end of, or changes sign across,
+    the dyadic interval [m - 1, m + 1] / 2**B that holds it (m the nearest
+    integer to v * 2**B, B = _GUARD_BITS); either proves a root in it, as a
+    list of bools.  On a stack of at least ``_FLOAT_STAGE_VALUES`` values
+    the signs at the ends come from one ``_float_signs`` run over every
+    value whose polynomial has coefficients exact in float64 (|c| <= 2**53)
+    and whose ends are exact (|m| < 2**52), where it is certain at both
+    ends, and from ``_exact_signs`` on the values it leaves undecided, so
+    the verdicts are those of exact arithmetic."""
+    signs = {}  # value index -> the product of the signs at its ends
+    exact = ([max(map(abs, psi), default=0) <= _FLOAT64_EXACT for psi in psis]
+             if len(values) >= _FLOAT_STAGE_VALUES else [])
+    if any(exact):
+        at = np.array(rows, dtype=np.intp)
+        m = np.rint(np.array(values) * 2.0**_GUARD_BITS)
+        floats = np.flatnonzero(np.array(exact)[at] & (abs(m) < 2.0**52))
+        if len(floats):
+            width = max(map(len, psis))
+            table = np.array([(0,) * (width - len(psi)) + psi if ok else (0,) * width
+                              for psi, ok in zip(psis, exact)], dtype=float)
+            sign, certain = _float_signs(
+                table[at[floats]], (m[floats, None] + [-1, 1]) / 2.0**_GUARD_BITS)
+            sure = certain.all(axis=1)
+            signs = dict(zip(floats[sure].tolist(), (sign[sure, 0] * sign[sure, 1]).tolist()))
     by_row = {}  # row -> its values with an undecided end
-    undecided = np.flatnonzero(~certain.all(axis=1))
-    for i, r in zip(undecided.tolist(), rows[undecided].tolist()):
-        by_row.setdefault(r, []).append(i)
-    listed = values.tolist()
+    for i, r in enumerate(rows):
+        if i not in signs:
+            by_row.setdefault(r, []).append(i)
     for r, at in by_row.items():
-        signs[at] = _exact_signs(psis[r], [round(listed[i] * 2**_GUARD_BITS) for i in at])
-    return signs[:, 0] * signs[:, 1] <= 0
+        signs.update(zip(at, _exact_signs(psis[r], [round(values[i] * 2**_GUARD_BITS)
+                                                    for i in at])))
+    return [signs[i] <= 0 for i in range(len(values))]
 
 
 def _near_roots(coeffs, values):
-    """``_guard`` of ``values`` against the one polynomial ``coeffs``, as a
-    list of bools."""
-    return _guard([tuple(coeffs)], np.zeros(len(values), dtype=np.intp), values).tolist()
+    """``_guard`` of ``values`` against the one polynomial ``coeffs``."""
+    values = [float(v) for v in values]
+    return _guard([tuple(coeffs)], [0] * len(values), values)
 
 
 # How close a float must be to an integer for the exact verdicts of
@@ -414,7 +424,7 @@ def _classes(supports, psis, near):
                       dtype=float).reshape(len(supports), width + 1)
     out = [None] * len(supports)
     ends = list(itertools.accumulate(sizes))
-    for i in np.flatnonzero(~np.asarray(near, dtype=bool)).tolist():
+    for i in [i for i, ok in enumerate(near) if not ok]:
         k = bisect.bisect_right(ends, i)
         if out[k] is None:
             value = supports[k][i - ends[k] + sizes[k]]
@@ -608,7 +618,7 @@ def _classes_stack(datas, keys):
             supports.append([eigenvalues[r] for r in support])
             of.append(psi)
             rows += [psis.setdefault(psi, len(psis))] * len(support)
-    near = _guard(list(psis), np.array(rows, dtype=np.intp), [v for s in supports for v in s])
+    near = _guard(list(psis), rows, [v for s in supports for v in s])
     found = iter(_classes(supports, of, near))
     return [{key: next(found) for key in ks} for ks in keys]
 
@@ -644,11 +654,6 @@ def _reports_stack(datas, pairs):
                                    d._cache["signs"])
         deleted, rho, gap = d.char_polys[1], d.rho_squared_is_integer, d.gap
         classes = {u: memo[key] for u, key in own.items()}
-        # every (theta_k - theta_l)/(theta_r - theta_s) over the common
-        # support is rational iff that conjugation-closed set of roots of
-        # psi_u is not Neither (Godsil, "Periodic graphs", 2011); with
-        # equal supports it is u's own class
-        ratio = {pair: memo[key].kind != "Neither" for pair, key in common.items()}
         found = {}
         for u, v in ps:
             support_class = classes[u]
@@ -656,13 +661,20 @@ def _reports_stack(datas, pairs):
                 found[u, v] = _vertex_error(u, d.config, support_class)
                 continue
             equal = sup[u] == sup[v]
+            # every (theta_k - theta_l)/(theta_r - theta_s) over the common
+            # support is rational iff that conjugation-closed set of roots
+            # of psi_u is not Neither (Godsil, "Periodic graphs", 2011);
+            # with equal supports it is u's own class.  The common support
+            # is read only once u's class is known to pass the guard: its
+            # values are u's, so it passes too
+            ratio = (len(sup[u]) < 2 or support_class.kind != "Neither") if equal \
+                else (u, v) not in common or memo[common[u, v]].kind != "Neither"
             found[u, v] = TransferReport(
                 u=u, v=v, n=n,
                 cospectral=deleted[u] == deleted[v],
                 equal_supports=equal,
                 sign_condition=signs[u, v],
-                ratio_condition=(len(sup[u]) < 2 or support_class.kind != "Neither") if equal
-                else ratio.get((u, v), True),
+                ratio_condition=ratio,
                 support_class=support_class,
                 rho_squared_is_integer=rho,
                 delta_partition_equal=deltas[u] == deltas[v],

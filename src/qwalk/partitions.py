@@ -158,15 +158,9 @@ def _labels(graphs, gi, colors):
     out = np.empty_like(colors)
     for start in range(0, rows, step):
         local = _refine(a, gi[start:start + step], colors[start:start + step])
-        # each row's vertices by color, ascending within a color, so a
-        # color's run starts at its least vertex
-        order = np.argsort(local, axis=1, kind="stable")
-        ordered = np.take_along_axis(local, order, axis=1)
-        starts = np.ones(ordered.shape, dtype=bool)
-        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        run = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
-        np.put_along_axis(out[start:start + step], order,
-                          np.take_along_axis(order, run, axis=1), axis=1)
+        # the first vertex w with the color of v, one (rows, n, n) compare
+        # of the size of the block's (rows, n, n) adjacency stack
+        out[start:start + step] = (local[:, :, None] == local[:, None, :]).argmax(axis=2)
     return out
 
 

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -760,17 +761,22 @@ class TestLargeGraphs:
                    [float(r) for r in range(-20, -12)]), off=[])
     def test_guard_matches_the_reference_on_random_polynomials(self, poly, off):
         # on, 1 to 5 grid steps of 2**-B off, and away from the real roots;
-        # coefficients past 2**53 leave a row to the exact stage alone
+        # coefficients past 2**53 leave a row to the exact stage alone.  The
+        # float stage runs on stacks of _FLOAT_STAGE_VALUES values or more,
+        # so the values are also guarded with it made to run on any stack
         coeffs, roots = poly
         unit = 2.0**-q.analysis._GUARD_BITS
         vals = [x + k * unit for x in roots for k in (0, -1, 1, -2, 2, -3, 3, -5, 5)] + off
-        assert q.analysis._near_roots(coeffs, vals) == [near_root_reference(coeffs, v)
-                                                        for v in vals]
+        expected = [near_root_reference(coeffs, v) for v in vals]
+        assert q.analysis._near_roots(coeffs, vals) == expected
+        with mock.patch.object(q.analysis, "_FLOAT_STAGE_VALUES", 0):
+            assert q.analysis._near_roots(coeffs, vals) == expected
 
     def test_guard_stages_on_cap_size_supports(self, monkeypatch):
         # phi of K64 reaches 66 bits and psi_u of a random n = 64 graph
         # passes 2**53 too, so the exact stage decides their values, while
-        # psi_u = (t - 63)(t + 1) of K64 goes to the float stage
+        # psi_u = (t - 63)(t + 1) of K64 goes to the float stage in a stack
+        # of every value below; each polynomial alone is guarded too
         stages = {name: _count_calls(monkeypatch, name, q.analysis)
                   for name in ("_float_signs", "_exact_signs")}
         rng = np.random.default_rng(64)
@@ -778,16 +784,22 @@ class TestLargeGraphs:
         unit = 2.0**-q.analysis._GUARD_BITS
         graphs = [q.complete(64), q.Graph(a + a.T)]
         assert max(map(abs, q.GraphData(graphs[0]).phi)).bit_length() == 66
-        verdicts = set()
+        psis, rows, values, expected = [], [], [], []
         for g in graphs:
             data = q.GraphData(g)
             for u, psi in data.minimal_polys(range(0, 64, 9)).items():
                 vals = [v + k * unit for v in data.values(data.supports[u]) for k in (0, -2, 2)]
                 for coeffs in (psi, data.phi):
-                    near = q.analysis._near_roots(coeffs, vals)
-                    assert near == [near_root_reference(coeffs, v) for v in vals]
-                    verdicts.update(near)
-        assert verdicts == {True, False}
+                    near = [near_root_reference(coeffs, v) for v in vals]
+                    assert q.analysis._near_roots(coeffs, vals) == near
+                    rows += [len(psis)] * len(vals)
+                    psis.append(tuple(coeffs))
+                    values += vals
+                    expected += near
+        assert set(expected) == {True, False}
+        for calls in stages.values():
+            del calls[:]
+        assert q.analysis._guard(psis, rows, values) == expected
         assert stages["_float_signs"] and stages["_exact_signs"]
 
     @pytest.mark.parametrize("name", ["Q5", "Q6"])

@@ -596,6 +596,40 @@ class TestSupportAgainstPsi:
         assert after[::2] == before[::2] and "error" not in before[1]
         assert json.loads(after[1])["error"].startswith("vertex 1, support tolerance")
 
+    @pytest.mark.parametrize("command", ["scan", "pair"])
+    def test_guard_failure_with_unequal_supports(self, monkeypatch, tmp_path, capsys, command):
+        # in P5, vertex 1 given every eigenvalue and vertex 3 only the first
+        # and 0, the third: the pair (1, 3) has unequal supports whose
+        # common support holds 0, which is not a root of psi_1, so both
+        # u's class and the common support's class fail the root guard
+        def patched(sds, tol):
+            out = []
+            for sd, sups in zip(sds, real(sds, tol)):
+                if sd.num_distinct == 5:
+                    sups = list(sups)
+                    sups[1], sups[3] = tuple(range(5)), (0, 2)
+                out.append(tuple(sups))
+            return out
+
+        real = q.analysis.supports_stack
+        zero = float(q.decompose(q.path(5)).eigenvalues[2])
+        error = f"vertex 1, support tolerance 1e-10: value {zero} is not a root of the polynomial"
+        if command == "pair":
+            monkeypatch.setattr(q.analysis, "supports_stack", patched)
+            code, out, err = run_cli(self._argv(command, q.path(5), tmp_path, (1, 3)), capsys)
+            assert code == 2 and out == "" and err.rstrip().endswith(error)
+            return
+        lines = [q.encode_graph6(g) for g in (q.cycle(5), q.path(5), q.star(4))]
+        plain = io.StringIO()
+        run_scan(lines, AnalysisConfig(), out=plain)
+        monkeypatch.setattr(q.analysis, "supports_stack", patched)
+        out = io.StringIO()
+        assert run_scan(lines, AnalysisConfig(), out=out) == 3
+        before, after = plain.getvalue().splitlines(), out.getvalue().splitlines()
+        assert after[::2] == before[::2] and abs(zero) < 1e-12
+        assert json.loads(after[1]) == {"error": error, "id": lines[1],
+                                        "schema_version": cli.SCHEMA_VERSION}
+
     @pytest.mark.parametrize("command", ["analyze", "pair"])
     def test_guard_error_names_vertex_and_tolerance(self, tmp_path, capsys, command):
         # at --tol-support 1e-300 rounding noise puts 0, an eigenvalue of P3
