@@ -18,7 +18,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import analysis
 from .analysis import T_MAX_DEFAULT, THRESHOLD_DEFAULT, AnalysisConfig
-from .graphs import Graph, Graph6Error, encode_graph6, graph6_body, parse_graph6
+from .graphs import (Graph, Graph6Error, encode_graph6, graph6_body, graph6_size, parse_graph6,
+                     parse_graph6_stack)
 from .partitions import BRUTE_FORCE_CAP_DEFAULT
 from .spectral import EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, _check_cap
 from .walkalg import InternalCheckError
@@ -199,8 +200,9 @@ def pair_report_json(g, report):
 # ---------------------------------------------------------------------------
 # scan
 
-def _scan_doc(data):
-    """Per-graph scan summary: gap report plus the verdicts of every
+def _scan_doc(data, gid):
+    """Per-graph scan summary, under the id ``gid`` (the canonical graph6 of
+    ``data.g``): gap report plus the verdicts of every
     cospectral pair (cospectrality is a verdict, so the pre-filter is
     lossless) and a time search for each pair that passes them all, from
     the facts that ``analysis.fill_stacked`` gave ``data`` for its
@@ -210,7 +212,7 @@ def _scan_doc(data):
     g, config = data.g, data.config
     if g.n < 1 or data.connected:
         _check_cap(g, config.exact_cap)
-    doc = {"id": encode_graph6(g), "n": g.n, "connected": data.connected}
+    doc = {"id": gid, "n": g.n, "connected": data.connected}
     if g.n >= 2:
         doc["gap"] = _gap_json(data.gap)
     pairs = []
@@ -235,19 +237,22 @@ SCAN_WORK = 2**22
 
 
 def _scan_chunk(item):
-    """A JSON line per non-blank line of a chunk, the facts stacked."""
+    """A JSON line per non-blank line of a chunk, the graph6 decoded and
+    the facts stacked; a malformed line is an error line of its own."""
     lines, config = item
     lines, docs, datas = [line.strip() for line in lines], {}, {}
-    for i, line in enumerate(lines):
+    todo = [i for i, line in enumerate(lines) if line]
+    for i, got in zip(todo, parse_graph6_stack([lines[i] for i in todo])):
+        if isinstance(got, Graph6Error):
+            docs[i] = {"id": lines[i], "error": str(got)}
+        else:
+            g, gid = got
+            datas[i] = analysis.GraphData(g, config), gid
+    analysis.fill_stacked([data for data, _ in datas.values()],
+                          lambda data: data.cospectral_pairs)
+    for i, (data, gid) in datas.items():
         try:
-            if line:
-                datas[i] = analysis.GraphData(parse_graph6(line), config)
-        except (Graph6Error, ValueError) as exc:
-            docs[i] = {"id": line, "error": str(exc)}
-    analysis.fill_stacked(list(datas.values()), lambda data: data.cospectral_pairs)
-    for i, data in datas.items():
-        try:
-            docs[i] = _scan_doc(data)
+            docs[i] = _scan_doc(data, gid)
         except ValueError as exc:
             docs[i] = {"id": lines[i], "error": str(exc)}
     return [json.dumps({**docs[i], "schema_version": SCHEMA_VERSION},
@@ -258,13 +263,17 @@ def _scan_chunks(lines, jobs):
     """``lines`` cut in order into chunks: a chunk closes at
     min(``SCAN_CHUNK``, ceil(lines / jobs)) lines, or before a line that
     would take its sum of n**3 past ``SCAN_WORK``, n read from each line's
-    graph6 size prefix after any '>>graph6<<' header (0 for a blank line); a
-    chunk holds at least one line."""
+    graph6 size prefix after any '>>graph6<<' header by ``graph6_size`` (0
+    for a blank line or a malformed prefix); a chunk holds at least one
+    line."""
     cap = max(1, min(SCAN_CHUNK, math.ceil(len(lines) / max(1, jobs))))
     chunks, start, work = [], 0, 0
     for i, line in enumerate(lines):
-        head = [max(0, ord(c) - 63) for c in graph6_body(line.strip())[:4]] or [0]
-        n = head[1] << 12 | head[2] << 6 | head[3] if head[0] == 63 and len(head) == 4 else head[0]
+        body = graph6_body(line.strip())
+        try:
+            n = max(0, graph6_size(body)[0]) if body else 0
+        except Graph6Error:  # a malformed line decodes to no graph
+            n = 0
         if i - start == cap or i > start and work + n**3 > SCAN_WORK:
             chunks.append(lines[start:i])
             start, work = i, 0

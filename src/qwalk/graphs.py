@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -36,16 +37,12 @@ class Graph:
     __slots__ = ("_adj",)
 
     def __init__(self, adjacency):
-        a = np.asarray(adjacency, dtype=np.int8)
+        a = np.asarray(adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
         _check_size(a.shape[0])
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise ValueError("adjacency must have zero diagonal")
-        if not np.all((a == 0) | (a == 1)):
-            raise ValueError("adjacency entries must be 0 or 1")
+        _check_stack(a[None])  # on the values given: 256 or 0.5 must not cast to 0
+        a = a.astype(np.int8)  # a copy: the caller's array stays theirs
         a.setflags(write=False)
         self._adj = a
 
@@ -118,8 +115,23 @@ def connected_stack(graphs):
     return reach[:, 0].all(axis=1).tolist()
 
 
+def _check_stack(a):
+    """Graph's structural checks of every matrix of the (m, n, n) stack ``a``,
+    on its values as given, all at once."""
+    if not np.array_equal(a, a.swapaxes(1, 2)):
+        raise ValueError("adjacency must be symmetric")
+    if np.diagonal(a, axis1=1, axis2=2).any():
+        raise ValueError("adjacency must have zero diagonal")
+    if not ((a == 0) | (a == 1)).all():
+        raise ValueError("adjacency entries must be 0 or 1")
+
+
 # ---------------------------------------------------------------------------
-# graph6 codec (6-bit groups, offset 63, upper-triangle column-major bits)
+# graph6 codec (6-bit groups, offset 63, upper-triangle column-major bits),
+# stacked: one unpackbits, one scatter and one packbits per vertex count
+
+_G6_OUTSIDE = re.compile("[^?-~]")  # the graph6 alphabet is chr(63) .. chr(126)
+
 
 def graph6_body(text):
     """A graph6 string less its optional '>>graph6<<' header, stripped."""
@@ -128,79 +140,114 @@ def graph6_body(text):
     return text.strip()
 
 
-def parse_graph6(text):
-    """Decode one graph6 string, optionally prefixed with '>>graph6<<'."""
+def graph6_size(body):
+    """(n, length of the size prefix) of the non-empty graph6 ``body``: one
+    byte, chr(63 + n), or '~' and three bytes of n's 18 bits."""
+    if body[0] != "~":
+        return ord(body[0]) - 63, 1
+    if body[1:2] == "~":
+        raise Graph6Error("8-byte length encoding (n > 258047) not supported", offset=1)
+    if len(body) < 4:
+        raise Graph6Error("truncated multi-byte length prefix", offset=len(body))
+    return (ord(body[1]) - 63) << 12 | (ord(body[2]) - 63) << 6 | ord(body[3]) - 63, 4
+
+
+def _graph6_line(text):
+    """(n, bit-vector bytes) of one graph6 string after its header, alphabet
+    and length checks; Graph6Error at the offending byte otherwise."""
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
     text = graph6_body(text)
     if not text:
         raise Graph6Error("empty graph6 input", offset=0)
-    data = []
-    for pos, ch in enumerate(text):
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise Graph6Error(f"character {ch!r} outside graph6 alphabet", offset=pos)
-        data.append(o - 63)
-
-    if data[0] == 63:  # '~' prefix: multi-byte length
-        if len(data) >= 2 and data[1] == 63:
-            raise Graph6Error("8-byte length encoding (n > 258047) not supported", offset=1)
-        if len(data) < 4:
-            raise Graph6Error("truncated multi-byte length prefix", offset=len(text))
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
-        body_off = 4
-    else:
-        n = data[0]
-        body = data[1:]
-        body_off = 1
+    bad = _G6_OUTSIDE.search(text)
+    if bad:
+        raise Graph6Error(f"character {bad.group()!r} outside graph6 alphabet",
+                          offset=bad.start())
+    n, start = graph6_size(text)
     if n > _G6_MAX_N:
         raise Graph6Error(f"vertex count {n} exceeds graph6 cap {_G6_MAX_N}", offset=0)
-
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    if len(body) < nbytes:
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    if len(text) - start < nbytes:
         raise Graph6Error(
-            f"truncated bit vector: need {nbytes} bytes, got {len(body)}",
+            f"truncated bit vector: need {nbytes} bytes, got {len(text) - start}",
             offset=len(text),
         )
-    if len(body) > nbytes:
-        raise Graph6Error("trailing data after bit vector", offset=body_off + nbytes)
+    if len(text) - start > nbytes:
+        raise Graph6Error("trailing data after bit vector", offset=start + nbytes)
+    return n, text[start:].encode("ascii")
 
-    a = np.zeros((n, n), dtype=np.int8)
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[k // 6]
-            if (byte >> (5 - k % 6)) & 1:
-                a[i, j] = a[j, i] = 1
-            k += 1
-    return Graph(a)
+
+def _graph6_order(n):
+    """The n x n mask of the entries (j, i), j > i: row-major, they run in
+    graph6 bit order (column j of the upper triangle, then row i)."""
+    r = np.arange(n)
+    return r[:, None] > r
+
+
+def _encode(n, bits):
+    """The canonical graph6 of each row of ``bits`` (m, n(n-1)/2), the upper
+    triangle of a graph on n vertices in graph6 order, padding bits zero."""
+    m, nbits = bits.shape
+    width = (nbits + 5) // 6
+    six = np.zeros((m, width * 6), dtype=np.uint8)
+    six[:, :nbits] = bits
+    body = (np.packbits(six.reshape(m, width, 6), axis=2)[:, :, 0] >> 2) + 63
+    text = body.tobytes().decode("ascii")
+    prefix = chr(n + 63) if n <= 62 else "~" + "".join(
+        chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    return [prefix + text[k * width:(k + 1) * width] for k in range(m)]
+
+
+def parse_graph6_stack(texts):
+    """Decode graph6 strings (str or bytes, each optionally prefixed with
+    '>>graph6<<'): per text, (Graph, its canonical graph6) or the
+    Graph6Error of that text alone.  The texts are grouped by vertex count
+    n; each group takes one unpackbits of its bit vectors, one scatter into
+    an (m, n, n) stack, one run of Graph's checks and one packbits of the
+    bits, padding bits ignored."""
+    out, groups = [None] * len(texts), {}
+    for k, text in enumerate(texts):
+        try:
+            n, body = _graph6_line(text)
+        except Graph6Error as exc:
+            out[k] = exc
+        else:
+            groups.setdefault(n, []).append((k, body))
+    for n, group in groups.items():
+        m, lower = len(group), _graph6_order(n)
+        nbits = n * (n - 1) // 2
+        codes = np.frombuffer(b"".join(body for _, body in group), dtype=np.uint8)
+        codes = codes.reshape(m, (nbits + 5) // 6) - 63
+        bits = np.unpackbits(codes[:, :, None], axis=2)[:, :, 2:].reshape(m, -1)[:, :nbits]
+        stack = np.zeros((m, n, n), dtype=np.int8)
+        stack[:, lower] = bits
+        stack = stack | stack.swapaxes(1, 2)
+        _check_stack(stack)
+        stack.setflags(write=False)  # each graph holds a read-only slice, uncopied
+        for (k, _), a, gid in zip(group, stack, _encode(n, bits)):
+            g = Graph.__new__(Graph)
+            g._adj = a
+            out[k] = g, gid
+    return out
+
+
+def parse_graph6(text):
+    """Decode one graph6 string, optionally prefixed with '>>graph6<<': a
+    stack of one of ``parse_graph6_stack``, raising its Graph6Error."""
+    got = parse_graph6_stack([text])[0]
+    if isinstance(got, Graph6Error):
+        raise got
+    return got[0]
 
 
 def encode_graph6(g):
-    """Canonical graph6 encoding of ``g`` (no header)."""
+    """Canonical graph6 encoding of ``g`` (no header), by the packbits that
+    gives ``parse_graph6_stack`` its ids."""
     n = g.n
     if n > _G6_MAX_N:
         raise ValueError(f"vertex count {n} exceeds graph6 cap {_G6_MAX_N}")
-    if n <= 62:
-        out = [n + 63]
-    else:
-        out = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    a = g.adjacency.tolist()
-    bits = 0
-    nfill = 0
-    for j in range(1, n):
-        for i in range(j):
-            bits = (bits << 1) | a[i][j]
-            nfill += 1
-            if nfill == 6:
-                out.append(bits + 63)
-                bits = 0
-                nfill = 0
-    if nfill:
-        out.append((bits << (6 - nfill)) + 63)
-    return "".join(chr(c) for c in out)
+    return _encode(n, g.adjacency[_graph6_order(n)][None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,23 @@ def random_graphs(count, n_max, seed, n_min=1):
     return out
 
 
+def noncanonical_graph6(text, form):
+    """The canonical graph6 ``text`` of a graph rewritten as another valid
+    graph6 of the same graph: "tilde" puts its size prefix in the 4-byte
+    '~' form, "padding" sets the padding bits of its last byte (none when
+    n(n - 1)/2 is a multiple of 6)."""
+    start = 4 if text[0] == "~" else 1
+    n = 0
+    for c in text[1:start] if start == 4 else text[0]:
+        n = n << 6 | ord(c) - 63
+    if form == "tilde":
+        return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)) + text[start:]
+    spare = -(n * (n - 1) // 2) % 6
+    if not spare:
+        return text
+    return text[:-1] + chr((ord(text[-1]) - 63 | (1 << spare) - 1) + 63)
+
+
 def refine_reference(g, pi0):
     """Colour refinement one cell at a time: split every cell by its
     vertices' neighbor counts into the current cells until stable."""

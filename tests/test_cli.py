@@ -11,6 +11,8 @@ from qwalk import cli
 from qwalk.cli import AnalysisConfig, main, run_scan
 from qwalk.graphs import MAX_VERTICES
 
+from conftest import noncanonical_graph6
+
 from test_acceptance import REPORT_GRAPHS
 
 CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "atlas1000.g6"
@@ -361,14 +363,15 @@ class TestScan:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mixed_chunk_matches_line_by_line(self, jobs):
-        # blank lines, bad graph6, a connected graph above the cap, a
-        # disconnected one above it, K1 and "?" among graphs of several
-        # sizes: the stacked chunk writes what each line gives alone
+        # blank lines, every kind of bad graph6, a connected graph above the
+        # cap, a disconnected one above it, K1 and "?" among graphs of
+        # several sizes: the stacked chunk writes what each line gives alone
         two_c4 = q.Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
                                     + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
         lines = ["", q.encode_graph6(q.path(4)), "\x7fbad", "  ", q.encode_graph6(q.cycle(7)),
-                 q.encode_graph6(two_c4), "@", "?", q.encode_graph6(q.cycle(4)), "",
-                 q.encode_graph6(q.hypercube(3)), "D", q.encode_graph6(q.star(5))]
+                 ">>graph6<<", q.encode_graph6(two_c4), "@", "~~???", "?",
+                 q.encode_graph6(q.cycle(4)), "", "~?@", q.encode_graph6(q.hypercube(3)), "D",
+                 "A_~~", q.encode_graph6(q.star(5))]
         config = AnalysisConfig(exact_cap=6, jobs=jobs)
         buf = io.StringIO()
         assert run_scan(lines, config, out=buf) == len([line for line in lines if line.strip()])
@@ -379,11 +382,14 @@ class TestScan:
         docs = [json.loads(line) for line in buf.getvalue().splitlines()]
         assert [d.get("error", "") for d in docs] == [
             "", "character '\\x7f' outside graph6 alphabet (byte offset 0)",
-            "exact-arithmetic cap exceeded: 7 > 6", "", "",
-            "graph must have at least one vertex", "", "exact-arithmetic cap exceeded: 8 > 6",
-            docs[8]["error"], ""]
-        assert "truncated" in docs[8]["error"] and not docs[3]["connected"]
-
+            "exact-arithmetic cap exceeded: 7 > 6", "empty graph6 input (byte offset 0)", "", "",
+            "8-byte length encoding (n > 258047) not supported (byte offset 1)",
+            "graph must have at least one vertex", "",
+            "truncated multi-byte length prefix (byte offset 3)",
+            "exact-arithmetic cap exceeded: 8 > 6",
+            "truncated bit vector: need 2 bytes, got 0 (byte offset 1)",
+            "trailing data after bit vector (byte offset 2)", ""]
+        assert not docs[4]["connected"]
 
     def test_chunks_close_at_256_lines_or_the_work_budget(self):
         # Σ n**3 of 256 catalog lines is far below SCAN_WORK = 2**22, while
@@ -408,21 +414,26 @@ class TestScan:
 
     def test_header_lines_chunk_and_scan_like_plain_ones(self):
         # a '>>graph6<<' line, which parse_graph6 accepts, used to be sized
-        # n = 0, so 40 such P64 lines made one chunk, past SCAN_WORK
+        # n = 0, so 40 such P64 lines made one chunk, past SCAN_WORK; a line
+        # with its size in the '~' form or with padding bits set scans with
+        # the canonical id
         p64 = [q.encode_graph6(q.path(64))] * 40
         for lines in (p64, [">>graph6<<" + line for line in p64]):
             assert [len(chunk) for chunk in cli._scan_chunks(lines, 1)] == [16, 16, 8]
         plain = CATALOG.read_text().split()[:30] + [
             q.encode_graph6(g) for g in (q.path(64), q.hypercube(5), q.star(9), q.cycle(40))]
-        header = [">>graph6<<" + line for line in plain]
-        for jobs in (1, 3):
-            assert [len(c) for c in cli._scan_chunks(header, jobs)] == \
-                [len(c) for c in cli._scan_chunks(plain, jobs)]
-        outputs = []
-        for lines in (plain, header):
+        variants = [[">>graph6<<" + line for line in plain],
+                    [noncanonical_graph6(line, "tilde") for line in plain],
+                    [noncanonical_graph6(line, "padding") for line in plain]]
+        outputs = [io.StringIO()]
+        assert run_scan(plain, AnalysisConfig(), out=outputs[0]) == len(plain)
+        for lines in variants:
+            for jobs in (1, 3):
+                assert [len(c) for c in cli._scan_chunks(lines, jobs)] == \
+                    [len(c) for c in cli._scan_chunks(plain, jobs)]
             outputs.append(io.StringIO())
             assert run_scan(lines, AnalysisConfig(), out=outputs[-1]) == len(lines)
-        assert outputs[0].getvalue() == outputs[1].getvalue()
+            assert outputs[-1].getvalue() == outputs[0].getvalue()
 
     @pytest.mark.parametrize("lines,work", [(1, 2**22), (7, 2**22), (256, 200)],
                              ids=["1-line", "7-line", "work-200"])

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwalk as q
-from qwalk.graphs import Graph6Error
+from qwalk.graphs import Graph6Error, parse_graph6_stack
 
-from conftest import random_graphs
+from conftest import noncanonical_graph6, random_graphs
 from oracles import delete_vertex
 
 
@@ -23,6 +23,26 @@ class TestGraphType:
     def test_rejects_weights(self):
         with pytest.raises(ValueError):
             q.Graph([[0, 2], [2, 0]])
+
+    @pytest.mark.parametrize("adjacency", [
+        np.array([[0, 256], [256, 0]]), np.array([[0, .5], [.5, 0]]),
+        np.array([[0, 257], [257, 0]]), np.array([[0, 1.7], [1.7, 0]]), [[0, 256], [256, 0]],
+    ], ids=["256", "0.5", "257", "1.7", "list-256"])
+    def test_rejects_entries_that_cast_to_0_or_1(self, adjacency):
+        # checked as given: an int8 cast turns 256 and 0.5 into 0, 257 and
+        # 1.7 into 1, and a list holding 256 into an OverflowError
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            q.Graph(adjacency)
+
+    def test_copies_its_input(self):
+        b = np.array([[0, 1], [1, 0]], dtype=np.int8)
+        view = b[:]
+        g = q.Graph(b)
+        data = q.GraphData(g)
+        assert b.flags.writeable  # the caller's array is not made read-only
+        view[0, 1] = view[1, 0] = 0  # nor does a view of it reach the graph
+        assert g == q.complete(2) and g.num_edges == 1
+        assert data.connected and np.allclose(data.sd.eigenvalues, [1, -1])
 
     def test_adjacency_immutable(self):
         g = q.path(3)
@@ -100,6 +120,54 @@ class TestGraph6:
                 k += 1
         g = q.Graph(a)
         assert q.parse_graph6(q.encode_graph6(g)) == g
+
+
+@st.composite
+def graph6_lines(draw):
+    """(adjacency, one graph6 text of it): n on both sides of the 4-byte '~'
+    prefix (62 | 63) and around it, or small; plain, headed, bytes, in the
+    '~' form or with the padding bits set."""
+    n = draw(st.sampled_from([0, 1, 2, 62, 63, 64, 70]) | st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.triu((rng.random((n, n)) < draw(st.sampled_from([0, .1, .5, 1]))).astype(int), 1)
+    text = nx.to_graph6_bytes(nx.from_numpy_array(a + a.T), header=False).decode().strip()
+    form = draw(st.sampled_from(["plain", "header", "bytes", "tilde", "padding"]))
+    if form == "header":
+        text = ">>graph6<<" + text
+    elif form == "bytes":
+        text = (">>graph6<<" + text + "\n").encode()
+    elif form != "plain":
+        text = noncanonical_graph6(text, form)
+    return a + a.T, text
+
+
+class TestStackedCodec:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(graph6_lines(), max_size=10))
+    def test_matches_networkx_and_the_stack_of_one(self, lines):
+        # a mixed stack decodes each line as networkx does and as
+        # parse_graph6 does alone, and its ids are the canonical encodings
+        got = parse_graph6_stack([text for _, text in lines])
+        for (a, text), (g, gid) in zip(lines, got):
+            ref = nx.from_graph6_bytes(text.encode() if isinstance(text, str) else text)
+            assert np.array_equal(g.adjacency, a)
+            assert np.array_equal(nx.to_numpy_array(ref, nodelist=range(len(a))), a)
+            assert gid == nx.to_graph6_bytes(ref, header=False).decode().strip()
+            assert q.parse_graph6(text) == g and q.encode_graph6(g) == gid
+            assert not g.adjacency.flags.writeable
+
+    def test_a_bad_line_leaves_the_others_whole(self):
+        # each malformed text keeps the error and offset it raises alone
+        texts = ["A_", "D", "\x7fbad", "Bw", "~~", "~?", "A_~~", ""]
+        got = parse_graph6_stack(texts)
+        assert [g for g, _ in (got[0], got[3])] == [q.complete(2), q.complete(3)]
+        assert [gid for _, gid in (got[0], got[3])] == ["A_", "Bw"]
+        assert sum(isinstance(x, Graph6Error) for x in got) == 6
+        for text, err in zip(texts, got):
+            if isinstance(err, Graph6Error):
+                with pytest.raises(Graph6Error) as exc:
+                    q.parse_graph6(text)
+                assert (str(exc.value), exc.value.offset) == (str(err), err.offset)
 
 
 class TestFamilies:
