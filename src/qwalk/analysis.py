@@ -19,7 +19,7 @@ from .graphs import connected_stack
 from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, char_polys,
                        decompose, decompose_stack, gap_report, support_mask, supports_stack,
                        transition_matrix)
-from .polys import poly_divides, poly_eval
+from .polys import poly_divides, poly_eval, poly_gcds, poly_trim
 
 THRESHOLD_DEFAULT = 1 - 1e-9
 T_MAX_DEFAULT = 50.0
@@ -68,8 +68,10 @@ def fidelity(sd, u, v, t):
 # ---------------------------------------------------------------------------
 # Time search
 
-# Points in the first block of the time grid; each later block doubles.
+# Points in the first block of the time grid; each later block doubles, up
+# to _SEARCH_BLOCK_ENTRIES (point, eigenvalue) entries.
 _FIRST_BLOCK = 256
+_SEARCH_BLOCK_ENTRIES = 2**18
 
 
 def _amplitude(thetas, coeffs, t):
@@ -141,31 +143,33 @@ def _grid_peaks(vals, floor):
 def _search_amplitude(thetas, coeffs, t_max, threshold, rho):
     """Earliest t in (0, t_max] with |sum_r c_r exp(i theta_r t)| >= threshold.
 
-    The grid is evaluated in blocks in time order, ``_FIRST_BLOCK`` points
-    and then twice the last, each read with one point of its neighbours on
+    The grid, np.arange's step, 2 step, ... to t_max, or t_max alone, is
+    evaluated in blocks in time order, ``_FIRST_BLOCK`` points and then
+    twice the last, up to ``_SEARCH_BLOCK_ENTRIES`` // len(thetas), each
+    made from its index range and read with one point of its neighbours on
     either side.  A point's value does not depend on its block, so
     ``_grid_peaks`` finds the peaks of the whole grid, in order; the search
     stops at the first that refines to the threshold."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     step = math.pi / (100 * max(rho, 1.0))
-    ts = np.arange(step, t_max + step / 2, step)
-    if len(ts) == 0:
-        ts = np.array([t_max])
+    count = math.ceil((t_max + step / 2 - step) / step)  # np.arange's length
+    origin, count = (step, count) if count > 0 else (t_max, 1)
+    cap = max(1, _SEARCH_BLOCK_ENTRIES // len(thetas))
     itheta = 1j * thetas
     slope = itheta * coeffs
 
     # a true peak can drop by at most (step/2) * rho * sum|c_r| <= pi/200
     # between grid samples; 0.02 leaves slack
     f = lambda t: abs(_amplitude(thetas, coeffs, t))
-    start, size = 0, _FIRST_BLOCK
-    while start < len(ts):
-        stop = min(start + size, len(ts))
+    start, size = 0, min(_FIRST_BLOCK, cap)
+    while start < count:
+        stop = min(start + size, count)
         first = max(start - 1, 0)
-        amps = np.sum(coeffs * np.exp(1j * np.multiply.outer(ts[first:stop + 1], thetas)),
-                      axis=-1)
-        for i in _grid_peaks(np.abs(amps), threshold - 0.02) + first:
-            if not start <= i < stop:
+        ts = origin + np.arange(first, min(stop + 1, count)) * step
+        amps = np.sum(coeffs * np.exp(1j * np.multiply.outer(ts, thetas)), axis=-1)
+        for i in _grid_peaks(np.abs(amps), threshold - 0.02):
+            if not start <= i + first < stop:
                 continue
             lo = max(ts[i] - step, step * 1e-9)
             hi = min(ts[i] + step, t_max)
@@ -173,7 +177,7 @@ def _search_amplitude(thetas, coeffs, t_max, threshold, rho):
             fid = f(tau)
             if fid >= threshold:
                 return tau, min(fid, 1.0)
-        start, size = stop, 2 * size
+        start, size = stop, min(2 * size, cap)
     return None
 
 
@@ -235,18 +239,14 @@ def verify_pst_event(sd, event, support_tolerance=SUPPORT_TOL_DEFAULT):
     periodic_v = abs(abs(h2[v, v]) - 1) < _VERIFY_TOL
     diag_phase_matches = abs(h2[u, u] - gamma**2) < _VERIFY_TOL
 
-    signs = []
-    for r in supports_stack([sd], support_tolerance)[0][u]:
-        ratio = np.exp(1j * sd.eigenvalues[r] * tau) / gamma
-        signs.append((r, 1 if ratio.real >= 0 else -1))
+    signs = [(r, 1 if (np.exp(1j * sd.eigenvalues[r] * tau) / gamma).real >= 0 else -1)
+             for r in supports_stack([sd], support_tolerance)[0][u]]
     f_plus = sum(sd.idempotents[r] for r, s in signs if s == 1)
     f_minus = sum(sd.idempotents[r] for r, s in signs if s == -1)
     plus_nonzero = any(s == 1 for _, s in signs)
     minus_nonzero = any(s == -1 for _, s in signs)
-    if plus_nonzero and minus_nonzero:
-        prod_zero = bool(np.max(np.abs(f_plus @ f_minus)) < _VERIFY_TOL)
-    else:
-        prod_zero = True
+    prod_zero = not (plus_nonzero and minus_nonzero) or bool(
+        np.max(np.abs(f_plus @ f_minus)) < _VERIFY_TOL)
     return PstVerification(
         maps_u_to_v=maps_u_to_v,
         maps_v_to_u=maps_v_to_u,
@@ -286,17 +286,15 @@ def period_candidate(support_class):
 
 
 def squarefree_part(m):
+    """m over its largest square divisor, for a positive integer m."""
     if m <= 0:
         raise ValueError("need a positive integer")
-    out = 1
-    d = 2
+    out, d = 1, 2
     while d * d <= m:
-        e = 0
-        while m % d == 0:
-            m //= d
-            e += 1
-        if e % 2:
-            out *= d
+        while m % (d * d) == 0:
+            m //= d * d
+        if m % d == 0:
+            m, out = m // d, out * d
         d += 1
     return out * m
 
@@ -396,109 +394,102 @@ def _guard(psis, rows, values):
     return [signs[i] <= 0 for i in range(len(values))]
 
 
-def _near_roots(coeffs, values):
-    """``_guard`` of ``values`` against the one polynomial ``coeffs``."""
-    values = [float(v) for v in values]
-    return _guard([tuple(coeffs)], [0] * len(values), values)
+def _root_masks(coeffs, points, valid):
+    """The distinct entries where ``valid`` of each row of the int64 array
+    ``points`` (|x| < 2**62), sorted, the others 0, and whether each is a
+    root of the integer polynomial of the same row of ``coeffs``: one Horner
+    run, in int64 when c w x**w < 2**63 (c the largest |coefficient|, w the
+    width, x the largest |point|) bounds every partial value."""
+    points = np.sort(np.where(valid, points, 2**62), axis=1)
+    distinct = points != 2**62
+    distinct[:, 1:] &= points[:, 1:] != points[:, :-1]
+    points = np.where(distinct, points, 0)
+    width = coeffs.shape[1]
+    top = int(abs(coeffs).max(initial=0)) * width * max(int(abs(points).max(initial=0)), 1)**width
+    kind = np.int64 if top < 2**63 else object
+    x, acc = points.astype(kind), np.zeros(points.shape, dtype=kind)
+    for c in coeffs.astype(kind).T:
+        acc = acc * x + c[:, None]
+    return points, distinct & (acc == 0)
 
 
-# How close a float must be to an integer for the exact verdicts of
-# classify_support and rho_squared_integer to test that integer.
-_NEAR_INT_TOL = 1e-8
-
-
-def _classes(supports, psis, near):
-    """``classify_support`` of each value list supports[k] against psis[k],
-    given whether each value passes the root guard (``near``, one flag per
-    value of the concatenated lists): the ValueError of its first value
-    that fails the guard, or its class.
-
-    The near-integer test, the trace and the (2v - a)**2 tests run on one
-    array of every list, each a row led and padded by zeros, which pass
-    every test, with the sums and roundings of the per-value loop they
-    replaced, so each decides as that loop did; the exact tests (psi(k) =
-    0, squarefree parts, divisibility) run only on the lists that pass them."""
-    sizes = [len(s) for s in supports]
-    width = max(sizes, default=0)
-    padded = np.array([[0.0, *s] + [0.0] * (width - len(s)) for s in supports],
-                      dtype=float).reshape(len(supports), width + 1)
-    out = [None] * len(supports)
-    ends = list(itertools.accumulate(sizes))
-    for i in [i for i, ok in enumerate(near) if not ok]:
-        k = bisect.bisect_right(ends, i)
-        if out[k] is None:
-            value = supports[k][i - ends[k] + sizes[k]]
-            out[k] = ValueError(f"value {value} is not a root of the polynomial")
-
-    integral = (abs(padded - np.rint(padded)) < _NEAR_INT_TOL).all(axis=1)
-    for k in np.flatnonzero(integral).tolist():
-        if out[k] is None and all(poly_eval(psis[k], round(v)) == 0 for v in set(supports[k])):
-            out[k] = SupportClass(kind="Integer")
-    if None not in out:
+def _classes(psis, candidates):
+    """The class of the root set of each squarefree monic integer polynomial
+    psis[i], all rows at once.  The floats of candidates[i], a row of a
+    NaN-padded array such as a graph's distinct eigenvalues, are only
+    candidates for its roots; every acceptance is exact, so a missed root
+    could only give a wrong Neither.  Integer when d = deg psi distinct
+    rounded candidates are roots.  Else a = -2 c_1 / d must be an integer
+    and P(s) = 2**d psi((s + a) / 2), from one Taylor shift, must be
+    s**(d mod 2) Q(s**2), where Q has deg Q roots w among the positive
+    rounded (2x - a)**2 of the candidates x, all b**2 delta with one
+    squarefree delta > 1: psi is Quadratic(a, delta, the b = +-sqrt(w /
+    delta), and 0 for odd d, in descending order).  Else Neither."""
+    width = max(map(len, psis))
+    c = np.array([(0,) * (width - len(psi)) + psi for psi in psis], dtype=object)
+    degree = np.array([len(psi) - 1 for psi in psis])
+    x = np.asarray(candidates, dtype=float)
+    ok = abs(x) < 2.0**52
+    x = np.where(ok, x, 0)
+    integer = _root_masks(c, np.rint(x).astype(np.int64), ok)[1].sum(axis=1)
+    kinds = [SupportClass(kind="Neither"), SupportClass(kind="Integer")]
+    out = [kinds[i] for i in (integer == degree).tolist()]
+    twice = np.array([-2 * psi[1] if len(psi) > 1 else 0 for psi in psis], dtype=object)
+    rows = np.flatnonzero((integer != degree) & (twice % np.maximum(degree, 1) == 0))
+    if not len(rows):
         return out
-
-    # the values (a + b_i sqrt(delta)) / 2 come in conjugate pairs +-b_i, so
-    # their trace is d a / 2; summed left to right from 0, as sum() does
-    trace = padded.cumsum(axis=1)[:, -1]
-    twice = 2 * np.rint(trace)
-    count = np.maximum(sizes, 1)
-    a = twice // count
-    x = 2 * padded - a[:, None]
-    square = x * x
-    m = np.rint(square)  # b^2 delta
-    # the minimal polynomial, t - a/2 or t^2 - a t + (a^2 - m)/4, must be
-    # integral: a root of the monic integer psi is an algebraic integer
-    fits = ((abs(trace - twice / 2) < _NEAR_INT_TOL) & (twice % count == 0)
-            & ((abs(square - m) < _NEAR_INT_TOL) & ((a[:, None] ** 2 - m) % 4 == 0)).all(axis=1))
-    neither = SupportClass(kind="Neither")
-    for k, fit in enumerate(fits.tolist()):
-        if out[k] is None:
-            out[k] = (_quadratic(psis[k], int(a[k]), supports[k], m[k, 1:].tolist())
-                      if fit else neither)
+    c, x, ok, degree, a = c[rows], x[rows], ok[rows], degree[rows], twice[rows] // degree[rows]
+    # 2**lead P(s) = sum_k 2**k c_k (s + a)**(width - 1 - k), lead the
+    # leading coefficient's column, by Horner's rule in s + a: every
+    # partial value is below max|c| 2**width width (|a| + 1)**width
+    top = int(abs(c).max()) * 2**width * width * (int(abs(a).max()) + 1)**width
+    kind = np.int64 if top < 2**63 else object
+    p = (c * 2 ** np.arange(width).astype(object)).astype(kind)  # P for a = 0
+    moved, a = np.flatnonzero(a != 0), a.astype(kind)
+    shifted = np.zeros((len(moved), width), dtype=kind)
+    for r in p[moved].T if len(moved) else ():
+        shifted[:, :-1] = shifted[:, 1:] + a[moved, None] * shifted[:, :-1]
+        shifted[:, -1] = a[moved] * shifted[:, -1] + r
+    p[moved] = shifted
+    # times s when lead is odd, every power has the parity of width - 1, the
+    # even columns hold Q (times a power of w) and the odd ones are zero
+    p = np.where(((width - 1 - degree) % 2 == 1)[:, None], np.roll(p, -1, axis=1), p)
+    even = (p[:, 1::2] == 0).all(axis=1)
+    rows, p, x, ok, a, degree = rows[even], p[even], x[even], ok[even], a[even], degree[even]
+    if not len(rows):
+        return out
+    w = np.rint((2 * x - a.astype(float)[:, None]) ** 2)
+    fits = ok & (w > 0) & (w < 2.0**62)
+    points, roots = _root_masks(p[:, ::2], np.where(fits, w, 0).astype(np.int64), fits)
+    full = roots.sum(axis=1) == degree // 2
+    for i, a_i, d, row, found in zip(rows[full].tolist(), a[full].tolist(),
+                                     degree[full].tolist(), points[full], roots[full]):
+        squares = row[found].tolist()
+        deltas = {squarefree_part(m) for m in squares}
+        if len(deltas) == 1 and 1 not in deltas:
+            delta, = deltas
+            bs = {math.isqrt(m // delta) for m in squares} | ({0} if d % 2 else set())
+            out[i] = SupportClass(kind="Quadratic", a=int(a_i), delta=delta,
+                                  b_values=tuple(sorted(bs | {-b for b in bs}, reverse=True)))
     return out
 
 
-def _quadratic(psi, a, vals, squares):
-    """The Quadratic class of the values ``vals`` of psi with 2 * trace / d
-    = ``a`` and integral (2v - a)**2 = ``squares``, or Neither: one
-    squarefree delta > 1 of every nonzero square, and each distinct minimal
-    polynomial dividing psi."""
-    deltas, bs = set(), []
-    for v, m in zip(vals, squares):
-        m, b = int(m), 0
-        if m:
-            delta = squarefree_part(m)
-            deltas.add(delta)
-            b = math.isqrt(m // delta)
-        bs.append(b if 2 * v - a > 0 else -b)
-    if len(deltas) != 1 or 1 in deltas:
-        return SupportClass(kind="Neither")
-    delta = deltas.pop()
-    for b in set(bs):
-        minimal = [1, -a, (a * a - b * b * delta) // 4] if b else [1, -a // 2]
-        if not poly_divides(minimal, psi):
-            return SupportClass(kind="Neither")
-    return SupportClass(kind="Quadratic", a=a, delta=delta, b_values=tuple(bs))
+def classify_support(psi, eigenvalues):
+    """Classify the root set of ``psi``, a squarefree monic integer
+    polynomial (coefficients in descending powers) such as the minimal
+    polynomial psi_u of e_u, whose roots are u's eigenvalue support, as
+    Integer / Quadratic / Neither (``_classes`` of a stack of one).  The
+    floats ``eigenvalues``, such as the graph's distinct eigenvalues, are
+    only candidates for the roots; every acceptance is exact."""
+    psi = tuple(psi)
+    if not psi or psi[0] != 1:
+        raise ValueError("psi must be monic")
+    return _classes([psi], np.array([eigenvalues], dtype=float).reshape(1, -1))[0]
 
 
-def classify_support(support_values, psi):
-    """Classify a support as Integer / Quadratic / Neither against ``psi``, a
-    squarefree monic integer polynomial (coefficients in descending powers)
-    whose roots include the support, such as the minimal polynomial psi_u
-    of e_u (``GraphData.minimal_polys``): ``_classes`` of a stack of one.
-    Each value must pass the dyadic root guard (``_near_roots``), or
-    ValueError is raised. Integer values k are tested as psi(k) = 0.
-    Otherwise the d values must have an integer trace T; a = 2T/d, each value
-    gives b^2 delta = round((2v - a)^2) with one squarefree delta > 1, and
-    the minimal polynomial of each (a + b sqrt(delta)) / 2 must divide psi.
-    On a conjugation-closed set (every support and common support at the
-    default support tolerance) this is the exact class; a set that another
-    tolerance leaves unclosed is classified by the same test."""
-    vals = [float(v) for v in support_values]
-    found, = _classes([vals], [tuple(psi)], _near_roots(psi, vals))
-    if isinstance(found, ValueError):
-        raise found
-    return found
+# How close a float must be to an integer for rho_squared_integer to test
+# that integer.
+_NEAR_INT_TOL = 1e-8
 
 
 def rho_squared_integer(sd, phi):
@@ -605,76 +596,84 @@ def signs_stack(sds, pairs, support_tolerance):
     return [{pair: next(ok) for pair in ps} for ps in pairs]
 
 
-def _classes_stack(datas, keys):
-    """The class of every (support, psi) of keys[i], a support of datas[i]
-    and a squarefree psi whose roots include its values, as a dict per
-    graph, or the ValueError of its first value that fails the root guard:
-    one ``_guard`` run over every value of the stack, each distinct psi one
-    row of it, then one ``_classes`` run."""
-    psis, rows, supports, of = {}, [], [], []
+def _guards_stack(datas, keys):
+    """The root guard of every (support, psi_u) of keys[i] of datas[i], as a
+    dict per graph: None, or the ValueError of its first value that fails;
+    one ``_guard`` run over the stack, each distinct psi one row of it."""
+    psis, rows, values, ends = {}, [], [], []
     for d, ks in zip(datas, keys):
         eigenvalues = d.sd.eigenvalues.tolist()
         for support, psi in ks:
-            supports.append([eigenvalues[r] for r in support])
-            of.append(psi)
+            values += [eigenvalues[r] for r in support]
             rows += [psis.setdefault(psi, len(psis))] * len(support)
-    near = _guard(list(psis), rows, [v for s in supports for v in s])
-    found = iter(_classes(supports, of, near))
+            ends.append(len(values))
+    out = [None] * len(ends)
+    for i in [i for i, ok in enumerate(_guard(list(psis), rows, values)) if not ok]:
+        k = bisect.bisect_right(ends, i)
+        out[k] = out[k] or ValueError(f"value {values[i]} is not a root of the polynomial")
+    found = iter(out)
     return [{key: next(found) for key in ks} for ks in keys]
+
+
+def _classes_stack(datas, keys):
+    """The class of every polynomial of keys[i] of datas[i], as a dict per
+    graph: one ``_classes`` run, with each graph's distinct eigenvalues."""
+    eigenvalues = [d.sd.eigenvalues for d in datas]
+    sizes = np.array([len(e) for e in eigenvalues])
+    table = np.full((len(datas), sizes.max()), np.nan)
+    table[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(eigenvalues)
+    found = iter(_classes([psi for ks in keys for psi in ks],
+                          table[[i for i, ks in enumerate(keys) for _ in ks]]))
+    return [{psi: next(found) for psi in ks} for ks in keys]
 
 
 def _reports_stack(datas, pairs):
     """The ``TransferReport`` of every pair (u, v) of pairs[i] of datas[i],
     all of one vertex count, whose Delta_u, psi_u and sign condition are
-    cached, as a dict per graph; a pair whose u has a support value that
-    fails the root guard maps to the ValueError that ``report`` raises.
-
-    The classes of u's support and of the pair's common support, against
-    psi_u, come from one ``_classes_stack`` run over the stack's classes not
-    yet known; every other verdict is read from the rows of the pair:
-    cospectrality from the phi(G - u) rows, equal supports from the support
-    rows, controllability from the degrees of psi_u and psi_v, and Delta_u
-    from its label row (equal rows, and v once in u's row for a singleton)."""
+    cached, as a dict per graph, or the ValueError of u's root guard
+    (one ``_guards_stack`` run).  Equal supports are psi_u = psi_v, the
+    supports being their root sets.  The ratio condition, that every
+    (theta_k - theta_l) / (theta_r - theta_s) over the common support, the
+    roots of h = gcd(psi_u, psi_v), be rational, holds iff deg h < 2 or h is
+    not Neither (Godsil, "Periodic graphs", 2011); h is psi_u when psi_u =
+    psi_v, as on every cospectral pair, else from one ``poly_gcds`` run."""
     n = datas[0].g.n
-    owns, commons = [], []  # per graph: u -> class key; unequal pair -> common key
-    for d, ps in zip(datas, pairs):
-        sup, psi = d.supports, d._cache["psi"]
-        owns.append({u: (sup[u], psi[u]) for u, _ in ps})
-        commons.append({})
-        for u, v in ps:
-            if sup[u] != sup[v]:
-                common = tuple(sorted(set(sup[u]) & set(sup[v])))
-                if len(common) >= 2:
-                    commons[-1][u, v] = common, psi[u]
-    memos = _fill("classes", datas, [[*own.values(), *common.values()]
+    psis = [d._cache["psi"] for d in datas]
+    # per graph: u -> its support and psi_u, the key of its root guard
+    owns = [{u: (d.supports[u], psi[u]) for u, _ in ps} for d, ps, psi in zip(datas, pairs, psis)]
+    unequal = [(i, u, v) for i, (ps, psi) in enumerate(zip(pairs, psis))
+               for u, v in ps if psi[u] != psi[v]]
+    commons = [{} for _ in datas]  # per graph: unequal pair -> gcd(psi_u, psi_v)
+    if unequal:
+        rows = np.array([(0,) * (n + 1 - len(psis[i][w])) + psis[i][w]
+                         for i, u, v in unequal for w in (u, v)], dtype=object)
+        gcds, _ = poly_gcds(rows[0::2], rows[1::2])
+        for (i, u, v), h in zip(unequal, gcds.tolist()):
+            commons[i][u, v] = tuple(poly_trim(h))
+    guards = _guards_stack(datas, [set(own.values()) for own in owns])
+    memos = _fill("classes", datas, [[psi for _, psi in own.values()]
+                                     + [h for h in common.values() if len(h) > 2]
                                      for own, common in zip(owns, commons)])
     out = []
-    for d, ps, own, common, memo in zip(datas, pairs, owns, commons, memos):
-        sup, psi, deltas, signs = (d.supports, d._cache["psi"], d._cache["deltas"],
-                                   d._cache["signs"])
+    for d, ps, psi, own, common, memo, guard in zip(datas, pairs, psis, owns, commons, memos,
+                                                     guards):
+        deltas, signs = d._cache["deltas"], d._cache["signs"]
         deleted, rho, gap = d.char_polys[1], d.rho_squared_is_integer, d.gap
-        classes = {u: memo[key] for u, key in own.items()}
+        holds = lambda h: len(h) < 3 or memo[h].kind != "Neither"  # the ratio condition
+        classes = {u: (guard[key], memo[key[1]], holds(key[1])) for u, key in own.items()}
         found = {}
         for u, v in ps:
-            support_class = classes[u]
-            if isinstance(support_class, ValueError):
-                found[u, v] = _vertex_error(u, d.config, support_class)
+            error, support_class, ratio = classes[u]
+            if error is not None:
+                found[u, v] = _vertex_error(u, d.config, error)
                 continue
-            equal = sup[u] == sup[v]
-            # every (theta_k - theta_l)/(theta_r - theta_s) over the common
-            # support is rational iff that conjugation-closed set of roots
-            # of psi_u is not Neither (Godsil, "Periodic graphs", 2011);
-            # with equal supports it is u's own class.  The common support
-            # is read only once u's class is known to pass the guard: its
-            # values are u's, so it passes too
-            ratio = (len(sup[u]) < 2 or support_class.kind != "Neither") if equal \
-                else (u, v) not in common or memo[common[u, v]].kind != "Neither"
+            equal = (u, v) not in common
             found[u, v] = TransferReport(
                 u=u, v=v, n=n,
                 cospectral=deleted[u] == deleted[v],
                 equal_supports=equal,
                 sign_condition=signs[u, v],
-                ratio_condition=ratio,
+                ratio_condition=ratio if equal else holds(common[u, v]),
                 support_class=support_class,
                 rho_squared_is_integer=rho,
                 delta_partition_equal=deltas[u] == deltas[v],
@@ -695,10 +694,10 @@ def _vertex_error(u, config, exc):
 
 def _fill(name, datas, keys):
     """Cache ``name`` of the keys[i] of every ``GraphData`` datas[i], all of
-    one vertex count, from one stacked kernel run over those not cached
-    yet; returns the caches.  The keys are vertices for "deltas" (label
-    rows) and "psi", vertex pairs for "signs" and "reports", and (support,
-    psi) for "classes"."""
+    one vertex count unless ``name`` is "classes", from one stacked kernel
+    run over those not cached yet; returns the caches.  The keys are
+    vertices for "deltas" (label rows) and "psi", vertex pairs for "signs"
+    and "reports", and polynomials, psi_u or a gcd of two, for "classes"."""
     memos = [d._cache.setdefault(name, {}) for d in datas]
     todo = [(m, sorted(set(k) - m.keys()), d) for d, m, k in zip(datas, memos, keys)]
     todo = [t for t in todo if t[1]]
@@ -721,13 +720,11 @@ def _fill(name, datas, keys):
 
 
 def _fill_pairs(datas, pairs):
-    """Cache Delta_u and psi_u of both vertices, the sign condition and then
-    the report of every pair of the list pairs[i] of datas[i], all of one
-    vertex count; returns the caches of the reports."""
+    """Cache Delta_u and psi_u of both vertices and the sign condition of
+    every pair of the list pairs[i] of datas[i], all of one vertex count."""
     for name in ("deltas", "psi"):
         _fill(name, datas, [{w for pair in p for w in pair} for p in pairs])
     _fill("signs", datas, pairs)
-    return _fill("reports", datas, pairs)
 
 
 def _set(datas, name, stack, of="g"):
@@ -740,18 +737,17 @@ def _set(datas, name, stack, of="g"):
 
 def fill_stacked(datas, pairs):
     """The facts ``scan`` needs of every ``GraphData`` d of ``datas`` (one
-    config, one scan chunk), by one run of each stacked kernel per vertex
-    count, facts already known left out: connectivity and the decomposition
-    of d with a vertex (unless connected above the cap, an error), then, for
-    d connected within the cap with n >= 2, every support, phi and every
-    phi(G - u) as integer rows (``char_rows``), by one Faddeev-LeVerrier
-    run, and, for the vertex pairs ``pairs(d)``, read after phi(G - u),
-    Delta_u as label rows and psi_u of their vertices, psi_u from those
-    rows, their sign condition, and last their reports, by one verdict pass
-    (``_reports_stack``) that guards and classifies every distinct (support,
-    psi_u) of the vertex count at once.  A support value that fails the root
-    guard is kept as the error of its pairs, which ``report`` raises, so one
-    graph's failure leaves the others' facts whole."""
+    config, one scan chunk), facts already known left out, by one run of
+    each stacked kernel per vertex count: connectivity and the decomposition
+    of d with a vertex (unless connected above the cap, an error); for d
+    connected within the cap with n >= 2, every support, phi and every
+    phi(G - u) (``char_rows``), and, for the vertex pairs ``pairs(d)``,
+    Delta_u and psi_u of their vertices and their sign condition.  Then one
+    class pass over psi_u of every pair's u in the chunk, and last the
+    reports, by one verdict pass (``_reports_stack``) per vertex count.  A
+    support value that fails the root guard is kept as the error of its
+    pairs, which ``report`` raises, so the other graphs' facts stay whole."""
+    ready = []  # (graphs of one vertex count, their pairs) that get reports
     for n, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
         group, config = list(group), datas[0].config
         if n < 1:
@@ -764,7 +760,12 @@ def fill_stacked(datas, pairs):
             _set(group, "supports", lambda sds: supports_stack(sds, config.support_tolerance),
                  of="sd")
             _set(group, "char_rows", lambda graphs: char_polys(graphs, config.exact_cap))
-            _fill_pairs(group, [pairs(d) for d in group])
+            ready.append((group, [pairs(d) for d in group]))
+            _fill_pairs(*ready[-1])
+    _fill("classes", [d for group, _ in ready for d in group],
+          [[d._cache["psi"][u] for u, _ in p] for group, ps in ready for d, p in zip(group, ps)])
+    for group, ps in ready:
+        _fill("reports", group, ps)
 
 
 class GraphData:
@@ -773,13 +774,11 @@ class GraphData:
     rho^2-integrality; every vertex's support; per vertex Delta_u (as a
     label row) and the minimal polynomial psi_u of e_u, whose degree gives
     controllability; per vertex pair the sign condition and the report;
-    per set of roots of psi_u (u's support, or a pair's common support,
-    whose class is the ratio condition) its class.  Each comes from a
-    stacked kernel: the supports for all vertices at once, Delta_u, psi_u
-    and the classes for the vertices a view asks for at once (``deltas``,
-    ``minimal_polys``, ``support_classes``), the signs and the reports for
-    the pairs, and only what is not yet known is run, in stacked runs over
-    many graphs (``fill_stacked``) or over a stack of one.
+    per polynomial, psi_u or the gcd of two, the class of its root set.
+    Each comes from a stacked kernel, for all the vertices or pairs a view
+    asks for at once (``deltas``, ``minimal_polys``, ``support_classes``),
+    and only what is not yet known is run, in stacked runs over many graphs
+    (``fill_stacked``) or over a stack of one.
 
     The verdict pass (``_reports_stack``) is the one place where the
     necessary conditions for a vertex pair become verdicts; ``report``
@@ -857,17 +856,16 @@ class GraphData:
         return {u: memo[u] for u in roots}
 
     def support_classes(self, psis):
-        """The class of the support of every vertex u of the dict ``psis``
-        against psis[u], u's minimal polynomial as ``minimal_polys`` gives
-        it, as a new dict in its order, those not yet known from one
-        ``_classes_stack`` run; a value that fails the root guard is a
-        ValueError naming the first such u and the support tolerance."""
+        """The class of psis[u], u's minimal polynomial, of every vertex u of
+        the dict ``psis``, as a new dict in its order; a ValueError names
+        the first u with a support value that fails the root guard."""
         keys = {u: (self.supports[u], tuple(psi)) for u, psi in psis.items()}
-        memo = _fill("classes", [self], [keys.values()])[0]
+        guard, = _guards_stack([self], [set(keys.values())])
         for u, key in keys.items():
-            if isinstance(memo[key], ValueError):
-                raise _vertex_error(u, self.config, memo[key])
-        return {u: memo[key] for u, key in keys.items()}
+            if guard[key] is not None:
+                raise _vertex_error(u, self.config, guard[key])
+        memo = _fill("classes", [self], [[psi for _, psi in keys.values()]])[0]
+        return {u: memo[psi] for u, (_, psi) in keys.items()}
 
     def report(self, u, v):
         """Every necessary-condition verdict for PST from u to v, except the
@@ -877,7 +875,8 @@ class GraphData:
         _check_pair(self.g.n, u, v)
         memo = self._cache.get("reports")
         if memo is None or (u, v) not in memo:
-            memo = _fill_pairs([self], [[(u, v)]])[0]
+            _fill_pairs([self], [[(u, v)]])
+            memo = _fill("reports", [self], [[(u, v)]])[0]
         found = memo[u, v]
         if isinstance(found, ValueError):
             raise ValueError(str(found))

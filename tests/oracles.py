@@ -1,7 +1,8 @@
 """Oracles that no command calls, kept as references for the tests:
 Bareiss elimination, the transfer similarity, equitable quotients, paper
-statements the package does not check, and the plain loops that the time
-search, the root guard and the automorphism backtracking replaced."""
+statements the package does not check, the plain loops that the time
+search, the root guard and the automorphism backtracking replaced, and the
+class of a polynomial's roots from its factorization."""
 
 import math
 import operator
@@ -9,10 +10,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import sympy
+from sympy.ntheory.factor_ import core
 
 import qwalk as q
 from qwalk.analysis import (_GOLDEN, _GUARD_BITS, T_MAX_DEFAULT, THRESHOLD_DEFAULT, PstEvent,
-                            _amplitude, _grid_peaks, _search_amplitude, period_candidate)
+                            SupportClass, _amplitude, _grid_peaks, _search_amplitude,
+                            period_candidate)
 from qwalk.partitions import BRUTE_FORCE_CAP_DEFAULT, Partition, automorphisms
 from qwalk.polys import poly_gcd, poly_trim
 from qwalk.spectral import EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, _check_cap
@@ -384,11 +388,42 @@ def _scaled_sign(coeffs, m):
 
 
 def near_root_reference(coeffs, v):
-    """The per-value guard that ``analysis._near_roots`` replaced: the signs
+    """The per-value guard that ``analysis._guard`` replaced: the signs
     at both ends of [m - 1, m + 1] / 2**B, each from its own Horner run."""
     m = round(v * 2**_GUARD_BITS)
     lo, hi = _scaled_sign(coeffs, m - 1), _scaled_sign(coeffs, m + 1)
     return lo * hi <= 0
+
+
+# ---------------------------------------------------------------------------
+# The class of a root set by factoring
+
+def class_by_factoring(psi):
+    """The class of the root set of the squarefree monic integer polynomial
+    ``psi`` (descending powers) from its irreducible factors over Z
+    (``sympy.factor_list``), independent of ``analysis._classes``: Integer
+    iff every factor is linear; Quadratic iff every factor is t - a/2 or t^2
+    - a t + c, with one a and one squarefree part delta > 1 of the positive
+    discriminants a^2 - 4c, b = 0 for a linear factor and +-sqrt((a^2 -
+    4c) / delta) for a quadratic one; else Neither."""
+    t = sympy.Symbol("t")
+    _, factors = sympy.factor_list(sympy.Poly(list(psi), t))
+    factors = [[int(c) for c in f.all_coeffs()] for f, _ in factors]
+    if all(len(f) == 2 for f in factors):
+        return SupportClass(kind="Integer")
+    if any(len(f) > 3 for f in factors):
+        return SupportClass(kind="Neither")
+    twice = {2 * -f[1] if len(f) == 2 else -f[1] for f in factors}  # a = the root sum
+    discriminants = [f[1] ** 2 - 4 * f[2] for f in factors if len(f) == 3]
+    deltas = {int(core(m)) if m > 0 else 0 for m in discriminants}  # 0: no real roots
+    if len(twice) != 1 or len(deltas) != 1 or deltas & {0, 1}:
+        return SupportClass(kind="Neither")
+    (a,), (delta,) = twice, deltas
+    bs = [0] * (len(factors) - len(discriminants))
+    for m in discriminants:
+        b = math.isqrt(m // delta)
+        bs += [b, -b]
+    return SupportClass(kind="Quadratic", a=a, delta=delta, b_values=tuple(sorted(bs, reverse=True)))
 
 
 # ---------------------------------------------------------------------------

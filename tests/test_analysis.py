@@ -19,7 +19,8 @@ from qwalk.polys import poly_eval, poly_gcd
 
 from conftest import (as_tuples, poly_divmod, random_connected_graphs, random_graphs,
                       ratio_condition, reconstruct_rational)
-from oracles import check_periodicity, finiteness_bound, near_root_reference, poly_degree
+from oracles import (check_periodicity, class_by_factoring, finiteness_bound, near_root_reference,
+                     poly_degree)
 from test_acceptance import REPORT_GRAPHS
 
 SQRT2 = math.sqrt(2)
@@ -30,6 +31,21 @@ P4_EIGS = [(1 + SQRT5) / 2, (-1 + SQRT5) / 2, (1 - SQRT5) / 2, (-1 - SQRT5) / 2]
 def psi(g, u):
     """The minimal polynomial psi_u of e_u, which classify_support takes."""
     return q.GraphData(g).minimal_polys([u])[u]
+
+
+def near_roots(coeffs, values):
+    """The root guard (``analysis._guard``) of the floats ``values`` against
+    the one polynomial ``coeffs``, as a list of bools."""
+    values = [float(v) for v in values]
+    return q.analysis._guard([tuple(coeffs)], [0] * len(values), values)
+
+
+def root_values(data, coeffs):
+    """The distinct eigenvalues of ``data`` that pass the root guard against
+    ``coeffs``: the exact root set, as floats."""
+    eigenvalues = data.values(range(len(data.sd.eigenvalues)))
+    return [x for x, near in zip(eigenvalues, near_roots(coeffs, eigenvalues))
+            if near]
 
 
 class TestFidelity:
@@ -95,7 +111,7 @@ class TestPeriodicity:
 
     def test_candidate_tested_first(self):
         data = q.GraphData(q.path(3))
-        sc = q.classify_support([SQRT2, 0, -SQRT2], data.phi)
+        sc = q.classify_support(data.phi, data.sd.eigenvalues)
         # candidate 2*pi/sqrt(2) beats the scan cap here
         tau = check_periodicity(data.sd, 0, t_max=1.0, support_class=sc)
         assert tau == pytest.approx(math.pi * SQRT2, abs=1e-9)
@@ -204,46 +220,80 @@ class TestRatioCondition:
 
 
 class TestClassifySupport:
+    """classify_support classifies the exact root set of psi; the floats it
+    takes are only candidates for the roots."""
+
     def test_hypercube_integer(self):
-        sc = q.classify_support([3.0, 1.0, -1.0, -3.0], psi(q.hypercube(3), 0))
+        g = q.hypercube(3)
+        sc = q.classify_support(psi(g, 0), q.decompose(g).eigenvalues)
         assert sc.kind == "Integer"
 
     def test_p3_quadratic(self):
-        sc = q.classify_support([SQRT2, 0.0, -SQRT2], q.GraphData(q.path(3)).phi)
+        sc = q.classify_support(q.GraphData(q.path(3)).phi, [SQRT2, 0.0, -SQRT2])
         assert sc.kind == "Quadratic"
         assert sc.a == 0 and sc.delta == 2
         assert sc.b_values == (Fraction(2), Fraction(0), Fraction(-2))
 
     def test_p4_neither(self):
-        sc = q.classify_support(P4_EIGS, q.GraphData(q.path(4)).phi)
+        sc = q.classify_support(q.GraphData(q.path(4)).phi, P4_EIGS)
         assert sc.kind == "Neither"
 
     def test_non_root_rejected(self):
-        with pytest.raises(ValueError):
-            q.classify_support([0.77], q.GraphData(q.path(3)).phi)
+        # the root guard, not the class, rejects a value that is no root
+        assert near_roots(q.GraphData(q.path(3)).phi, [0.77]) == [False]
 
     def test_near_root_rejected(self):
         # the guard is exact: a value 1e-6 off sqrt(2) is not a root
-        with pytest.raises(ValueError):
-            q.classify_support([SQRT2 + 1e-6], q.GraphData(q.path(3)).phi)
+        phi = q.GraphData(q.path(3)).phi
+        assert near_roots(phi, [SQRT2 + 1e-6, SQRT2]) == [False, True]
 
     def test_repeated_roots_accepted(self):
         # K6 has -1 five times in phi, once in psi_0 = (t - 5)(t + 1); float
-        # root finding scatters it by ~1e-3
+        # root finding scatters it by ~1e-3, and a candidate 2e-16 off still
+        # rounds to the root
         g = q.complete(6)
         assert psi(g, 0) == (1, -4, -5)
-        assert q.classify_support([5.0, -1.0000000000000002], psi(g, 0)).kind == "Integer"
+        assert q.classify_support(psi(g, 0), [5.0, -1.0000000000000002]).kind == "Integer"
+
+    def test_missing_candidate_gives_neither(self):
+        # every acceptance is exact: without a candidate near a root the
+        # class can only fall to Neither, never to a wrong Integer or
+        # Quadratic
+        phi = q.GraphData(q.path(3)).phi
+        # one of a conjugate pair suffices, as (2x - a)^2 is their square
+        assert q.classify_support(phi, [-SQRT2, 0.0]).kind == "Quadratic"
+        assert q.classify_support(phi, [0.0, 1.0]).kind == "Neither"
+        assert q.classify_support(psi(q.complete(6), 0), [5.0, 0.4]).kind == "Neither"
+
+    @pytest.mark.parametrize("coeffs,kind", [
+        ((1,), "Integer"),  # psi = 1, an empty support
+        ((1, -3), "Integer"),
+        ((1, -1, -1), "Quadratic"),  # (1 +- sqrt 5) / 2: a = 1, Delta = 5
+        ((1, 0, -3, -1), "Neither"),  # 2 cos(2 pi k / 9), a cubic field
+        ((1, -1, -2, 2), "Neither"),  # (t - 1)(t^2 - 2): a = 2/3
+        ((1, 0, -5, 0, 6), "Neither"),  # (t^2 - 2)(t^2 - 3): two Deltas
+        ((1, -2, -5, 4, 6), "Neither"),  # (t^2 - 2)(t - 3)(t + 1): a = 1, P(s) not even
+        ((1, 0, -10, 0, 16, 0), "Quadratic"),  # t (t^2 - 2)(t^2 - 8): b = 4, 2, 0
+    ])
+    def test_small_degrees(self, coeffs, kind):
+        candidates = [x.real for x in np.roots(coeffs)] if len(coeffs) > 1 else []
+        assert q.classify_support(coeffs, candidates).kind == kind
+
+    def test_non_monic_rejected(self):
+        with pytest.raises(ValueError, match="monic"):
+            q.classify_support((2, 0, -4), [SQRT2, -SQRT2])
 
     def test_two_integers_plus_ratio_forces_integer(self):
-        # whenever a support holds >= 2 integers and satisfies the ratio
-        # condition, the whole support must classify as Integer
+        # whenever the root set of psi_u holds >= 2 integers and satisfies
+        # the ratio condition, psi_u must classify as Integer
         for g in (q.hypercube(2), q.hypercube(3), q.complete(4), q.star(4)):
             data = q.GraphData(g)
-            for u in range(g.n):
-                vals = data.values(data.supports[u])
+            for u, psi_u in data.minimal_polys(range(g.n)).items():
+                vals = root_values(data, psi_u)
+                assert len(vals) == len(psi_u) - 1
                 ints = [v for v in vals if abs(v - round(v)) < 1e-8]
-                if len(ints) >= 2 and len(vals) >= 2 and ratio_condition(vals).holds:
-                    assert q.classify_support(vals, psi(g, u)).kind == "Integer"
+                if len(ints) >= 2 and ratio_condition(vals).holds:
+                    assert q.classify_support(psi_u, data.sd.eigenvalues).kind == "Integer"
 
     def test_squarefree_part(self):
         assert squarefree_part(8) == 2
@@ -322,10 +372,11 @@ def reference_rho_squared_integer(sd, phi, tol=1e-8):
 
 
 class TestExactChecksMatchFractionReference:
-    """classify_support against psi_u, on every vertex support and common
-    support, and rho_squared_integer decide as the Fraction references
-    against phi do; the class reference is the old search over pairwise
-    delta and a candidates."""
+    """classify_support of psi_u and of each gcd(psi_u, psi_v), whose root
+    sets are u's support and the common support, and rho_squared_integer
+    decide as the Fraction references against phi do; the class reference
+    is the old search over pairwise delta and a candidates, run on the
+    exact root set."""
 
     def _check(self, graphs):
         kinds, rho_verdicts = set(), set()
@@ -335,14 +386,11 @@ class TestExactChecksMatchFractionReference:
             rho = q.rho_squared_integer(sd, phi)
             assert rho == reference_rho_squared_integer(sd, phi)
             rho_verdicts.add(rho)
-            minimal = data.minimal_polys(range(g.n))
-            supports = [set(s) for s in data.supports]
-            # u's support (u = v) and each common support, against psi_u
-            for support, psi_u in {(tuple(sorted(supports[u] & supports[v])), minimal[u])
-                                   for u in range(g.n) for v in range(g.n)}:
-                vals = [float(sd.eigenvalues[r]) for r in support]
-                sc = q.classify_support(vals, psi_u)
-                assert sc == reference_classify(vals, phi)
+            minimal = set(data.minimal_polys(range(g.n)).values())
+            # psi_u (u = v) and each gcd(psi_u, psi_v)
+            for h in {tuple(poly_gcd(x, y)) for x in minimal for y in minimal}:
+                sc = q.classify_support(h, sd.eigenvalues)
+                assert sc == reference_classify(root_values(data, h), phi)
                 kinds.add(sc.kind)
         assert kinds == {"Integer", "Quadratic", "Neither"}
         assert rho_verdicts == {True, False}
@@ -362,18 +410,36 @@ class TestExactChecksMatchFractionReference:
         assert q.rho_squared_integer(sd, phi) == expected
         assert reference_rho_squared_integer(sd, phi) == expected
 
-    @pytest.mark.parametrize("g,vals", [
-        (q.path(3), [0.25]),  # t - 1/4 truncates to t
-        (q.path(2), [(0.5 + 2 * SQRT2) / 2, (0.5 - 2 * SQRT2) / 2]),  # to t^2 - 1
-    ])
-    def test_non_integral_minimal_polynomial_rejected(self, monkeypatch, g, vals):
-        # each a = 1/2 candidate truncates to a divisor of phi, but a root of
-        # a monic integer polynomial is an algebraic integer, so it is no root
-        phi, a, delta = q.GraphData(g).phi, Fraction(1, 2), 2
-        assert _fraction_fit_quadratic(vals, phi, a, delta, 1e-8) is None
-        # the root guard would reject these values before any candidate
-        monkeypatch.setattr(q.analysis, "_near_roots", lambda coeffs, values: [True] * len(values))
-        assert q.classify_support(vals, phi).kind == "Neither"
+
+class TestClassByFactoring:
+    """The class pass agrees with the factoring oracle on every polynomial
+    it classified: psi_u of every vertex of the connected catalog graphs and
+    of larger fixtures, by the pass ``analyze`` runs, and every gcd(psi_u,
+    psi_v) of degree >= 2 of the atlas pairs with psi_u != psi_v, by the
+    verdict pass over all those pairs."""
+
+    def test_classes_match_the_oracle(self, atlas_connected):
+        atlas = [q.GraphData(g) for n in range(1, 8) for g in atlas_connected[n]]
+        extras = [q.GraphData(g) for g in (
+            q.hypercube(3), q.petersen(), q.path(8), q.cycle(8), q.hypercube(4), q.hypercube(5),
+            q.path(20), q.cycle(20), q.cartesian_product(q.path(3), q.path(3)),
+            q.cartesian_product(q.path(5), q.path(4)))]
+        q.analysis.fill_stacked(atlas, lambda d: list(itertools.combinations(range(d.g.n), 2)))
+        oracle, gcds = {}, 0
+        for data in atlas + extras:
+            minimal = data.minimal_polys(range(data.g.n))
+            data.support_classes(minimal)
+            classes = data._cache["classes"]
+            gcds += len(classes.keys() - set(minimal.values()))
+            for psi, sc in classes.items():
+                if psi not in oracle:
+                    oracle[psi] = class_by_factoring(psi)
+                assert sc == oracle[psi], (data.g, psi)
+        kinds = {}
+        for sc in oracle.values():
+            kinds[sc.kind] = kinds.get(sc.kind, 0) + 1
+        assert kinds == {"Integer": 29, "Quadratic": 36, "Neither": 2256}
+        assert gcds == 161
 
 
 class TestSupportAgainstPsi:
@@ -569,14 +635,21 @@ class TestComputeOnce:
         from qwalk import cli
         g = {"random32": _random_connected(32, seed=32),
              "P5xP6": q.cartesian_product(q.path(5), q.path(6))}[name]
-        assert len(set(q.GraphData(g).supports)) == distinct
+        data = q.GraphData(g)
+        assert len(set(data.supports)) == distinct
+        # random32 has one psi_u for two numeric supports: one vertex's
+        # support misses a weight below the support tolerance (ROADMAP item 9)
+        psis = len(set(data.minimal_polys(range(g.n)).values()))
         classify = _count_calls(monkeypatch, "_classes_stack", q.analysis)
+        guard = _count_calls(monkeypatch, "_guards_stack", q.analysis)
         calls = self._spy_kernels(monkeypatch)
         recurrence = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
         cli.analyze_graph(g, cli.AnalysisConfig())
-        # one class pass over the distinct (support, psi_u) of one graph
-        assert [[len(keys) for keys in args[1]] for args in classify] == [[distinct]]
+        # one guard pass over the distinct (support, psi_u) of one graph,
+        # and one class pass over its distinct psi_u
+        assert [[len(keys) for keys in args[1]] for args in guard] == [[distinct]]
+        assert [[len(keys) for keys in args[1]] for args in classify] == [[psis]]
         self._assert_once(calls, range(g.n))
         self._assert_recurrence_once(recurrence, g)
         assert {name: len(made) for name, made in float_side.items()} == \
@@ -632,14 +705,17 @@ class TestComputeOnce:
         calls["_faddeev_leverrier"] = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
         calls["connected_stack"] = float_side["connected_stack"]
-        # the verdict pass, and the root guard it runs, take GraphData
+        # the verdict pass and the root guard it runs take GraphData; the
+        # class pass runs once over the whole chunk
         verdicts = {name: _count_calls(monkeypatch, name, q.analysis)
-                    for name in ("_reports_stack", "_classes_stack")}
+                    for name in ("_reports_stack", "_guards_stack")}
+        classes = _count_calls(monkeypatch, "_classes_stack", q.analysis)
         guards = _count_calls(monkeypatch, "_guard", q.analysis)
         assert cli.run_scan(lines, cli.AnalysisConfig(), out=io.StringIO()) == len(lines)
         calls.update({name: [([d.g for d in args[0]],) for args in made]
                       for name, made in verdicts.items()})
-        assert len(guards) == len(calls["_classes_stack"])
+        assert len(guards) == len(calls["_guards_stack"])
+        assert [sorted(d.g.n for d in args[0]) for args in classes] == [sorted(g.n for g in graphs)]
         by_n = {}
         for g in graphs:
             by_n.setdefault(g.n, set()).add(g)
@@ -730,10 +806,15 @@ class TestLargeGraphs:
 
     @pytest.mark.parametrize("name", sorted(LARGE))
     def test_every_support_passes_the_guard(self, name):
+        # the eigenvalues that pass the guard against psi_u are u's support,
+        # the exact root set, and its class is read without error
         data = q.GraphData(LARGE[name])
         minimal = data.minimal_polys(range(data.g.n))
+        eigenvalues = data.values(range(len(data.sd.eigenvalues)))
         for u in range(data.g.n):
-            q.classify_support(data.values(data.supports[u]), minimal[u])
+            near = near_roots(minimal[u], eigenvalues)
+            assert tuple(np.flatnonzero(near).tolist()) == data.supports[u]
+        assert data.support_classes(minimal).keys() == minimal.keys()
 
     def test_guard_matches_the_per_value_reference(self, atlas_connected):
         # every support value of LARGE and of the catalog, and the values 2
@@ -749,7 +830,7 @@ class TestLargeGraphs:
                 coeffs = minimal[u]
                 vals = [v + k * unit for v in data.values(data.supports[u])
                         for k in (0, -2, 2, -5, 5)]
-                near = q.analysis._near_roots(coeffs, vals)
+                near = near_roots(coeffs, vals)
                 assert near == [near_root_reference(coeffs, v) for v in vals]
                 assert all(near[::5])
                 verdicts.update(near)
@@ -768,9 +849,9 @@ class TestLargeGraphs:
         unit = 2.0**-q.analysis._GUARD_BITS
         vals = [x + k * unit for x in roots for k in (0, -1, 1, -2, 2, -3, 3, -5, 5)] + off
         expected = [near_root_reference(coeffs, v) for v in vals]
-        assert q.analysis._near_roots(coeffs, vals) == expected
+        assert near_roots(coeffs, vals) == expected
         with mock.patch.object(q.analysis, "_FLOAT_STAGE_VALUES", 0):
-            assert q.analysis._near_roots(coeffs, vals) == expected
+            assert near_roots(coeffs, vals) == expected
 
     def test_guard_stages_on_cap_size_supports(self, monkeypatch):
         # phi of K64 reaches 66 bits and psi_u of a random n = 64 graph
@@ -791,7 +872,7 @@ class TestLargeGraphs:
                 vals = [v + k * unit for v in data.values(data.supports[u]) for k in (0, -2, 2)]
                 for coeffs in (psi, data.phi):
                     near = [near_root_reference(coeffs, v) for v in vals]
-                    assert q.analysis._near_roots(coeffs, vals) == near
+                    assert near_roots(coeffs, vals) == near
                     rows += [len(psis)] * len(vals)
                     psis.append(tuple(coeffs))
                     values += vals

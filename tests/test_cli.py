@@ -187,6 +187,17 @@ class TestPair:
         assert doc["controllable"] == {"u": True, "v": True}
         assert not doc["verdicts"]["support_class_not_neither"]
 
+    def test_t_max_bounds_time_not_memory(self, tmp_path, capsys):
+        # the time grid is made block by block, so a --t-max of 1e15 (a
+        # 226 PiB grid) searches only up to P2's transfer at pi/2, which
+        # lies in the first block, and prints the default run's report
+        f = tmp_path / "p2.g6"
+        f.write_text("A_\n")
+        default = run_cli(["pair", str(f), "0", "1"], capsys)
+        assert run_cli(["pair", str(f), "0", "1", "--t-max", "1e15"], capsys) == default
+        assert default[0] == 0
+        assert json.loads(default[1])["pst_found"]["tau"] == pytest.approx(math.pi / 2)
+
     def test_petersen_singleton_diagnostic(self, tmp_path, capsys):
         f = tmp_path / "pet.g6"
         f.write_text(q.encode_graph6(q.petersen()))
@@ -524,7 +535,9 @@ def test_stdin_input(monkeypatch, capsys):
 
 class TestSupportAgainstPsi:
     """Each support value is checked against psi_u, the minimal polynomial of
-    e_u; a user tolerance that leaves support values out still classifies."""
+    e_u; the class, equal supports and the ratio condition are read from
+    psi_u alone, so a user tolerance that leaves support values out does
+    not change them."""
 
     @staticmethod
     def _argv(command, g, tmp_path, pair):
@@ -536,9 +549,11 @@ class TestSupportAgainstPsi:
     # verdict) by test id suffix
     _COARSE = {
         # on K4 at 0.3 only -1 is in each numeric support (E_3 has diagonal
-        # 1/4), against deg psi_u = 2; -1 is a root of psi_u, so Integer
+        # 1/4), against deg psi_u = 2; the class is that of psi_u = (t - 3)
+        # (t + 1), which is Integer
         "": (q.complete(4), "0.3", 1, False),
-        # on K2 at 10 every support is empty, which is Integer too
+        # on K2 at 10 every support is empty; psi_u = (t - 1)(t + 1) is
+        # Integer too
         "-empty": (q.complete(2), "10", 0, True),
     }
 
@@ -562,6 +577,36 @@ class TestSupportAgainstPsi:
             doc = json.loads(out)
             assert "error" not in doc and len(doc["pairs"]) == g.n * (g.n - 1) // 2
             assert all(p["verdicts"]["support_class_not_neither"] for p in doc["pairs"])
+
+    def test_partial_support_is_classified_by_psi(self, tmp_path, capsys):
+        # at 0.3 the numeric supports of vertices 1 and 2 of CN hold only
+        # the eigenvalue -1; the class is that of psi_1 = psi_2 = (t + 1)
+        # (t^3 - t^2 - 3t + 1), Neither, and every verdict is the default's
+        f = tmp_path / "cn.g6"
+        f.write_text("CN\n")
+        docs = [json.loads(run_cli(["pair", str(f), "1", "2"] + flags, capsys)[1])
+                for flags in ([], ["--tol-support", "0.3"])]
+        assert docs[1]["support_class"] == {"kind": "Neither"}
+        assert docs[0]["verdicts"] == docs[1]["verdicts"]
+
+    def test_scan_verdicts_from_psi_do_not_depend_on_support_tolerance(self):
+        # the sign condition, which reads the support mask, may differ
+        lines = CATALOG.read_text().split()
+        runs = []
+        for tol in (AnalysisConfig().support_tolerance, 0.3):
+            out = io.StringIO()
+            assert run_scan(lines, AnalysisConfig(support_tolerance=tol), out=out) == len(lines)
+            runs.append([json.loads(row) for row in out.getvalue().splitlines()])
+        names = ("support_class_not_neither", "equal_supports", "ratio_condition")
+        pairs = 0
+        for default, coarse in zip(*runs):
+            assert default["id"] == coarse["id"] and "error" not in default and "error" not in coarse
+            assert [(p["u"], p["v"]) for p in default["pairs"]] == \
+                [(p["u"], p["v"]) for p in coarse["pairs"]]
+            for p, r in zip(default["pairs"], coarse["pairs"]):
+                assert [p["verdicts"][k] for k in names] == [r["verdicts"][k] for k in names]
+                pairs += 1
+        assert pairs == 2734
 
     @pytest.mark.parametrize("command", ["analyze", "pair", "scan"])
     def test_value_outside_psi_is_an_error(self, monkeypatch, tmp_path, capsys, command):

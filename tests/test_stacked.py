@@ -278,6 +278,16 @@ class TestFloatSideMatchesReference:
                         peaks_reference(vals, floor)
 
     def test_grid_peaks_of_every_catalog_search(self, monkeypatch, atlas_connected):
+        self._check_catalog_grids(monkeypatch, atlas_connected)
+
+    def test_grid_peaks_with_capped_blocks(self, monkeypatch, atlas_connected):
+        # a block cap small enough to cut most blocks leaves the grid and
+        # the hits bit for bit
+        monkeypatch.setattr(analysis, "_SEARCH_BLOCK_ENTRIES", 2**10)
+        self._check_catalog_grids(monkeypatch, atlas_connected)
+
+    @staticmethod
+    def _check_catalog_grids(monkeypatch, atlas_connected):
         lines = [q.encode_graph6(g) for n in range(1, 8) for g in atlas_connected[n]]
         lines += [q.encode_graph6(g) for g in (q.hypercube(3), q.petersen(), q.path(8),
                                                q.cycle(8))]
@@ -311,8 +321,12 @@ class TestFloatSideMatchesReference:
             joined = np.concatenate([blocks[0]] + [b[2:] for b in blocks[1:]])
             assert joined.tobytes() == vals[:len(joined)].tobytes()
             assert hit is not None or len(joined) == len(vals)
+            cap = max(1, analysis._SEARCH_BLOCK_ENTRIES // len(args[0]))
+            sizes = [min(analysis._FIRST_BLOCK, cap)]
+            while len(sizes) < len(blocks) - 1:
+                sizes.append(min(2 * sizes[-1], cap))
             assert [len(b) for b in blocks[:-1]] == \
-                [analysis._FIRST_BLOCK * 2**k + 1 + (k > 0) for k in range(len(blocks) - 1)]
+                [s + 1 + (k > 0) for k, s in enumerate(sizes[:len(blocks) - 1])]
             many += len(blocks) > 3
         assert many > 0
 
