@@ -17,7 +17,7 @@ import numpy as np
 from . import partitions, walkalg
 from .graphs import connected_stack
 from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, char_polys,
-                       decompose, decompose_stack, gap_report, support_mask, supports_stack,
+                       decompose, decompose_stack, gap_reports, support_mask, supports_stack,
                        transition_matrix)
 from .polys import poly_divides, poly_eval, poly_gcds, poly_trim
 
@@ -140,6 +140,11 @@ def _grid_peaks(vals, floor):
     return np.flatnonzero(peaks)
 
 
+def _grid_step(rho):
+    """The step of the time search's grid for a spectral radius ``rho``."""
+    return math.pi / (100 * max(rho, 1.0))
+
+
 def _search_amplitude(thetas, coeffs, t_max, threshold, rho):
     """Earliest t in (0, t_max] with |sum_r c_r exp(i theta_r t)| >= threshold.
 
@@ -152,7 +157,7 @@ def _search_amplitude(thetas, coeffs, t_max, threshold, rho):
     stops at the first that refines to the threshold."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    step = math.pi / (100 * max(rho, 1.0))
+    step = _grid_step(rho)
     count = math.ceil((t_max + step / 2 - step) / step)  # np.arange's length
     origin, count = (step, count) if count > 0 else (t_max, 1)
     cap = max(1, _SEARCH_BLOCK_ENTRIES // len(thetas))
@@ -510,21 +515,21 @@ def rho_squared_integer(sd, phi):
 # ---------------------------------------------------------------------------
 # Aggregated pipeline
 
+# The verdicts of a pair that ``scan`` prints, in the order of a verdict row.
+VERDICTS = ("cospectral", "equal_supports", "sign_condition", "ratio_condition",
+            "support_class_not_neither", "rho_squared_integer", "delta_partition_equal",
+            "controllability")
+
+
 @dataclass(frozen=True)
 class TransferReport:
-    """Every necessary-condition verdict for a vertex pair, plus any numeric
-    PST event (all conditions evaluated, no short-circuiting)."""
+    """Every necessary-condition verdict for a vertex pair (its verdict row and
+    ``pair``'s stabilizer check), any numeric PST event and the facts beside them."""
 
     u: int
     v: int
-    n: int
-    cospectral: bool
-    equal_supports: bool
-    sign_condition: bool
-    ratio_condition: bool
+    verdict_row: tuple  # a bool per name of VERDICTS, in its order
     support_class: SupportClass
-    rho_squared_is_integer: bool
-    delta_partition_equal: bool
     v_singleton_in_delta_u: bool
     controllable_u: bool
     controllable_v: bool
@@ -533,24 +538,8 @@ class TransferReport:
     pst_found: PstEvent = None
     verification: PstVerification = None
 
-    @property
-    def controllability_ok(self):
-        # controllability only forbids PST on >= 4 vertices
-        if self.n < 4:
-            return True
-        return not (self.controllable_u or self.controllable_v)
-
     def verdicts(self):
-        out = {
-            "cospectral": self.cospectral,
-            "equal_supports": self.equal_supports,
-            "sign_condition": self.sign_condition,
-            "ratio_condition": self.ratio_condition,
-            "support_class_not_neither": self.support_class.kind != "Neither",
-            "rho_squared_integer": self.rho_squared_is_integer,
-            "delta_partition_equal": self.delta_partition_equal,
-            "controllability": self.controllability_ok,
-        }
+        out = dict(zip(VERDICTS, self.verdict_row))
         if self.stabilizer_equal is not None:
             out["automorphism_stabilizer_equal"] = self.stabilizer_equal
         return out
@@ -628,19 +617,15 @@ def _classes_stack(datas, keys):
 
 
 def _reports_stack(datas, pairs):
-    """The ``TransferReport`` of every pair (u, v) of pairs[i] of datas[i],
-    all of one vertex count, whose Delta_u, psi_u and sign condition are
-    cached, as a dict per graph, or the ValueError of u's root guard
-    (one ``_guards_stack`` run).  Equal supports are psi_u = psi_v, the
-    supports being their root sets.  The ratio condition, that every
-    (theta_k - theta_l) / (theta_r - theta_s) over the common support, the
-    roots of h = gcd(psi_u, psi_v), be rational, holds iff deg h < 2 or h is
-    not Neither (Godsil, "Periodic graphs", 2011); h is psi_u when psi_u =
-    psi_v, as on every cospectral pair, else from one ``poly_gcds`` run."""
+    """The verdict row (a bool per name of ``VERDICTS``), or the ValueError
+    of u's root guard, of every pair (u, v) of pairs[i] of datas[i], all of
+    one vertex count, as a dict per graph: the one definition of each
+    verdict.  Equal supports are psi_u = psi_v; the ratio condition, every
+    (theta_k - theta_l) / (theta_r - theta_s) over the roots of h =
+    gcd(psi_u, psi_v) rational, holds iff deg h < 2 or h is not Neither
+    (Godsil, "Periodic graphs", 2011)."""
     n = datas[0].g.n
     psis = [d._cache["psi"] for d in datas]
-    # per graph: u -> its support and psi_u, the key of its root guard
-    owns = [{u: (d.supports[u], psi[u]) for u, _ in ps} for d, ps, psi in zip(datas, pairs, psis)]
     unequal = [(i, u, v) for i, (ps, psi) in enumerate(zip(pairs, psis))
                for u, v in ps if psi[u] != psi[v]]
     commons = [{} for _ in datas]  # per graph: unequal pair -> gcd(psi_u, psi_v)
@@ -650,39 +635,27 @@ def _reports_stack(datas, pairs):
         gcds, _ = poly_gcds(rows[0::2], rows[1::2])
         for (i, u, v), h in zip(unequal, gcds.tolist()):
             commons[i][u, v] = tuple(poly_trim(h))
-    guards = _guards_stack(datas, [set(own.values()) for own in owns])
-    memos = _fill("classes", datas, [[psi for _, psi in own.values()]
-                                     + [h for h in common.values() if len(h) > 2]
-                                     for own, common in zip(owns, commons)])
+        _fill("classes", datas, [[h for h in common.values() if len(h) > 2]
+                                 for common in commons])
+    at = np.array([(i, u, v) for i, ps in enumerate(pairs) for u, v in ps], dtype=np.intp).T
+    deleted = np.stack([d.char_rows[1] for d in datas])
+    cospectral = iter((deleted[at[0], at[1]] == deleted[at[0], at[2]]).all(axis=1).tolist())
     out = []
-    for d, ps, psi, own, common, memo, guard in zip(datas, pairs, psis, owns, commons, memos,
-                                                     guards):
-        deltas, signs = d._cache["deltas"], d._cache["signs"]
-        deleted, rho, gap = d.char_polys[1], d.rho_squared_is_integer, d.gap
-        holds = lambda h: len(h) < 3 or memo[h].kind != "Neither"  # the ratio condition
-        classes = {u: (guard[key], memo[key[1]], holds(key[1])) for u, key in own.items()}
+    for d, ps, psi, common in zip(datas, pairs, psis, commons):
+        guards, classes, deltas, signs = map(d._cache.get,
+                                             ("guards", "classes", "deltas", "signs"))
+        holds = lambda h: len(h) < 3 or classes[h].kind != "Neither"  # the ratio condition
+        # u -> its guard error, whether its class is not Neither, its ratio condition
+        owns = {u: (guards[d.supports[u], psi[u]], classes[psi[u]].kind != "Neither",
+                    holds(psi[u])) for u in {u for u, _ in ps}}
         found = {}
         for u, v in ps:
-            error, support_class, ratio = classes[u]
-            if error is not None:
-                found[u, v] = _vertex_error(u, d.config, error)
-                continue
+            error, not_neither, ratio = owns[u]
             equal = (u, v) not in common
-            found[u, v] = TransferReport(
-                u=u, v=v, n=n,
-                cospectral=deleted[u] == deleted[v],
-                equal_supports=equal,
-                sign_condition=signs[u, v],
-                ratio_condition=ratio if equal else holds(common[u, v]),
-                support_class=support_class,
-                rho_squared_is_integer=rho,
-                delta_partition_equal=deltas[u] == deltas[v],
-                v_singleton_in_delta_u=deltas[u].count(v) == 1,
-                controllable_u=len(psi[u]) - 1 == n,
-                controllable_v=len(psi[v]) - 1 == n,
-                stabilizer_equal=None,
-                gap=gap,
-            )
+            row = (next(cospectral), equal, signs[u, v], ratio if equal else holds(common[u, v]),
+                   not_neither, d.rho_squared_is_integer, deltas[u] == deltas[v],
+                   n < 4 or n + 1 not in (len(psi[u]), len(psi[v])))
+            found[u, v] = row if error is None else _vertex_error(u, d.config, error)
         out.append(found)
     return out
 
@@ -694,37 +667,44 @@ def _vertex_error(u, config, exc):
 
 def _fill(name, datas, keys):
     """Cache ``name`` of the keys[i] of every ``GraphData`` datas[i], all of
-    one vertex count unless ``name`` is "classes", from one stacked kernel
-    run over those not cached yet; returns the caches.  The keys are
-    vertices for "deltas" (label rows) and "psi", vertex pairs for "signs"
-    and "reports", and polynomials, psi_u or a gcd of two, for "classes"."""
+    one vertex count unless ``name`` is "guards" or "classes", from one
+    stacked kernel run over those not cached yet; returns the caches.  The
+    keys are vertices for "deltas" (label rows) and "psi", vertex pairs for
+    "signs" and "rows" (verdict rows), (support, psi_u) for "guards", and
+    polynomials, psi_u or a gcd of two, for "classes"."""
     memos = [d._cache.setdefault(name, {}) for d in datas]
     todo = [(m, sorted(set(k) - m.keys()), d) for d, m, k in zip(datas, memos, keys)]
     todo = [t for t in todo if t[1]]
     if todo:
         memos_, missing, owners = zip(*todo)
-        if name == "deltas":
-            facts = partitions.delta_stack([d.g for d in owners], missing)
-        elif name == "psi":
-            facts = walkalg.minimal_polys_stack([d.char_rows for d in owners], missing)
-        elif name == "signs":
-            facts = signs_stack([d.sd for d in owners], missing,
-                                owners[0].config.support_tolerance)
-        elif name == "classes":
-            facts = _classes_stack(owners, missing)
-        else:
-            facts = _reports_stack(owners, missing)
-        for memo, found in zip(memos_, facts):
+        kernel = {
+            "deltas": lambda: partitions.delta_stack([d.g for d in owners], missing),
+            "psi": lambda: walkalg.minimal_polys_stack([d.char_rows for d in owners], missing),
+            "signs": lambda: signs_stack([d.sd for d in owners], missing,
+                                         owners[0].config.support_tolerance),
+            "guards": lambda: _guards_stack(owners, missing),
+            "classes": lambda: _classes_stack(owners, missing),
+            "rows": lambda: _reports_stack(owners, missing)}[name]
+        for memo, found in zip(memos_, kernel()):
             memo.update(found)
     return memos
 
 
-def _fill_pairs(datas, pairs):
-    """Cache Delta_u and psi_u of both vertices and the sign condition of
-    every pair of the list pairs[i] of datas[i], all of one vertex count."""
-    for name in ("deltas", "psi"):
-        _fill(name, datas, [{w for pair in p for w in pair} for p in pairs])
-    _fill("signs", datas, pairs)
+def _fill_rows(ready):
+    """Cache the verdict rows of every (graphs of one vertex count, their
+    pairs) of ``ready``: one root guard and one class pass over them all,
+    every other kernel, the verdict pass included, once per vertex count."""
+    for group, ps in ready:
+        for name in ("deltas", "psi"):
+            _fill(name, group, [{w for pair in p for w in pair} for p in ps])
+        _fill("signs", group, ps)
+    datas = [d for group, _ in ready for d in group]
+    keys = [[(d.supports[u], d._cache["psi"][u]) for u in {u for u, _ in p}]
+            for group, ps in ready for d, p in zip(group, ps)]
+    _fill("guards", datas, keys)
+    _fill("classes", datas, [[psi for _, psi in k] for k in keys])
+    for group, ps in ready:
+        _fill("rows", group, ps)
 
 
 def _set(datas, name, stack, of="g"):
@@ -735,19 +715,29 @@ def _set(datas, name, stack, of="g"):
         vars(d)[name] = value
 
 
+def _cospectral_stack(char_rows):
+    """The pairs u < v with phi(G - u) = phi(G - v), in order, of each graph
+    of one vertex count: one broadcast comparison of its ``char_rows`` (of
+    Python ints by their residues modulo 2**61 - 1), each match confirmed."""
+    deleted = np.stack([rows for _, rows in char_rows])
+    keys = (deleted % (2**61 - 1)).astype(np.int64) if deleted.dtype == object else deleted
+    graph, u, v = np.nonzero(np.triu((keys[:, :, None] == keys[:, None]).all(axis=3), 1))
+    same = (deleted[graph, u] == deleted[graph, v]).all(axis=1)
+    out = [[] for _ in char_rows]
+    for i, pair in zip(graph[same].tolist(), zip(u[same].tolist(), v[same].tolist())):
+        out[i].append(pair)
+    return out
+
+
 def fill_stacked(datas, pairs):
     """The facts ``scan`` needs of every ``GraphData`` d of ``datas`` (one
-    config, one scan chunk), facts already known left out, by one run of
-    each stacked kernel per vertex count: connectivity and the decomposition
-    of d with a vertex (unless connected above the cap, an error); for d
-    connected within the cap with n >= 2, every support, phi and every
-    phi(G - u) (``char_rows``), and, for the vertex pairs ``pairs(d)``,
-    Delta_u and psi_u of their vertices and their sign condition.  Then one
-    class pass over psi_u of every pair's u in the chunk, and last the
-    reports, by one verdict pass (``_reports_stack``) per vertex count.  A
-    support value that fails the root guard is kept as the error of its
-    pairs, which ``report`` raises, so the other graphs' facts stay whole."""
-    ready = []  # (graphs of one vertex count, their pairs) that get reports
+    config, one scan chunk) not yet known, by one run of each stacked kernel
+    per vertex count: connectivity, the decomposition (unless connected
+    above the cap, an error) and the gap; for d connected within the cap
+    with n >= 2, every support, ``char_rows``, the cospectral pairs and the
+    verdict rows of the pairs ``pairs(d)`` (``_fill_rows``), where a
+    root-guard failure stays its pairs' error, so the rest stays whole."""
+    ready = []  # (graphs of one vertex count, their pairs) that get verdict rows
     for n, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
         group, config = list(group), datas[0].config
         if n < 1:
@@ -755,36 +745,28 @@ def fill_stacked(datas, pairs):
         _set(group, "connected", connected_stack)
         group = [d for d in group if not (d.connected and n > config.exact_cap)]
         _set(group, "sd", lambda graphs: decompose_stack(graphs, config.grouping_tolerance))
+        if n >= 2:
+            _set(group, "gap", gap_reports, of="sd")
         group = [d for d in group if d.connected and n >= 2]
         if group:
             _set(group, "supports", lambda sds: supports_stack(sds, config.support_tolerance),
                  of="sd")
             _set(group, "char_rows", lambda graphs: char_polys(graphs, config.exact_cap))
+            _set(group, "cospectral_pairs", _cospectral_stack, of="char_rows")
             ready.append((group, [pairs(d) for d in group]))
-            _fill_pairs(*ready[-1])
-    _fill("classes", [d for group, _ in ready for d in group],
-          [[d._cache["psi"][u] for u, _ in p] for group, ps in ready for d, p in zip(group, ps)])
-    for group, ps in ready:
-        _fill("reports", group, ps)
+    _fill_rows(ready)
 
 
 class GraphData:
     """Every fact the commands derive from one graph, each computed once, on
-    first use: the decomposition, phi, every phi(G - u), the gap and
-    rho^2-integrality; every vertex's support; per vertex Delta_u (as a
-    label row) and the minimal polynomial psi_u of e_u, whose degree gives
-    controllability; per vertex pair the sign condition and the report;
-    per polynomial, psi_u or the gcd of two, the class of its root set.
-    Each comes from a stacked kernel, for all the vertices or pairs a view
-    asks for at once (``deltas``, ``minimal_polys``, ``support_classes``),
-    and only what is not yet known is run, in stacked runs over many graphs
-    (``fill_stacked``) or over a stack of one.
-
-    The verdict pass (``_reports_stack``) is the one place where the
-    necessary conditions for a vertex pair become verdicts; ``report``
-    reads it, and ``pair`` adds the checks that only a single-pair report
-    runs.
-    """
+    first use: the decomposition, phi, every phi(G - u), the cospectral
+    pairs, the gap and rho^2-integrality; every vertex's support; per vertex
+    Delta_u (as a label row) and psi_u, the minimal polynomial of e_u; per
+    (support, psi_u) its root guard; per vertex pair the sign condition and
+    the verdict row (``_reports_stack``, the one definition of each
+    verdict); per polynomial the class of its root set.  Each comes from a
+    stacked kernel run over what is not yet known, for many graphs
+    (``fill_stacked``) or a stack of one."""
 
     def __init__(self, g, config=AnalysisConfig()):
         self.g = g
@@ -808,11 +790,11 @@ class GraphData:
 
     @property
     def phi(self):
-        return self.char_polys[0]
+        return tuple(self.char_rows[0].tolist())
 
     @functools.cached_property
     def gap(self):
-        return gap_report(self.sd) if self.g.n >= 2 else None
+        return gap_reports([self.sd])[0] if self.g.n >= 2 else None
 
     @functools.cached_property
     def rho_squared_is_integer(self):
@@ -825,14 +807,11 @@ class GraphData:
     def cospectral(self, u, v):
         """phi(G - u) = phi(G - v), coefficient-wise, for distinct vertices."""
         _check_pair(self.g.n, u, v)
-        deleted = self.char_polys[1]
-        return deleted[u] == deleted[v]
+        return bool((self.char_rows[1][u] == self.char_rows[1][v]).all())
 
     @functools.cached_property
     def cospectral_pairs(self):
-        deleted = self.char_polys[1]
-        return [(u, v) for u, v in itertools.combinations(range(self.g.n), 2)
-                if deleted[u] == deleted[v]]
+        return _cospectral_stack([self.char_rows])[0]
 
     @functools.cached_property
     def supports(self):
@@ -860,47 +839,66 @@ class GraphData:
         the dict ``psis``, as a new dict in its order; a ValueError names
         the first u with a support value that fails the root guard."""
         keys = {u: (self.supports[u], tuple(psi)) for u, psi in psis.items()}
-        guard, = _guards_stack([self], [set(keys.values())])
+        guard = _fill("guards", [self], [list(keys.values())])[0]
         for u, key in keys.items():
             if guard[key] is not None:
                 raise _vertex_error(u, self.config, guard[key])
         memo = _fill("classes", [self], [[psi for _, psi in keys.values()]])[0]
         return {u: memo[psi] for u, (_, psi) in keys.items()}
 
+    def verdict_rows(self, pairs):
+        """The verdict rows of the pairs of the list ``pairs``, running the
+        verdict pass as a stack of one if needed; raises a root-guard error."""
+        if any(pair not in self._cache.get("rows", ()) for pair in pairs):
+            _fill_rows([([self], [pairs])])
+        rows = [self._cache["rows"][pair] for pair in pairs]
+        for error in (row for row in rows if isinstance(row, ValueError)):
+            raise ValueError(str(error))
+        return rows
+
     def report(self, u, v):
         """Every necessary-condition verdict for PST from u to v, except the
-        brute-force stabilizer check, which ``pair`` adds: the pair's entry
-        of the verdict pass (``_reports_stack``), run as a stack of one
-        unless ``fill_stacked`` or an earlier call cached it."""
+        brute-force stabilizer check, which ``pair`` adds: the pair's
+        verdict row and the facts printed beside it."""
         _check_pair(self.g.n, u, v)
-        memo = self._cache.get("reports")
-        if memo is None or (u, v) not in memo:
-            _fill_pairs([self], [[(u, v)]])
-            memo = _fill("reports", [self], [[(u, v)]])[0]
-        found = memo[u, v]
-        if isinstance(found, ValueError):
-            raise ValueError(str(found))
-        return found
+        row, = self.verdict_rows([(u, v)])
+        psi = self._cache["psi"]
+        return TransferReport(u=u, v=v, verdict_row=row,
+                              support_class=self._cache["classes"][psi[u]],
+                              v_singleton_in_delta_u=self._cache["deltas"][u].count(v) == 1,
+                              controllable_u=len(psi[u]) - 1 == self.g.n,
+                              controllable_v=len(psi[v]) - 1 == self.g.n,
+                              stabilizer_equal=None, gap=self.gap)
+
+    def search(self, u, v):
+        """``search_pst`` of a pair whose verdicts all pass, up to min(t_max,
+        T + 2 grid steps): u's class is then Integer or Quadratic, so
+        |H(t)_uv| has period T = 2 pi or 4 pi / sqrt(delta) (Godsil,
+        "Periodic graphs", 2011) and any earliest transfer lies in (0, T]."""
+        sc, config = self.report(u, v).support_class, self.config
+        period = 2 * math.pi if sc.kind == "Integer" else 4 * math.pi / math.sqrt(sc.delta)
+        horizon = period + 2 * _grid_step(self.sd.spectral_radius)
+        return search_pst(self.sd, u, v, t_max=min(config.t_max, horizon),
+                          threshold=config.threshold)
 
     def pair(self, u, v):
         """``report`` on a checked pair, plus the Gram cross-check of
         cospectrality, the brute-force stabilizer check within its cap and,
         when every verdict passes (as in ``scan``), the numeric time search
-        and the verification of any event it finds."""
+        (``search``) and the verification of any event it finds."""
         g, config = self.g, self.config
         _check_pair(g.n, u, v)
         if not self.connected:
             raise ValueError("necessary-condition pipeline requires a connected graph")
         report = self.report(u, v)
-        if walkalg.cospectral_via_gram(g, u, v, cap=config.exact_cap) != report.cospectral:
-            raise walkalg.InternalCheckError(
-                f"cospectrality routes disagree on pair ({u}, {v})"
-            )
+        cospectral = report.verdicts()["cospectral"]
+        if walkalg.cospectral_via_gram(g, u, v, cap=config.exact_cap) != cospectral:
+            raise walkalg.InternalCheckError(f"cospectrality routes disagree on pair ({u}, {v})")
         if g.n <= config.brute_force_cap:
             report = replace(report, stabilizer_equal=partitions.stabilizers_equal(
                 g, u, v, n_cap=config.brute_force_cap))
         if report.all_pass:
-            event = search_pst(self.sd, u, v, t_max=config.t_max, threshold=config.threshold)
+            event = self.search(u, v)
             if event is not None:
                 report = replace(report, pst_found=event, verification=verify_pst_event(
                     self.sd, event, config.support_tolerance))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -59,6 +60,7 @@ def _event_json(event):
 _SCALAR_JSON = {int: int.__repr__, float: float.__repr__, str: encode_basestring_ascii,
                 bool: {True: "true", False: "false"}.__getitem__,
                 type(None): {None: "null"}.__getitem__}
+_compact = functools.partial(json.dumps, separators=(",", ":"), sort_keys=True)
 
 
 def _dumps(value, indent="\n"):
@@ -200,33 +202,30 @@ def pair_report_json(g, report):
 # ---------------------------------------------------------------------------
 # scan
 
-def _scan_doc(data, gid):
-    """Per-graph scan summary, under the id ``gid`` (the canonical graph6 of
-    ``data.g``): gap report plus the verdicts of every
-    cospectral pair (cospectrality is a verdict, so the pre-filter is
-    lossless) and a time search for each pair that passes them all, from
-    the facts that ``analysis.fill_stacked`` gave ``data`` for its
-    cospectral pairs.  A graph with no vertex, or a connected one above the
-    exact cap, is an error, as in ``pair``; the brute-force automorphism
-    check is left to ``pair``."""
-    g, config = data.g, data.config
+def _scan_line(data, gid, fragments):
+    """The scan line of ``data.g``, id ``gid`` (its canonical graph6), byte
+    for byte ``json.dumps(doc, separators=(",", ":"), sort_keys=True)``: the
+    gap, the verdicts of every cospectral pair (a verdict, so the filter is
+    lossless) from the fragment of its (u, v, verdict row), and a time
+    search for each pair that passes them all.  A graph with no vertex, or
+    a connected one above the exact cap, is an error, as in ``pair``."""
+    g, gap, entries = data.g, data.gap, []
     if g.n < 1 or data.connected:
-        _check_cap(g, config.exact_cap)
-    doc = {"id": gid, "n": g.n, "connected": data.connected}
-    if g.n >= 2:
-        doc["gap"] = _gap_json(data.gap)
-    pairs = []
-    if data.connected and g.n >= 2:
-        for u, v in data.cospectral_pairs:
-            verdicts = data.report(u, v).verdicts()
-            entry = {"u": u, "v": v, "verdicts": verdicts}
-            if all(verdicts.values()):
-                entry["pst"] = _event_json(analysis.search_pst(
-                    data.sd, u, v, t_max=config.t_max, threshold=config.threshold
-                ))
-            pairs.append(entry)
-    doc["pairs"] = pairs
-    return doc
+        _check_cap(g, data.config.exact_cap)
+    pairs = data.cospectral_pairs if data.connected and g.n >= 2 else []
+    for (u, v), row in zip(pairs, data.verdict_rows(pairs)):
+        text = fragments.get((u, v, row))
+        if text is None:
+            text = fragments[u, v, row] = _compact(
+                {"u": u, "v": v, "verdicts": dict(zip(analysis.VERDICTS, row))})
+        if all(row):
+            text = '{"pst":%s,%s' % (_compact(_event_json(data.search(u, v))), text[1:])
+        entries.append(text)
+    return '{"connected":%s,%s"id":%s,"n":%d,"pairs":[%s],"schema_version":%d}' % (
+        _SCALAR_JSON[bool](data.connected),
+        '"gap":{"bound":%r,"satisfied":%s,"sigma":%r},' % (
+            gap.bound, _SCALAR_JSON[bool](gap.satisfied), gap.sigma) if g.n >= 2 else "",
+        encode_basestring_ascii(gid), g.n, ",".join(entries), SCHEMA_VERSION)
 
 
 # Most lines of a scan chunk, and most sum of n**3 over its lines.  A chunk
@@ -237,26 +236,27 @@ SCAN_WORK = 2**22
 
 
 def _scan_chunk(item):
-    """A JSON line per non-blank line of a chunk, the graph6 decoded and
-    the facts stacked; a malformed line is an error line of its own."""
+    """A JSON line per non-blank line of a chunk, from stacked facts and
+    shared pair fragments; a malformed line is an error line of its own."""
     lines, config = item
-    lines, docs, datas = [line.strip() for line in lines], {}, {}
+    lines, out, datas = [line.strip() for line in lines], {}, {}
+    error = lambda i, exc: _compact({"error": str(exc), "id": lines[i],
+                                     "schema_version": SCHEMA_VERSION})
     todo = [i for i, line in enumerate(lines) if line]
     for i, got in zip(todo, parse_graph6_stack([lines[i] for i in todo])):
         if isinstance(got, Graph6Error):
-            docs[i] = {"id": lines[i], "error": str(got)}
+            out[i] = error(i, got)
         else:
-            g, gid = got
-            datas[i] = analysis.GraphData(g, config), gid
+            datas[i] = analysis.GraphData(got[0], config), got[1]
     analysis.fill_stacked([data for data, _ in datas.values()],
                           lambda data: data.cospectral_pairs)
+    fragments = {}  # (u, v, verdict row) -> the pair's entry, less any "pst"
     for i, (data, gid) in datas.items():
         try:
-            docs[i] = _scan_doc(data, gid)
+            out[i] = _scan_line(data, gid, fragments)
         except ValueError as exc:
-            docs[i] = {"id": lines[i], "error": str(exc)}
-    return [json.dumps({**docs[i], "schema_version": SCHEMA_VERSION},
-                       separators=(",", ":"), sort_keys=True) for i in sorted(docs)]
+            out[i] = error(i, exc)
+    return [out[i] for i in sorted(out)]
 
 
 def _scan_chunks(lines, jobs):

@@ -98,15 +98,13 @@ def _by_graph(x, gi, mats):
     return (buf.reshape(len(mats), -1, x.shape[-1]) @ mats).reshape(buf.shape)[gi, slot]
 
 
-def _relabel(keys):
-    """Class numbers 0, 1, ... of the distinct rows of ``keys``, numbered in
-    the lexicographic order of the rows, and the number of classes."""
-    order = np.lexsort(keys.T[::-1])
+def _rank(keys):
+    """Class numbers 0, 1, ... of the distinct values of the int64 array
+    ``keys``, in their order, by one stable argsort, and their number."""
+    order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    new = np.ones(len(keys), dtype=np.int64)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     labels = np.empty(len(keys), dtype=np.int64)
-    labels[order] = np.cumsum(new) - 1
+    labels[order] = np.cumsum(np.concatenate([[0], ordered[1:] != ordered[:-1]]))
     return labels, int(labels[order[-1]]) + 1
 
 
@@ -120,29 +118,32 @@ def _refine(a, gi, colors):
     (``_by_graph``).  The counts come packed as base-b digits, b - 1 the
     largest degree: W is b**(c % d) at (v, c // d) for v of color c, so a
     vertex's entry in column j holds its counts into the colors jd .. jd +
-    d - 1.  It is exact while b**d <= 2**53, which fixes d.  One
-    ``np.lexsort`` over the (row, color, packed counts) rows then numbers
-    the new classes.  A class keeps its color as a key, so each round
-    refines the last; the run stops when the (row, color) classes stop
-    growing in number.
-    """
+    d - 1.  It is exact while b**d <= 2**53 and rows * n * b**d <= 2**62,
+    which fixes d.  Folding the columns left to right into one int64 key,
+    class * b**d + column, each fold ranked by ``_rank``, numbers the new
+    classes in the lexicographic order of the (class, packed counts) rows.
+    A class keeps its color as a key, so each round refines the last; the
+    run stops when the (row, color) classes stop growing in number."""
     rows, n = colors.shape
     base = int(a.sum(axis=2).max()) + 1
+    room = min(_FLOAT64_EXACT, 2**62 // (rows * n))
     digits = 1
-    while digits < n and base ** (digits + 1) <= _FLOAT64_EXACT:
+    while digits < n and base ** (digits + 1) <= room:
         digits += 1
+    size = base**digits
     weights = np.array([base**j for j in range(digits)], dtype=float)  # exact: < 2**53
     row_of = np.repeat(np.arange(rows), n)
     vertex = np.tile(np.arange(n), rows)
     # a class number leads with its row, so each row's classes are contiguous
-    labels, classes = _relabel(np.column_stack([row_of, colors.reshape(-1)]))
+    labels, classes = _rank(row_of * n + colors.reshape(-1))
     while True:
         local = labels - labels.reshape(rows, n).min(axis=1)[row_of]
         group = local // digits
         w = np.zeros((rows, int(group.max()) + 1, n))
         w[row_of, group, vertex] = weights[local % digits]
-        counts = _by_graph(w, gi, a).transpose(0, 2, 1).reshape(rows * n, -1)
-        labels, grown = _relabel(np.column_stack([labels, counts.astype(np.int64)]))
+        counts = _by_graph(w, gi, a).astype(np.int64)  # (rows, columns, n)
+        for column in counts.transpose(1, 0, 2).reshape(counts.shape[1], -1):
+            labels, grown = _rank(labels * size + column)
         if grown == classes:
             return local.reshape(rows, n)
         classes = grown

@@ -1,8 +1,9 @@
 """Oracles that no command calls, kept as references for the tests:
 Bareiss elimination, the transfer similarity, equitable quotients, paper
 statements the package does not check, the plain loops that the time
-search, the root guard and the automorphism backtracking replaced, and the
-class of a polynomial's roots from its factorization."""
+search, the root guard and the automorphism backtracking replaced, the
+class numbering by ``np.lexsort`` that the folded int64 key replaced, and
+the class of a polynomial's roots from its factorization."""
 
 import math
 import operator
@@ -17,7 +18,7 @@ import qwalk as q
 from qwalk.analysis import (_GOLDEN, _GUARD_BITS, T_MAX_DEFAULT, THRESHOLD_DEFAULT, PstEvent,
                             SupportClass, _amplitude, _grid_peaks, _search_amplitude,
                             period_candidate)
-from qwalk.partitions import BRUTE_FORCE_CAP_DEFAULT, Partition, automorphisms
+from qwalk.partitions import BRUTE_FORCE_CAP_DEFAULT, Partition, _by_graph, automorphisms
 from qwalk.polys import poly_gcd, poly_trim
 from qwalk.spectral import EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, _check_cap
 from qwalk.walkalg import _check_vertex
@@ -373,6 +374,46 @@ def search_reference(sd, u, v, t_max=T_MAX_DEFAULT, threshold=THRESHOLD_DEFAULT)
     amp = _amplitude_reference(thetas, coeffs, tau)
     return PstEvent(u=u, v=v, tau=float(tau), gamma=complex(amp / abs(amp)),
                     fidelity=float(fid))
+
+
+# ---------------------------------------------------------------------------
+# Colour refinement with the classes numbered by np.lexsort
+
+def _relabel_lexsort(keys):
+    """Class numbers 0, 1, ... of the distinct rows of ``keys``, numbered in
+    the lexicographic order of the rows, and the number of classes."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=np.int64)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    labels = np.empty(len(keys), dtype=np.int64)
+    labels[order] = np.cumsum(new) - 1
+    return labels, int(labels[order[-1]]) + 1
+
+
+def refine_lexsort_reference(a, gi, colors):
+    """``partitions._refine`` as it numbered the classes before the folded
+    key: the counts packed up to b**d <= 2**53 and one ``np.lexsort`` over
+    the (row, color, packed counts) rows per round."""
+    rows, n = colors.shape
+    base = int(a.sum(axis=2).max()) + 1
+    digits = 1
+    while digits < n and base ** (digits + 1) <= 2**53:
+        digits += 1
+    weights = np.array([base**j for j in range(digits)], dtype=float)
+    row_of = np.repeat(np.arange(rows), n)
+    vertex = np.tile(np.arange(n), rows)
+    labels, classes = _relabel_lexsort(np.column_stack([row_of, colors.reshape(-1)]))
+    while True:
+        local = labels - labels.reshape(rows, n).min(axis=1)[row_of]
+        group = local // digits
+        w = np.zeros((rows, int(group.max()) + 1, n))
+        w[row_of, group, vertex] = weights[local % digits]
+        counts = _by_graph(w, gi, a).transpose(0, 2, 1).reshape(rows * n, -1)
+        labels, grown = _relabel_lexsort(np.column_stack([labels, counts.astype(np.int64)]))
+        if grown == classes:
+            return local.reshape(rows, n)
+        classes = grown
 
 
 # ---------------------------------------------------------------------------

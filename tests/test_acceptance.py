@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qwalk as q
-from qwalk.cli import AnalysisConfig, analyze_graph, pair_report_json, run_scan
+from qwalk.cli import AnalysisConfig, _event_json, analyze_graph, pair_report_json, run_scan
 from qwalk.partitions import Partition, automorphisms
 
 from conftest import random_connected_graphs, random_graphs, ratio_condition
@@ -257,6 +257,14 @@ def test_scan_output_matches_golden(scan_text):
     assert hashlib.sha256(scan_text.encode()).hexdigest() == SCAN_GOLDEN_SHA256
 
 
+def test_scan_at_a_long_t_max_matches_golden(catalog_lines):
+    # a pair whose verdicts all pass is searched over one period of
+    # |H(t)_uv|, so --t-max 5000 finds the events of the default run
+    buf = io.StringIO()
+    run_scan(catalog_lines, AnalysisConfig(t_max=5000, jobs=1), out=buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SCAN_GOLDEN_SHA256
+
+
 @pytest.mark.parametrize("order", ["shuffled", "reversed"])
 def test_scan_lines_do_not_depend_on_chunks(catalog_lines, scan_text, order):
     # the golden catalog is sorted by n, so its chunks hold one or two vertex
@@ -307,22 +315,24 @@ def test_scan_output_maps_back_to_schema_v1(scan_text):
 
 
 def test_scan_verdicts_are_the_pair_verdicts(catalog_lines, scan_text):
-    """Pairs passing every schema-1 verdict get the verdicts of the full
-    pipeline, less the brute-force stabilizer check that scan skips."""
-    checked = sign_failures = 0
+    """Every cospectral pair gets the verdicts of the full pipeline, less
+    the brute-force stabilizer check that scan skips, and a pair searched
+    in scan passes them all and gets the event that pair finds."""
+    checked = sign_failures = searched = 0
     for line, row in zip(catalog_lines, scan_text.splitlines()):
+        data = q.GraphData(q.parse_graph6(line))
         for pair in json.loads(row)["pairs"]:
-            verdicts = pair["verdicts"]
-            if not all(v for k, v in verdicts.items() if k != "sign_condition"):
-                continue
-            full = q.GraphData(q.parse_graph6(line)).pair(pair["u"], pair["v"])
+            full = data.pair(pair["u"], pair["v"])
             expected = full.verdicts()
             del expected["automorphism_stabilizer_equal"]
-            assert verdicts == expected, (line, pair)
+            assert pair["verdicts"] == expected, (line, pair)
             assert ("pst" in pair) == all(expected.values())
+            if "pst" in pair and full.all_pass:
+                assert pair["pst"] == json.loads(json.dumps(_event_json(full.pst_found)))
+                searched += 1
             checked += 1
-            sign_failures += not verdicts["sign_condition"]
-    assert (checked, sign_failures) == (42, 10)
+            sign_failures += not expected["sign_condition"]
+    assert (checked, sign_failures, searched) == (2734, 1320, 32)
 
 
 # The graphs whose ``analyze`` and ``pair (0, n - 1)`` reports are pinned by

@@ -213,7 +213,7 @@ class TestRatioCondition:
                     if values not in reference:
                         reference[values] = len(values) < 2 or ratio_condition(values).holds
                     expected = reference[values]
-                    assert data.report(u, v).ratio_condition == expected, (data.g, u, v)
+                    assert data.report(u, v).verdicts()["ratio_condition"] == expected, (data.g, u, v)
                     checked += 1
                     failing += not expected
         assert (checked, failing) == (19869, 19176)
@@ -509,7 +509,7 @@ class TestNecessaryConditions:
     def test_petersen_fails_delta(self):
         data = q.GraphData(q.petersen())
         rep = data.pair(0, 1)
-        assert not rep.delta_partition_equal
+        assert not rep.verdicts()["delta_partition_equal"]
         assert not rep.v_singleton_in_delta_u
         # distance partition around a vertex has a final cell of size 6
         assert [len(c) for c in data.deltas([0])[0].cells] == [1, 3, 6]
@@ -518,7 +518,7 @@ class TestNecessaryConditions:
         rep = q.GraphData(q.path(4)).pair(0, 3)
         assert rep.support_class.kind == "Neither"
         assert rep.controllable_u and rep.controllable_v
-        assert not rep.controllability_ok
+        assert not rep.verdicts()["controllability"]
         assert not rep.all_pass
 
     def test_disconnected_rejected(self):
@@ -565,7 +565,7 @@ class TestSearchPolicy:
     def test_pair_searches_only_when_every_verdict_passes(self, monkeypatch):
         calls = _count_calls(monkeypatch, "search_pst", q.analysis)
         rep = q.GraphData(q.path(4)).pair(0, 1)
-        assert not rep.cospectral and rep.pst_found is None and not calls
+        assert not rep.verdicts()["cospectral"] and rep.pst_found is None and not calls
         rep = q.GraphData(q.hypercube(4)).pair(0, 15)
         assert rep.all_pass and rep.pst_found is not None and len(calls) == 1
 
@@ -705,17 +705,18 @@ class TestComputeOnce:
         calls["_faddeev_leverrier"] = self._spy_recurrence(monkeypatch)
         float_side = self._spy_float_side(monkeypatch)
         calls["connected_stack"] = float_side["connected_stack"]
-        # the verdict pass and the root guard it runs take GraphData; the
-        # class pass runs once over the whole chunk
-        verdicts = {name: _count_calls(monkeypatch, name, q.analysis)
-                    for name in ("_reports_stack", "_guards_stack")}
-        classes = _count_calls(monkeypatch, "_classes_stack", q.analysis)
+        # the verdict pass takes GraphData; the root guard and the class
+        # pass run once over the whole chunk
+        verdicts = _count_calls(monkeypatch, "_reports_stack", q.analysis)
+        chunk_wide = [_count_calls(monkeypatch, name, q.analysis)
+                      for name in ("_guards_stack", "_classes_stack")]
         guards = _count_calls(monkeypatch, "_guard", q.analysis)
         assert cli.run_scan(lines, cli.AnalysisConfig(), out=io.StringIO()) == len(lines)
-        calls.update({name: [([d.g for d in args[0]],) for args in made]
-                      for name, made in verdicts.items()})
-        assert len(guards) == len(calls["_guards_stack"])
-        assert [sorted(d.g.n for d in args[0]) for args in classes] == [sorted(g.n for g in graphs)]
+        calls["_reports_stack"] = [([d.g for d in args[0]],) for args in verdicts]
+        assert len(guards) == 1
+        for made in chunk_wide:
+            assert [sorted(d.g.n for d in args[0]) for args in made] == \
+                [sorted(g.n for g in graphs)]
         by_n = {}
         for g in graphs:
             by_n.setdefault(g.n, set()).add(g)

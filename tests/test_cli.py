@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,19 @@ class TestPair:
         assert default[0] == 0
         assert json.loads(default[1])["pst_found"]["tau"] == pytest.approx(math.pi / 2)
 
+    def test_search_of_an_all_pass_pair_is_bounded_by_its_period(self, tmp_path, capsys):
+        # C6 (0, 3) passes every verdict and has no transfer; its search
+        # stops one period (2 pi) past 0, so at --t-max 1e6 (~13 s of grid
+        # without the bound) it prints the default run's report at once
+        f = tmp_path / "c6.g6"
+        f.write_text(q.encode_graph6(q.cycle(6)) + "\n")
+        default = run_cli(["pair", str(f), "0", "3"], capsys)
+        start = time.perf_counter()
+        assert run_cli(["pair", str(f), "0", "3", "--t-max", "1e6"], capsys) == default
+        assert time.perf_counter() - start < 1
+        doc = json.loads(default[1])
+        assert default[0] == 0 and doc["all_pass"] and doc["pst_found"] is None
+
     def test_petersen_singleton_diagnostic(self, tmp_path, capsys):
         f = tmp_path / "pet.g6"
         f.write_text(q.encode_graph6(q.petersen()))
@@ -287,6 +301,28 @@ class TestScan:
         assert docs[2]["n"] == 1 and docs[2]["pairs"] == []
         monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
         assert run_cli(["pair", "-", "0", "1", "--exact-cap", "1"], capsys)[0] == 2
+
+    def test_lines_are_the_sorted_compact_json_of_their_content(self):
+        # scan writes its lines from string fragments; each must be the
+        # json.dumps of its own content: the catalog and CI's cap input (50
+        # random n = 64 graphs after every 250th catalog line), plus error
+        # lines for a malformed line, the graph with no vertex and a
+        # connected graph above the exact cap
+        rng = np.random.default_rng(64)
+        lines = []
+        for i, line in enumerate(CATALOG.read_text().split()):
+            lines.append(line)
+            for _ in range(50 if i % 250 == 249 else 0):
+                a = np.triu((rng.random((64, 64)) < 0.45).astype(int), 1)
+                lines.append(q.encode_graph6(q.Graph(a + a.T)))
+        lines[5:5] = ["\x7fbad", "?", q.encode_graph6(q.path(65))]
+        buf = io.StringIO()
+        assert run_scan(lines, AnalysisConfig(), out=buf) == 1203
+        rows = buf.getvalue().splitlines()
+        assert sum('"error"' in row for row in rows) == 3
+        assert sum("\\\\" in row for row in rows) > 0  # ids with an escaped backslash
+        for row in rows:
+            assert row == json.dumps(json.loads(row), separators=(",", ":"), sort_keys=True)
 
     def test_lines_carry_schema_version(self):
         buf = io.StringIO()

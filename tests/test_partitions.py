@@ -9,7 +9,7 @@ from qwalk.partitions import Partition, automorphisms, stabilizers_equal
 
 from conftest import delta_reference, random_connected_graphs, random_graphs, refine_reference
 from oracles import (automorphisms_reference, characteristic_matrix, equitable_quotient_checks,
-                     is_equitable, stabilizer_orbits_bruteforce)
+                     is_equitable, refine_lexsort_reference, stabilizer_orbits_bruteforce)
 
 CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "atlas1000.g6"
 
@@ -132,6 +132,36 @@ class TestBatchedRefinement:
             for u in range(g.n):
                 least = {v: cell[0] for cell in deltas[u].cells for v in cell}
                 assert data._cache["deltas"][u] == tuple(least[v] for v in range(g.n))
+
+    @staticmethod
+    def _check_numbering(graphs, gi, colors):
+        # as label rows: each vertex labelled by the least vertex of its cell
+        a = np.stack([g.adjacency for g in graphs]).astype(float)
+        local = refine_lexsort_reference(a, gi, colors)
+        expected = (local[:, :, None] == local[:, None, :]).argmax(axis=2)
+        assert partitions._labels(graphs, gi, colors).tolist() == expected.tolist()
+
+    def test_class_numbering_is_the_lexsort_one_on_random_stacks(self):
+        # the classes that the folded int64 key numbers give the label rows
+        # of one np.lexsort over the (class, packed counts) rows a round:
+        # stacks of one vertex count, delta-style roots and random colourings
+        rng = np.random.default_rng(17)
+        for n in (2, 5, 9, 16, 33):
+            graphs = random_graphs(6, n, seed=n, n_min=n)
+            gi = np.sort(rng.integers(0, len(graphs), 24))
+            roots = np.zeros((len(gi), n), dtype=np.int64)
+            roots[np.arange(len(gi)), rng.integers(0, n, len(gi))] = 1
+            self._check_numbering(graphs, gi, roots)
+            self._check_numbering(graphs, gi, rng.integers(0, 3, (len(gi), n)))
+
+    @pytest.mark.parametrize("name", ["P64", "Q6", "K64", "K1,63"])
+    def test_class_numbering_is_the_lexsort_one_at_the_cap(self, name):
+        # every vertex a root: P64 folds up to three packed columns a round,
+        # K64 has the largest degree and K1,63 the most lopsided degrees
+        g = {"P64": q.path(64), "Q6": q.hypercube(6), "K64": q.complete(64),
+             "K1,63": q.star(63)}[name]
+        roots = np.eye(g.n, dtype=np.int64)
+        self._check_numbering([g], np.zeros(g.n, dtype=np.int64), roots)
 
     def test_roots_subset_and_order(self):
         g = q.cartesian_product(q.path(3), q.path(4))

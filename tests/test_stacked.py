@@ -289,8 +289,13 @@ class TestFloatSideMatchesReference:
     @staticmethod
     def _check_catalog_grids(monkeypatch, atlas_connected):
         lines = [q.encode_graph6(g) for n in range(1, 8) for g in atlas_connected[n]]
+        # a pair whose verdicts all pass is searched up to one period, so
+        # only a large spectral radius makes a long grid: K2 x K10 (rho =
+        # 10) has all-pass pairs with no transfer, searched over 2,002
+        # points in four blocks
         lines += [q.encode_graph6(g) for g in (q.hypercube(3), q.petersen(), q.path(8),
-                                               q.cycle(8))]
+                                               q.cycle(8),
+                                               q.cartesian_product(q.path(2), q.complete(10)))]
         searches = []  # (grid arguments, blocks, hit)
         real_search, real_peaks = analysis._search_amplitude, analysis._grid_peaks
 
@@ -343,6 +348,35 @@ class TestFloatSideMatchesReference:
                 found += event is not None
         assert (pairs, found) == (2734, 11)
 
+    @pytest.mark.parametrize("corpus", ["catalog", "families"])
+    def test_search_up_to_one_period_keeps_every_event(self, atlas_connected, corpus):
+        # a pair whose verdicts all pass is searched up to one period of
+        # |H(t)_uv| plus two grid steps; its event must be that of the whole
+        # search up to the default t_max
+        if corpus == "catalog":
+            graphs = [g for n in range(2, 8) for g in atlas_connected[n]]
+            graphs += [q.hypercube(3), q.petersen(), q.path(8), q.cycle(8)]
+        else:
+            p3, x = q.path(3), q.cartesian_product
+            graphs = [q.hypercube(d) for d in range(1, 7)] + [x(p3, p3), x(x(p3, p3), p3)]
+            graphs += [q.path(n) for n in range(3, 21)] + [q.cycle(n) for n in range(3, 21)]
+            graphs += [q.petersen(), q.Graph.from_edges(8, [(i, j) for i in (0, 1)
+                                                           for j in range(2, 8)])]
+            graphs += [q.complete(n) for n in range(3, 12)]
+            graphs += [q.Graph(nx.to_numpy_array(t, dtype=int))
+                       for n in range(2, 11) for t in nx.nonisomorphic_trees(n)]
+        pairs = found = 0
+        for g in graphs:
+            data = q.GraphData(g)
+            for (u, v), row in zip(data.cospectral_pairs,
+                                   data.verdict_rows(data.cospectral_pairs)):
+                if all(row):
+                    event = data.search(u, v)
+                    assert event == search_reference(data.sd, u, v), (g, u, v)
+                    pairs += 1
+                    found += event is not None
+        assert (pairs, found) == {"catalog": (32, 11), "families": (92, 86)}[corpus]
+
     def test_search_pst_on_larger_supports(self):
         graphs = [q.path(n) for n in range(8, 21)] + [q.cycle(n) for n in range(8, 21)]
         p3 = q.path(3)
@@ -371,6 +405,26 @@ class TestFloatSideMatchesReference:
             events.append(event)
         step = math.pi / 200
         assert events[:2] == [None, None] and 3840 * step < events[2].tau < 7937 * step
+
+    def test_cospectral_pairs_are_the_tuple_loop(self, atlas_connected):
+        # one broadcast comparison of a stack's phi(G - u) rows gives the
+        # pairs of the loop over coefficient tuples it replaced: on the atlas
+        # graphs and at the cap, where K64's rows hold Python ints and are
+        # compared by their residues first
+        by_n = {}
+        for g in [g for n in range(1, 8) for g in atlas_connected[n]] + [
+                q.complete(64), q.star(63), q.hypercube(6),
+                *random_connected_graphs(3, 64, seed=64, n_min=64)]:
+            by_n.setdefault(g.n, []).append(g)
+        wide = 0
+        for n, graphs in by_n.items():
+            rows = spectral.char_polys(graphs)
+            for (_, deleted), pairs in zip(rows, analysis._cospectral_stack(rows)):
+                deleted = [tuple(r) for r in deleted.tolist()]
+                assert pairs == [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                 if deleted[u] == deleted[v]]
+            wide += rows[0][1].dtype == object
+        assert wide and len(q.GraphData(q.complete(64)).cospectral_pairs) == 2016
 
     def test_connected_stack(self, atlas_all):
         by_n = {}
