@@ -17,7 +17,7 @@ import numpy as np
 from . import partitions, walkalg
 from .graphs import connected_stack
 from .spectral import (_FLOAT64_EXACT, EXACT_CAP_DEFAULT, SUPPORT_TOL_DEFAULT, char_polys,
-                       decompose, decompose_stack, gap_reports, support_mask, supports_stack,
+                       decompose, decompose_stack, gap_report, support_mask, supports_stack,
                        transition_matrix)
 from .polys import poly_divides, poly_eval, poly_gcds, poly_trim
 
@@ -732,11 +732,11 @@ def _cospectral_stack(char_rows):
 def fill_stacked(datas, pairs):
     """The facts ``scan`` needs of every ``GraphData`` d of ``datas`` (one
     config, one scan chunk) not yet known, by one run of each stacked kernel
-    per vertex count: connectivity, the decomposition (unless connected
-    above the cap, an error) and the gap; for d connected within the cap
-    with n >= 2, every support, ``char_rows``, the cospectral pairs and the
-    verdict rows of the pairs ``pairs(d)`` (``_fill_rows``), where a
-    root-guard failure stays its pairs' error, so the rest stays whole."""
+    per vertex count: connectivity and the decomposition (unless connected
+    above the cap, an error); for d connected within the cap with n >= 2,
+    every support, ``char_rows``, the cospectral pairs and the verdict rows
+    of the pairs ``pairs(d)`` (``_fill_rows``), where a root-guard failure
+    stays its pairs' error, so the rest stays whole."""
     ready = []  # (graphs of one vertex count, their pairs) that get verdict rows
     for n, group in itertools.groupby(sorted(datas, key=lambda d: d.g.n), lambda d: d.g.n):
         group, config = list(group), datas[0].config
@@ -745,8 +745,6 @@ def fill_stacked(datas, pairs):
         _set(group, "connected", connected_stack)
         group = [d for d in group if not (d.connected and n > config.exact_cap)]
         _set(group, "sd", lambda graphs: decompose_stack(graphs, config.grouping_tolerance))
-        if n >= 2:
-            _set(group, "gap", gap_reports, of="sd")
         group = [d for d in group if d.connected and n >= 2]
         if group:
             _set(group, "supports", lambda sds: supports_stack(sds, config.support_tolerance),
@@ -794,7 +792,7 @@ class GraphData:
 
     @functools.cached_property
     def gap(self):
-        return gap_reports([self.sd])[0] if self.g.n >= 2 else None
+        return gap_report(self.sd) if self.g.n >= 2 else None
 
     @functools.cached_property
     def rho_squared_is_integer(self):
@@ -875,7 +873,8 @@ class GraphData:
         T + 2 grid steps): u's class is then Integer or Quadratic, so
         |H(t)_uv| has period T = 2 pi or 4 pi / sqrt(delta) (Godsil,
         "Periodic graphs", 2011) and any earliest transfer lies in (0, T]."""
-        sc, config = self.report(u, v).support_class, self.config
+        self.verdict_rows([(u, v)])  # u's psi and its class are then cached
+        sc, config = self._cache["classes"][self._cache["psi"][u]], self.config
         period = 2 * math.pi if sc.kind == "Integer" else 4 * math.pi / math.sqrt(sc.delta)
         horizon = period + 2 * _grid_step(self.sd.spectral_radius)
         return search_pst(self.sd, u, v, t_max=min(config.t_max, horizon),

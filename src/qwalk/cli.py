@@ -209,9 +209,10 @@ def _scan_line(data, gid, fragments):
     lossless) from the fragment of its (u, v, verdict row), and a time
     search for each pair that passes them all.  A graph with no vertex, or
     a connected one above the exact cap, is an error, as in ``pair``."""
-    g, gap, entries = data.g, data.gap, []
+    g, entries = data.g, []
     if g.n < 1 or data.connected:
         _check_cap(g, data.config.exact_cap)
+    gap = data.gap
     pairs = data.cospectral_pairs if data.connected and g.n >= 2 else []
     for (u, v), row in zip(pairs, data.verdict_rows(pairs)):
         text = fragments.get((u, v, row))

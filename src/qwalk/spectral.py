@@ -300,11 +300,10 @@ class GapReport:
         object.__setattr__(self, "satisfied", self.sigma**2 < self.bound)
 
 
-def gap_reports(sds):
-    """The ``GapReport`` of each graph that sds[i] decomposes, all of one
-    vertex count n >= 2: sigma is the least distance between adjacent
-    eigenvalues of the multiset, 0 on repeats, by one min over the stack."""
-    n = sds[0].n
-    values = np.stack([sd.eigenvalues if sd.num_distinct == n else np.zeros(n) for sd in sds])
-    sigma = (values[:, :-1] - values[:, 1:]).min(axis=1)
-    return [GapReport(sigma=s, bound=12.0 / (n + 1)) for s in sigma.tolist()]
+def gap_report(sd):
+    """The ``GapReport`` of the graph that ``sd`` decomposes (n >= 2): the
+    minimum distance between the eigenvalues of the multiset, 0 on repeats
+    (fewer distinct eigenvalues than n)."""
+    values, n = sd.eigenvalues.tolist(), sd.n
+    sigma = min(map(float.__sub__, values, values[1:])) if len(values) == n else 0.0
+    return GapReport(sigma=sigma, bound=12.0 / (n + 1))

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import time
 from pathlib import Path
 
 import numpy as np
@@ -199,16 +198,20 @@ class TestPair:
         assert default[0] == 0
         assert json.loads(default[1])["pst_found"]["tau"] == pytest.approx(math.pi / 2)
 
-    def test_search_of_an_all_pass_pair_is_bounded_by_its_period(self, tmp_path, capsys):
+    def test_search_of_an_all_pass_pair_is_bounded_by_its_period(self, tmp_path, capsys,
+                                                                   monkeypatch):
         # C6 (0, 3) passes every verdict and has no transfer; its search
-        # stops one period (2 pi) past 0, so at --t-max 1e6 (~13 s of grid
-        # without the bound) it prints the default run's report at once
+        # stops one period (2 pi) plus two grid steps past 0, so at --t-max
+        # 1e6 (~13 s of grid without the bound) it prints the default run's
+        # report
         f = tmp_path / "c6.g6"
         f.write_text(q.encode_graph6(q.cycle(6)) + "\n")
+        t_maxes, search = [], q.analysis.search_pst
+        monkeypatch.setattr(q.analysis, "search_pst", lambda *a, t_max, **kw: (
+            t_maxes.append(t_max), search(*a, t_max=t_max, **kw))[1])
         default = run_cli(["pair", str(f), "0", "3"], capsys)
-        start = time.perf_counter()
         assert run_cli(["pair", str(f), "0", "3", "--t-max", "1e6"], capsys) == default
-        assert time.perf_counter() - start < 1
+        assert t_maxes == [2 * math.pi + 2 * math.pi / 200] * 2  # rho = 2
         doc = json.loads(default[1])
         assert default[0] == 0 and doc["all_pass"] and doc["pst_found"] is None
 
@@ -301,6 +304,25 @@ class TestScan:
         assert docs[2]["n"] == 1 and docs[2]["pairs"] == []
         monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
         assert run_cli(["pair", "-", "0", "1", "--exact-cap", "1"], capsys)[0] == 2
+
+    def test_connected_graph_above_exact_cap_is_not_decomposed(self, monkeypatch):
+        # the cap error line costs no eigendecomposition: only P4, within
+        # the cap, reaches either decomposition route
+        seen, analysis = [], q.analysis
+        for name in ("decompose", "decompose_stack"):
+            real = getattr(analysis, name)
+            spy = lambda gs, *a, real=real, one=name == "decompose": (
+                seen.extend(g.n for g in ([gs] if one else gs)), real(gs, *a))[1]
+            monkeypatch.setattr(analysis, name, spy)
+        buf = io.StringIO()
+        lines = [q.encode_graph6(q.path(4)), q.encode_graph6(q.cycle(7)),
+                 q.encode_graph6(q.path(9))]
+        assert run_scan(lines, AnalysisConfig(exact_cap=6), out=buf) == 3
+        docs = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [d.get("error") for d in docs] == [
+            None, "exact-arithmetic cap exceeded: 7 > 6",
+            "exact-arithmetic cap exceeded: 9 > 6"]
+        assert set(seen) == {4}
 
     def test_lines_are_the_sorted_compact_json_of_their_content(self):
         # scan writes its lines from string fragments; each must be the
